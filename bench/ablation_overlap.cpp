@@ -16,7 +16,7 @@
 //
 // --smoke gates the acceptance criteria: chunked >= 1.3x unchunked at
 // Slingshot-10, reassembled chunk payloads byte-identical to the
-// unchunked payload (real ChunkedStream round trip), and the transport's
+// unchunked payload (real chunk-layer round trip), and the transport's
 // per-round wire charge equal to the network model's (sum of per-round
 // allgatherv_time) — the two views must agree exactly.
 
@@ -52,13 +52,13 @@ struct ChunkRow {
   double eq5_predicted = 1.0;
 };
 
-/// Real ChunkedStream round trip: frame `payload` at `chunk_bytes`, feed
-/// every frame through a consumer cursor, compare the reassembly.
+/// Real chunk-layer round trip: frame `payload` at `chunk_bytes`, feed
+/// every frame through a decode cursor, compare the reassembly.
 bool chunk_roundtrip_identical(const compress::Bytes& payload,
                                std::size_t chunk_bytes) {
   compress::ChunkedProducer producer;
   producer.frame(compress::ByteView(payload), chunk_bytes);
-  compress::ChunkedConsumer consumer;
+  codec::chunk::Cursor consumer;
   for (std::size_t k = 0; k < producer.chunk_count(); ++k) {
     consumer.feed(producer.chunk(k));
   }

@@ -113,10 +113,9 @@ int main(int argc, char** argv) {
   for (const auto& cand : pool) {
     FamilyRun run;
     run.name = cand.name;
-    // The trainer's built-in residual stays off: the EF wrapper itself is
-    // the (only) error-feedback mechanism under test for every family.
-    run.result = trainer.train_sgd(kIters, lr, cand.compressor.get(),
-                                   /*error_feedback=*/false);
+    // The EF wrapper is the only error-feedback mechanism: the plain
+    // families run without one.
+    run.result = trainer.train_sgd(kIters, lr, cand.compressor.get());
     run.finite = all_finite(run.result.loss_curve);
     std::printf("%-16s | %10.4f | %10.4f | %7.1fx%s\n", cand.name,
                 run.result.final_loss, tail_loss(run.result.loss_curve),

@@ -90,9 +90,11 @@ int main() {
 
     const auto r_kfac = trainer.train_kfac(kIters, kfac_lr, nullptr, kc);
     // SGD gets a 2x budget; the "iterations to KFAC accuracy" ratio is the
-    // paper's KFAC-vs-SGD iteration advantage.
-    const auto r_sgd =
-        trainer.train_sgd(2 * kIters, sgd_lr, cocktail.get());
+    // paper's KFAC-vs-SGD iteration advantage. CocktailSGD runs with error
+    // feedback, as published (a fresh wrapper: no residuals carry over).
+    const auto r_sgd = trainer.train_sgd(
+        2 * kIters, sgd_lr,
+        compress::make_error_feedback(compress::make_cocktail(0.2, 8)).get());
     double ratio = 2.0;
     bool crossed = false;
     for (std::size_t i = 0; i < r_sgd.eval_curve.size(); ++i) {

@@ -2,13 +2,10 @@
 # CI entry point: build and test the normal and sanitized configurations.
 #
 #   ./ci.sh            all configs, full test suite under each
-#   ./ci.sh fault      fault-tolerance suites only (ctest -L fault)
-#   ./ci.sh perf       bench smoke gates only (ctest -L perf)
-#   ./ci.sh obs        observability suites only (ctest -L obs)
-#   ./ci.sh sched      step-graph scheduler suites only (ctest -L sched)
-#   ./ci.sh pipeline   chunked streaming suites only (ctest -L pipeline)
-#   ./ci.sh scale      1000-rank scale-out suites only (ctest -L scale)
-#   ./ci.sh convergence  compressor-family convergence suites (ctest -L convergence)
+#   ./ci.sh <label>    only the suites carrying that CTest label, e.g.
+#                      fault, perf, obs, sched, pipeline, scale,
+#                      convergence, threaded; a label no suite carries
+#                      fails the run instead of running nothing
 #
 # The sanitized config (-DCOMPSO_SANITIZE=ON) runs everything under
 # AddressSanitizer + UBSan, which is what gives the fault/recovery paths
@@ -49,15 +46,15 @@
 #
 # The pipeline lane (ctest -L pipeline) also runs in all three configs
 # (DESIGN.md §15): test_pipeline covers chunk-frame/cursor round trips
-# and mid-stream resume, the >= 1000-mutation-per-category chunk fuzz
-# (header, CRC, mid-chunk truncation, duplicate — whose OOB teeth come
-# from the ASan+UBSan config), the chunk-scoped fault plan, the
-# per-round chunk collective, and the chunked == unchunked bit-exact
-# trajectory gates (clean, fault-injected + retried, and across
-# checkpoint resume; the TSan config drives the per-round frame tasks
-# on the engine pool). The bench_pipeline_smoke gate (ablation_overlap
-# --smoke) enforces chunked >= 1.3x unchunked at Slingshot-10 plus
-# byte-identity and transport/model agreement.
+# and validation, the >= 1000-mutation-per-category chunk fuzz (header,
+# CRC, mid-chunk truncation, duplicate — whose OOB teeth come from the
+# ASan+UBSan config), the chunk-scoped fault plan, the per-round chunk
+# collective, and the bit-exact trajectory gates across chunk sizes
+# (clean, chunk and whole-payload faults + retries, and across
+# checkpoint resume; the TSan config drives the decode batches on the
+# engine pool). The bench_pipeline_smoke gate (ablation_overlap --smoke)
+# enforces chunked >= 1.3x unchunked at Slingshot-10 plus byte-identity
+# and transport/model agreement.
 #
 # The scale lane (ctest -L scale) also runs in all three configs
 # (DESIGN.md §16): test_scale covers the Topology rank-map properties,
@@ -102,23 +99,9 @@ run_suite() {
   local dir="$1"; shift
   cmake -S . -B "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo "$@" >/dev/null
   cmake --build "$dir" -j "$JOBS"
-  if [[ "$LABEL" == "fault" ]]; then
-    ctest --test-dir "$dir" -L fault --output-on-failure -j "$JOBS"
-  elif [[ "$LABEL" == "perf" ]]; then
-    ctest --test-dir "$dir" -L perf --output-on-failure -j "$JOBS"
-  elif [[ "$LABEL" == "obs" ]]; then
-    ctest --test-dir "$dir" -L obs --output-on-failure -j "$JOBS"
-  elif [[ "$LABEL" == "sched" ]]; then
-    ctest --test-dir "$dir" -L sched --output-on-failure -j "$JOBS"
-  elif [[ "$LABEL" == "pipeline" ]]; then
-    ctest --test-dir "$dir" -L pipeline --output-on-failure -j "$JOBS"
-  elif [[ "$LABEL" == "scale" ]]; then
-    ctest --test-dir "$dir" -L scale --output-on-failure -j "$JOBS"
-  elif [[ "$LABEL" == "convergence" ]]; then
-    ctest --test-dir "$dir" -L convergence --output-on-failure -j "$JOBS"
-  else
-    ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
-  fi
+  local filter=()
+  if [[ -n "$LABEL" ]]; then filter=(-L "$LABEL" --no-tests=error); fi
+  ctest --test-dir "$dir" "${filter[@]}" --output-on-failure -j "$JOBS"
 }
 
 echo "=== config 1/3: normal ==="

@@ -43,11 +43,6 @@ std::uint64_t get_u64(ByteView in, std::size_t at) noexcept {
 
 }  // namespace
 
-bool is_chunked(ByteView bytes) noexcept {
-  return bytes.size() >= 5 && get_u32(bytes, 0) == kChunkMagic &&
-         bytes[4] == kChunkVersion;
-}
-
 std::size_t chunk_count_for(std::size_t payload_bytes,
                             std::size_t chunk_bytes) noexcept {
   if (chunk_bytes == 0 || payload_bytes == 0) return 1;
@@ -129,10 +124,9 @@ void Cursor::reset() noexcept {
 
 void Cursor::feed(ByteView frame) {
   const ChunkHeader h = read_chunk_header(frame);
-  if (count_ == 0) {
-    count_ = h.count;
-    total_ = h.total;
-  } else if (h.count != count_ || h.total != total_) {
+  // Validate everything before adopting or appending, so a rejected frame
+  // leaves the cursor as it was.
+  if (count_ != 0 && (h.count != count_ || h.total != total_)) {
     throw PayloadError("chunk: inconsistent stream metadata");
   }
   if (h.index < next_) {
@@ -141,12 +135,14 @@ void Cursor::feed(ByteView frame) {
   if (h.index > next_) {
     throw PayloadError("chunk: out-of-order chunk");
   }
-  if (payload_.size() + h.body > total_) {
+  if (payload_.size() + h.body > h.total) {
     throw PayloadError("chunk: body overruns declared payload size");
   }
-  if (h.index + 1 == count_ && payload_.size() + h.body != total_) {
+  if (h.index + 1 == h.count && payload_.size() + h.body != h.total) {
     throw PayloadError("chunk: reassembled size mismatch");
   }
+  count_ = h.count;
+  total_ = h.total;
   const ByteView body = chunk_body(frame);
   payload_.insert(payload_.end(), body.begin(), body.end());
   ++next_;
@@ -157,35 +153,6 @@ ByteView Cursor::payload() const {
     throw PayloadError("chunk: stream truncated mid-payload");
   }
   return ByteView(payload_);
-}
-
-void Cursor::serialize(Bytes& out) const {
-  auto put_u64 = [&out](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  put_u64(next_);
-  put_u64(count_);
-  put_u64(total_);
-  put_u64(payload_.size());
-  out.insert(out.end(), payload_.begin(), payload_.end());
-}
-
-void Cursor::deserialize(wire::Reader& reader) {
-  const auto next = reader.bounded_u64(kMaxChunkCount, "chunk cursor next");
-  const auto count = reader.bounded_u64(kMaxChunkCount, "chunk cursor count");
-  const auto total =
-      reader.bounded_u64(kMaxPayloadBytes, "chunk cursor total");
-  const auto bytes = reader.bounded_u64(total, "chunk cursor bytes");
-  if (next > count || (count == 0 && (next != 0 || total != 0))) {
-    throw PayloadError("chunk: corrupt cursor state");
-  }
-  const ByteView blob = reader.blob(bytes);
-  next_ = static_cast<std::uint32_t>(next);
-  count_ = static_cast<std::uint32_t>(count);
-  total_ = total;
-  payload_.assign(blob.begin(), blob.end());
 }
 
 }  // namespace compso::codec::chunk

@@ -5,11 +5,10 @@
 // A v1 payload is sealed as one frame and must be complete before the
 // first byte ships. v2 splits the *finished* payload bytes into
 // fixed-size chunks, each wrapped in its own self-describing frame with
-// its own CRC32, so the transport can ship chunk k while chunk k+1 is
-// still being framed (and the receiver can validate-as-it-receives
-// through a resumable cursor). Chunking is pure framing: the reassembled
-// byte stream is bit-identical to the original payload, so every v1
-// decoder — and every v1 payload — works unchanged.
+// its own CRC32, so the transport ships and validates the payload one
+// round at a time and a damaged round is re-sent alone. Chunking is pure
+// framing: the reassembled byte stream is bit-identical to the original
+// payload, so every v1 decoder works unchanged on it.
 //
 // Chunk frame layout (kChunkHeaderSize = 29 bytes, all integers LE):
 //
@@ -48,11 +47,6 @@ constexpr std::uint64_t kMaxChunkCount = std::uint64_t{1} << 20;
 /// Hard ceiling on the reassembled payload size a header may claim —
 /// matches the v1 kMaxElementCount scale (2^32 bytes).
 constexpr std::uint64_t kMaxPayloadBytes = std::uint64_t{1} << 32;
-
-/// True if `bytes` starts with a v2 chunk-frame header (magic + version).
-/// v1 frames carry a producer magic and version 1, so the two framings
-/// are distinguishable from the first five bytes.
-bool is_chunked(ByteView bytes) noexcept;
 
 /// Chunks needed for a payload of `payload_bytes` split every
 /// `chunk_bytes`: ceil(payload / chunk), and 1 for an empty payload (an
@@ -93,11 +87,11 @@ ChunkHeader read_chunk_header(ByteView frame);
 /// by read_chunk_header.
 ByteView chunk_body(ByteView frame) noexcept;
 
-/// Resumable decode cursor: feed chunk frames in index order; the cursor
-/// validates each against the stream metadata adopted from the first
-/// chunk and appends its body to the reassembly buffer. The cursor
-/// serializes mid-stream (serialize/deserialize), so a checkpoint taken
-/// between chunk rounds resumes decoding exactly where it stopped.
+/// Incremental decode cursor: feed chunk frames in index order, one per
+/// round; the cursor validates each against the stream metadata adopted
+/// from the first chunk and appends its body to the reassembly buffer. A
+/// frame that fails validation leaves the cursor unchanged, so the same
+/// round can be fed again.
 class Cursor {
  public:
   /// Clears the stream state; keeps the reassembly buffer's capacity
@@ -120,12 +114,6 @@ class Cursor {
   /// mid-payload (a truncated stream must fail typed, never decode a
   /// prefix).
   ByteView payload() const;
-
-  /// Mid-stream checkpoint: appends the cursor state (progress counters
-  /// plus the bytes reassembled so far) to `out`; deserialize restores it
-  /// bit-exactly through the bounds-checked reader.
-  void serialize(Bytes& out) const;
-  void deserialize(wire::Reader& reader);
 
  private:
   std::uint32_t next_ = 0;   ///< next expected chunk index.

@@ -458,100 +458,46 @@ void Communicator::allgather(const std::vector<std::vector<float>>& send,
   record_collective("allgather", dt, bytes);
 }
 
-void Communicator::allgatherv(
-    const std::vector<std::vector<std::uint8_t>>& send,
-    std::vector<std::vector<std::uint8_t>>& recv) {
-  if (send.size() != world_size()) {
-    throw std::invalid_argument("allgatherv: need one buffer per rank");
-  }
-  std::vector<std::uint8_t> gathered;
-  std::vector<std::size_t> sizes;
-  sizes.reserve(send.size());
-  std::size_t total_bytes = 0;
-  for (std::size_t r = 0; r < send.size(); ++r) {
-    if (is_participating(r)) total_bytes += send[r].size();
-  }
-  gathered.reserve(total_bytes);  // one allocation for the whole stream.
-  for (std::size_t r = 0; r < send.size(); ++r) {
-    if (!is_participating(r)) continue;
-    if (injector_ == nullptr) {
-      // Fast path: no per-entry fault hooks, so append without the
-      // intermediate chunk copy.
-      gathered.insert(gathered.end(), send[r].begin(), send[r].end());
-      sizes.push_back(send[r].size());
-      continue;
-    }
-    std::vector<std::uint8_t> chunk = send[r];
-    if (injector_ != nullptr) {
-      // Per-entry transport faults, consumed one-shot so a retried
-      // collective in the same iteration sees clean data.
-      if (injector_->take(FaultKind::kCorruptPayload, r)) {
-        injector_->corrupt_payload(chunk);
-        ++recovery_.corrupt_injected;
-        obs_.count("recovery.corrupt_injected");
-      }
-      if (injector_->take(FaultKind::kTruncateEntry, r)) {
-        injector_->truncate_payload(chunk);
-        ++recovery_.truncations_injected;
-        obs_.count("recovery.truncations_injected");
-      }
-      if (injector_->take(FaultKind::kDropEntry, r)) {
-        chunk.clear();
-        ++recovery_.drops_injected;
-        obs_.count("recovery.drops_injected");
-      }
-    }
-    gathered.insert(gathered.end(), chunk.begin(), chunk.end());
-    sizes.push_back(send[r].size());
-  }
-  if (fault_) fault_(gathered);
-  recv.assign(world_size(), {});
-  for (std::size_t r = 0; r < world_size(); ++r) {
-    if (is_participating(r)) recv[r] = gathered;
-  }
-  ++algo_stats_.allgather[static_cast<std::size_t>(
-      allgather_algo(total_bytes))];
-  const double dt = allgatherv_time(sizes);
-  clocks_.sync_advance_masked(dt, participating_);
-  stats_.allgather_s += dt;
-  stats_.allgather_bytes += gathered.size();
-  record_collective("allgather", dt, gathered.size());
-}
-
 void Communicator::allgatherv_chunks(
     const std::vector<std::span<const std::uint8_t>>& send,
     std::vector<std::vector<std::uint8_t>>& recv, std::size_t round) {
   if (send.size() != world_size()) {
     throw std::invalid_argument("allgatherv_chunks: need one frame per rank");
   }
+  // One-shot transport faults: chunk-scoped events match this round, and
+  // whole-payload events land on round 0, so a retried round sees clean
+  // data.
+  const auto hit = [&](FaultKind kind, std::size_t r) {
+    return injector_->take_chunk(kind, r, round) ||
+           (round == 0 && injector_->take(kind, r));
+  };
   std::vector<std::size_t> sizes;
   sizes.reserve(send.size());
   recv.assign(world_size(), {});
   std::uint64_t delivered = 0;
   for (std::size_t r = 0; r < send.size(); ++r) {
     if (!is_participating(r)) continue;
-    // Intended (pre-fault) sizes drive the wire time, matching allgatherv.
+    // Intended (pre-fault) sizes drive the wire time.
     sizes.push_back(send[r].size());
     std::vector<std::uint8_t> frame(send[r].begin(), send[r].end());
     if (injector_ != nullptr && !frame.empty()) {
-      // Chunk-scoped one-shot faults, matched on this round's index, so a
-      // per-chunk retry of the same round sees clean data.
-      if (injector_->take_chunk(FaultKind::kCorruptPayload, r, round)) {
+      if (hit(FaultKind::kCorruptPayload, r)) {
         injector_->corrupt_payload(frame);
         ++recovery_.corrupt_injected;
         obs_.count("recovery.corrupt_injected");
       }
-      if (injector_->take_chunk(FaultKind::kTruncateEntry, r, round)) {
+      if (hit(FaultKind::kTruncateEntry, r)) {
         injector_->truncate_payload(frame);
         ++recovery_.truncations_injected;
         obs_.count("recovery.truncations_injected");
       }
-      if (injector_->take_chunk(FaultKind::kDropEntry, r, round)) {
+      if (hit(FaultKind::kDropEntry, r)) {
         frame.clear();
         ++recovery_.drops_injected;
         obs_.count("recovery.drops_injected");
       }
     }
+    if (fault_ && !frame.empty()) fault_(frame);
     delivered += frame.size();
     recv[r] = std::move(frame);
   }
@@ -633,8 +579,7 @@ void Communicator::broadcast_bytes(
     throw std::invalid_argument("broadcast_bytes: root has been evicted");
   }
   // Faults hit the delivered copy, never the root's own buffer — exactly a
-  // corrupting wire. The KFAC inverse-factor broadcast path goes through
-  // here, so it is fault-testable like the allgatherv path.
+  // corrupting wire, as on the chunked allgatherv.
   std::vector<std::uint8_t> delivered = bufs[root];
   if (injector_ != nullptr) {
     if (injector_->take(FaultKind::kCorruptPayload, root)) {

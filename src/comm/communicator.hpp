@@ -118,9 +118,9 @@ struct RecoveryStats {
 
 class Communicator {
  public:
-  /// Mutates the gathered byte stream of `allgatherv` in flight — the test
-  /// hook that models a corrupting transport, so end-to-end paths can prove
-  /// the payload CRC/validation layer catches damaged frames.
+  /// Mutates a delivered byte frame in flight — the test hook that models a
+  /// corrupting transport, so end-to-end paths can prove the CRC and
+  /// payload validation layers catch damaged frames.
   using PayloadFault = std::function<void(std::vector<std::uint8_t>&)>;
 
   Communicator(Topology topo, NetworkModel net)
@@ -250,30 +250,27 @@ class Communicator {
   /// `recv[rank]` holds the concatenation in rank order.
   void allgather(const std::vector<std::vector<float>>& send,
                  std::vector<std::vector<float>>& recv);
-  /// Variable-size byte allgather (compressed payloads differ per rank).
-  /// An attached FaultInjector may corrupt, truncate, or drop individual
-  /// ranks' entries in flight (one-shot events for the current iteration).
-  void allgatherv(const std::vector<std::vector<std::uint8_t>>& send,
-                  std::vector<std::vector<std::uint8_t>>& recv);
-  /// One round of a chunked allgatherv (DESIGN.md §15): each participating
-  /// rank contributes its round-`round` chunk frame (`send[r]`, empty when
-  /// that rank has no chunk this round), and on return `recv[src]` holds
-  /// the bytes delivered from `src` — every participant sees the same copy
-  /// (SPMD), non-participants get empty entries. Delivery is per-source
-  /// slot, so damage to one rank's frame never shifts another's (real
-  /// allgatherv places segments at receiver-known offsets). Chunk-scoped
-  /// transient faults (FaultPlan::*_chunk, matched on `round`) corrupt /
-  /// truncate / drop individual frames one-shot; whole-payload events and
-  /// the PayloadFault hook do not apply here. Timing and stats: exactly
-  /// one allgatherv_time over this round's intended frame sizes — the
-  /// per-round wire occupancy the network model charges — accumulated
-  /// under the same "allgather" op so CommStats/obs reconciliation is
-  /// unchanged, plus `chunk.rounds` / `chunk.bytes` counters.
+  /// One round of the chunked variable-size byte allgather (DESIGN.md
+  /// §15) — the only byte allgather; optim::ChunkedExchange drives it.
+  /// Each participating rank contributes its round-`round` chunk frame
+  /// (`send[r]`, empty when that rank has no chunk this round), and on
+  /// return `recv[src]` holds the bytes delivered from `src` — every
+  /// participant sees the same copy (SPMD), non-participants get empty
+  /// entries. Delivery is per-source slot, so damage to one rank's frame
+  /// never shifts another's (real allgatherv places segments at
+  /// receiver-known offsets). An attached FaultInjector corrupts /
+  /// truncates / drops individual frames one-shot: chunk-scoped events
+  /// (FaultPlan::*_chunk) match on `round`, whole-payload events land on
+  /// round 0. The PayloadFault hook then sees every delivered frame.
+  /// Timing and stats: exactly one allgatherv_time over this round's
+  /// intended frame sizes — the per-round wire occupancy the network
+  /// model charges — accumulated under the "allgather" op, plus
+  /// `chunk.rounds` / `chunk.bytes` counters.
   void allgatherv_chunks(
       const std::vector<std::span<const std::uint8_t>>& send,
       std::vector<std::vector<std::uint8_t>>& recv, std::size_t round);
   /// Installs (or clears, with nullptr) the byte-payload fault hook. The
-  /// hook sees the concatenated stream of `allgatherv` and the delivered
+  /// hook sees every frame `allgatherv_chunks` delivers and the delivered
   /// copy of `broadcast_bytes` — both byte-moving collectives are
   /// fault-testable.
   void set_payload_fault(PayloadFault fault) { fault_ = std::move(fault); }

@@ -5,11 +5,12 @@
 // owns a plan plus a seeded Rng and hands faults to the Communicator at
 // well-defined points:
 //
-//  - kCorruptPayload   mutate rank r's byte chunk inside the next byte
-//                      collective of the iteration (allgatherv entry, or the
-//                      delivered broadcast_bytes copy when r is the root).
-//  - kDropEntry        rank r's allgatherv contribution vanishes in flight.
-//  - kTruncateEntry    rank r's allgatherv contribution loses its tail.
+//  - kCorruptPayload   mutate rank r's bytes inside the next byte
+//                      collective of the iteration (its round-0 chunk frame
+//                      of the next chunked allgatherv, or the delivered
+//                      broadcast_bytes copy when r is the root).
+//  - kDropEntry        rank r's round-0 chunk frame vanishes in flight.
+//  - kTruncateEntry    rank r's round-0 chunk frame loses its tail.
 //  - kStraggler        rank r's SimClocks clock jumps forward by slowdown_s
 //                      at the start of the iteration, delaying every
 //                      synchronizing collective that follows.
@@ -66,8 +67,8 @@ enum class FaultKind : std::uint8_t {
 
 const char* to_string(FaultKind kind) noexcept;
 
-/// Sentinel chunk index: the event targets the whole payload (the v1
-/// path), not an individual chunk of a chunked stream.
+/// Sentinel chunk index: the event targets the whole payload — it lands
+/// on round 0 of the next chunked exchange — not one chosen chunk.
 inline constexpr std::size_t kNoChunk = ~std::size_t{0};
 
 struct FaultEvent {

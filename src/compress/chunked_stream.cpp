@@ -1,8 +1,5 @@
 #include "src/compress/chunked_stream.hpp"
 
-#include "src/common/payload_error.hpp"
-
-#include <algorithm>
 #include <stdexcept>
 
 namespace compso::compress {
@@ -11,37 +8,23 @@ namespace chunk = codec::chunk;
 
 void ChunkedProducer::reserve_for(std::size_t worst_payload_bytes,
                                   std::size_t chunk_bytes) {
-  const std::size_t need = chunk::wire_bytes_for(worst_payload_bytes,
-                                                 std::max<std::size_t>(
-                                                     chunk_bytes, 1));
+  const std::size_t need =
+      chunk::wire_bytes_for(worst_payload_bytes, chunk_bytes);
   if (wire_.capacity() < need) wire_.reserve(need);
-}
-
-void ChunkedProducer::prepare(codec::ByteView payload,
-                              std::size_t chunk_bytes) {
-  if (chunk_bytes == 0) {
-    throw std::invalid_argument("ChunkedProducer: chunk_bytes must be > 0");
-  }
-  payload_ = payload;
-  chunk_bytes_ = chunk_bytes;
-  count_ = chunk::chunk_count_for(payload.size(), chunk_bytes);
-  // resize, not assign: steady state reuses capacity; the headers and
-  // bodies overwrite every byte in frame_chunk.
-  wire_.resize(chunk::wire_bytes_for(payload.size(), chunk_bytes));
-}
-
-void ChunkedProducer::frame_chunk(std::size_t k) {
-  if (k >= count_) {
-    throw std::out_of_range("ChunkedProducer: chunk index out of range");
-  }
-  chunk::write_chunk_frame(wire_.data() + frame_offset(k), payload_, k,
-                           count_, k * chunk_bytes_, body_bytes(k));
 }
 
 void ChunkedProducer::frame(codec::ByteView payload,
                             std::size_t chunk_bytes) {
-  prepare(payload, chunk_bytes);
-  for (std::size_t k = 0; k < count_; ++k) frame_chunk(k);
+  payload_bytes_ = payload.size();
+  count_ = chunk::chunk_count_for(payload.size(), chunk_bytes);
+  chunk_bytes_ = chunk_bytes == 0 ? payload.size() : chunk_bytes;
+  // resize, not assign: steady state reuses capacity; the headers and
+  // bodies below overwrite every byte.
+  wire_.resize(chunk::wire_bytes_for(payload.size(), chunk_bytes));
+  for (std::size_t k = 0; k < count_; ++k) {
+    chunk::write_chunk_frame(wire_.data() + frame_offset(k), payload, k,
+                             count_, k * chunk_bytes_, body_bytes(k));
+  }
 }
 
 codec::ByteView ChunkedProducer::chunk(std::size_t k) const {
@@ -50,35 +33,6 @@ codec::ByteView ChunkedProducer::chunk(std::size_t k) const {
   }
   return codec::ByteView(wire_).subspan(
       frame_offset(k), chunk::kChunkHeaderSize + body_bytes(k));
-}
-
-void ChunkedConsumer::serialize(codec::Bytes& out) const {
-  out.push_back(passthrough_mode_ ? 1 : 0);
-  if (passthrough_mode_) {
-    std::uint64_t n = passthrough_.size();
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<std::uint8_t>(n >> (8 * i)));
-    }
-    out.insert(out.end(), passthrough_.begin(), passthrough_.end());
-  } else {
-    cursor_.serialize(out);
-  }
-}
-
-void ChunkedConsumer::deserialize(codec::wire::Reader& reader) {
-  const std::uint8_t mode = reader.u8();
-  if (mode > 1) throw PayloadError("ChunkedConsumer: corrupt mode flag");
-  passthrough_mode_ = mode != 0;
-  if (passthrough_mode_) {
-    const auto n = reader.bounded_u64(chunk::kMaxPayloadBytes,
-                                      "chunked passthrough bytes");
-    const auto blob = reader.blob(n);
-    passthrough_.assign(blob.begin(), blob.end());
-    cursor_.reset();
-  } else {
-    passthrough_.clear();
-    cursor_.deserialize(reader);
-  }
 }
 
 }  // namespace compso::compress

@@ -1,28 +1,22 @@
 #pragma once
-// ChunkedStream: the producer/consumer pair that turns a finished
-// compressor payload into a pipeline of independently-framed,
-// independently-CRC'd chunks (codec/chunk.hpp) and back (DESIGN.md §15).
+// ChunkedProducer: turns a finished compressor payload into a sequence of
+// independently-framed, independently-CRC'd chunks (codec/chunk.hpp,
+// DESIGN.md §15); codec::chunk::Cursor is the receiving side.
 //
-// The split of labor that keeps payload bytes bit-identical to the
-// unchunked path: the fused compressor still produces the payload in one
-// pass (its stochastic-rounding draws and rANS backward pass are
-// inherently whole-buffer, so per-slice compression would change the
-// bytes), and the chunk layer frames the *finished* bytes. Per-chunk
-// framing + CRC is the host work that pipelines: frame(k+1) runs on the
-// CompressionEngine while the Communicator ships chunk k, and the
-// receiving cursor validates chunk k while k+1 is still in flight.
+// The split of labor that keeps payload bytes identical at every chunk
+// size: the fused compressor still produces the payload in one pass (its
+// stochastic-rounding draws and rANS backward pass are inherently
+// whole-buffer, so per-slice compression would change the bytes), and
+// the chunk layer frames the *finished* bytes.
 //
 //   ChunkedProducer p;
-//   p.reserve_for(compressor.max_payload_bytes(n), chunk_bytes);  // once
-//   p.prepare(payload, chunk_bytes);        // layout, no CRC work yet
-//   for k: engine.submit([&]{ p.frame_chunk(k); });  // disjoint ranges
+//   p.frame(payload, chunk_bytes);   // 0 = one chunk for the whole payload
 //   ... p.chunk(k) -> wire frame for round k
 //
-// Steady state is allocation-free: prepare() sizes the wire buffer to
-// exactly wire_bytes_for(payload) — the payload plus one 29-byte header
-// per chunk — and reserve_for pre-grows it to the compressor's worst-case
-// bound so per-step payload-size jitter (stochastic rounding changes the
-// codec's output a little every step) never triggers a reallocation.
+// Steady state is allocation-free once the wire buffer has grown:
+// frame() sizes it to exactly wire_bytes_for(payload) — the payload plus
+// one 29-byte header per chunk — and reserve_for pre-grows it to a
+// worst-case bound (e.g. the compressor's max_payload_bytes).
 
 #include "src/codec/chunk.hpp"
 #include "src/compress/compressor.hpp"
@@ -32,29 +26,17 @@ namespace compso::compress {
 class ChunkedProducer {
  public:
   /// Pre-grows the wire buffer for payloads up to `worst_payload_bytes`
-  /// (e.g. GradientCompressor::max_payload_bytes) so every later
-  /// prepare() of a smaller payload is allocation-free.
+  /// (e.g. GradientCompressor::max_payload_bytes) so every later frame()
+  /// of a smaller payload is allocation-free.
   void reserve_for(std::size_t worst_payload_bytes, std::size_t chunk_bytes);
 
-  /// Sizes the wire buffer for `payload` split every `chunk_bytes` and
-  /// records the layout. The payload view must stay valid until the last
-  /// frame_chunk call — the producer does not copy it. No CRC work
-  /// happens here; call frame_chunk per chunk (concurrently safe for
-  /// distinct indices) or frame() for all of them inline.
-  void prepare(codec::ByteView payload, std::size_t chunk_bytes);
-
-  /// Writes chunk `k`'s header + body + CRC into its disjoint wire range.
-  void frame_chunk(std::size_t k);
-
-  /// prepare() + every frame_chunk, inline.
+  /// Splits `payload` every `chunk_bytes` (0 = one chunk) and writes one
+  /// sealed frame (header + body + CRC) per chunk into the wire buffer.
   void frame(codec::ByteView payload, std::size_t chunk_bytes);
 
   std::size_t chunk_count() const noexcept { return count_; }
-  std::size_t chunk_bytes() const noexcept { return chunk_bytes_; }
   /// The sealed wire frame of chunk `k` (header + body).
   codec::ByteView chunk(std::size_t k) const;
-  /// All frames, concatenated in index order (the full wire stream).
-  codec::ByteView wire() const noexcept { return codec::ByteView(wire_); }
   /// Wire-buffer capacity (for the steady-state allocation tests).
   std::size_t wire_capacity() const noexcept { return wire_.capacity(); }
 
@@ -65,59 +47,13 @@ class ChunkedProducer {
     return k * (codec::chunk::kChunkHeaderSize + chunk_bytes_);
   }
   std::size_t body_bytes(std::size_t k) const noexcept {
-    const std::size_t begin = k * chunk_bytes_;
-    return k + 1 == count_ ? payload_.size() - begin : chunk_bytes_;
+    return k + 1 == count_ ? payload_bytes_ - k * chunk_bytes_ : chunk_bytes_;
   }
 
-  codec::ByteView payload_;
   codec::Bytes wire_;
+  std::size_t payload_bytes_ = 0;
   std::size_t chunk_bytes_ = 0;
   std::size_t count_ = 0;
-};
-
-/// Receiving side: a resumable cursor plus the v1 passthrough. Feed each
-/// received chunk frame in round order; `payload()` is the reassembled
-/// byte stream, bit-identical to the producer's input. feed_payload()
-/// accepts a whole unchunked (v1) payload unchanged — single-frame
-/// payloads decode exactly as before the chunk layer existed.
-class ChunkedConsumer {
- public:
-  void reset() noexcept {
-    cursor_.reset();
-    passthrough_.clear();
-    passthrough_mode_ = false;
-  }
-
-  /// Consumes one chunk frame (throws PayloadError on any damage).
-  void feed(codec::ByteView frame) { cursor_.feed(frame); }
-
-  /// v1 passthrough: adopts a complete unchunked payload as-is.
-  void feed_payload(codec::ByteView payload) {
-    passthrough_.assign(payload.begin(), payload.end());
-    passthrough_mode_ = true;
-  }
-
-  bool complete() const noexcept {
-    return passthrough_mode_ || cursor_.complete();
-  }
-  std::size_t chunks_fed() const noexcept { return cursor_.chunks_fed(); }
-  std::size_t chunk_count() const noexcept { return cursor_.chunk_count(); }
-
-  /// The reassembled payload (throws if the stream is incomplete).
-  codec::ByteView payload() const {
-    return passthrough_mode_ ? codec::ByteView(passthrough_)
-                             : cursor_.payload();
-  }
-
-  /// Mid-stream checkpoint of the cursor (passthrough payloads are
-  /// complete by construction and serialize as a finished stream).
-  void serialize(codec::Bytes& out) const;
-  void deserialize(codec::wire::Reader& reader);
-
- private:
-  codec::chunk::Cursor cursor_;
-  codec::Bytes passthrough_;
-  bool passthrough_mode_ = false;
 };
 
 }  // namespace compso::compress

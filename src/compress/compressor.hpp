@@ -70,8 +70,8 @@ class GradientCompressor {
   /// GPU execution shape (see GpuProfile).
   virtual GpuProfile gpu_profile() const noexcept = 0;
 
-  /// Upper bound on compress()'s payload size for `values` elements. The
-  /// chunked streaming pipeline pre-grows its wire buffers to
+  /// Upper bound on compress()'s payload size for `values` elements.
+  /// ChunkedProducer::reserve_for pre-grows a wire buffer to
   /// wire_bytes_for(max_payload_bytes(n)) once, so per-step payload-size
   /// jitter (stochastic rounding changes the codec output a little every
   /// step) never re-allocates in steady state. The default is a loose

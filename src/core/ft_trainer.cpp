@@ -15,6 +15,12 @@ namespace {
 /// Seed offset for the sketch families' counter-derived payload seeds.
 constexpr std::uint64_t kSketchSeedSalt = 0x5EEDC0DEULL;
 
+/// Checkpoint body layout version, the body's first byte (DESIGN.md §9.3).
+/// Layout 1 had no version byte — its first byte is the optimizer kind, 0
+/// or 1 — and carried DistSgd error-feedback residuals; layout 2 drops
+/// them. A frame of any other layout is rejected.
+constexpr std::uint8_t kCheckpointLayout = 2;
+
 std::vector<nn::Model> build_replicas(const TrainerConfig& cfg) {
   std::vector<nn::Model> replicas;
   replicas.reserve(cfg.world);
@@ -41,17 +47,14 @@ FaultTolerantTrainer::FaultTolerantTrainer(FtTrainerConfig config)
       data_rng_(cfg_.base.seed ^ 0xBA7C4ULL),
       sr_rng_(cfg_.base.seed ^ 0x5121ULL) {
   comm_.set_membership_config(cfg_.membership);
-  // Persistent family compressor (DESIGN.md §17). The EF families carry
-  // their own residual state, so DistSgd's built-in per-(rank, slot)
-  // residual is turned off for them — two stacked error feedbacks would
-  // double-count the compression error.
+  // Persistent family compressor (DESIGN.md §17): the only place error
+  // feedback comes from — kCompso is plain COMPSO, as in the paper.
   switch (cfg_.family) {
     case CompressorFamily::kCompso:
       break;  // rebuilt per step from the adaptive schedule.
     case CompressorFamily::kEfCompso:
       family_compressor_ = compress::make_error_feedback(
           compress::make_compso(schedule_.params_at(0)));
-      cfg_.sgd.error_feedback = false;
       break;
     case CompressorFamily::kTopK:
       family_compressor_ = compress::make_topk(cfg_.family_keep_fraction);
@@ -59,7 +62,6 @@ FaultTolerantTrainer::FaultTolerantTrainer(FtTrainerConfig config)
     case CompressorFamily::kEfTopK:
       family_compressor_ = compress::make_error_feedback(
           compress::make_topk(cfg_.family_keep_fraction));
-      cfg_.sgd.error_feedback = false;
       break;
     case CompressorFamily::kCountSketch:
       family_compressor_ = compress::make_count_sketch(
@@ -286,8 +288,9 @@ ckpt::Bytes FaultTolerantTrainer::checkpoint(
     if (!sections->empty()) sections->back().end = body.size();
     sections->push_back({name, body.size(), body.size()});
   };
-  // --- config echo (validated on restore) ---
+  // --- layout version + config echo (validated on restore) ---
   section("config");
+  ckpt::put_u8(body, kCheckpointLayout);
   ckpt::put_u8(body, static_cast<std::uint8_t>(cfg_.optimizer));
   ckpt::put_u64(body, cfg_.base.world);
   ckpt::put_u64(body, cfg_.base.features);
@@ -375,6 +378,9 @@ void FaultTolerantTrainer::save_checkpoint(const std::string& path) {
 void FaultTolerantTrainer::restore(ckpt::ByteView frame) {
   const auto body = ckpt::open_frame(frame);
   codec::wire::Reader reader(body);
+  if (reader.u8() != kCheckpointLayout) {
+    throw PayloadError("checkpoint: unsupported body layout");
+  }
   if (reader.u8() != static_cast<std::uint8_t>(cfg_.optimizer)) {
     throw PayloadError("checkpoint: optimizer kind mismatch");
   }

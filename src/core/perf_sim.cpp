@@ -268,7 +268,7 @@ PerfSimulator::ChunkedPipeline PerfSimulator::with_chunked_compressor(
   const auto profile = tensor::GradientProfile::kfac();
 
   // The transport frames the whole concatenated per-step payload as ONE
-  // chunk stream (DistKfac's chunk_pack concatenates every group before
+  // chunk stream (DistKfac's gather concatenates a rank's groups before
   // framing), so the analytic view accumulates the per-group codec costs
   // and payload sizes first and pipelines the totals as a single stream.
   ChunkedPipeline out;

@@ -92,8 +92,8 @@ class PerfSimulator {
   /// (DESIGN.md §15): compression, wire, and decompression charged in
   /// series (the unchunked path, Eq. 5's denominator) vs the chunked
   /// 3-stage makespan over `chunk_bytes`-sized frames. All groups feed
-  /// one stream — matching the transport, where chunk_pack concatenates
-  /// every group before framing. Both sides use the identical per-group
+  /// one stream — matching the transport, where the gather concatenates
+  /// a rank's groups before framing. Both sides use the identical per-group
   /// compression ratios, modeled codec throughputs, and network model as
   /// with_compressor, so the analytic ratio and the real transport agree
   /// by construction.

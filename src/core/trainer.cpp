@@ -93,7 +93,7 @@ TrainResult ClusterTrainer::train_kfac(std::size_t iterations,
 
 TrainResult ClusterTrainer::train_sgd(
     std::size_t iterations, const optim::LrScheduler& lr,
-    const compress::GradientCompressor* compressor, bool error_feedback) {
+    const compress::GradientCompressor* compressor) {
   auto replicas = build_replicas(
       cfg_.world,
       [&](tensor::Rng& rng) {
@@ -104,8 +104,7 @@ TrainResult ClusterTrainer::train_sgd(
   std::vector<nn::Model*> ptrs;
   for (auto& m : replicas) ptrs.push_back(&m);
   auto comm = make_comm(cfg_.world);
-  optim::DistSgd sgd({.momentum = 0.9, .error_feedback = error_feedback},
-                     comm, ptrs);
+  optim::DistSgd sgd({.momentum = 0.9}, comm, ptrs);
 
   tensor::Rng data_rng(cfg_.seed ^ 0xBA7C4ULL);
   tensor::Rng sr_rng(cfg_.seed ^ 0x5122ULL);
@@ -228,10 +227,9 @@ SpanResult SpanTrainer::train_kfac(std::size_t iterations,
   return result;
 }
 
-SpanResult SpanTrainer::train_sgd(std::size_t iterations,
-                                  const optim::LrScheduler& lr,
-                                  const compress::GradientCompressor* compressor,
-                                  bool error_feedback) {
+SpanResult SpanTrainer::train_sgd(
+    std::size_t iterations, const optim::LrScheduler& lr,
+    const compress::GradientCompressor* compressor) {
   auto replicas = build_replicas(
       cfg_.world,
       [&](tensor::Rng& rng) {
@@ -242,8 +240,7 @@ SpanResult SpanTrainer::train_sgd(std::size_t iterations,
   std::vector<nn::Model*> ptrs;
   for (auto& m : replicas) ptrs.push_back(&m);
   auto comm = make_comm(cfg_.world);
-  optim::DistSgd sgd({.momentum = 0.9, .error_feedback = error_feedback},
-                     comm, ptrs);
+  optim::DistSgd sgd({.momentum = 0.9}, comm, ptrs);
 
   tensor::Rng data_rng(cfg_.seed ^ 0xBA7C5ULL);
   tensor::Rng sr_rng(cfg_.seed ^ 0x5124ULL);

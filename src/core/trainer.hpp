@@ -51,10 +51,11 @@ class ClusterTrainer {
                          const CompressorProvider& provider,
                          optim::DistKfacConfig kfac_cfg = {});
 
-  /// Distributed SGD, optional compressor (+ error feedback).
+  /// Distributed SGD, optional compressor. Error feedback comes from the
+  /// compressor (compress::make_error_feedback); pass a fresh wrapper per
+  /// call so residuals do not carry over between runs.
   TrainResult train_sgd(std::size_t iterations, const optim::LrScheduler& lr,
-                        const compress::GradientCompressor* compressor,
-                        bool error_feedback = true);
+                        const compress::GradientCompressor* compressor);
 
  private:
   TrainerConfig cfg_;
@@ -89,8 +90,7 @@ class SpanTrainer {
                         const CompressorProvider& provider,
                         optim::DistKfacConfig kfac_cfg = {});
   SpanResult train_sgd(std::size_t iterations, const optim::LrScheduler& lr,
-                       const compress::GradientCompressor* compressor,
-                       bool error_feedback = true);
+                       const compress::GradientCompressor* compressor);
 
  private:
   SpanTrainerConfig cfg_;

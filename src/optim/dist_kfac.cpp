@@ -4,7 +4,6 @@
 #include "src/tensor/matrix_ops.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
@@ -12,43 +11,12 @@
 namespace compso::optim {
 namespace {
 
-bool all_finite(std::span<const float> values) noexcept {
-  for (float v : values) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
+namespace ckpt = codec::ckpt;
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
-  }
-}
-
-void put_f32(std::vector<std::uint8_t>& out, float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, 4);
-  for (int b = 0; b < 4; ++b) {
-    out.push_back(static_cast<std::uint8_t>(bits >> (8 * b)));
-  }
-}
-
-void put_tensor(std::vector<std::uint8_t>& out, const Tensor& t) {
-  put_u64(out, t.size());
-  const std::size_t at = out.size();
-  out.resize(at + t.size() * sizeof(float));
-  if (!t.empty()) std::memcpy(out.data() + at, t.data(), t.size() * 4);
-}
-
-/// Reads `expected` floats into a tensor of the given shape.
-Tensor get_tensor(codec::wire::Reader& r, std::vector<std::size_t> shape) {
-  const auto n = r.bounded_u64(codec::wire::kMaxElementCount, "kfac tensor");
-  Tensor t(std::move(shape));
-  if (n != t.size()) {
-    throw PayloadError("DistKfac: checkpoint tensor size mismatch");
-  }
-  for (std::size_t i = 0; i < t.size(); ++i) t[i] = r.f32();
-  return t;
+/// A raw (uncompressed) gather payload: the values' bytes.
+void copy_raw(std::span<const float> values, compress::Bytes& out) {
+  out.resize(values.size_bytes());
+  if (!values.empty()) std::memcpy(out.data(), values.data(), out.size());
 }
 
 }  // namespace
@@ -175,232 +143,106 @@ void DistKfac::exchange_covariances(std::vector<Tensor>& local,
                                     const std::vector<compress::Bytes>* send,
                                     std::size_t owner) {
   const std::size_t world = comm_.world_size();
-  const std::size_t active = comm_.participant_count();
+  const auto active = static_cast<float>(comm_.participant_count());
   const std::size_t lead = comm_.first_participant();
-  if (send == nullptr) {
-    std::vector<std::span<float>> views;
-    views.reserve(world);
-    for (auto& t : local) views.push_back(t.span());
-    if (cfg_.layout == PrecondLayout::kSharded) {
-      // Reduce-to-owner (DP-KFAC): only the owner needs the averaged
-      // covariance — it alone blends and eigendecomposes this slot's
-      // factors. The canonical summation order makes the owner's value
-      // bit-identical to what the allreduce would have left at the lead.
-      comm_.reduce_sum(views, owner);
-      local[owner] *= 1.0F / static_cast<float>(active);
-      if (owner != 0) local[0] = local[owner];
+  if (send != nullptr) {
+    // Compressed path (§7): the per-rank payloads arrive pre-compressed
+    // (the engine compressed them while earlier layers were exchanging);
+    // a retry re-sends the same bytes.
+    if (exchange_.average(comm_, policy_, *send, cfg_.chunk_bytes,
+                          *factor_compressor_, engine(), local[0].span())) {
       return;
     }
-    comm_.allreduce_sum(views);
-    local[lead] *= 1.0F / static_cast<float>(active);
-    if (lead != 0) local[0] = local[lead];
+    record_fallback(comm_, policy_, "kfac.factor_fallback");
+  }
+  std::vector<std::span<float>> views;
+  views.reserve(world);
+  for (auto& t : local) views.push_back(t.span());
+  if (send == nullptr && cfg_.layout == PrecondLayout::kSharded) {
+    // Reduce-to-owner (DP-KFAC): only the owner needs the averaged
+    // covariance — it alone blends and eigendecomposes this slot's
+    // factors. The canonical summation order makes the owner's value
+    // bit-identical to what the allreduce would have left at the lead.
+    comm_.reduce_sum(views, owner);
+    local[owner] *= 1.0F / active;
+    if (owner != 0) local[0] = local[owner];
     return;
   }
-  // Compressed path (§7): the per-rank payloads arrive pre-compressed
-  // (the engine compressed them while earlier layers were exchanging);
-  // a retry re-sends the same bytes.
-  const std::size_t n = local[lead].size();
-  const std::size_t attempts =
-      policy_.enabled ? policy_.max_decode_retries + 1 : 1;
-  for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
-    std::vector<std::vector<std::uint8_t>> recv;
-    comm_.allgatherv(*send, recv);
-    try {
-      // Decode from the *received* stream (sliced by the known send
-      // sizes), so transport corruption reaches the validation layer.
-      // Per-rank decodes run as one engine batch; the average is
-      // accumulated on this thread in rank order (deterministic float
-      // sum).
-      const compress::ByteView gathered(recv[lead]);
-      decode_bufs_.resize(world);
-      std::vector<std::function<void()>> jobs;
-      jobs.reserve(active);
-      std::size_t off = 0;
-      for (std::size_t r = 0; r < world; ++r) {
-        if (!comm_.is_participating(r)) continue;
-        if ((*send)[r].size() > gathered.size() - off) {
-          throw PayloadError("DistKfac: gathered stream truncated");
-        }
-        const compress::ByteView slice =
-            gathered.subspan(off, (*send)[r].size());
-        off += (*send)[r].size();
-        jobs.push_back([this, slice, r, n] {
-          auto& buf = decode_bufs_[r];
-          factor_compressor_->decompress_into(slice, buf);
-          if (buf.size() != n) {
-            throw PayloadError("DistKfac: factor decompress size mismatch");
-          }
-        });
-      }
-      engine().run_batch(std::move(jobs));
-      Tensor avg(local[lead]);
-      avg.fill(0.0F);
-      for (std::size_t r = 0; r < world; ++r) {
-        if (!comm_.is_participating(r)) continue;
-        const auto& rec = decode_bufs_[r];
-        for (std::size_t i = 0; i < n; ++i) {
-          avg[i] += rec[i] / static_cast<float>(active);
-        }
-      }
-      local[0] = std::move(avg);
-      return;
-    } catch (const PayloadError&) {
-      if (!policy_.enabled) throw;
-      if (attempt + 1 < attempts) {
-        ++comm_.recovery().decode_retries;
-        comm_.obs().count("recovery.decode_retries");
-        continue;
-      }
-      ++comm_.recovery().decode_failures;
-      ++comm_.recovery().fallback_steps;
-      comm_.obs().count("recovery.decode_failures");
-      comm_.obs().count("recovery.fallback_steps");
-      comm_.obs().instant(obs::kMainTrack, "kfac.factor_fallback", "recovery");
-      // Fallback: plain allreduce of the raw covariances (untouched by
-      // the compressed attempt).
-      std::vector<std::span<float>> views;
-      views.reserve(world);
-      for (auto& t : local) views.push_back(t.span());
-      comm_.allreduce_sum(views);
-      local[lead] *= 1.0F / static_cast<float>(active);
-      if (lead != 0) local[0] = local[lead];
-      return;
-    }
-  }
+  // Plain allreduce: the uncompressed path, and the compressed path's
+  // fallback (the raw covariances are untouched by the failed attempt).
+  comm_.allreduce_sum(views);
+  local[lead] *= 1.0F / active;
+  if (lead != 0) local[0] = local[lead];
 }
 
-std::vector<std::vector<std::uint8_t>> DistKfac::build_gather_payloads(
-    const std::vector<Tensor>& preconditioned,
-    const std::vector<std::vector<std::size_t>>& owned,
-    const compress::GradientCompressor* compressor,
-    std::uint64_t step_seed) {
-  const std::size_t world = comm_.world_size();
-  const std::size_t m = std::max<std::size_t>(cfg_.aggregation, 1);
-  auto append_u64 = [](std::vector<std::uint8_t>& buf, std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      buf.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
-    }
-  };
+std::uint64_t DistKfac::group_stream(const GatherGroup& grp) const {
+  return (static_cast<std::uint64_t>(grp.rank) << 32) |
+         owned_[grp.rank][grp.first];
+}
 
-  // Pass 1 (serial): carve the owned layers into aggregation groups and
-  // concatenate each group's preconditioned gradients into its reusable
-  // buffer.
-  struct Group {
-    std::size_t rank;
-    std::size_t first;  ///< index into owned[rank]
-    std::size_t count;
-  };
-  std::vector<Group> groups;
-  for (std::size_t r = 0; r < world; ++r) {
-    for (std::size_t i = 0; i < owned[r].size(); i += m) {
-      groups.push_back({r, i, std::min(i + m, owned[r].size()) - i});
-    }
-  }
-  if (group_concat_.size() < groups.size()) group_concat_.resize(groups.size());
-  if (group_payloads_.size() < groups.size()) {
-    group_payloads_.resize(groups.size());
-  }
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    auto& concat = group_concat_[g];
-    concat.clear();
-    for (std::size_t j = 0; j < groups[g].count; ++j) {
-      const auto& k =
-          preconditioned[owned[groups[g].rank][groups[g].first + j]];
-      concat.insert(concat.end(), k.span().begin(), k.span().end());
-    }
-  }
-
-  // Pass 2: compress every group as one engine batch (parallel across
-  // groups when a pool is attached). Stream ids are claimed serially
-  // before the batch runs, so they depend only on group order.
-  if (compressor != nullptr) {
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(groups.size());
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const std::uint64_t tid = task_counter_++;
-      jobs.push_back([this, compressor, step_seed, tid, g] {
-        tensor::Rng task_rng =
-            compress::CompressionEngine::task_rng(step_seed, tid);
-        compressor->compress_into(group_concat_[g], task_rng,
-                                  group_payloads_[g]);
-      });
-    }
-    engine().run_batch(std::move(jobs));
-  } else {
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const auto& concat = group_concat_[g];
-      auto& raw = group_payloads_[g];
-      raw.resize(concat.size() * sizeof(float));
-      if (!raw.empty()) std::memcpy(raw.data(), concat.data(), raw.size());
-    }
-  }
-
-  // Pass 3 (serial): frame the payloads into the per-rank send buffers.
-  std::vector<std::vector<std::uint8_t>> send(world);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const Group& grp = groups[g];
+bool DistKfac::gather_exchange(const compress::GradientCompressor* compressor) {
+  // Frame the group payloads into the per-rank send buffers
+  // ([u64 n][u64 sid x n][u64 psize][payload] groups).
+  gather_send_.resize(comm_.world_size());
+  for (auto& buf : gather_send_) buf.clear();
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    const GatherGroup& grp = groups_[g];
     const auto& payload = group_payloads_[g];
-    auto& buf = send[grp.rank];
-    append_u64(buf, grp.count);
+    auto& buf = gather_send_[grp.rank];
+    ckpt::put_u64(buf, grp.count);
     for (std::size_t j = 0; j < grp.count; ++j) {
-      append_u64(buf, owned[grp.rank][grp.first + j]);
+      ckpt::put_u64(buf, owned_[grp.rank][grp.first + j]);
     }
-    append_u64(buf, payload.size());
+    ckpt::put_u64(buf, payload.size());
     buf.insert(buf.end(), payload.begin(), payload.end());
     comp_bytes_ += payload.size();
   }
-  return send;
+  if (!exchange_.run(comm_, policy_, gather_send_, cfg_.chunk_bytes)) {
+    return false;
+  }
+  try {
+    decode_gathered(compressor);
+    return true;
+  } catch (const PayloadError&) {
+    if (!policy_.enabled) throw;
+    return false;
+  }
 }
 
-void DistKfac::decode_gathered(
-    const std::vector<std::uint8_t>& buf, std::vector<Tensor>& preconditioned,
-    const compress::GradientCompressor* compressor) {
-  std::size_t pos = 0;
-  auto read_u64 = [&](std::size_t at) {
-    std::uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) {
-      v |= static_cast<std::uint64_t>(buf[at + static_cast<std::size_t>(b)])
-           << (8 * b);
-    }
-    return v;
-  };
-  // Pass 1 (serial): parse and validate every group's framing before any
-  // payload is touched — hostile framing never reaches the decoder pool.
+void DistKfac::decode_gathered(const compress::GradientCompressor* compressor) {
+  const std::size_t slots = preconditioned_.size();
+  // Pass 1 (serial): parse and validate every rank's group framing before
+  // any payload is touched — hostile framing never reaches the decoder
+  // pool.
   struct Group {
     std::vector<std::size_t> sids;
-    std::span<const std::uint8_t> payload;
+    compress::ByteView payload;
     std::size_t elems = 0;
   };
   std::vector<Group> groups;
-  std::vector<std::uint8_t> seen(preconditioned.size(), 0);
-  while (pos + 8 <= buf.size()) {
-    const std::uint64_t n = read_u64(pos);
-    pos += 8;
-    if (n > preconditioned.size() || pos + 8 * n + 8 > buf.size()) {
-      throw PayloadError("DistKfac: corrupt allgather framing");
-    }
-    Group grp;
-    grp.sids.resize(n);
-    for (std::uint64_t j = 0; j < n; ++j) {
-      grp.sids[j] = read_u64(pos);
-      pos += 8;
-      if (grp.sids[j] >= preconditioned.size() || seen[grp.sids[j]] != 0) {
-        throw PayloadError("DistKfac: bad layer id in payload");
+  std::vector<std::uint8_t> seen(slots, 0);
+  for (std::size_t r = 0; r < comm_.world_size(); ++r) {
+    if (!comm_.is_participating(r)) continue;
+    codec::wire::Reader in(exchange_.payload(r));
+    while (in.remaining() != 0) {
+      Group grp;
+      grp.sids.resize(in.bounded_u64(slots, "kfac gather group size"));
+      for (auto& sid : grp.sids) {
+        sid = in.u64();
+        if (sid >= slots || seen[sid] != 0) {
+          throw PayloadError("DistKfac: bad layer id in payload");
+        }
+        seen[sid] = 1;
+        grp.elems += preconditioned_[sid].size();
       }
-      seen[grp.sids[j]] = 1;
-      grp.elems += preconditioned[grp.sids[j]].size();
+      grp.payload = in.blob(in.u64());
+      groups.push_back(std::move(grp));
     }
-    const std::uint64_t psize = read_u64(pos);
-    pos += 8;
-    if (psize > buf.size() || pos + psize > buf.size()) {
-      throw PayloadError("DistKfac: corrupt allgather payload");
-    }
-    grp.payload = std::span<const std::uint8_t>(buf.data() + pos, psize);
-    pos += psize;
-    groups.push_back(std::move(grp));
   }
-  if (pos != buf.size()) {
-    throw PayloadError("DistKfac: trailing bytes in gathered stream");
+  // Every layer's group must arrive exactly once: a sender that left
+  // one out fails here, before anything is decoded.
+  if (std::find(seen.begin(), seen.end(), 0) != seen.end()) {
+    throw PayloadError("DistKfac: missing layer group in gathered stream");
   }
   // Pass 2: decompress every group as one engine batch. Any payload
   // damage throws PayloadError from the batch barrier.
@@ -437,19 +279,11 @@ void DistKfac::decode_gathered(
     }
     std::size_t off = 0;
     for (std::size_t sid : groups[g].sids) {
-      Tensor& k = preconditioned[sid];
+      Tensor& k = preconditioned_[sid];
       std::copy(values.begin() + static_cast<std::ptrdiff_t>(off),
                 values.begin() + static_cast<std::ptrdiff_t>(off + k.size()),
                 k.data());
       off += k.size();
-    }
-  }
-  // A dropped allgatherv entry leaves a well-formed shorter stream; the
-  // coverage check is what turns "my owner's group never arrived" into a
-  // decode failure the retry policy can act on.
-  for (std::size_t s = 0; s < seen.size(); ++s) {
-    if (seen[s] == 0) {
-      throw PayloadError("DistKfac: missing layer group in gathered stream");
     }
   }
 }
@@ -480,7 +314,7 @@ void DistKfac::step(std::size_t iteration, double lr,
   const bool refresh =
       iteration % cfg_.eigen_refresh_every == 0 || !states_[0]->has_eigen();
   const compress::GradientCompressor* gather_comp =
-      gather_degraded_ != 0 ? nullptr : compressor;
+      gather_state_.degraded != 0 ? nullptr : compressor;
 
   // ------------------------------------------------------------------
   // Graph build (serial, optimizer thread): size the workspaces,
@@ -521,26 +355,21 @@ void DistKfac::step(std::size_t iteration, double lr,
       }
     }
   }
-  struct GroupPlan {
-    std::size_t rank;
-    std::size_t first;  ///< index into owned_[rank]
-    std::size_t count;
-    std::uint64_t tid;
-  };
-  std::vector<GroupPlan> groups;
+  groups_.clear();
   const std::size_t m = std::max<std::size_t>(cfg_.aggregation, 1);
   for (std::size_t r = 0; r < world; ++r) {
     for (std::size_t i = 0; i < owned_[r].size(); i += m) {
-      groups.push_back(
-          {r, i, std::min(i + m, owned_[r].size()) - i, 0});
+      groups_.push_back({r, i, std::min(i + m, owned_[r].size()) - i, 0});
     }
   }
   if (gather_comp != nullptr) {
-    for (auto& grp : groups) grp.tid = task_counter_++;
+    for (auto& grp : groups_) grp.tid = task_counter_++;
   }
-  if (group_concat_.size() < groups.size()) group_concat_.resize(groups.size());
-  if (group_payloads_.size() < groups.size()) {
-    group_payloads_.resize(groups.size());
+  if (group_concat_.size() < groups_.size()) {
+    group_concat_.resize(groups_.size());
+  }
+  if (group_payloads_.size() < groups_.size()) {
+    group_payloads_.resize(groups_.size());
   }
 
   // Priorities implement the backward-order wavefront: within the ready
@@ -556,8 +385,6 @@ void DistKfac::step(std::size_t iteration, double lr,
   constexpr int kPrioGather = -1000000;
 
   std::vector<StepGraph::TaskId> guard_id(slots, 0);
-  std::vector<StepGraph::TaskId> gcomp_ids;
-  gcomp_ids.reserve(groups.size());
 
   for (std::size_t s = 0; s < slots; ++s) {
     const std::size_t li = layer_indices_[s];
@@ -731,8 +558,10 @@ void DistKfac::step(std::size_t iteration, double lr,
 
   // Gather-group concatenation + compression (§4.4 layer aggregation):
   // one compute task per group, each on its pre-claimed stream.
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const GroupPlan grp = groups[g];
+  std::vector<StepGraph::TaskId> gcomp_ids;
+  gcomp_ids.reserve(groups_.size());
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    const GatherGroup grp = groups_[g];
     const auto gc = graph_.add_compute(
         gather_comp != nullptr ? "gather_compress" : "gather_pack",
         /*priority=*/0, [this, grp, g, gather_comp, step_seed] {
@@ -751,16 +580,10 @@ void DistKfac::step(std::size_t iteration, double lr,
             // (EF residual, sketch counters) survive group reordering; a
             // reassignment changes the group's size and the state resets
             // itself (DESIGN.md §17).
-            gather_comp->compress_stream_into(
-                (static_cast<std::uint64_t>(grp.rank) << 32) |
-                    owned_[grp.rank][grp.first],
-                concat, task_rng, group_payloads_[g]);
+            gather_comp->compress_stream_into(group_stream(grp), concat,
+                                              task_rng, group_payloads_[g]);
           } else {
-            auto& raw = group_payloads_[g];
-            raw.resize(concat.size() * sizeof(float));
-            if (!raw.empty()) {
-              std::memcpy(raw.data(), concat.data(), raw.size());
-            }
+            copy_raw(concat, group_payloads_[g]);
           }
         });
     for (std::size_t j = 0; j < grp.count; ++j) {
@@ -770,323 +593,53 @@ void DistKfac::step(std::size_t iteration, double lr,
   }
 
   // The preconditioned-gradient exchange — one logical collective for all
-  // layers. Monolithic mode (chunk_bytes == 0): a single
-  // allgatherv + decode + recovery task. Chunked mode (DESIGN.md §15): a
-  // pack task frames the per-rank send buffers and lays out their chunk
-  // grids, then per-round frame (CRC) compute nodes pipeline against
-  // per-round chunk collectives, and a finish task reassembles + decodes.
-  // The bytes reaching decode_gathered are identical in both modes.
-  StepGraph::TaskId gather{};
-  if (cfg_.chunk_bytes == 0) {
-    gather = graph_.add_main(
-        "gather", kPrioGather,
-        [this, groups, gather_comp, step_seed, world, lead] {
-          auto gather_span =
-              comm_.obs().span(obs::kMainTrack, "kfac.gather", "kfac");
-          // Frame the payloads into the per-rank send buffers
-          // ([u64 n][u64 sid x n][u64 psize][payload] groups).
-          std::vector<std::vector<std::uint8_t>> send(world);
-          for (std::size_t g = 0; g < groups.size(); ++g) {
-            const GroupPlan& grp = groups[g];
-            const auto& payload = group_payloads_[g];
-            auto& buf = send[grp.rank];
-            put_u64(buf, grp.count);
-            for (std::size_t j = 0; j < grp.count; ++j) {
-              put_u64(buf, owned_[grp.rank][grp.first + j]);
-            }
-            put_u64(buf, payload.size());
-            buf.insert(buf.end(), payload.begin(), payload.end());
-            comp_bytes_ += payload.size();
-          }
-          // Decode on every rank (identical bytes -> identical updates).
-          // Decode once from the first active rank's stream and apply
-          // everywhere. On decode failure: bounded re-send of the same
-          // payloads, then an uncompressed re-send (fallback); repeated
-          // failing steps degrade the gather to the uncompressed path for
-          // the rest of the run.
-          const obs::ObsHooks& hooks = comm_.obs();
-          const std::size_t attempts =
-              policy_.enabled ? policy_.max_decode_retries + 1 : 1;
-          bool decoded = false;
-          for (std::size_t attempt = 0; attempt < attempts && !decoded;
-               ++attempt) {
-            std::vector<std::vector<std::uint8_t>> recv;
-            comm_.allgatherv(send, recv);
-            try {
-              decode_gathered(recv[lead], preconditioned_, gather_comp);
-              decoded = true;
-              gather_failures_ = 0;
-            } catch (const PayloadError&) {
-              if (!policy_.enabled) throw;
-              if (attempt + 1 < attempts) {
-                ++comm_.recovery().decode_retries;
-                hooks.count("recovery.decode_retries");
-                hooks.instant(obs::kMainTrack, "kfac.gather_retry",
-                              "recovery");
-                continue;
-              }
-              ++comm_.recovery().decode_failures;
-              ++comm_.recovery().fallback_steps;
-              hooks.count("recovery.decode_failures");
-              hooks.count("recovery.fallback_steps");
-              hooks.instant(obs::kMainTrack, "kfac.gather_fallback",
-                            "recovery");
-              if (++gather_failures_ >= policy_.fallback_after &&
-                  gather_degraded_ == 0) {
-                gather_degraded_ = 1;
-                ++comm_.recovery().degraded_layers;
-                hooks.count("recovery.degraded_layers");
-              }
-            }
-          }
-          if (!decoded) {
-            // Uncompressed fallback exchange: raw payloads cannot fail
-            // decode (framing damage would surface as PayloadError on the
-            // retried collective, but injector events are one-shot, so
-            // this is clean). The raw re-send delivers the full
-            // preconditioned gradients, so stateful compressors roll
-            // their per-stream state back (DESIGN.md §17).
+  // layers, on the chunked exchange (DESIGN.md §15; chunk_bytes == 0 ships
+  // one chunk per rank). Retries run per chunk round inside the exchange;
+  // a step whose exchange or decode still fails falls back to the
+  // uncompressed gather, and repeated failing steps degrade the gather to
+  // the uncompressed path for the rest of the run. Every rank decodes the
+  // same bytes, so the simulator decodes once and applies everywhere.
+  const auto gather = graph_.add_main(
+      "gather", kPrioGather,
+      [this, gather_comp] {
+        auto gather_span =
+            comm_.obs().span(obs::kMainTrack, "kfac.gather", "kfac");
+        if (gather_exchange(gather_comp)) {
+          gather_state_.failures = 0;
+        } else {
+          record_fallback(comm_, policy_, "kfac.gather_fallback",
+                          &gather_state_);
+          // The raw re-send delivers the full preconditioned gradients,
+          // so stateful compressors roll their per-stream state back
+          // (DESIGN.md §17).
+          for (std::size_t g = 0; g < groups_.size(); ++g) {
             if (gather_comp != nullptr) {
-              for (const GroupPlan& grp : groups) {
-                gather_comp->notify_fallback(
-                    (static_cast<std::uint64_t>(grp.rank) << 32) |
-                    owned_[grp.rank][grp.first]);
-              }
+              gather_comp->notify_fallback(group_stream(groups_[g]));
             }
-            comp_bytes_ = 0;
-            send =
-                build_gather_payloads(preconditioned_, owned_, nullptr,
-                                      step_seed);
-            std::vector<std::vector<std::uint8_t>> recv;
-            comm_.allgatherv(send, recv);
-            decode_gathered(recv[lead], preconditioned_, nullptr);
+            copy_raw(group_concat_[g], group_payloads_[g]);
           }
-          gather_span.add_arg("orig_bytes", orig_bytes_);
-          gather_span.add_arg("comp_bytes", comp_bytes_);
-          gather_span.end();
-          hooks.count("kfac.gather.orig_bytes", orig_bytes_);
-          hooks.count("kfac.gather.comp_bytes", comp_bytes_);
-          hooks.count("kfac.factor.orig_bytes", factor_orig_bytes_);
-          hooks.count("kfac.factor.comp_bytes", factor_comp_bytes_);
-        },
-        /*is_comm=*/true);
-    for (const auto gc : gcomp_ids) graph_.depends(gather, gc);
-    for (std::size_t s = 0; s < slots; ++s) {
-      graph_.depends(gather, guard_id[s]);
-    }
-  } else {
-    // --- Chunked streaming pipeline (DESIGN.md §15) ---
-    const std::size_t chunkb = cfg_.chunk_bytes;
-    // Round count, fixed before any compression runs (the graph is built
-    // on this thread while the pool is still compressing): the worst-case
-    // payload bound of every group (GradientCompressor::max_payload_bytes)
-    // plus the gather framing. Actual rounds never exceed it; surplus
-    // round nodes no-op for a few cycles.
-    std::vector<std::size_t> worst_rank(world, 0);
-    for (const GroupPlan& grp : groups) {
-      std::size_t elems = 0;
-      for (std::size_t j = 0; j < grp.count; ++j) {
-        elems += momentum_[owned_[grp.rank][grp.first + j]].size();
-      }
-      worst_rank[grp.rank] +=
-          8 * (grp.count + 2) +
-          (gather_comp != nullptr ? gather_comp->max_payload_bytes(elems)
-                                  : elems * sizeof(float));
-    }
-    std::size_t max_rounds = 1;
-    for (std::size_t r = 0; r < world; ++r) {
-      if (!comm_.is_participating(r)) continue;
-      max_rounds = std::max(
-          max_rounds, codec::chunk::chunk_count_for(worst_rank[r], chunkb));
-    }
-    chunk_failed_ = 0;
+          comp_bytes_ = 0;
+          if (!gather_exchange(nullptr)) {
+            throw PayloadError("DistKfac: uncompressed gather failed");
+          }
+        }
+        const obs::ObsHooks& hooks = comm_.obs();
+        gather_span.add_arg("orig_bytes", orig_bytes_);
+        gather_span.add_arg("comp_bytes", comp_bytes_);
+        gather_span.end();
+        hooks.count("kfac.gather.orig_bytes", orig_bytes_);
+        hooks.count("kfac.gather.comp_bytes", comp_bytes_);
+        hooks.count("kfac.factor.orig_bytes", factor_orig_bytes_);
+        hooks.count("kfac.factor.comp_bytes", factor_comp_bytes_);
+      },
+      /*is_comm=*/true);
+  for (const auto gc : gcomp_ids) graph_.depends(gather, gc);
+  for (std::size_t s = 0; s < slots; ++s) graph_.depends(gather, guard_id[s]);
 
-    // Pack: frame the group payloads into the per-rank send buffers (the
-    // exact bytes the monolithic path would allgatherv), lay out each
-    // buffer's chunk grid, and reset the receive cursors. Runs on the
-    // pool, overlapping earlier slots' collectives.
-    const auto pack = graph_.add_compute(
-        "chunk_pack", /*priority=*/0,
-        [this, groups, worst_rank, world, chunkb] {
-          if (chunk_send_.size() < world) chunk_send_.resize(world);
-          if (chunk_producers_.size() < world) {
-            chunk_producers_.resize(world);
-          }
-          if (chunk_consumers_.size() < world) {
-            chunk_consumers_.resize(world);
-          }
-          for (std::size_t r = 0; r < world; ++r) chunk_send_[r].clear();
-          for (std::size_t g = 0; g < groups.size(); ++g) {
-            const GroupPlan& grp = groups[g];
-            const auto& payload = group_payloads_[g];
-            auto& buf = chunk_send_[grp.rank];
-            put_u64(buf, grp.count);
-            for (std::size_t j = 0; j < grp.count; ++j) {
-              put_u64(buf, owned_[grp.rank][grp.first + j]);
-            }
-            put_u64(buf, payload.size());
-            buf.insert(buf.end(), payload.begin(), payload.end());
-            comp_bytes_ += payload.size();
-          }
-          for (std::size_t r = 0; r < world; ++r) {
-            chunk_consumers_[r].reset();
-            if (!comm_.is_participating(r)) continue;
-            chunk_producers_[r].reserve_for(worst_rank[r], chunkb);
-            chunk_producers_[r].prepare(
-                compress::ByteView(chunk_send_[r]), chunkb);
-          }
-        });
-    for (const auto gc : gcomp_ids) graph_.depends(pack, gc);
-    for (std::size_t s = 0; s < slots; ++s) graph_.depends(pack, guard_id[s]);
-
-    // Rounds: frame (header + CRC) on the pool while the previous round's
-    // frames are on the wire, ship, and feed the cursors. Lower rounds
-    // frame first so the pipeline never starves at the head.
-    StepGraph::TaskId prev_send{};
-    for (std::size_t k = 0; k < max_rounds; ++k) {
-      const auto fr = graph_.add_compute(
-          "chunk_frame" + std::to_string(k),
-          static_cast<int>(max_rounds - k), [this, k, world] {
-            for (std::size_t r = 0; r < world; ++r) {
-              if (!comm_.is_participating(r)) continue;
-              if (k < chunk_producers_[r].chunk_count()) {
-                chunk_producers_[r].frame_chunk(k);
-              }
-            }
-          });
-      graph_.depends(fr, pack);
-      const auto cs = graph_.add_main(
-          "chunk_send" + std::to_string(k), kPrioGather,
-          [this, k, world] {
-            std::vector<std::span<const std::uint8_t>> frames(world);
-            bool any = false;
-            for (std::size_t r = 0; r < world; ++r) {
-              if (!comm_.is_participating(r)) continue;
-              if (k < chunk_producers_[r].chunk_count()) {
-                frames[r] = chunk_producers_[r].chunk(k);
-                any = true;
-              }
-            }
-            // Every stream drained (round-bound slack), or an earlier
-            // round already failed past its retries: nothing to ship.
-            if (!any || chunk_failed_ != 0) return;
-            auto round_span =
-                comm_.obs().span(obs::kMainTrack, "chunk.send", "chunk");
-            round_span.add_arg("round", k);
-            const std::size_t attempts =
-                policy_.enabled ? policy_.max_decode_retries + 1 : 1;
-            std::vector<std::vector<std::uint8_t>> recv;
-            for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
-              comm_.allgatherv_chunks(frames, recv, k);
-              try {
-                for (std::size_t r = 0; r < world; ++r) {
-                  if (frames[r].empty()) continue;
-                  // A failed attempt may have fed some ranks before
-                  // another's frame threw; chunks_fed > k marks those
-                  // as already done for this round.
-                  if (chunk_consumers_[r].chunks_fed() > k) continue;
-                  chunk_consumers_[r].feed(compress::ByteView(recv[r]));
-                }
-                round_span.end();
-                return;
-              } catch (const PayloadError&) {
-                if (!policy_.enabled) throw;
-                if (attempt + 1 < attempts) {
-                  ++comm_.recovery().decode_retries;
-                  comm_.obs().count("recovery.decode_retries");
-                  comm_.obs().instant(obs::kMainTrack, "chunk.retry",
-                                      "recovery");
-                  continue;
-                }
-                // Retries exhausted mid-stream: reassembly is dead for
-                // this step; the finish task runs the fallback ladder.
-                chunk_failed_ = 1;
-              }
-            }
-            round_span.end();
-          },
-          /*is_comm=*/true);
-      graph_.depends(cs, fr);
-      if (k > 0) graph_.depends(cs, prev_send);
-      prev_send = cs;
-    }
-
-    // Finish: concatenate the reassembled per-rank payloads in rank order
-    // (byte-identical to the monolithic recv stream) and run the same
-    // decode + fallback/degradation ladder.
-    gather = graph_.add_main(
-        "gather", kPrioGather,
-        [this, groups, gather_comp, step_seed, world, lead] {
-          auto gather_span =
-              comm_.obs().span(obs::kMainTrack, "kfac.gather", "kfac");
-          const obs::ObsHooks& hooks = comm_.obs();
-          bool decoded = false;
-          try {
-            if (chunk_failed_ != 0) {
-              throw PayloadError("DistKfac: chunk stream failed");
-            }
-            chunk_concat_.clear();
-            for (std::size_t r = 0; r < world; ++r) {
-              if (!comm_.is_participating(r)) continue;
-              const auto part = chunk_consumers_[r].payload();
-              chunk_concat_.insert(chunk_concat_.end(), part.begin(),
-                                   part.end());
-            }
-            decode_gathered(chunk_concat_, preconditioned_, gather_comp);
-            decoded = true;
-            gather_failures_ = 0;
-          } catch (const PayloadError&) {
-            if (!policy_.enabled) throw;
-            ++comm_.recovery().decode_failures;
-            ++comm_.recovery().fallback_steps;
-            hooks.count("recovery.decode_failures");
-            hooks.count("recovery.fallback_steps");
-            hooks.instant(obs::kMainTrack, "kfac.gather_fallback",
-                          "recovery");
-            if (++gather_failures_ >= policy_.fallback_after &&
-                gather_degraded_ == 0) {
-              gather_degraded_ = 1;
-              ++comm_.recovery().degraded_layers;
-              hooks.count("recovery.degraded_layers");
-            }
-          }
-          if (!decoded) {
-            // Same stateful-compressor rollback as the monolithic
-            // fallback (DESIGN.md §17).
-            if (gather_comp != nullptr) {
-              for (const GroupPlan& grp : groups) {
-                gather_comp->notify_fallback(
-                    (static_cast<std::uint64_t>(grp.rank) << 32) |
-                    owned_[grp.rank][grp.first]);
-              }
-            }
-            comp_bytes_ = 0;
-            auto send = build_gather_payloads(preconditioned_, owned_,
-                                              nullptr, step_seed);
-            std::vector<std::vector<std::uint8_t>> recv;
-            comm_.allgatherv(send, recv);
-            decode_gathered(recv[lead], preconditioned_, nullptr);
-          }
-          gather_span.add_arg("orig_bytes", orig_bytes_);
-          gather_span.add_arg("comp_bytes", comp_bytes_);
-          gather_span.end();
-          hooks.count("kfac.gather.orig_bytes", orig_bytes_);
-          hooks.count("kfac.gather.comp_bytes", comp_bytes_);
-          hooks.count("kfac.factor.orig_bytes", factor_orig_bytes_);
-          hooks.count("kfac.factor.comp_bytes", factor_comp_bytes_);
-        },
-        /*is_comm=*/true);
-    graph_.depends(gather, prev_send);
-  }
-
-  // Rejoin re-sync (DESIGN.md §14): one compute task per layer copies the
-  // lead replica's parameters into every rejoining replica through a
-  // sealed CKPT mini-frame — the same framing + CRC validation a
-  // checkpoint restore goes through — so a rejoiner's state is
-  // bit-identical to a survivor's, not merely close. The tasks overlap
-  // the other layers' collectives on the engine pool; `update` waits for
-  // them and then applies the step to rejoiners too, keeping them in
-  // lockstep from this iteration on.
+  // Rejoin re-sync (DESIGN.md §14): one resync_layer compute task per
+  // layer. The tasks overlap the other layers' collectives on the engine
+  // pool; `update` waits for them and then applies the step to rejoiners
+  // too, keeping them in lockstep from this iteration on.
   std::vector<StepGraph::TaskId> resync_ids;
   const std::vector<std::size_t> rejoining = comm_.rejoining_ranks();
   if (!rejoining.empty()) {
@@ -1096,22 +649,7 @@ void DistKfac::step(std::size_t iteration, double lr,
       resync_ids.push_back(graph_.add_compute(
           "resync" + std::to_string(s), static_cast<int>(s),
           [this, li, lead, rejoining] {
-            auto& src = replicas_[lead]->layer(li);
-            codec::ckpt::Bytes body;
-            codec::ckpt::put_tensor(body, *src.weight());
-            codec::ckpt::put_tensor(body, *src.bias());
-            const codec::ckpt::Bytes frame = codec::ckpt::seal_frame(body);
-            const auto view = codec::ckpt::open_frame(frame);
-            codec::wire::Reader reader(view);
-            Tensor w = codec::ckpt::get_tensor(reader, src.weight()->shape(),
-                                              "resync weight");
-            Tensor b = codec::ckpt::get_tensor(reader, src.bias()->shape(),
-                                              "resync bias");
-            for (std::size_t j : rejoining) {
-              auto& dst = replicas_[j]->layer(li);
-              *dst.weight() = w;
-              *dst.bias() = b;
-            }
+            resync_layer(replicas_, li, lead, rejoining);
           }));
     }
     if (cfg_.layout == PrecondLayout::kSharded) {
@@ -1137,18 +675,11 @@ void DistKfac::step(std::size_t iteration, double lr,
         const auto fr = graph_.add_compute(
             "factor_resync" + std::to_string(s), static_cast<int>(s),
             [this, s] {
-              codec::ckpt::Bytes body;
-              codec::ckpt::put_tensor(body, states_[s]->factor_a());
-              codec::ckpt::put_tensor(body, states_[s]->factor_g());
-              const codec::ckpt::Bytes frame = codec::ckpt::seal_frame(body);
-              const auto view = codec::ckpt::open_frame(frame);
-              codec::wire::Reader reader(view);
-              Tensor a = codec::ckpt::get_tensor(
-                  reader, states_[s]->factor_a().shape(), "factor resync a");
-              Tensor g = codec::ckpt::get_tensor(
-                  reader, states_[s]->factor_g().shape(), "factor resync g");
-              states_[s]->factor_a() = std::move(a);
-              states_[s]->factor_g() = std::move(g);
+              const Tensor* factors[] = {&states_[s]->factor_a(),
+                                         &states_[s]->factor_g()};
+              auto copy = sealed_copy(factors);
+              states_[s]->factor_a() = std::move(copy[0]);
+              states_[s]->factor_g() = std::move(copy[1]);
             });
         graph_.depends(fr, guard_id[s]);
         resync_ids.push_back(fr);
@@ -1192,34 +723,32 @@ void DistKfac::step(std::size_t iteration, double lr,
 }
 
 void DistKfac::save_state(std::vector<std::uint8_t>& out) const {
-  put_u64(out, layer_indices_.size());
+  ckpt::put_u64(out, layer_indices_.size());
   for (std::size_t s = 0; s < layer_indices_.size(); ++s) {
-    put_tensor(out, momentum_[s]);
+    ckpt::put_tensor(out, momentum_[s]);
     const auto& st = *states_[s];
-    put_tensor(out, st.factor_a());
-    put_tensor(out, st.factor_g());
-    out.push_back(st.has_eigen() ? 1 : 0);
+    ckpt::put_tensor(out, st.factor_a());
+    ckpt::put_tensor(out, st.factor_g());
+    ckpt::put_u8(out, st.has_eigen() ? 1 : 0);
     if (st.has_eigen()) {
-      put_tensor(out, st.eigen_a().eigenvectors);
-      put_u64(out, st.eigen_a().eigenvalues.size());
-      for (float v : st.eigen_a().eigenvalues) put_f32(out, v);
-      put_tensor(out, st.eigen_g().eigenvectors);
-      put_u64(out, st.eigen_g().eigenvalues.size());
-      for (float v : st.eigen_g().eigenvalues) put_f32(out, v);
+      ckpt::put_tensor(out, st.eigen_a().eigenvectors);
+      ckpt::put_floats(out, st.eigen_a().eigenvalues);
+      ckpt::put_tensor(out, st.eigen_g().eigenvectors);
+      ckpt::put_floats(out, st.eigen_g().eigenvalues);
     }
-    put_u64(out, st.updates());
+    ckpt::put_u64(out, st.updates());
   }
-  out.push_back(gather_degraded_);
-  put_u64(out, gather_failures_);
+  ckpt::put_u8(out, gather_state_.degraded);
+  ckpt::put_u64(out, gather_state_.failures);
   // Shard section (DESIGN.md §16): layout + assignment policy and the
   // slot -> owner table the step ran under, so a restore can verify the
   // recomputed assignment (a pure function of membership + model shape)
   // agrees with the checkpointed one.
-  out.push_back(static_cast<std::uint8_t>(cfg_.layout));
-  out.push_back(static_cast<std::uint8_t>(cfg_.assignment));
+  ckpt::put_u8(out, static_cast<std::uint8_t>(cfg_.layout));
+  ckpt::put_u8(out, static_cast<std::uint8_t>(cfg_.assignment));
   const auto& owners = shard_owners();
-  put_u64(out, owners.size());
-  for (std::size_t o : owners) put_u64(out, o);
+  ckpt::put_u64(out, owners.size());
+  for (std::size_t o : owners) ckpt::put_u64(out, o);
 }
 
 void DistKfac::load_state(codec::wire::Reader& reader) {
@@ -1227,37 +756,36 @@ void DistKfac::load_state(codec::wire::Reader& reader) {
   if (slots != layer_indices_.size()) {
     throw PayloadError("DistKfac: checkpoint layer count mismatch");
   }
+  const auto get_eigenvalues = [&reader](std::size_t n) {
+    auto values = ckpt::get_floats(reader, "kfac eigenvalues");
+    if (values.size() != n) {
+      throw PayloadError("DistKfac: checkpoint eigenvalue count mismatch");
+    }
+    return values;
+  };
   for (std::size_t s = 0; s < layer_indices_.size(); ++s) {
     auto& st = *states_[s];
     const std::size_t out = st.factor_g().rows();
     const std::size_t in_aug = st.factor_a().rows();
-    momentum_[s] = get_tensor(reader, {out, in_aug});
-    Tensor a = get_tensor(reader, {in_aug, in_aug});
-    Tensor g = get_tensor(reader, {out, out});
+    momentum_[s] = ckpt::get_tensor(reader, {out, in_aug}, "kfac momentum");
+    Tensor a = ckpt::get_tensor(reader, {in_aug, in_aug}, "kfac factor a");
+    Tensor g = ckpt::get_tensor(reader, {out, out}, "kfac factor g");
     const bool has_eigen = reader.u8() != 0;
     tensor::EigenDecomposition eig_a, eig_g;
     if (has_eigen) {
-      eig_a.eigenvectors = get_tensor(reader, {in_aug, in_aug});
-      const auto na = reader.bounded_u64(1 << 20, "kfac eigenvalues");
-      if (na != in_aug) {
-        throw PayloadError("DistKfac: checkpoint eigenvalue count mismatch");
-      }
-      eig_a.eigenvalues.resize(na);
-      for (auto& v : eig_a.eigenvalues) v = reader.f32();
-      eig_g.eigenvectors = get_tensor(reader, {out, out});
-      const auto ng = reader.bounded_u64(1 << 20, "kfac eigenvalues");
-      if (ng != out) {
-        throw PayloadError("DistKfac: checkpoint eigenvalue count mismatch");
-      }
-      eig_g.eigenvalues.resize(ng);
-      for (auto& v : eig_g.eigenvalues) v = reader.f32();
+      eig_a.eigenvectors =
+          ckpt::get_tensor(reader, {in_aug, in_aug}, "kfac eigenvectors a");
+      eig_a.eigenvalues = get_eigenvalues(in_aug);
+      eig_g.eigenvectors =
+          ckpt::get_tensor(reader, {out, out}, "kfac eigenvectors g");
+      eig_g.eigenvalues = get_eigenvalues(out);
     }
     const auto updates = reader.bounded_u64(~std::uint32_t{0}, "kfac updates");
     st.restore(std::move(a), std::move(g), std::move(eig_a), std::move(eig_g),
                has_eigen, updates);
   }
-  gather_degraded_ = reader.u8();
-  gather_failures_ = static_cast<std::uint32_t>(
+  gather_state_.degraded = reader.u8();
+  gather_state_.failures = static_cast<std::uint32_t>(
       reader.bounded_u64(~std::uint32_t{0}, "kfac gather failures"));
   // Shard section: the layout/assignment the checkpoint was taken under
   // must match this optimizer's config (restoring a sharded run into a

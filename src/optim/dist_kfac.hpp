@@ -9,8 +9,8 @@
 //      iterations;
 //   4. the owner computes the preconditioned gradient for its layers;
 //   5. preconditioned gradients are all-gathered to every rank — this is
-//      the communication COMPSO compresses (variable-size allgatherv when
-//      a compressor is attached).
+//      the communication COMPSO compresses, shipped on the chunked
+//      exchange (optim/exchange.hpp).
 //
 // The simulator runs SPMD over model replicas: data really moves through
 // the Communicator (so compression error reaches the weights exactly as on
@@ -18,10 +18,10 @@
 
 #include "src/codec/wire.hpp"
 #include "src/comm/communicator.hpp"
-#include "src/compress/chunked_stream.hpp"
 #include "src/compress/compression_engine.hpp"
 #include "src/compress/compressor.hpp"
 #include "src/nn/model.hpp"
+#include "src/optim/exchange.hpp"
 #include "src/optim/kfac.hpp"
 #include "src/optim/recovery.hpp"
 #include "src/optim/step_graph.hpp"
@@ -64,14 +64,13 @@ struct DistKfacConfig {
   /// its layers' preconditioned gradients per compression call, amortizing
   /// codec overhead and improving small-layer ratios.
   std::size_t aggregation = 1;
-  /// Chunked streaming pipeline (DESIGN.md §15): when > 0, the
-  /// preconditioned-gradient gather ships each rank's send buffer as
-  /// fixed-size chunk frames — per-round frame (CRC) compute nodes
-  /// pipelined against per-round chunk collectives on the StepGraph — and
-  /// reassembles on resumable cursors. 0 = the monolithic allgatherv.
-  /// Payload bytes and training trajectories are bit-identical either way
-  /// (the chunk layer frames the *finished* payload; no RNG stream or
-  /// float op changes).
+  /// Chunk size of the byte exchanges — the preconditioned-gradient
+  /// gather and the compressed factor exchange (DESIGN.md §15): each
+  /// rank's send buffer ships as chunk frames of this many body bytes,
+  /// one round per chunk; 0 = one chunk per rank. Payload bytes and
+  /// training trajectories are bit-identical at any value (the chunk
+  /// layer frames the *finished* payload; no RNG stream or float op
+  /// changes).
   std::size_t chunk_bytes = 0;
   /// Factor-state layout (see PrecondLayout). The default keeps the
   /// legacy replicated KAISA behavior.
@@ -84,7 +83,7 @@ struct DistKfacConfig {
 /// Paper §7 future-work item 2: compressing the intermediate factor
 /// matrices A and G before their collective. Because a compressed
 /// allreduce is not linear, the factor exchange becomes
-/// compress -> allgatherv -> decompress -> average (the CocktailSGD-style
+/// compress -> allgather -> decompress -> average (the CocktailSGD-style
 /// pattern), trading extra payload count for the compression ratio.
 
 class DistKfac {
@@ -164,7 +163,7 @@ class DistKfac {
     policy_ = policy;
   }
   const RecoveryPolicy& recovery_policy() const noexcept { return policy_; }
-  bool gather_degraded() const noexcept { return gather_degraded_ != 0; }
+  bool gather_degraded() const noexcept { return gather_state_.degraded != 0; }
 
   /// Serializes momentum, KFAC factors + eigendecompositions, and recovery
   /// counters for checkpointing; restore with load_state.
@@ -190,8 +189,7 @@ class DistKfac {
   const compress::GradientCompressor* factor_compressor_ = nullptr;
   std::uint64_t factor_orig_bytes_ = 0;
   std::uint64_t factor_comp_bytes_ = 0;
-  std::uint8_t gather_degraded_ = 0;     ///< gather permanently uncompressed.
-  std::uint32_t gather_failures_ = 0;    ///< consecutive failed steps.
+  DegradeState gather_state_;  ///< the gather's degradation ladder.
 
   compress::CompressionEngine* engine_ = nullptr;
   compress::CompressionEngine serial_engine_{0};  ///< inline fallback.
@@ -204,8 +202,8 @@ class DistKfac {
   StepGraph::Stats sched_stats_;
   // Per-step workspaces (persistent so steady-state steps reuse
   // capacity): covariances + factor payloads and averaged/preconditioned
-  // gradients indexed [slot][rank] / [slot], decode buffers indexed
-  // [rank], gather-group buffers indexed [group].
+  // gradients indexed [slot][rank] / [slot], gather-group buffers indexed
+  // [group].
   std::vector<std::vector<Tensor>> cov_a_;
   std::vector<std::vector<Tensor>> cov_g_;
   std::vector<std::vector<compress::Bytes>> factor_send_a_;
@@ -218,19 +216,20 @@ class DistKfac {
   /// computed under (lazy refresh; see refresh_assignment).
   mutable std::vector<std::size_t> shard_owner_;
   mutable std::vector<std::uint8_t> shard_mask_;
-  std::vector<std::vector<float>> decode_bufs_;
+  /// One gather group: up to `aggregation` consecutive slots of one
+  /// owner, compressed as one payload on its own Rng stream.
+  struct GatherGroup {
+    std::size_t rank;
+    std::size_t first;  ///< index into owned_[rank]
+    std::size_t count;
+    std::uint64_t tid;
+  };
+  std::vector<GatherGroup> groups_;
   std::vector<std::vector<float>> group_concat_;
   std::vector<compress::Bytes> group_payloads_;
   std::vector<std::vector<float>> group_values_;
-  // Chunked-gather workspaces (persistent; see DESIGN.md §15): per-rank
-  // send buffers + producers on the send side, per-rank resumable cursors
-  // on the receive side, and the reassembled concatenation the decoder
-  // reads (byte-identical to the unchunked recv stream).
-  std::vector<compress::Bytes> chunk_send_;
-  std::vector<compress::ChunkedProducer> chunk_producers_;
-  std::vector<compress::ChunkedConsumer> chunk_consumers_;
-  compress::Bytes chunk_concat_;
-  std::uint8_t chunk_failed_ = 0;  ///< a round exhausted its retries.
+  std::vector<compress::Bytes> gather_send_;  ///< [rank] framed groups.
+  ChunkedExchange exchange_;
 
   compress::CompressionEngine& engine() noexcept {
     return engine_ ? *engine_ : serial_engine_;
@@ -247,30 +246,28 @@ class DistKfac {
   /// Exchanges per-rank covariance contributions: plain allreduce when
   /// `send` is null (reduce-to-`owner` under the sharded layout — the
   /// canonical summation order makes the owner's average bit-identical to
-  /// the allreduce lead's), else the compressed allgatherv path using the
-  /// pre-compressed per-rank payloads. On return, the first active entry
-  /// of `local` holds the rank average.
+  /// the allreduce lead's), else the chunked exchange of the
+  /// pre-compressed per-rank payloads, falling back to the allreduce. On
+  /// return, local[0] holds the rank average.
   void exchange_covariances(std::vector<Tensor>& local,
                             const std::vector<compress::Bytes>* send,
                             std::size_t owner);
 
-  /// Builds the per-owner send buffers for the preconditioned-gradient
-  /// allgatherv ([u64 n][u64 sid x n][u64 psize][payload] groups). Group
-  /// compressions run as one engine batch, each on its own
-  /// counter-derived Rng stream.
-  std::vector<std::vector<std::uint8_t>> build_gather_payloads(
-      const std::vector<Tensor>& preconditioned,
-      const std::vector<std::vector<std::size_t>>& owned,
-      const compress::GradientCompressor* compressor,
-      std::uint64_t step_seed);
+  /// Stateful-compressor stream key of a gather group: (owner rank, first
+  /// owned slot).
+  std::uint64_t group_stream(const GatherGroup& grp) const;
 
-  /// Decodes one gathered stream into `preconditioned` (throws
+  /// Frames group_payloads_ into the per-rank send buffers
+  /// ([u64 n][u64 sid x n][u64 psize][payload] groups), exchanges them,
+  /// and decodes into preconditioned_. Returns false when the exchange or
+  /// the decode failed under an enabled policy.
+  bool gather_exchange(const compress::GradientCompressor* compressor);
+
+  /// Decodes the exchanged per-rank streams into preconditioned_ (throws
   /// PayloadError on any framing or payload damage). Framing is parsed
   /// and validated serially; group decompressions run as one engine
   /// batch.
-  void decode_gathered(const std::vector<std::uint8_t>& buf,
-                       std::vector<Tensor>& preconditioned,
-                       const compress::GradientCompressor* compressor);
+  void decode_gathered(const compress::GradientCompressor* compressor);
 };
 
 }  // namespace compso::optim

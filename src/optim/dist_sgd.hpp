@@ -1,25 +1,28 @@
 #pragma once
 // Distributed first-order baseline: data-parallel SGD with momentum, with
 // an optional gradient compressor in the CocktailSGD style — each rank
-// compresses its local gradient, payloads are all-gathered, every rank
-// decompresses and averages. Optional per-rank error feedback compensates
-// the compression error locally (the classic EF-SGD mechanism §6 mentions;
-// COMPSO itself does not use EF, but CocktailSGD does).
+// compresses its local gradient, payloads are all-gathered on the chunked
+// exchange (optim/exchange.hpp), every rank decompresses and averages.
+// Error feedback (the classic EF-SGD mechanism §6 mentions; COMPSO itself
+// does not use EF, but CocktailSGD does) is a property of the compressor:
+// pass a compress::make_error_feedback wrapper, whose per-(slot, rank)
+// stream residuals the optimizer keys, rolls back on fallback, and resets
+// on rejoin (DESIGN.md §17).
 //
 // Fault tolerance (see recovery.hpp / DESIGN.md §9): with a RecoveryPolicy
-// enabled the step survives corrupted or missing allgatherv entries via
-// bounded re-send retries, falls back to the uncompressed allreduce after
-// repeated failures (degrading the layer permanently past the threshold),
-// skips updates whose averaged gradient went non-finite, and averages over
-// the surviving ranks only when the Communicator has evicted a crashed
-// rank (gradient-average renormalization).
+// enabled the step survives corrupted or missing chunk frames via bounded
+// per-round re-send retries, falls back to the uncompressed allreduce
+// after repeated failures (degrading the layer permanently past the
+// threshold), skips updates whose averaged gradient went non-finite, and
+// averages over the surviving ranks only when the Communicator has
+// evicted a crashed rank (gradient-average renormalization).
 
 #include "src/codec/wire.hpp"
 #include "src/comm/communicator.hpp"
-#include "src/compress/chunked_stream.hpp"
 #include "src/compress/compression_engine.hpp"
 #include "src/compress/compressor.hpp"
 #include "src/nn/model.hpp"
+#include "src/optim/exchange.hpp"
 #include "src/optim/recovery.hpp"
 #include "src/optim/step_graph.hpp"
 
@@ -29,12 +32,11 @@ namespace compso::optim {
 
 struct DistSgdConfig {
   double momentum = 0.9;
-  bool error_feedback = true;  ///< only used when a compressor is attached.
-  /// Chunked streaming transport (DESIGN.md §15): when > 0, each layer's
-  /// compressed payloads ship as fixed-size chunk frames over per-round
-  /// chunk collectives and reassemble on resumable cursors, with the
-  /// retry ladder operating per round. 0 = monolithic allgatherv. Payload
-  /// bytes and training trajectories are bit-identical either way.
+  /// Chunk size of each layer's compressed exchange (DESIGN.md §15): the
+  /// payloads ship as chunk frames of this many body bytes, one round per
+  /// chunk, with the retry ladder operating per round; 0 = one chunk per
+  /// rank. Payload bytes and training trajectories are bit-identical at
+  /// any value.
   std::size_t chunk_bytes = 0;
 };
 
@@ -63,7 +65,7 @@ class DistSgd {
   const RecoveryPolicy& recovery_policy() const noexcept { return policy_; }
   /// True if layer slot `s` has been degraded to the uncompressed path.
   bool layer_degraded(std::size_t s) const noexcept {
-    return s < degraded_.size() && degraded_[s] != 0;
+    return s < degrade_.size() && degrade_[s].degraded != 0;
   }
 
   std::uint64_t last_original_bytes() const noexcept { return orig_bytes_; }
@@ -75,9 +77,9 @@ class DistSgd {
     return sched_stats_;
   }
 
-  /// Serializes the full optimizer state (velocity, EF residuals, recovery
-  /// counters) for checkpointing; restore with load_state. The byte layout
-  /// is internal to the checkpoint format (core/checkpoint.hpp).
+  /// Serializes the full optimizer state (velocity, degradation counters)
+  /// for checkpointing; restore with load_state. The byte layout is
+  /// internal to the checkpoint format (core/checkpoint.hpp).
   void save_state(std::vector<std::uint8_t>& out) const;
   void load_state(codec::wire::Reader& reader);
 
@@ -87,11 +89,8 @@ class DistSgd {
   comm::Communicator& comm_;
   std::vector<nn::Model*> replicas_;
   std::vector<std::size_t> layer_indices_;
-  // velocity[layer] over flattened [W|b]; residual[rank][layer] for EF.
-  std::vector<std::vector<float>> velocity_;
-  std::vector<std::vector<std::vector<float>>> residual_;
-  std::vector<std::uint8_t> degraded_;        ///< per layer slot.
-  std::vector<std::uint32_t> consecutive_failures_;  ///< per layer slot.
+  std::vector<std::vector<float>> velocity_;  ///< [slot], flattened [W|b].
+  std::vector<DegradeState> degrade_;          ///< [slot].
   std::uint64_t orig_bytes_ = 0;
   std::uint64_t comp_bytes_ = 0;
 
@@ -101,36 +100,16 @@ class DistSgd {
   StepGraph graph_;
   StepGraph::Stats sched_stats_;
   // Per-step workspaces (persistent so steady-state steps reuse capacity):
-  // gradient snapshots and payloads indexed [slot][rank], decode buffers
-  // indexed [rank].
+  // gradient snapshots and payloads indexed [slot][rank].
   std::vector<std::vector<std::vector<float>>> step_grads_;
   std::vector<std::vector<compress::Bytes>> send_payloads_;
-  std::vector<std::vector<float>> decode_bufs_;
-  // Chunked-transport workspaces (persistent; reused slot after slot —
-  // the per-slot exchanges run serially on the optimizer thread).
-  std::vector<compress::ChunkedProducer> chunk_producers_;
-  std::vector<compress::ChunkedConsumer> chunk_consumers_;
+  /// Reused slot after slot — the per-slot exchanges run serially on the
+  /// optimizer thread.
+  ChunkedExchange exchange_;
 
   compress::CompressionEngine& engine() noexcept {
     return engine_ ? *engine_ : serial_engine_;
   }
-
-  /// Exchange + decode of one layer's pre-compressed payloads; returns
-  /// false when every retry failed and the caller must use the
-  /// uncompressed fallback. Dispatches to chunked_average when
-  /// cfg_.chunk_bytes > 0.
-  bool compressed_average(std::size_t slot, std::size_t n,
-                          const std::vector<compress::Bytes>& send,
-                          const compress::GradientCompressor& compressor,
-                          std::vector<float>& averaged);
-
-  /// The chunked-transport exchange (DESIGN.md §15): frames each rank's
-  /// payload (engine batch), ships per-round chunk collectives with
-  /// per-round bounded retries, reassembles on the cursors, and decodes.
-  bool chunked_average(std::size_t slot, std::size_t n,
-                       const std::vector<compress::Bytes>& send,
-                       const compress::GradientCompressor& compressor,
-                       std::vector<float>& averaged);
 };
 
 }  // namespace compso::optim

@@ -1,0 +1,97 @@
+#include "src/optim/exchange.hpp"
+
+#include "src/common/payload_error.hpp"
+
+#include <algorithm>
+#include <functional>
+
+namespace compso::optim {
+
+bool ChunkedExchange::run(comm::Communicator& comm,
+                          const RecoveryPolicy& policy,
+                          const std::vector<compress::Bytes>& send,
+                          std::size_t chunk_bytes) {
+  const std::size_t world = comm.world_size();
+  producers_.resize(world);
+  cursors_.resize(world);
+  std::size_t rounds = 0;
+  for (std::size_t r = 0; r < world; ++r) {
+    cursors_[r].reset();
+    if (!comm.is_participating(r)) continue;
+    producers_[r].frame(compress::ByteView(send[r]), chunk_bytes);
+    rounds = std::max(rounds, producers_[r].chunk_count());
+  }
+
+  const std::size_t attempts =
+      policy.enabled ? policy.max_decode_retries + 1 : 1;
+  std::vector<std::span<const std::uint8_t>> frames(world);
+  std::vector<std::vector<std::uint8_t>> recv;
+  for (std::size_t k = 0; k < rounds; ++k) {
+    for (std::size_t r = 0; r < world; ++r) {
+      const bool has =
+          comm.is_participating(r) && k < producers_[r].chunk_count();
+      frames[r] = has ? producers_[r].chunk(k) : compress::ByteView();
+    }
+    for (std::size_t attempt = 1;; ++attempt) {
+      comm.allgatherv_chunks(frames, recv, k);
+      try {
+        for (std::size_t r = 0; r < world; ++r) {
+          // A failed attempt may have fed some ranks before another's
+          // frame threw; chunks_fed() > k marks those as done this round.
+          if (frames[r].empty() || cursors_[r].chunks_fed() > k) continue;
+          cursors_[r].feed(compress::ByteView(recv[r]));
+        }
+        break;
+      } catch (const PayloadError&) {
+        if (!policy.enabled) throw;
+        if (attempt == attempts) return false;
+        ++comm.recovery().decode_retries;
+        comm.obs().count("recovery.decode_retries");
+        comm.obs().instant(obs::kMainTrack, "chunk.retry", "recovery");
+      }
+    }
+  }
+  return true;
+}
+
+bool ChunkedExchange::average(comm::Communicator& comm,
+                              const RecoveryPolicy& policy,
+                              const std::vector<compress::Bytes>& send,
+                              std::size_t chunk_bytes,
+                              const compress::GradientCompressor& compressor,
+                              compress::CompressionEngine& engine,
+                              std::span<float> out) {
+  if (!run(comm, policy, send, chunk_bytes)) return false;
+  const std::size_t world = comm.world_size();
+  const std::size_t n = out.size();
+  decoded_.resize(world);
+  // Per-rank decodes are independent: one engine batch (parallel when a
+  // pool is attached). Accumulation stays on this thread in rank order,
+  // keeping the float sum deterministic.
+  std::vector<std::function<void()>> jobs;
+  for (std::size_t r = 0; r < world; ++r) {
+    if (!comm.is_participating(r)) continue;
+    jobs.push_back([this, &compressor, r, n] {
+      compressor.decompress_into(cursors_[r].payload(), decoded_[r]);
+      if (decoded_[r].size() != n) {
+        throw PayloadError("exchange: decompressed size mismatch");
+      }
+    });
+  }
+  try {
+    engine.run_batch(std::move(jobs));
+  } catch (const PayloadError&) {
+    if (!policy.enabled) throw;
+    return false;
+  }
+  const auto active = static_cast<float>(comm.participant_count());
+  std::fill(out.begin(), out.end(), 0.0F);
+  for (std::size_t r = 0; r < world; ++r) {
+    if (!comm.is_participating(r)) continue;
+    const auto& rec = decoded_[r];
+    for (std::size_t i = 0; i < n; ++i) out[i] += rec[i] / active;
+  }
+  return true;
+}
+
+}  // namespace compso::optim

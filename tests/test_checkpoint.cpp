@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <string>
 
 namespace cm = compso::comm;
 namespace core = compso::core;
@@ -191,6 +192,44 @@ TEST(CheckpointResume, RejectsDamagedFrame) {
   core::FaultTolerantTrainer resumed(
       small_config(core::OptimizerKind::kSgd));
   EXPECT_THROW(resumed.restore(frame), compso::PayloadError);
+}
+
+// tests/fixtures/ckpt_layout1_{sgd,kfac}.bin are intact frames written by
+// save_checkpoint under body layout 1 — before the layout version byte,
+// when DistSgd state still carried error-feedback residuals — after two
+// steps of this config.
+core::FtTrainerConfig layout1_fixture_config(core::OptimizerKind kind) {
+  core::FtTrainerConfig cfg;
+  cfg.base = {.world = 2,
+              .batch_per_rank = 4,
+              .features = 4,
+              .classes = 2,
+              .hidden = 4,
+              .depth = 1,
+              .noise = 0.5F,
+              .seed = 7};
+  cfg.optimizer = kind;
+  cfg.total_iterations = 4;
+  return cfg;
+}
+
+TEST(CheckpointResume, RejectsLayoutOneFrames) {
+  for (const auto kind :
+       {core::OptimizerKind::kSgd, core::OptimizerKind::kKfac}) {
+    const std::string name = kind == core::OptimizerKind::kSgd ? "sgd" : "kfac";
+    SCOPED_TRACE(name);
+    const auto frame = ckpt::read_file(std::string(COMPSO_FIXTURE_DIR) +
+                                       "/ckpt_layout1_" + name + ".bin");
+    EXPECT_NO_THROW((void)ckpt::open_frame(frame));  // the frame is intact.
+    core::FaultTolerantTrainer trainer(layout1_fixture_config(kind));
+    EXPECT_THROW(trainer.restore(frame), compso::PayloadError);
+
+    // The same config's current-layout frame restores.
+    trainer.run(2);
+    core::FaultTolerantTrainer resumed(layout1_fixture_config(kind));
+    resumed.restore(trainer.checkpoint());
+    EXPECT_EQ(resumed.parameters(), trainer.parameters());
+  }
 }
 
 }  // namespace

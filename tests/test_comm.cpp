@@ -99,14 +99,14 @@ TEST_P(CollectiveCorrectness, AllgathervVariableSizes) {
   cm::Communicator comm(cm::Topology::with_gpus(world),
                         cm::NetworkModel::platform1());
   std::vector<std::vector<std::uint8_t>> send(world);
-  std::vector<std::uint8_t> expected;
+  std::vector<std::span<const std::uint8_t>> frames;
   for (std::size_t r = 0; r < world; ++r) {
     send[r].assign(r + 1, static_cast<std::uint8_t>(r));
-    expected.insert(expected.end(), send[r].begin(), send[r].end());
+    frames.emplace_back(send[r]);
   }
   std::vector<std::vector<std::uint8_t>> recv;
-  comm.allgatherv(send, recv);
-  for (std::size_t r = 0; r < world; ++r) EXPECT_EQ(recv[r], expected);
+  comm.allgatherv_chunks(frames, recv, 0);
+  for (std::size_t r = 0; r < world; ++r) EXPECT_EQ(recv[r], send[r]);
 }
 
 TEST_P(CollectiveCorrectness, BroadcastReplicatesRoot) {

@@ -147,11 +147,9 @@ TEST(ErrorFeedback, OverIdentityReproducesUncompressedSgdBitForBit) {
   const auto ef = cp::make_error_feedback(cp::make_identity());
 
   core::ClusterTrainer plain(base);
-  const auto a =
-      plain.train_sgd(20, lr, ident.get(), /*error_feedback=*/false);
+  const auto a = plain.train_sgd(20, lr, ident.get());
   core::ClusterTrainer wrapped(base);
-  const auto b =
-      wrapped.train_sgd(20, lr, ef.get(), /*error_feedback=*/false);
+  const auto b = wrapped.train_sgd(20, lr, ef.get());
 
   ASSERT_EQ(a.loss_curve.size(), b.loss_curve.size());
   for (std::size_t i = 0; i < a.loss_curve.size(); ++i) {

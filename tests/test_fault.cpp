@@ -70,6 +70,9 @@ TEST(FaultInjector, EventsAreOneShot) {
   EXPECT_EQ(injector.fired_count(), 1U);
 }
 
+// Whole-payload transport events land on round 0 of the next chunked
+// allgatherv: the entry of every other rank, and every other round, is
+// delivered intact.
 TEST(FaultInjector, DropRemovesEntryFromGatheredStream) {
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
@@ -77,19 +80,22 @@ TEST(FaultInjector, DropRemovesEntryFromGatheredStream) {
   comm.set_fault_injector(&injector);
   comm.begin_iteration(0);
   std::vector<std::vector<std::uint8_t>> send(4);
+  std::vector<std::span<const std::uint8_t>> frames;
   for (std::size_t r = 0; r < 4; ++r) {
     send[r].assign(4, static_cast<std::uint8_t>(r));
+    frames.emplace_back(send[r]);
   }
   std::vector<std::vector<std::uint8_t>> recv;
-  comm.allgatherv(send, recv);
+  comm.allgatherv_chunks(frames, recv, 1);  // not round 0: event waits.
+  EXPECT_EQ(comm.recovery().drops_injected, 0U);
+  EXPECT_EQ(recv[2], send[2]);
+  comm.allgatherv_chunks(frames, recv, 0);
   EXPECT_EQ(comm.recovery().drops_injected, 1U);
-  ASSERT_EQ(recv[0].size(), 12U);  // 3 surviving entries of 4 bytes
-  for (std::size_t i = 0; i < 12; ++i) {
-    EXPECT_NE(recv[0][i], 2U);  // rank 2's bytes vanished in flight
-  }
-  // A retry of the same collective sees clean data (one-shot event).
-  comm.allgatherv(send, recv);
-  EXPECT_EQ(recv[0].size(), 16U);
+  EXPECT_TRUE(recv[2].empty());  // rank 2's bytes vanished in flight
+  for (std::size_t r : {0UL, 1UL, 3UL}) EXPECT_EQ(recv[r], send[r]);
+  // A retry of the same round sees clean data (one-shot event).
+  comm.allgatherv_chunks(frames, recv, 0);
+  EXPECT_EQ(recv[2], send[2]);
   EXPECT_EQ(comm.recovery().drops_injected, 1U);
 }
 
@@ -100,12 +106,17 @@ TEST(FaultInjector, TruncateShortensOneEntry) {
   comm.set_fault_injector(&injector);
   comm.begin_iteration(1);
   std::vector<std::vector<std::uint8_t>> send(3);
-  for (auto& s : send) s.assign(8, 0x7F);
+  std::vector<std::span<const std::uint8_t>> frames;
+  for (auto& s : send) {
+    s.assign(8, 0x7F);
+    frames.emplace_back(s);
+  }
   std::vector<std::vector<std::uint8_t>> recv;
-  comm.allgatherv(send, recv);
+  comm.allgatherv_chunks(frames, recv, 0);
   EXPECT_EQ(comm.recovery().truncations_injected, 1U);
-  EXPECT_LT(recv[0].size(), 24U);
-  EXPECT_GE(recv[0].size(), 16U);  // only rank 0's entry lost bytes
+  EXPECT_LT(recv[0].size(), 8U);
+  EXPECT_EQ(recv[1], send[1]);  // only rank 0's entry lost bytes
+  EXPECT_EQ(recv[2], send[2]);
 }
 
 TEST(Eviction, CollectivesRunOverSurvivors) {

@@ -339,8 +339,11 @@ TEST(DistSgd, ErrorFeedbackRecoversTopKLoss) {
     DistFixture f(2);
     cm::Communicator comm(cm::Topology::with_gpus(2),
                           cm::NetworkModel::platform1());
-    opt::DistSgd sgd({.momentum = 0.9, .error_feedback = ef}, comm, f.ptrs);
-    const auto topk = compso::compress::make_topk(0.1);
+    opt::DistSgd sgd({.momentum = 0.9}, comm, f.ptrs);
+    const auto topk =
+        ef ? compso::compress::make_error_feedback(
+                 compso::compress::make_topk(0.1))
+           : compso::compress::make_topk(0.1);
     ct::Rng data_rng(1), sr_rng(2);
     double last = 0.0;
     for (std::size_t t = 0; t < 80; ++t) {

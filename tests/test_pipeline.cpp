@@ -1,11 +1,11 @@
-// Chunked streaming pipeline suite (DESIGN.md §15): chunk frame v2
-// round trips and edge sizes, the resumable decode cursor (including a
-// mid-stream serialize/deserialize), the zero-allocation steady state of
-// the producer, per-chunk fault-injection fuzz (>= 1000 mutations per
-// boundary category, every one failing typed), the chunk-scoped fault
-// plan, the per-round chunk collective, and the headline acceptance:
-// chunked and unchunked training trajectories are bit-identical — clean,
-// under chunk-level faults with the retry ladder, and across a
+// Chunked exchange suite (DESIGN.md §15): chunk frame v2 round trips and
+// edge sizes (chunk_bytes == 0 is one chunk), the decode cursor's
+// validation, the zero-allocation steady state of the producer, per-chunk
+// fault-injection fuzz (>= 1000 mutations per boundary category, every
+// one failing typed), the chunk-scoped fault plan, the per-round chunk
+// collective, and the headline acceptance: training trajectories are
+// bit-identical at every chunk size — clean, under chunk-level and
+// whole-payload faults with the retry ladder, and across a
 // checkpoint/resume — at any engine thread count.
 
 #include "src/codec/chunk.hpp"
@@ -37,7 +37,6 @@ namespace nn = compso::nn;
 namespace ct = compso::tensor;
 namespace cc = compso::compress;
 namespace chunk = compso::codec::chunk;
-namespace wire = compso::codec::wire;
 using compso::PayloadError;
 
 namespace {
@@ -49,7 +48,7 @@ cc::Bytes random_payload(std::size_t n, ct::Rng& rng) {
 }
 
 cc::Bytes reassemble(const cc::ChunkedProducer& p) {
-  cc::ChunkedConsumer c;
+  chunk::Cursor c;
   for (std::size_t k = 0; k < p.chunk_count(); ++k) c.feed(p.chunk(k));
   const auto view = c.payload();
   return cc::Bytes(view.begin(), view.end());
@@ -81,46 +80,48 @@ TEST(ChunkFrame, EmptyPayloadIsOneChunk) {
   cc::ChunkedProducer p;
   p.frame(cc::ByteView(), 64);
   EXPECT_EQ(p.chunk_count(), 1U);
-  cc::ChunkedConsumer c;
+  chunk::Cursor c;
   c.feed(p.chunk(0));
   EXPECT_TRUE(c.complete());
   EXPECT_EQ(c.payload().size(), 0U);
 }
 
-TEST(ChunkFrame, V1PassthroughUnchanged) {
+TEST(ChunkFrame, ZeroChunkBytesIsOneChunkPerPayload) {
   ct::Rng rng(12);
-  const auto payload = random_payload(513, rng);
-  cc::ChunkedConsumer c;
-  c.feed_payload(cc::ByteView(payload));
-  EXPECT_TRUE(c.complete());
-  const auto out = c.payload();
-  ASSERT_EQ(out.size(), payload.size());
-  EXPECT_EQ(std::memcmp(out.data(), payload.data(), payload.size()), 0);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{513}, std::size_t{70000}}) {
+    const auto payload = random_payload(n, rng);
+    cc::ChunkedProducer p;
+    p.frame(cc::ByteView(payload), 0);
+    ASSERT_EQ(p.chunk_count(), 1U) << "n=" << n;
+    EXPECT_EQ(p.chunk(0).size(), chunk::kChunkHeaderSize + n) << "n=" << n;
+    EXPECT_EQ(reassemble(p), payload) << "n=" << n;
+  }
 }
 
-// --- resumable cursor ---
+// --- decode cursor ---
 
-TEST(ChunkCursor, SerializeMidStreamResumesExactly) {
+TEST(ChunkCursor, RejectedFrameLeavesCursorUnchanged) {
   ct::Rng rng(13);
   const auto payload = random_payload(2000, rng);
   cc::ChunkedProducer p;
   p.frame(cc::ByteView(payload), 256);
   ASSERT_GE(p.chunk_count(), 4U);
 
-  cc::ChunkedConsumer first;
-  for (std::size_t k = 0; k < 3; ++k) first.feed(p.chunk(k));
-  EXPECT_FALSE(first.complete());
-  EXPECT_THROW((void)first.payload(), PayloadError);
-  cc::Bytes frame;
-  first.serialize(frame);
-
-  cc::ChunkedConsumer resumed;
-  wire::Reader reader{cc::ByteView(frame)};
-  resumed.deserialize(reader);
-  EXPECT_EQ(resumed.chunks_fed(), 3U);
-  for (std::size_t k = 3; k < p.chunk_count(); ++k) resumed.feed(p.chunk(k));
-  EXPECT_TRUE(resumed.complete());
-  const auto out = resumed.payload();
+  chunk::Cursor c;
+  EXPECT_THROW(c.feed(p.chunk(1)), PayloadError);  // gap on a fresh cursor
+  EXPECT_FALSE(c.started());
+  for (std::size_t k = 0; k < 3; ++k) c.feed(p.chunk(k));
+  EXPECT_FALSE(c.complete());
+  EXPECT_THROW((void)c.payload(), PayloadError);
+  auto damaged = cc::Bytes(p.chunk(3).begin(), p.chunk(3).end());
+  damaged.back() ^= 0x01;
+  EXPECT_THROW(c.feed(cc::ByteView(damaged)), PayloadError);
+  EXPECT_EQ(c.chunks_fed(), 3U);
+  // The round is fed again, clean, exactly as a retried round would be.
+  for (std::size_t k = 3; k < p.chunk_count(); ++k) c.feed(p.chunk(k));
+  EXPECT_TRUE(c.complete());
+  const auto out = c.payload();
   ASSERT_EQ(out.size(), payload.size());
   EXPECT_EQ(std::memcmp(out.data(), payload.data(), payload.size()), 0);
 }
@@ -131,14 +132,14 @@ TEST(ChunkCursor, GapAndForeignStreamRejected) {
   cc::ChunkedProducer p;
   p.frame(cc::ByteView(payload), 256);
 
-  cc::ChunkedConsumer gap;
+  chunk::Cursor gap;
   EXPECT_THROW(gap.feed(p.chunk(1)), PayloadError);  // starts at index 1.
 
   // A chunk from a different stream (other total) after a valid start.
   const auto other = random_payload(600, rng);
   cc::ChunkedProducer q;
   q.frame(cc::ByteView(other), 256);
-  cc::ChunkedConsumer mixed;
+  chunk::Cursor mixed;
   mixed.feed(p.chunk(0));
   EXPECT_THROW(mixed.feed(q.chunk(1)), PayloadError);
 }
@@ -189,7 +190,7 @@ struct FuzzStream {
   // Feeds chunks [0, k) clean, then the mutated frame for chunk k.
   void expect_typed_failure(std::size_t k, const cc::Bytes& frame,
                             const char* what) const {
-    cc::ChunkedConsumer c;
+    chunk::Cursor c;
     for (std::size_t i = 0; i < k; ++i) c.feed(producer.chunk(i));
     EXPECT_THROW(c.feed(cc::ByteView(frame)), PayloadError) << what;
   }
@@ -236,7 +237,7 @@ TEST(ChunkFuzz, MidChunkTruncationsFailTyped) {
   }
   // Stream truncation: all but the last chunk is mid-payload, not a
   // decodable prefix.
-  cc::ChunkedConsumer c;
+  chunk::Cursor c;
   for (std::size_t k = 0; k + 1 < s.producer.chunk_count(); ++k) {
     c.feed(s.producer.chunk(k));
   }
@@ -288,7 +289,7 @@ TEST(ChunkTransport, AllgathervChunksDeliversPerSlotAndPricesRounds) {
     rounds = std::max(rounds, producers[r].chunk_count());
   }
 
-  std::vector<cc::ChunkedConsumer> consumers(world);
+  std::vector<chunk::Cursor> consumers(world);
   double expected_s = 0.0;
   std::uint64_t expected_bytes = 0;
   for (std::size_t k = 0; k < rounds; ++k) {
@@ -360,14 +361,14 @@ TEST(ChunkTransport, ChunkFaultsDamageOnlyTheirSlotAndRound) {
   EXPECT_TRUE(r1[0].empty());
   EXPECT_TRUE(same(r1[3], producers[3].chunk(1)));
   // Damage is typed at the cursor.
-  cc::ChunkedConsumer c;
+  chunk::Cursor c;
   EXPECT_THROW(c.feed(cc::ByteView(r0[1])), PayloadError);
   EXPECT_EQ(comm.recovery().corrupt_injected, 1U);
   EXPECT_EQ(comm.recovery().truncations_injected, 1U);
   EXPECT_EQ(comm.recovery().drops_injected, 1U);
 }
 
-// --- trajectory acceptance: chunked == unchunked, bit for bit ---
+// --- trajectory acceptance: every chunk size, bit for bit ---
 
 struct DistFixture {
   std::vector<nn::Model> replicas;
@@ -416,7 +417,7 @@ void expect_bitwise_equal(const std::vector<float>& a,
 }
 
 std::vector<float> run_kfac(std::size_t engine_threads,
-                            std::size_t chunk_bytes) {
+                            std::size_t chunk_bytes, bool factor_compression) {
   DistFixture f(4);
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
@@ -426,6 +427,9 @@ std::vector<float> run_kfac(std::size_t engine_threads,
   cc::CompressionEngine eng(engine_threads);
   kfac.set_engine(&eng);
   const auto compso = cc::make_compso({});
+  const auto factor_comp = cc::make_compso(
+      {.filter_bound = 0.0, .quant_bound = 1e-4, .use_filter = false});
+  if (factor_compression) kfac.set_factor_compressor(factor_comp.get());
   ct::Rng data_rng(1), sr_rng(2);
   for (std::size_t t = 0; t < 5; ++t) {
     f.run_fwd_bwd(data_rng);
@@ -435,11 +439,20 @@ std::vector<float> run_kfac(std::size_t engine_threads,
 }
 
 TEST(ChunkTrajectory, DistKfacChunkedMatchesUnchunkedAtAnyThreadCount) {
-  const auto unchunked = run_kfac(0, 0);
-  expect_bitwise_equal(unchunked, run_kfac(0, 512), "chunked serial");
-  expect_bitwise_equal(unchunked, run_kfac(2, 512), "chunked 2-thread");
-  expect_bitwise_equal(unchunked, run_kfac(8, 512), "chunked 8-thread");
-  expect_bitwise_equal(unchunked, run_kfac(8, 64), "tiny chunks 8-thread");
+  for (const bool factors : {false, true}) {
+    SCOPED_TRACE(factors ? "factor compression" : "plain factor allreduce");
+    const auto unchunked = run_kfac(0, 0, factors);
+    expect_bitwise_equal(unchunked, run_kfac(0, 512, factors),
+                         "chunked serial");
+    expect_bitwise_equal(unchunked, run_kfac(2, 512, factors),
+                         "chunked 2-thread");
+    expect_bitwise_equal(unchunked, run_kfac(8, 512, factors),
+                         "chunked 8-thread");
+    expect_bitwise_equal(unchunked, run_kfac(8, 64, factors),
+                         "tiny chunks 8-thread");
+    expect_bitwise_equal(unchunked, run_kfac(2, 0, factors),
+                         "one chunk 2-thread");
+  }
 }
 
 std::vector<float> run_sgd(std::size_t engine_threads,
@@ -447,16 +460,15 @@ std::vector<float> run_sgd(std::size_t engine_threads,
   DistFixture f(4);
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
-  opt::DistSgd sgd({.momentum = 0.9, .error_feedback = true,
-                    .chunk_bytes = chunk_bytes},
-                   comm, f.ptrs);
+  opt::DistSgd sgd({.momentum = 0.9, .chunk_bytes = chunk_bytes}, comm,
+                   f.ptrs);
   cc::CompressionEngine eng(engine_threads);
   sgd.set_engine(&eng);
-  const auto compso = cc::make_compso({});
+  const auto ef_compso = cc::make_error_feedback(cc::make_compso({}));
   ct::Rng data_rng(1), sr_rng(2);
   for (std::size_t t = 0; t < 5; ++t) {
     f.run_fwd_bwd(data_rng);
-    sgd.step(0.05, compso.get(), sr_rng);
+    sgd.step(0.05, ef_compso.get(), sr_rng);
   }
   return f.flat_params();
 }
@@ -466,6 +478,9 @@ TEST(ChunkTrajectory, DistSgdChunkedMatchesUnchunkedAtAnyThreadCount) {
   expect_bitwise_equal(unchunked, run_sgd(0, 256), "chunked serial");
   expect_bitwise_equal(unchunked, run_sgd(2, 256), "chunked 2-thread");
   expect_bitwise_equal(unchunked, run_sgd(8, 256), "chunked 8-thread");
+  expect_bitwise_equal(unchunked, run_sgd(2, 512), "512-byte chunks");
+  expect_bitwise_equal(unchunked, run_sgd(8, 64), "tiny chunks 8-thread");
+  expect_bitwise_equal(unchunked, run_sgd(8, 0), "one chunk 8-thread");
 }
 
 // --- retry ladder + checkpoint/resume under chunk-level faults ---
@@ -521,6 +536,27 @@ TEST(ChunkTrajectory, RetriedChunkFaultsLeaveTrajectoryBitExact) {
         << "plan did not exercise the retry ladder";
     EXPECT_EQ(faulted.comm().recovery().decode_failures, 0U);
   }
+}
+
+TEST(ChunkTrajectory, WholePayloadFaultsLandOnRoundZeroAndRetryOnce) {
+  // Whole-payload events carry no chunk index: each lands on round 0 of
+  // the iteration's chunked gather, costs exactly one retried round, and
+  // leaves the trajectory on the clean run's bits.
+  core::FaultTolerantTrainer clean(chunked_ft_config(0, 512));
+  clean.run(8);
+
+  core::FaultTolerantTrainer faulted(chunked_ft_config(0, 512));
+  faulted.set_fault_plan(
+      cm::FaultPlan{}.corrupt(1, 2).truncate(3, 1).drop(5, 0), 4242);
+  faulted.run(8);
+  const auto& rc = faulted.comm().recovery();
+  EXPECT_EQ(rc.corrupt_injected, 1U);
+  EXPECT_EQ(rc.truncations_injected, 1U);
+  EXPECT_EQ(rc.drops_injected, 1U);
+  EXPECT_EQ(rc.decode_retries, 3U);
+  EXPECT_EQ(rc.decode_failures, 0U);
+  expect_bitwise_equal(clean.parameters(), faulted.parameters(),
+                       "whole-payload faults");
 }
 
 TEST(ChunkTrajectory, CheckpointResumeBitExactInChunkedMode) {

@@ -275,10 +275,10 @@ std::vector<float> run_sgd_sched(std::size_t engine_threads) {
   DistFixture f(4);
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
-  opt::DistSgd sgd({.momentum = 0.9, .error_feedback = true}, comm, f.ptrs);
+  opt::DistSgd sgd({.momentum = 0.9}, comm, f.ptrs);
   cc::CompressionEngine eng(engine_threads);
   sgd.set_engine(&eng);
-  const auto compso = cc::make_compso({});
+  const auto compso = cc::make_error_feedback(cc::make_compso({}));
   ct::Rng data_rng(1), sr_rng(2);
   for (std::size_t t = 0; t < 5; ++t) {
     f.run_fwd_bwd(data_rng);
