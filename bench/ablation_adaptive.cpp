@@ -12,30 +12,33 @@
 #include "bench/bench_util.hpp"
 
 #include "src/core/adaptive_schedule.hpp"
-#include "src/core/trainer.hpp"
+#include "src/core/ft_trainer.hpp"
 
 int main() {
   using namespace compso;
   bench::print_header("Ablation: iteration-wise adaptive compression");
 
-  core::TrainerConfig cfg;
-  cfg.noise = 1.2F;
-  cfg.classes = 12;
-  cfg.features = 24;
-  cfg.hidden = 24;
-  cfg.depth = 2;
-  cfg.batch_per_rank = 8;
-  const std::size_t iters = 120;
+  core::FtTrainerConfig cfg;
+  cfg.base.noise = 1.2F;
+  cfg.base.classes = 12;
+  cfg.base.features = 24;
+  cfg.base.hidden = 24;
+  cfg.base.depth = 2;
+  cfg.base.batch_per_rank = 8;
   const std::size_t drop = 70;
-  const optim::StepLr lr(0.01, 0.1, {drop});
-  optim::DistKfacConfig kc;
-  kc.damping = 0.1;
-  kc.aggregation = 4;  // the paper fixes the aggregation factor to 4
+  cfg.total_iterations = 120;
+  cfg.base_lr = 0.01;
+  cfg.lr_milestones = {drop};
+  cfg.kfac.damping = 0.1;
+  cfg.kfac.aggregation = 4;  // the paper fixes the aggregation factor to 4
 
-  const core::AdaptiveSchedule sched(lr, iters);
+  // The two fixed policies take the schedule's two stages.
+  const optim::StepLr lr(cfg.base_lr, cfg.lr_decay, cfg.lr_milestones);
+  const core::AdaptiveSchedule sched(lr, cfg.total_iterations);
   const auto aggressive = compress::make_compso(sched.params_at(0));
   const auto conservative = compress::make_compso(sched.params_at(drop));
 
+  // An empty provider trains with the trainer's own adaptive schedule.
   struct Policy {
     const char* name;
     core::CompressorProvider provider;
@@ -45,11 +48,7 @@ int main() {
        [&](std::size_t) { return aggressive.get(); }},
       {"fixed-conservative",
        [&](std::size_t) { return conservative.get(); }},
-      {"adaptive (Alg. 1)",
-       [&](std::size_t t) {
-         return sched.at(t).use_filter ? aggressive.get()
-                                       : conservative.get();
-       }},
+      {"adaptive (Alg. 1)", {}},
   };
 
   const int seeds = 3;
@@ -58,9 +57,9 @@ int main() {
   double base_acc = 0.0;
   for (int s = 0; s < seeds; ++s) {
     auto c = cfg;
-    c.seed = 1234 + static_cast<std::uint64_t>(s);
-    core::ClusterTrainer trainer(c);
-    base_acc += trainer.train_kfac(iters, lr, nullptr, kc).final_accuracy;
+    c.base.seed = 1234 + static_cast<std::uint64_t>(s);
+    c.compress = false;
+    base_acc += core::train(c).final_accuracy;
   }
   std::printf("%-20s | %8.1f%% %8s\n", "no compression",
               100.0 * base_acc / seeds, "1.0");
@@ -68,9 +67,8 @@ int main() {
     double acc = 0.0, cr = 0.0;
     for (int s = 0; s < seeds; ++s) {
       auto c = cfg;
-      c.seed = 1234 + static_cast<std::uint64_t>(s);
-      core::ClusterTrainer trainer(c);
-      const auto r = trainer.train_kfac(iters, lr, p.provider, kc);
+      c.base.seed = 1234 + static_cast<std::uint64_t>(s);
+      const auto r = core::train(c, p.provider);
       acc += r.final_accuracy;
       cr += r.avg_compression_ratio;
     }

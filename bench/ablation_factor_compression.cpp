@@ -10,8 +10,7 @@
 
 #include "bench/bench_util.hpp"
 
-#include "src/core/trainer.hpp"
-#include "src/optim/dist_kfac.hpp"
+#include "src/core/ft_trainer.hpp"
 
 namespace {
 
@@ -24,30 +23,18 @@ struct Run {
 };
 
 Run run_case(bool compress_grads, bool compress_factors) {
-  core::TrainerConfig cfg;
-  cfg.noise = 1.1F;
-  cfg.classes = 10;
-  cfg.features = 20;
-  cfg.hidden = 24;
-  cfg.depth = 2;
-  cfg.batch_per_rank = 8;
-
-  // Build the trainer pieces manually so the factor compressor can be
-  // attached (ClusterTrainer does not expose it).
-  std::vector<nn::Model> replicas;
-  for (std::size_t r = 0; r < cfg.world; ++r) {
-    tensor::Rng rng(cfg.seed);
-    replicas.push_back(nn::make_mlp_classifier(cfg.features, cfg.hidden,
-                                               cfg.classes, cfg.depth, rng));
-  }
-  std::vector<nn::Model*> ptrs;
-  for (auto& m : replicas) ptrs.push_back(&m);
-  comm::Communicator comm(comm::Topology::with_gpus(cfg.world),
-                          comm::NetworkModel::platform1());
-  optim::DistKfacConfig kc;
-  kc.damping = 0.1;
-  kc.aggregation = 4;  // the paper fixes the aggregation factor to 4
-  optim::DistKfac kfac(kc, comm, ptrs);
+  constexpr std::size_t kIters = 100;
+  core::FtTrainerConfig cfg;
+  cfg.base.noise = 1.1F;
+  cfg.base.classes = 10;
+  cfg.base.features = 20;
+  cfg.base.hidden = 24;
+  cfg.base.depth = 2;
+  cfg.base.batch_per_rank = 8;
+  cfg.base_lr = 0.01;
+  cfg.lr_milestones = {60};
+  cfg.kfac.damping = 0.1;
+  cfg.kfac.aggregation = 4;  // the paper fixes the aggregation factor to 4
 
   const auto grad_comp = compress::make_compso({});
   compress::CompsoParams factor_params;
@@ -55,24 +42,14 @@ Run run_case(bool compress_grads, bool compress_factors) {
   factor_params.quant_bound = 1e-3;   // conservative bound
   factor_params.use_filter = false;
   const auto factor_comp = compress::make_compso(factor_params);
-  if (compress_factors) kfac.set_factor_compressor(factor_comp.get());
 
-  nn::ClusterDataset dataset(cfg.features, cfg.classes, cfg.noise,
-                             cfg.seed ^ 0xDA7A5E7ULL);
-  tensor::Rng data_rng(cfg.seed ^ 0xBA7C4ULL), sr_rng(cfg.seed ^ 0x5121ULL);
-  const optim::StepLr lr(0.01, 0.1, {60});
+  core::FaultTolerantTrainer trainer(cfg);
+  optim::DistKfac& kfac = *trainer.kfac();
+  if (compress_factors) kfac.set_factor_compressor(factor_comp.get());
   Run out;
   double gcr = 0.0, fcr = 0.0;
-  for (std::size_t t = 0; t < 100; ++t) {
-    for (std::size_t r = 0; r < cfg.world; ++r) {
-      const auto batch = dataset.sample(cfg.batch_per_rank, data_rng);
-      const auto logits = replicas[r].forward(batch.x);
-      tensor::Tensor grad;
-      nn::softmax_cross_entropy(logits, batch.labels, grad);
-      replicas[r].backward(grad);
-    }
-    kfac.step(t, lr.lr(t), compress_grads ? grad_comp.get() : nullptr,
-              sr_rng);
+  for (std::size_t t = 0; t < kIters; ++t) {
+    trainer.step(compress_grads ? grad_comp.get() : nullptr);
     gcr += static_cast<double>(kfac.last_original_bytes()) /
            static_cast<double>(kfac.last_compressed_bytes());
     if (compress_factors) {
@@ -80,11 +57,9 @@ Run run_case(bool compress_grads, bool compress_factors) {
              static_cast<double>(kfac.last_factor_compressed_bytes());
     }
   }
-  out.grad_cr = gcr / 100.0;
-  out.factor_cr = compress_factors ? fcr / 100.0 : 1.0;
-  tensor::Rng eval_rng(cfg.seed ^ 0xE7A1ULL);
-  const auto batch = dataset.sample(512, eval_rng);
-  out.accuracy = nn::accuracy(replicas[0].forward(batch.x), batch.labels);
+  out.grad_cr = gcr / kIters;
+  out.factor_cr = compress_factors ? fcr / kIters : 1.0;
+  out.accuracy = trainer.evaluate();
   return out;
 }
 

@@ -18,7 +18,7 @@
 
 #include "bench/bench_util.hpp"
 
-#include "src/core/trainer.hpp"
+#include "src/core/ft_trainer.hpp"
 
 #include <cmath>
 #include <string_view>
@@ -33,16 +33,20 @@ struct FamilyRun {
   bool finite = true;
 };
 
-core::TrainerConfig workload() {
-  core::TrainerConfig c;
-  c.world = 4;
-  c.batch_per_rank = 8;
-  c.features = 20;
-  c.classes = 10;
-  c.hidden = 24;
-  c.depth = 2;
-  c.noise = 1.1F;
-  c.seed = 20250808;
+core::FtTrainerConfig workload(std::size_t iterations) {
+  core::FtTrainerConfig c;
+  c.base = {.world = 4,
+            .batch_per_rank = 8,
+            .features = 20,
+            .classes = 10,
+            .hidden = 24,
+            .depth = 2,
+            .noise = 1.1F,
+            .seed = 20250808};
+  c.optimizer = core::OptimizerKind::kSgd;
+  c.base_lr = 0.05;
+  c.lr_milestones = {80};
+  c.total_iterations = iterations;
   return c;
 }
 
@@ -83,8 +87,7 @@ int main(int argc, char** argv) {
   constexpr double kKeep = 0.05;     // aggressive top-k: EF has real work.
   constexpr double kSketchRatio = 0.25;
   constexpr std::uint64_t kSeed = 0x5EED;
-  const optim::StepLr lr(0.05, 0.1, {80});
-  core::ClusterTrainer trainer(workload());
+  const core::FtTrainerConfig cfg = workload(kIters);
 
   struct Candidate {
     const char* name;
@@ -115,7 +118,8 @@ int main(int argc, char** argv) {
     run.name = cand.name;
     // The EF wrapper is the only error-feedback mechanism: the plain
     // families run without one.
-    run.result = trainer.train_sgd(kIters, lr, cand.compressor.get());
+    const auto* compressor = cand.compressor.get();
+    run.result = core::train(cfg, [=](std::size_t) { return compressor; });
     run.finite = all_finite(run.result.loss_curve);
     std::printf("%-16s | %10.4f | %10.4f | %7.1fx%s\n", cand.name,
                 run.result.final_loss, tail_loss(run.result.loss_curve),

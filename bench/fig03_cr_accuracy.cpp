@@ -15,7 +15,7 @@
 
 #include "bench/bench_util.hpp"
 
-#include "src/core/trainer.hpp"
+#include "src/core/ft_trainer.hpp"
 #include "src/tensor/synthetic.hpp"
 
 namespace {
@@ -93,29 +93,26 @@ int main() {
       "compressor");
   // Compression-sensitive operating point: hard cluster task, fixed
   // iteration count matching the uncompressed baseline (paper protocol).
-  core::TrainerConfig cfg;
-  cfg.noise = 1.3F;
-  cfg.classes = 10;
-  cfg.features = 20;
-  cfg.hidden = 20;
-  cfg.depth = 3;
-  cfg.batch_per_rank = 8;
-  const compso::optim::StepLr lr(0.02, 0.1, {40});
-  compso::optim::DistKfacConfig kc;
-  kc.damping = 0.03;
-  kc.aggregation = 4;  // the paper fixes the aggregation factor to 4
-  const std::size_t iters = 60;
+  core::FtTrainerConfig cfg;
+  cfg.base.noise = 1.3F;
+  cfg.base.classes = 10;
+  cfg.base.features = 20;
+  cfg.base.hidden = 20;
+  cfg.base.depth = 3;
+  cfg.base.batch_per_rank = 8;
+  cfg.base_lr = 0.02;
+  cfg.lr_milestones = {40};
+  cfg.kfac.damping = 0.03;
+  cfg.kfac.aggregation = 4;  // the paper fixes the aggregation factor to 4
+  cfg.total_iterations = 60;
   const int seeds = 3;
 
   auto avg_acc = [&](const compress::GradientCompressor* c) {
     double acc = 0.0;
     for (int s = 0; s < seeds; ++s) {
       auto scfg = cfg;
-      scfg.seed = 1234 + static_cast<std::uint64_t>(s);
-      core::ClusterTrainer trainer(scfg);
-      const auto r = trainer.train_kfac(
-          iters, lr, [&](std::size_t) { return c; }, kc);
-      acc += r.final_accuracy;
+      scfg.base.seed = 1234 + static_cast<std::uint64_t>(s);
+      acc += core::train(scfg, [c](std::size_t) { return c; }).final_accuracy;
     }
     return 100.0 * acc / seeds;
   };

@@ -12,8 +12,7 @@
 
 #include "bench/bench_util.hpp"
 
-#include "src/core/adaptive_schedule.hpp"
-#include "src/core/trainer.hpp"
+#include "src/core/ft_trainer.hpp"
 
 namespace {
 
@@ -69,32 +68,36 @@ int main() {
   for (const auto& w : workloads()) {
     std::printf("\n--- %s (KFAC budget %zu iters, LR drop @%zu) ---\n",
                 w.name, kIters, kLrDrop);
-    core::ClusterTrainer trainer(w.cfg);
-    const optim::StepLr kfac_lr(0.01, 0.1, {kLrDrop});
-    const optim::StepLr sgd_lr(0.05, 0.1, {2 * kLrDrop});
-    optim::DistKfacConfig kc;
-    kc.damping = 0.1;
-    kc.aggregation = 4;  // the paper fixes the aggregation factor to 4
+    core::FtTrainerConfig kfac_cfg;
+    kfac_cfg.base = w.cfg;
+    kfac_cfg.base_lr = 0.01;
+    kfac_cfg.lr_milestones = {kLrDrop};
+    kfac_cfg.total_iterations = kIters;
+    kfac_cfg.kfac.damping = 0.1;
+    kfac_cfg.kfac.aggregation = 4;  // the paper fixes the aggregation to 4
+    kfac_cfg.compress = false;
+    core::FtTrainerConfig sgd_cfg = kfac_cfg;
+    sgd_cfg.optimizer = core::OptimizerKind::kSgd;
+    sgd_cfg.base_lr = 0.05;
+    sgd_cfg.lr_milestones = {2 * kLrDrop};
+    sgd_cfg.total_iterations = 2 * kIters;
 
     const auto cusz = compress::make_sz(4e-3);
     const auto qsgd = compress::make_qsgd(8);
     const auto cocktail = compress::make_cocktail(0.2, 8);
-    // COMPSO uses the iteration-wise adaptive schedule (Alg. 1):
-    // aggressive (filter+SR) before the LR drop, conservative after.
-    const core::AdaptiveSchedule sched(kfac_lr, kIters);
-    const auto compso_aggr = compress::make_compso(sched.params_at(0));
-    const auto compso_cons = compress::make_compso(sched.params_at(kLrDrop));
-    const auto compso_provider = [&](std::size_t t) {
-      return sched.at(t).use_filter ? compso_aggr.get() : compso_cons.get();
+    // One compressor for every iteration.
+    const auto fixed = [](const core::FtTrainerConfig& cfg,
+                          const compress::GradientCompressor* c) {
+      return core::train(cfg, [c](std::size_t) { return c; });
     };
 
-    const auto r_kfac = trainer.train_kfac(kIters, kfac_lr, nullptr, kc);
+    const auto r_kfac = core::train(kfac_cfg);
     // SGD gets a 2x budget; the "iterations to KFAC accuracy" ratio is the
     // paper's KFAC-vs-SGD iteration advantage. CocktailSGD runs with error
     // feedback, as published (a fresh wrapper: no residuals carry over).
-    const auto r_sgd = trainer.train_sgd(
-        2 * kIters, sgd_lr,
-        compress::make_error_feedback(compress::make_cocktail(0.2, 8)).get());
+    const auto ef_cocktail =
+        compress::make_error_feedback(compress::make_cocktail(0.2, 8));
+    const auto r_sgd = fixed(sgd_cfg, ef_cocktail.get());
     double ratio = 2.0;
     bool crossed = false;
     for (std::size_t i = 0; i < r_sgd.eval_curve.size(); ++i) {
@@ -106,14 +109,13 @@ int main() {
         break;
       }
     }
-    const auto r_cusz = trainer.train_kfac(
-        kIters, kfac_lr, [&](std::size_t) { return cusz.get(); }, kc);
-    const auto r_qsgd = trainer.train_kfac(
-        kIters, kfac_lr, [&](std::size_t) { return qsgd.get(); }, kc);
-    const auto r_cocktail = trainer.train_kfac(
-        kIters, kfac_lr, [&](std::size_t) { return cocktail.get(); }, kc);
-    const auto r_compso =
-        trainer.train_kfac(kIters, kfac_lr, compso_provider, kc);
+    const auto r_cusz = fixed(kfac_cfg, cusz.get());
+    const auto r_qsgd = fixed(kfac_cfg, qsgd.get());
+    const auto r_cocktail = fixed(kfac_cfg, cocktail.get());
+    // COMPSO uses the trainer's iteration-wise adaptive schedule (Alg. 1):
+    // aggressive (filter+SR) before the LR drop, conservative after.
+    kfac_cfg.compress = true;
+    const auto r_compso = core::train(kfac_cfg);
 
     std::printf("validation accuracy over training (20 eval points):\n");
     print_curve("SGD+CocktailSGD", r_sgd.eval_curve);

@@ -9,26 +9,33 @@
 #include "bench/bench_util.hpp"
 
 #include "src/core/adaptive_schedule.hpp"
-#include "src/core/trainer.hpp"
+#include "src/core/ft_trainer.hpp"
 
 int main() {
   using namespace compso;
   bench::print_header("Table 1: span-extraction fine-tuning (SQuAD proxy)");
 
-  core::SpanTrainerConfig cfg;
-  cfg.positions = 12;
-  cfg.features = 24;
-  cfg.hidden = 32;
-  cfg.depth = 2;
-  cfg.noise = 0.85F;
   const std::size_t kfac_iters = 160;   // "1000 iterations, 4 stages"
   const std::size_t sgd_iters = 208;    // LAMB uses ~1.3x more (paper)
-  core::SpanTrainer trainer(cfg);
-  const optim::StepLr kfac_lr(0.02, 0.1, {120});
-  const optim::StepLr sgd_lr(0.05, 0.1, {156});
-  optim::DistKfacConfig kc;
-  kc.damping = 0.03;
-  kc.aggregation = 4;  // the paper fixes the aggregation factor to 4
+  core::FtTrainerConfig kfac_cfg;
+  kfac_cfg.base.task = core::TrainTask::kSpans;
+  kfac_cfg.base.classes = 12;  // context positions
+  kfac_cfg.base.features = 24;
+  kfac_cfg.base.hidden = 32;
+  kfac_cfg.base.depth = 2;
+  kfac_cfg.base.noise = 0.85F;
+  kfac_cfg.base.seed = 99;
+  kfac_cfg.base_lr = 0.02;
+  kfac_cfg.lr_milestones = {120};
+  kfac_cfg.total_iterations = kfac_iters;
+  kfac_cfg.kfac.damping = 0.03;
+  kfac_cfg.kfac.aggregation = 4;  // the paper fixes the aggregation to 4
+  kfac_cfg.compress = false;
+  core::FtTrainerConfig sgd_cfg = kfac_cfg;
+  sgd_cfg.optimizer = core::OptimizerKind::kSgd;
+  sgd_cfg.base_lr = 0.05;
+  sgd_cfg.lr_milestones = {156};
+  sgd_cfg.total_iterations = sgd_iters;
 
   const auto cusz = compress::make_sz(4e-3);
   const auto qsgd = compress::make_qsgd(8);
@@ -55,36 +62,24 @@ int main() {
     nn::SpanMetrics m;
   };
   std::vector<Row> rows;
+  // One compressor for every iteration.
+  const auto fixed = [](const core::FtTrainerConfig& cfg,
+                        const compress::GradientCompressor* c) {
+    return core::train(cfg, [c](std::size_t) { return c; }).span;
+  };
   // CocktailSGD runs with error feedback, as published.
-  rows.push_back(
-      {"SGD+CocktailSGD", "20% sparsity + 8-bit quant.",
-       trainer
-           .train_sgd(sgd_iters, sgd_lr,
-                      compress::make_error_feedback(
-                          compress::make_cocktail(0.2, 8))
-                          .get())
-           .metrics});
-  rows.push_back({"KFAC (No Comp.)", "(n/a)",
-                  trainer.train_kfac(kfac_iters, kfac_lr, nullptr, kc)
-                      .metrics});
-  rows.push_back(
-      {"KFAC+cuSZ", "4E-3, relative to range",
-       trainer.train_kfac(kfac_iters, kfac_lr,
-                          [&](std::size_t) { return cusz.get(); }, kc)
-           .metrics});
-  rows.push_back(
-      {"KFAC+QSGD", "8-bit quant.",
-       trainer.train_kfac(kfac_iters, kfac_lr,
-                          [&](std::size_t) { return qsgd.get(); }, kc)
-           .metrics});
-  rows.push_back(
-      {"KFAC+CocktailSGD", "20% sparsity + 8-bit quant.",
-       trainer.train_kfac(kfac_iters, kfac_lr,
-                          [&](std::size_t) { return cocktail.get(); }, kc)
-           .metrics});
-  rows.push_back(
-      {"KFAC+COMPSO", "iteration-wise adaptive",
-       trainer.train_kfac(kfac_iters, kfac_lr, compso_provider, kc).metrics});
+  const auto ef_cocktail =
+      compress::make_error_feedback(compress::make_cocktail(0.2, 8));
+  rows.push_back({"SGD+CocktailSGD", "20% sparsity + 8-bit quant.",
+                  fixed(sgd_cfg, ef_cocktail.get())});
+  rows.push_back({"KFAC (No Comp.)", "(n/a)", core::train(kfac_cfg).span});
+  rows.push_back({"KFAC+cuSZ", "4E-3, relative to range",
+                  fixed(kfac_cfg, cusz.get())});
+  rows.push_back({"KFAC+QSGD", "8-bit quant.", fixed(kfac_cfg, qsgd.get())});
+  rows.push_back({"KFAC+CocktailSGD", "20% sparsity + 8-bit quant.",
+                  fixed(kfac_cfg, cocktail.get())});
+  rows.push_back({"KFAC+COMPSO", "iteration-wise adaptive",
+                  core::train(kfac_cfg, compso_provider).span});
 
   std::printf("%-18s %-28s | %8s %12s\n", "Approach", "Equiv. error control",
               "F1", "Exact Match");

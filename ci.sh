@@ -79,10 +79,12 @@
 # EF families (engine threads x corrupt/drop/NaN faults x resume);
 # test_sketch covers the sketch estimators' unbiasedness/variance over
 # >= 1000 seeded draws, counter-derived seed-stream determinism (TSan
-# keeps the concurrent per-stream counters honest), exact
-# max_payload_bytes, and payload/state damage rejection. The
-# bench_convergence_smoke gate fails unless EF-over-top-k beats plain
-# top-k at equal compression budget and every family's curve is finite.
+# keeps the concurrent per-stream counters honest), and payload/state
+# damage rejection. The bench_convergence_smoke gate fails unless
+# EF-over-top-k beats plain top-k at equal compression budget and every
+# family's curve is finite. The fig06_convergence and table1_squad runs
+# train every Fig. 6 and Table 1 row through core::train, including the
+# span task with compressors and table1's per-stage provider.
 #
 # The full default pass includes the two bench smoke gates
 # (bench/micro_math_throughput --smoke, bench/micro_train_throughput

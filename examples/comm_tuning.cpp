@@ -8,6 +8,7 @@
 // production; a synthetic sample here).
 
 #include "src/core/framework.hpp"
+#include "src/nn/model_zoo.hpp"
 #include "src/tensor/synthetic.hpp"
 
 #include <cstdio>

@@ -8,46 +8,36 @@
 // communication time saved.
 
 #include "src/comm/network_model.hpp"
-#include "src/core/adaptive_schedule.hpp"
-#include "src/core/trainer.hpp"
+#include "src/core/ft_trainer.hpp"
 
 #include <cstdio>
 
 int main() {
   using namespace compso;
 
-  core::TrainerConfig cfg;
-  cfg.world = 8;            // 8 simulated GPUs (2 nodes x 4)
-  cfg.classes = 10;
-  cfg.features = 20;
-  cfg.hidden = 24;
-  cfg.depth = 2;
-  cfg.noise = 1.1F;
-  core::ClusterTrainer trainer(cfg);
-
-  const std::size_t iterations = 100;
-  const optim::StepLr lr(0.01, 0.1, {60});
-  optim::DistKfacConfig kfac_cfg;
-  kfac_cfg.damping = 0.1;
+  core::FtTrainerConfig cfg;
+  cfg.base.world = 8;       // 8 simulated GPUs (2 nodes x 4)
+  cfg.base.classes = 10;
+  cfg.base.features = 20;
+  cfg.base.hidden = 24;
+  cfg.base.depth = 2;
+  cfg.base.noise = 1.1F;
+  cfg.total_iterations = 100;
+  cfg.base_lr = 0.01;
+  cfg.lr_milestones = {60};
+  cfg.kfac.damping = 0.1;
 
   std::printf("== baseline: distributed KFAC, no compression ==\n");
-  const auto base = trainer.train_kfac(iterations, lr, nullptr, kfac_cfg);
+  cfg.compress = false;
+  const auto base = core::train(cfg);
   std::printf("final accuracy %.1f%%, final loss %.4f\n\n",
               100.0 * base.final_accuracy, base.final_loss);
 
   std::printf("== distributed KFAC + COMPSO (adaptive schedule) ==\n");
   // Algorithm 1: aggressive (filter + SR) until the LR drop, then
   // conservative (SR-only, tighter bound).
-  const core::AdaptiveSchedule schedule(lr, iterations);
-  const auto aggressive = compress::make_compso(schedule.params_at(0));
-  const auto conservative = compress::make_compso(schedule.params_at(60));
-  const auto result = trainer.train_kfac(
-      iterations, lr,
-      [&](std::size_t t) {
-        return schedule.at(t).use_filter ? aggressive.get()
-                                         : conservative.get();
-      },
-      kfac_cfg);
+  cfg.compress = true;
+  const auto result = core::train(cfg);
   std::printf("final accuracy %.1f%% (baseline %.1f%%)\n",
               100.0 * result.final_accuracy, 100.0 * base.final_accuracy);
   std::printf("average compression ratio on the allgather: %.1fx\n",

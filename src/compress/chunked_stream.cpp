@@ -6,13 +6,6 @@ namespace compso::compress {
 
 namespace chunk = codec::chunk;
 
-void ChunkedProducer::reserve_for(std::size_t worst_payload_bytes,
-                                  std::size_t chunk_bytes) {
-  const std::size_t need =
-      chunk::wire_bytes_for(worst_payload_bytes, chunk_bytes);
-  if (wire_.capacity() < need) wire_.reserve(need);
-}
-
 void ChunkedProducer::frame(codec::ByteView payload,
                             std::size_t chunk_bytes) {
   payload_bytes_ = payload.size();

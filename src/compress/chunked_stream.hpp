@@ -13,10 +13,9 @@
 //   p.frame(payload, chunk_bytes);   // 0 = one chunk for the whole payload
 //   ... p.chunk(k) -> wire frame for round k
 //
-// Steady state is allocation-free once the wire buffer has grown:
-// frame() sizes it to exactly wire_bytes_for(payload) — the payload plus
-// one 29-byte header per chunk — and reserve_for pre-grows it to a
-// worst-case bound (e.g. the compressor's max_payload_bytes).
+// Steady state reuses the wire buffer's capacity: frame() sizes it to
+// exactly wire_bytes_for(payload) — the payload plus one 29-byte header
+// per chunk.
 
 #include "src/codec/chunk.hpp"
 #include "src/compress/compressor.hpp"
@@ -25,11 +24,6 @@ namespace compso::compress {
 
 class ChunkedProducer {
  public:
-  /// Pre-grows the wire buffer for payloads up to `worst_payload_bytes`
-  /// (e.g. GradientCompressor::max_payload_bytes) so every later frame()
-  /// of a smaller payload is allocation-free.
-  void reserve_for(std::size_t worst_payload_bytes, std::size_t chunk_bytes);
-
   /// Splits `payload` every `chunk_bytes` (0 = one chunk) and writes one
   /// sealed frame (header + body + CRC) per chunk into the wire buffer.
   void frame(codec::ByteView payload, std::size_t chunk_bytes);
@@ -37,8 +31,6 @@ class ChunkedProducer {
   std::size_t chunk_count() const noexcept { return count_; }
   /// The sealed wire frame of chunk `k` (header + body).
   codec::ByteView chunk(std::size_t k) const;
-  /// Wire-buffer capacity (for the steady-state allocation tests).
-  std::size_t wire_capacity() const noexcept { return wire_.capacity(); }
 
  private:
   std::size_t frame_offset(std::size_t k) const noexcept {

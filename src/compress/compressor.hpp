@@ -70,20 +70,6 @@ class GradientCompressor {
   /// GPU execution shape (see GpuProfile).
   virtual GpuProfile gpu_profile() const noexcept = 0;
 
-  /// Upper bound on compress()'s payload size for `values` elements.
-  /// ChunkedProducer::reserve_for pre-grows a wire buffer to
-  /// wire_bytes_for(max_payload_bytes(n)) once, so per-step payload-size
-  /// jitter (stochastic rounding changes the codec output a little every
-  /// step) never re-allocates in steady state. The default is a loose
-  /// generic bound; COMPSO overrides it with the exact per-blob worst
-  /// case so the reserve is sized per chunk, not per-payload slop.
-  virtual std::size_t max_payload_bytes(std::size_t values) const noexcept {
-    // Generic ceiling: header + fixed fields + 10 bytes/element covers
-    // every baseline (identity 4 B/elem, top-k 8 B/elem + indices, Elias
-    // gamma's worst expansion before the stored-mode fallback caps it).
-    return codec::wire::kHeaderSize + 64 + values * 10;
-  }
-
   /// Stream-aware compress_into. A *stream* names one logical payload
   /// slot that persists across steps — DistSgd uses slot*world+rank,
   /// DistKfac's gather path uses (owner rank, first owned slot) — so

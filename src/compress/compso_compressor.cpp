@@ -33,7 +33,6 @@
 #include "src/tensor/stats.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -147,27 +146,6 @@ class CompsoCompressor final : public GradientCompressor {
     }
     codec_->encode_into(scratch.packed, out);
     codec::wire::seal_payload(out);
-  }
-
-  std::size_t max_payload_bytes(std::size_t values) const noexcept override {
-    // Exact worst case of compress_into's layout, field by field. The
-    // packed-codes bound comes from the quantizer's math, not a blanket
-    // per-payload multiplier: |code| <= ceil(1 / (2 eb_q)) (value / step
-    // with step = 2 eb_q absmax, SR rounding away from zero at most once),
-    // so the zigzag code is < 2 ceil(1 / (2 eb_q)) + 1 and the bit width
-    // is data-independent up to that ceiling. Codec frames are bounded by
-    // their stored-mode fallback: header + mode byte + raw blob.
-    constexpr std::size_t kFrameOverhead = codec::detail::kHeaderSize + 1;
-    const double inv = 1.0 / (2.0 * params_.quant_bound);
-    const auto max_mag = static_cast<std::uint64_t>(std::ceil(inv));
-    const std::uint64_t zz_max = 2 * max_mag + 1;
-    const unsigned width =
-        std::min<unsigned>(64, static_cast<unsigned>(std::bit_width(zz_max)));
-    const std::size_t packed_worst = (values * width + 7) / 8;
-    const std::size_t bitmap_worst = (values + 7) / 8;
-    return codec::wire::kHeaderSize + 10 +
-           (params_.use_filter ? 16 + kFrameOverhead + bitmap_worst : 0) +
-           kFrameOverhead + packed_worst;
   }
 
   std::vector<float> decompress(ByteView payload) const override {

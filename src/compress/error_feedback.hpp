@@ -7,9 +7,9 @@
 // step instead of lost ("Error Compensated Distributed SGD Can Be
 // Accelerated", Qian et al.; mxnet's 2-bit quantizer keeps the same
 // residual per slot). The payload on the wire is the inner compressor's
-// payload, unchanged — decompress/validation/max_payload_bytes all
-// delegate — so the chunked pipeline, fuzz contract, and recovery ladder
-// see a normal inner-format frame.
+// payload, unchanged — decompress and validation delegate — so the
+// chunked pipeline, fuzz contract, and recovery ladder see a normal
+// inner-format frame.
 //
 // Residual lifecycle (the part the recovery ladder cares about):
 //  - compress_stream_into snapshots the residual before updating it;
@@ -64,9 +64,6 @@ class ErrorFeedbackCompressor final : public GradientCompressor,
   void notify_fallback(std::uint64_t stream) const noexcept override;
   void reset_stream(std::uint64_t stream) const noexcept override;
   GpuProfile gpu_profile() const noexcept override;
-  std::size_t max_payload_bytes(std::size_t values) const noexcept override {
-    return inner_->max_payload_bytes(values);
-  }
 
   // --- StatefulCompressor ---
   void serialize_state(Bytes& out) const override;

@@ -244,12 +244,6 @@ class CountSketchCompressor final : public GradientCompressor,
     return p;
   }
 
-  std::size_t max_payload_bytes(std::size_t values) const noexcept override {
-    const std::size_t w = count_sketch_width(values, ratio_, rows_);
-    return wire::kHeaderSize + 8 + 4 + 8 +
-           static_cast<std::size_t>(rows_) * w * sizeof(float);
-  }
-
   void serialize_state(Bytes& out) const override { seeds_.serialize(out); }
   void deserialize_state(wire::Reader& reader) override {
     seeds_.deserialize(reader);
@@ -358,10 +352,6 @@ class RandomProjectionCompressor final : public GradientCompressor,
     p.bandwidth_efficiency = 0.7;
     p.memory_passes = 2.0;
     return p;
-  }
-
-  std::size_t max_payload_bytes(std::size_t values) const noexcept override {
-    return wire::kHeaderSize + 8 + 8 + total_rows(values) * sizeof(float);
   }
 
   void serialize_state(Bytes& out) const override { seeds_.serialize(out); }

@@ -27,8 +27,7 @@
 // count, CRC32; every embedded field is validated against the remaining
 // bytes and the expected geometry for the claimed element count, so a
 // truncated or corrupted sketch throws PayloadError before any
-// allocation. max_payload_bytes is exact (sketch sizes are deterministic
-// in n), which keeps the chunked streaming pipeline allocation-free.
+// allocation.
 
 #include "src/compress/compressor.hpp"
 

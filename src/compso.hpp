@@ -23,7 +23,6 @@
 #include "src/core/framework.hpp"
 #include "src/core/ft_trainer.hpp"
 #include "src/core/perf_sim.hpp"
-#include "src/core/trainer.hpp"
 #include "src/gpusim/device_model.hpp"
 #include "src/nn/attention.hpp"
 #include "src/nn/conv.hpp"

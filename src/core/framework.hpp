@@ -5,7 +5,7 @@
 // per-iteration compressor handed to the distributed optimizer.
 
 #include "src/core/adaptive_schedule.hpp"
-#include "src/core/trainer.hpp"
+#include "src/core/ft_trainer.hpp"
 #include "src/obs/obs.hpp"
 #include "src/perf/perf_model.hpp"
 
@@ -98,7 +98,7 @@ class CompsoFramework {
   /// Compressor for iteration t (cached per schedule stage).
   const compress::GradientCompressor* compressor_for(std::size_t t) const;
 
-  /// Adapter for the trainers.
+  /// Adapter for core::train().
   CompressorProvider provider() const {
     return [this](std::size_t t) { return compressor_for(t); };
   }

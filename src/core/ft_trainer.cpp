@@ -4,8 +4,10 @@
 #include "src/common/thread_pool.hpp"
 #include "src/compress/error_feedback.hpp"
 #include "src/compress/payload_fuzz.hpp"
+#include "src/nn/model_zoo.hpp"
 #include "src/tensor/matrix_ops.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -21,31 +23,118 @@ constexpr std::uint64_t kSketchSeedSalt = 0x5EEDC0DEULL;
 /// them. A frame of any other layout is rejected.
 constexpr std::uint8_t kCheckpointLayout = 2;
 
+// ------------------------------------------------------------ the task
+// Everything that differs between the proxy tasks lives here and in
+// forward_backward / evaluate / evaluate_spans: the RNG streams, the
+// model, a batch's loss, and the held-out evaluation.
+
+/// Per-task salts, XORed into TrainerConfig::seed, one stream each.
+/// Changing one changes every trajectory of that task.
+struct TaskStreams {
+  std::uint64_t dataset;    ///< the dataset's planted structure.
+  std::uint64_t batches;    ///< training batches, drawn in rank order.
+  std::uint64_t kfac_step;  ///< DistKfac's per-step generator.
+  std::uint64_t sgd_step;   ///< DistSgd's per-step generator.
+  std::uint64_t eval;       ///< the fixed 512-sample held-out batch.
+};
+constexpr TaskStreams kStreams[] = {
+    /* kClusters */ {0xDA7A5E7ULL, 0xBA7C4ULL, 0x5121ULL, 0x5122ULL, 0xE7A1ULL},
+    /* kSpans    */ {0x51AD5ULL, 0xBA7C5ULL, 0x5123ULL, 0x5124ULL, 0xE7A2ULL},
+};
+
+const TaskStreams& streams(const TrainerConfig& cfg) {
+  return kStreams[static_cast<std::size_t>(cfg.task)];
+}
+
+constexpr std::size_t kEvalSamples = 512;
+
+std::variant<nn::ClusterDataset, nn::SpanDataset> make_dataset(
+    const TrainerConfig& cfg) {
+  const std::uint64_t seed = cfg.seed ^ streams(cfg).dataset;
+  if (cfg.task == TrainTask::kSpans) {
+    return nn::SpanDataset(cfg.classes, cfg.features, cfg.noise, seed);
+  }
+  return nn::ClusterDataset(cfg.features, cfg.classes, cfg.noise, seed);
+}
+
 std::vector<nn::Model> build_replicas(const TrainerConfig& cfg) {
   std::vector<nn::Model> replicas;
   replicas.reserve(cfg.world);
   for (std::size_t r = 0; r < cfg.world; ++r) {
     tensor::Rng rng(cfg.seed);  // same seed -> identical initial weights
-    replicas.push_back(nn::make_mlp_classifier(cfg.features, cfg.hidden,
-                                               cfg.classes, cfg.depth, rng));
+    replicas.push_back(
+        cfg.task == TrainTask::kSpans
+            ? nn::make_span_model(cfg.features, cfg.hidden, cfg.classes,
+                                  cfg.depth, rng)
+            : nn::make_mlp_classifier(cfg.features, cfg.hidden, cfg.classes,
+                                      cfg.depth, rng));
   }
   return replicas;
 }
 
 }  // namespace
 
+double FaultTolerantTrainer::forward_backward(nn::Model& model) {
+  const std::size_t b = cfg_.base.batch_per_rank;
+  tensor::Tensor grad;
+  double loss = 0.0;
+  if (const auto* spans = std::get_if<nn::SpanDataset>(&dataset_)) {
+    const auto batch = spans->sample(b, data_rng_);
+    loss = nn::span_cross_entropy(model.forward(batch.x), batch.start,
+                                  batch.end, grad);
+  } else {
+    const auto batch = std::get<nn::ClusterDataset>(dataset_).sample(
+        b, data_rng_);
+    loss = nn::softmax_cross_entropy(model.forward(batch.x), batch.labels,
+                                     grad);
+  }
+  model.backward(grad);
+  return loss;
+}
+
+double FaultTolerantTrainer::evaluate() {
+  const auto* clusters = std::get_if<nn::ClusterDataset>(&dataset_);
+  if (clusters == nullptr) return evaluate_spans().exact_match / 100.0;
+  tensor::Rng rng(cfg_.base.seed ^ streams(cfg_.base).eval);
+  const auto batch = clusters->sample(kEvalSamples, rng);
+  return nn::accuracy(lead_replica().forward(batch.x), batch.labels);
+}
+
+nn::SpanMetrics FaultTolerantTrainer::evaluate_spans() {
+  const auto& spans = std::get<nn::SpanDataset>(dataset_);
+  tensor::Rng rng(cfg_.base.seed ^ streams(cfg_.base).eval);
+  const auto batch = spans.sample(kEvalSamples, rng);
+  const auto logits = lead_replica().forward(batch.x);
+  // Each head predicts its argmax position (first maximum on ties).
+  const std::size_t p = spans.positions();
+  std::vector<int> ps(logits.rows()), pe(logits.rows());
+  for (std::size_t r = 0; r < logits.rows(); ++r) {
+    std::size_t bs = 0, be = 0;
+    for (std::size_t c = 1; c < p; ++c) {
+      if (logits.at(r, c) > logits.at(r, bs)) bs = c;
+      if (logits.at(r, p + c) > logits.at(r, p + be)) be = c;
+    }
+    ps[r] = static_cast<int>(bs);
+    pe[r] = static_cast<int>(be);
+  }
+  return nn::span_metrics(ps, pe, batch.start, batch.end);
+}
+
+// ------------------------------------------------------------ the trainer
+
 FaultTolerantTrainer::FaultTolerantTrainer(FtTrainerConfig config)
     : cfg_(std::move(config)),
-      dataset_(cfg_.base.features, cfg_.base.classes, cfg_.base.noise,
-               cfg_.base.seed ^ 0xDA7A5E7ULL),
+      dataset_(make_dataset(cfg_.base)),
       replicas_(build_replicas(cfg_.base)),
       comm_(comm::Topology::with_gpus(cfg_.base.world),
             comm::NetworkModel::platform1()),
       lr_(cfg_.base_lr, cfg_.lr_decay, cfg_.lr_milestones),
       schedule_(lr_, cfg_.total_iterations, cfg_.schedule),
       engine_(cfg_.engine_threads),
-      data_rng_(cfg_.base.seed ^ 0xBA7C4ULL),
-      sr_rng_(cfg_.base.seed ^ 0x5121ULL) {
+      data_rng_(cfg_.base.seed ^ streams(cfg_.base).batches),
+      sr_rng_(cfg_.base.seed ^ (cfg_.optimizer == OptimizerKind::kKfac
+                                    ? streams(cfg_.base).kfac_step
+                                    : streams(cfg_.base).sgd_step)) {
   comm_.set_membership_config(cfg_.membership);
   // Persistent family compressor (DESIGN.md §17): the only place error
   // feedback comes from — kCompso is plain COMPSO, as in the paper.
@@ -141,6 +230,24 @@ void FaultTolerantTrainer::set_obs(obs::ObsHooks hooks) {
 }
 
 double FaultTolerantTrainer::step() {
+  if (!cfg_.compress) return step(nullptr);
+  if (cfg_.family == CompressorFamily::kCompso) {
+    // Post-NaN conservative mode: no filtering, half the SR bound (see
+    // effective_params).
+    const auto compso = compress::make_compso(effective_params(iteration_));
+    return step(compso.get());
+  }
+  if (cfg_.family == CompressorFamily::kEfCompso) {
+    // EF-over-COMPSO follows the same adaptive schedule: swap the inner
+    // compressor, keep the residual streams.
+    static_cast<compress::ErrorFeedbackCompressor*>(family_compressor_.get())
+        ->set_inner(compress::make_compso(effective_params(iteration_)));
+  }
+  return step(family_compressor_.get());
+}
+
+double FaultTolerantTrainer::step(
+    const compress::GradientCompressor* compressor) {
   const std::size_t t = iteration_;
   obs_.count("trainer.steps");
   auto step_span = obs_.span(obs::kMainTrack, "trainer.step", "trainer");
@@ -156,11 +263,7 @@ double FaultTolerantTrainer::step() {
   double loss = 0.0;
   for (std::size_t r = 0; r < cfg_.base.world; ++r) {
     if (!comm_.is_participating(r)) continue;
-    const auto batch = dataset_.sample(cfg_.base.batch_per_rank, data_rng_);
-    const auto logits = replicas_[r].forward(batch.x);
-    tensor::Tensor grad;
-    loss += nn::softmax_cross_entropy(logits, batch.labels, grad);
-    replicas_[r].backward(grad);
+    loss += forward_backward(replicas_[r]);
     if (injector_ != nullptr &&
         injector_->take(comm::FaultKind::kNanGradient, r)) {
       poison_gradients(replicas_[r]);
@@ -169,31 +272,11 @@ double FaultTolerantTrainer::step() {
   loss /= static_cast<double>(comm_.participant_count());
   compute_span.end();
 
-  std::unique_ptr<compress::GradientCompressor> compressor;
-  const compress::GradientCompressor* active = nullptr;
-  if (cfg_.compress) {
-    if (cfg_.family == CompressorFamily::kCompso) {
-      // Post-NaN conservative mode: no filtering, half the SR bound (see
-      // effective_params).
-      compressor = compress::make_compso(effective_params(t));
-      active = compressor.get();
-    } else {
-      if (cfg_.family == CompressorFamily::kEfCompso) {
-        // EF-over-COMPSO follows the same adaptive schedule: swap the
-        // inner compressor, keep the residual streams.
-        static_cast<compress::ErrorFeedbackCompressor*>(
-            family_compressor_.get())
-            ->set_inner(compress::make_compso(effective_params(t)));
-      }
-      active = family_compressor_.get();
-    }
-  }
-
   const auto skips_before = comm_.recovery().nonfinite_skips;
   if (kfac_ != nullptr) {
-    kfac_->step(t, lr_.lr(t), active, sr_rng_);
+    kfac_->step(t, lr_.lr(t), compressor, sr_rng_);
   } else {
-    sgd_->step(lr_.lr(t), active, sr_rng_);
+    sgd_->step(lr_.lr(t), compressor, sr_rng_);
   }
   if (comm_.recovery().nonfinite_skips > skips_before && !tightened_) {
     tightened_ = true;
@@ -253,13 +336,6 @@ std::vector<double> FaultTolerantTrainer::run(std::size_t iterations) {
   losses.reserve(iterations);
   for (std::size_t i = 0; i < iterations; ++i) losses.push_back(step());
   return losses;
-}
-
-double FaultTolerantTrainer::evaluate() {
-  tensor::Rng rng(cfg_.base.seed ^ 0xE7A1ULL);
-  const auto batch = dataset_.sample(512, rng);
-  const auto logits = lead_replica().forward(batch.x);
-  return nn::accuracy(logits, batch.labels);
 }
 
 std::vector<float> FaultTolerantTrainer::parameters() {
@@ -486,6 +562,49 @@ void FaultTolerantTrainer::restore(ckpt::ByteView frame) {
 void FaultTolerantTrainer::load_checkpoint(const std::string& path) {
   const auto frame = ckpt::read_file(path);
   restore(frame);
+}
+
+TrainResult train(const FtTrainerConfig& config,
+                  const CompressorProvider& provider) {
+  FaultTolerantTrainer trainer(config);
+  const std::size_t n = config.total_iterations;
+  const std::size_t eval_every = std::max<std::size_t>(n / 20, 1);
+  TrainResult result;
+  double cr_sum = 0.0;
+  std::size_t cr_n = 0;
+  for (std::size_t t = 0; t < n; ++t) {
+    bool compressed = config.compress;
+    if (provider) {
+      const auto* compressor = provider(t);
+      compressed = compressor != nullptr;
+      result.loss_curve.push_back(trainer.step(compressor));
+    } else {
+      result.loss_curve.push_back(trainer.step());
+    }
+    const auto* kfac = trainer.kfac();
+    const auto* sgd = trainer.sgd();
+    const std::uint64_t orig = kfac != nullptr ? kfac->last_original_bytes()
+                                               : sgd->last_original_bytes();
+    const std::uint64_t comp = kfac != nullptr
+                                   ? kfac->last_compressed_bytes()
+                                   : sgd->last_compressed_bytes();
+    if (compressed && comp > 0) {
+      cr_sum += static_cast<double>(orig) / static_cast<double>(comp);
+      ++cr_n;
+    }
+    if ((t + 1) % eval_every == 0) {
+      result.eval_curve.push_back(trainer.evaluate());
+    }
+  }
+  result.final_accuracy = trainer.evaluate();
+  result.final_loss =
+      result.loss_curve.empty() ? 0.0 : result.loss_curve.back();
+  result.avg_compression_ratio =
+      cr_n > 0 ? cr_sum / static_cast<double>(cr_n) : 1.0;
+  if (config.base.task == TrainTask::kSpans) {
+    result.span = trainer.evaluate_spans();
+  }
+  return result;
 }
 
 }  // namespace compso::core

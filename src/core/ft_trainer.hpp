@@ -1,8 +1,9 @@
 #pragma once
-// Fault-tolerant training runtime (DESIGN.md §9): a persistent trainer that
-// owns the dataset, replicas, Communicator, optimizer, and RNG streams for
-// the whole run — unlike ClusterTrainer, which rebuilds them per call —
-// so it can
+// The training runtime (DESIGN.md §9), the one training loop of the
+// library: a persistent trainer that owns the dataset, replicas,
+// Communicator, optimizer, and RNG streams for the whole run on either
+// proxy task — Gaussian-cluster classification (Fig. 6, Fig. 3) or span
+// extraction (Table 1) — so it can
 //
 //  - drive a seeded FaultPlan through the Communicator (transport faults)
 //    and through the training loop itself (kNanGradient poisoning),
@@ -15,20 +16,53 @@
 //    RNG streams, rank liveness; see core/checkpoint.hpp).
 //
 // Every fault observed and every recovery action taken lands in the
-// Communicator's RecoveryStats, next to CommStats.
+// Communicator's RecoveryStats, next to CommStats. core::train() runs one
+// fresh trainer for a whole run and returns the curves the convergence
+// benches print.
 
 #include "src/comm/communicator.hpp"
 #include "src/compress/compression_engine.hpp"
 #include "src/core/adaptive_schedule.hpp"
 #include "src/core/checkpoint.hpp"
-#include "src/core/trainer.hpp"
+#include "src/nn/dataset.hpp"
+#include "src/optim/dist_kfac.hpp"
+#include "src/optim/dist_sgd.hpp"
+#include "src/optim/lr_scheduler.hpp"
 #include "src/optim/recovery.hpp"
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace compso::core {
+
+/// Returns the compressor to use at iteration t (nullptr = no compression).
+/// How a compressor no FtTrainerConfig field expresses — a fixed baseline,
+/// a custom stage schedule — plugs into training.
+using CompressorProvider =
+    std::function<const compress::GradientCompressor*(std::size_t t)>;
+
+/// The proxy learning problem the replicas train on.
+enum class TrainTask : std::uint8_t {
+  kClusters = 0,  ///< Gaussian-cluster classification (MLP classifier).
+  kSpans = 1,     ///< span extraction: start and end heads over positions.
+};
+
+struct TrainerConfig {
+  std::size_t world = 4;
+  std::size_t batch_per_rank = 16;
+  std::size_t features = 24;
+  /// Classes of the cluster task; positions of the span task (each of its
+  /// two heads classifies over the positions).
+  std::size_t classes = 6;
+  std::size_t hidden = 24;
+  std::size_t depth = 2;
+  float noise = 0.7F;
+  std::uint64_t seed = 1234;
+  TrainTask task = TrainTask::kClusters;
+};
 
 enum class OptimizerKind : std::uint8_t { kSgd = 0, kKfac = 1 };
 
@@ -48,7 +82,7 @@ enum class CompressorFamily : std::uint8_t {
 };
 
 struct FtTrainerConfig {
-  TrainerConfig base{};  ///< cluster / model / seed, as for ClusterTrainer.
+  TrainerConfig base{};  ///< task / cluster / model / seed.
   OptimizerKind optimizer = OptimizerKind::kKfac;
   optim::DistKfacConfig kfac{};
   optim::DistSgdConfig sgd{};
@@ -71,7 +105,8 @@ struct FtTrainerConfig {
   CompressorFamily family = CompressorFamily::kCompso;
   double family_keep_fraction = 0.1;  ///< top-k keep for the TopK families.
   double family_sketch_ratio = 0.25;  ///< size ratio for sketch families.
-  std::size_t total_iterations = 100;  ///< sizes the adaptive schedule.
+  /// Sizes the adaptive schedule; also core::train()'s run length.
+  std::size_t total_iterations = 100;
   AdaptiveScheduleParams schedule{};
   /// Worker threads for the parallel compression engine. 0 = serial
   /// (compress inline on the training thread). Any value produces
@@ -91,14 +126,25 @@ class FaultTolerantTrainer {
   /// mutator from the compress layer). Call before the affected iterations.
   void set_fault_plan(comm::FaultPlan plan, std::uint64_t seed);
 
-  /// Runs one training iteration over the surviving ranks; returns their
-  /// mean loss. Consumes the iteration's scheduled faults.
+  /// Runs one training iteration over the surviving ranks with the
+  /// compressor the config picks (see `compress` / `family`); returns
+  /// their mean loss. Consumes the iteration's scheduled faults.
   double step();
+  /// The same iteration with a caller-owned compressor (nullptr = no
+  /// compression). It never touches the family compressor, and
+  /// checkpoint() does not save this compressor's state: a stateful one
+  /// (error-feedback residuals, sketch counters) is the caller's to keep.
+  double step(const compress::GradientCompressor* compressor);
   /// Runs `iterations` steps; returns the per-iteration loss curve.
   std::vector<double> run(std::size_t iterations);
 
-  /// Held-out accuracy of the first surviving replica.
+  /// Held-out accuracy of the first surviving replica: class accuracy for
+  /// the cluster task, exact-match fraction for the span task.
   double evaluate();
+  /// SQuAD-style F1 / exact match (percent) of the first surviving replica
+  /// on the held-out span sample. Span task only: the cluster task throws
+  /// std::bad_variant_access.
+  nn::SpanMetrics evaluate_spans();
   /// Flattened parameters of the first surviving replica (for drift /
   /// bit-exactness checks in tests).
   std::vector<float> parameters();
@@ -112,6 +158,11 @@ class FaultTolerantTrainer {
   const comm::Communicator& comm() const noexcept { return comm_; }
   const AdaptiveSchedule& schedule() const noexcept { return schedule_; }
   compress::CompressionEngine& engine() noexcept { return engine_; }
+  /// The optimizer of the run: exactly one of the two is non-null. Through
+  /// it a caller attaches a §7 factor compressor or reads the last step's
+  /// exchange volume.
+  optim::DistKfac* kfac() noexcept { return kfac_.get(); }
+  optim::DistSgd* sgd() noexcept { return sgd_.get(); }
 
   /// The compressor parameters iteration `t` would train with, including
   /// the post-NaN tightening override — what a resumed run must reproduce
@@ -152,6 +203,9 @@ class FaultTolerantTrainer {
   void load_checkpoint(const std::string& path);
 
  private:
+  /// Samples this rank's batch, runs forward, the task's loss and
+  /// backward on `model`; returns the batch loss.
+  double forward_backward(nn::Model& model);
   void poison_gradients(nn::Model& model);
   nn::Model& lead_replica() { return replicas_[comm_.first_participant()]; }
   /// Re-syncs the shared (rank-agnostic) training state — schedule cursor,
@@ -162,7 +216,7 @@ class FaultTolerantTrainer {
   void resync_shared_state(std::size_t t);
 
   FtTrainerConfig cfg_;
-  nn::ClusterDataset dataset_;
+  std::variant<nn::ClusterDataset, nn::SpanDataset> dataset_;
   std::vector<nn::Model> replicas_;
   comm::Communicator comm_;
   optim::StepLr lr_;
@@ -180,5 +234,20 @@ class FaultTolerantTrainer {
   bool tightened_ = false;  ///< adaptive bounds tightened after a NaN event.
   obs::ObsHooks obs_;
 };
+
+struct TrainResult {
+  std::vector<double> loss_curve;      ///< training loss per iteration.
+  std::vector<double> eval_curve;      ///< evaluate() every max(n/20, 1).
+  double final_accuracy = 0.0;         ///< evaluate() at the end.
+  double final_loss = 0.0;
+  double avg_compression_ratio = 1.0;  ///< over the compressed steps.
+  nn::SpanMetrics span{};              ///< final F1 / EM (span task only).
+};
+
+/// Trains a fresh trainer for `config.total_iterations` steps. Each step
+/// uses `provider(t)` when a provider is given (see
+/// FaultTolerantTrainer::step(compressor)), else the config's compressor.
+TrainResult train(const FtTrainerConfig& config,
+                  const CompressorProvider& provider = {});
 
 }  // namespace compso::core

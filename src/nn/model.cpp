@@ -75,6 +75,33 @@ double softmax_cross_entropy(const Tensor& logits,
   return total / static_cast<double>(batch);
 }
 
+double span_cross_entropy(const Tensor& logits, const std::vector<int>& start,
+                          const std::vector<int>& end, Tensor& grad) {
+  if (logits.rank() != 2 || logits.cols() % 2 != 0) {
+    throw std::invalid_argument("span_cross_entropy: shape mismatch");
+  }
+  const std::size_t b = logits.rows();
+  const std::size_t p = logits.cols() / 2;
+  Tensor start_logits({b, p}), end_logits({b, p});
+  for (std::size_t r = 0; r < b; ++r) {
+    for (std::size_t c = 0; c < p; ++c) {
+      start_logits.at(r, c) = logits.at(r, c);
+      end_logits.at(r, c) = logits.at(r, p + c);
+    }
+  }
+  Tensor gs, ge;
+  const double ls = softmax_cross_entropy(start_logits, start, gs);
+  const double le = softmax_cross_entropy(end_logits, end, ge);
+  grad = Tensor({b, 2 * p});
+  for (std::size_t r = 0; r < b; ++r) {
+    for (std::size_t c = 0; c < p; ++c) {
+      grad.at(r, c) = 0.5F * gs.at(r, c);
+      grad.at(r, p + c) = 0.5F * ge.at(r, c);
+    }
+  }
+  return 0.5 * (ls + le);
+}
+
 double mse_loss(const Tensor& pred, const Tensor& target, Tensor& grad) {
   if (pred.size() != target.size()) {
     throw std::invalid_argument("mse_loss: shape mismatch");

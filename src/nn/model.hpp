@@ -40,6 +40,12 @@ class Model {
 double softmax_cross_entropy(const Tensor& logits,
                              const std::vector<int>& labels, Tensor& grad);
 
+/// Span-extraction loss over logits (batch, 2·positions): the first
+/// `positions` columns are the start head, the rest the end head. Returns
+/// the mean of the two heads' softmax cross-entropies; grad as above.
+double span_cross_entropy(const Tensor& logits, const std::vector<int>& start,
+                          const std::vector<int>& end, Tensor& grad);
+
 /// Mean squared error; grad as above.
 double mse_loss(const Tensor& pred, const Tensor& target, Tensor& grad);
 

@@ -1,7 +1,8 @@
 // Checkpoint format + resume: a restored FaultTolerantTrainer must
 // continue the exact FP32 trajectory and RNG streams of an uninterrupted
-// run (bit-exact), and damaged or mismatched checkpoints must be rejected
-// by the wire-format validation layer, never silently resumed from.
+// run (bit-exact) on either task, and damaged or mismatched checkpoints
+// must be rejected by the wire-format validation layer, never silently
+// resumed from.
 
 #include "src/compso.hpp"
 
@@ -10,6 +11,7 @@
 #include <bit>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 namespace cm = compso::comm;
 namespace core = compso::core;
@@ -121,6 +123,51 @@ TEST(CheckpointResume, BitExactContinuation) {
 
     EXPECT_EQ(resumed.parameters(), straight.parameters());
   }
+}
+
+// The span task resumes bit-exactly too: the same frame layout carries
+// its two-head model, and both optimizers continue the straight run.
+TEST(CheckpointResume, SpanTaskBitExactContinuation) {
+  for (const auto kind : {core::OptimizerKind::kKfac,
+                          core::OptimizerKind::kSgd}) {
+    auto cfg = small_config(kind);
+    cfg.base.task = core::TrainTask::kSpans;
+    core::FaultTolerantTrainer straight(cfg);
+    const auto losses = straight.run(30);
+
+    core::FaultTolerantTrainer first_half(cfg);
+    first_half.run(15);
+    const auto frame = first_half.checkpoint();
+
+    core::FaultTolerantTrainer resumed(cfg);
+    resumed.restore(frame);
+    EXPECT_EQ(resumed.iteration(), 15U);
+    const auto tail = resumed.run(15);
+
+    EXPECT_EQ(resumed.parameters(), straight.parameters());
+    EXPECT_EQ(tail, std::vector<double>(losses.begin() + 15, losses.end()));
+    EXPECT_EQ(resumed.evaluate(), straight.evaluate());
+  }
+}
+
+// The config echo does not name the task: a frame of the other task with
+// the same sizes fails on the head tensor, whose size differs (span heads
+// hold 2·classes·hidden weights, the cluster head classes·hidden).
+TEST(CheckpointResume, RejectsFrameOfTheOtherTask) {
+  auto clusters = small_config(core::OptimizerKind::kKfac);
+  auto spans = clusters;
+  spans.base.task = core::TrainTask::kSpans;
+  core::FaultTolerantTrainer cluster_run(clusters);
+  core::FaultTolerantTrainer span_run(spans);
+  cluster_run.run(3);
+  span_run.run(3);
+
+  core::FaultTolerantTrainer into_clusters(clusters);
+  EXPECT_THROW(into_clusters.restore(span_run.checkpoint()),
+               compso::PayloadError);
+  core::FaultTolerantTrainer into_spans(spans);
+  EXPECT_THROW(into_spans.restore(cluster_run.checkpoint()),
+               compso::PayloadError);
 }
 
 // Checkpointing mid-drill must preserve the fault aftermath: the shrunken

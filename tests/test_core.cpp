@@ -4,7 +4,7 @@
 #include "src/core/adaptive_schedule.hpp"
 #include "src/core/framework.hpp"
 #include "src/core/perf_sim.hpp"
-#include "src/core/trainer.hpp"
+#include "src/core/ft_trainer.hpp"
 #include "src/tensor/synthetic.hpp"
 
 #include <gtest/gtest.h>
@@ -215,54 +215,78 @@ TEST(PerfSim, CompressionRatioNearPaperHeadline) {
 
 // --- trainer integration ---
 
+/// Uncompressed distributed KFAC on the default cluster task.
+cc::FtTrainerConfig kfac_run(std::size_t iterations, double lr,
+                             std::vector<std::size_t> milestones) {
+  cc::FtTrainerConfig cfg;
+  cfg.total_iterations = iterations;
+  cfg.base_lr = lr;
+  cfg.lr_milestones = std::move(milestones);
+  cfg.kfac.damping = 0.03;
+  cfg.compress = false;
+  return cfg;
+}
+
 TEST(TrainerIntegration, KfacConvergesOnClusters) {
-  cc::TrainerConfig cfg;
-  cc::ClusterTrainer trainer(cfg);
-  compso::optim::StepLr lr(0.02, 0.1, {60});
-  compso::optim::DistKfacConfig kc;
-  kc.damping = 0.03;
-  const auto r = trainer.train_kfac(60, lr, nullptr, kc);
+  const auto r = cc::train(kfac_run(60, 0.02, {60}));
   EXPECT_GT(r.final_accuracy, 0.9);
   EXPECT_LT(r.final_loss, r.loss_curve.front());
 }
 
 TEST(TrainerIntegration, KfacWithCompsoMatchesNoCompression) {
-  cc::TrainerConfig cfg;
-  cc::ClusterTrainer trainer(cfg);
-  compso::optim::StepLr lr(0.02, 0.1, {40});
-  compso::optim::DistKfacConfig kc;
-  kc.damping = 0.03;
-  const auto base = trainer.train_kfac(60, lr, nullptr, kc);
+  const auto cfg = kfac_run(60, 0.02, {40});
+  const auto base = cc::train(cfg);
   const auto compso = cp::make_compso({});
-  const auto comp = trainer.train_kfac(
-      60, lr, [&](std::size_t) { return compso.get(); }, kc);
+  const auto comp =
+      cc::train(cfg, [&](std::size_t) { return compso.get(); });
   EXPECT_GT(comp.final_accuracy, base.final_accuracy - 0.05);
   EXPECT_GT(comp.avg_compression_ratio, 2.0);
 }
 
 TEST(TrainerIntegration, DeterministicAcrossRuns) {
-  cc::TrainerConfig cfg;
-  compso::optim::StepLr lr(0.02, 0.1, {40});
-  compso::optim::DistKfacConfig kc;
-  kc.damping = 0.03;
-  cc::ClusterTrainer t1(cfg), t2(cfg);
-  const auto r1 = t1.train_kfac(10, lr, nullptr, kc);
-  const auto r2 = t2.train_kfac(10, lr, nullptr, kc);
+  const auto cfg = kfac_run(10, 0.02, {40});
+  const auto r1 = cc::train(cfg);
+  const auto r2 = cc::train(cfg);
   ASSERT_EQ(r1.loss_curve.size(), r2.loss_curve.size());
   for (std::size_t i = 0; i < r1.loss_curve.size(); ++i) {
     EXPECT_DOUBLE_EQ(r1.loss_curve[i], r2.loss_curve[i]);
   }
 }
 
-TEST(TrainerIntegration, SpanTrainerProducesMetrics) {
-  cc::SpanTrainerConfig cfg;
-  cc::SpanTrainer trainer(cfg);
-  compso::optim::StepLr lr(0.02, 0.1, {100});
-  compso::optim::DistKfacConfig kc;
-  kc.damping = 0.03;
-  const auto r = trainer.train_kfac(120, lr, nullptr, kc);
-  EXPECT_GT(r.metrics.f1, 50.0);  // learnable structure is learned
-  EXPECT_GE(r.metrics.f1, r.metrics.exact_match);
+TEST(TrainerIntegration, SpanTaskProducesMetrics) {
+  auto cfg = kfac_run(120, 0.02, {100});
+  cfg.base.task = cc::TrainTask::kSpans;
+  cfg.base.classes = 12;  // positions
+  cfg.base.hidden = 32;
+  cfg.base.noise = 0.55F;
+  cfg.base.seed = 99;
+  const auto r = cc::train(cfg);
+  EXPECT_GT(r.span.f1, 50.0);  // learnable structure is learned
+  EXPECT_GE(r.span.f1, r.span.exact_match);
+}
+
+// The config's compressor (compress = true, kCompso) is Alg. 1 itself:
+// under StepLR the trainer's adaptive schedule has exactly two stages, so
+// it matches a provider switching between the two stage compressors bit
+// for bit — loss curve, eval curve and mean compression ratio.
+TEST(TrainerIntegration, ConfigScheduleMatchesTwoStageProvider) {
+  auto cfg = kfac_run(40, 0.02, {25});
+  cfg.kfac.aggregation = 4;
+  cfg.compress = true;
+  const compso::optim::StepLr lr(cfg.base_lr, cfg.lr_decay,
+                                cfg.lr_milestones);
+  const cc::AdaptiveSchedule sched(lr, cfg.total_iterations);
+  const auto own = cc::train(cfg);
+  const auto aggressive = cp::make_compso(sched.params_at(0));
+  const auto conservative = cp::make_compso(sched.params_at(25));
+  const auto provided = cc::train(cfg, [&](std::size_t t) {
+    return sched.at(t).use_filter ? aggressive.get() : conservative.get();
+  });
+  ASSERT_EQ(own.loss_curve.size(), 40U);
+  EXPECT_EQ(own.loss_curve, provided.loss_curve);
+  EXPECT_EQ(own.eval_curve, provided.eval_curve);
+  EXPECT_EQ(own.avg_compression_ratio, provided.avg_compression_ratio);
+  EXPECT_GT(own.avg_compression_ratio, 2.0);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 #include "src/core/bound_tuner.hpp"
 #include "src/core/framework.hpp"
 #include "src/core/perf_sim.hpp"
-#include "src/core/trainer.hpp"
+#include "src/core/ft_trainer.hpp"
 #include "src/tensor/synthetic.hpp"
 
 #include <gtest/gtest.h>
@@ -19,17 +19,20 @@ namespace ct = compso::tensor;
 namespace {
 
 TEST(Integration, FrameworkProviderTrainsToBaselineAccuracy) {
-  cc::TrainerConfig cfg;
-  cfg.noise = 1.1F;
-  cfg.classes = 8;
-  cfg.hidden = 24;
+  cc::FtTrainerConfig cfg;
+  cfg.base.noise = 1.1F;
+  cfg.base.classes = 8;
+  cfg.base.hidden = 24;
   const std::size_t iters = 80;
-  const compso::optim::StepLr lr(0.01, 0.1, {50});
-  compso::optim::DistKfacConfig kc;
-  kc.damping = 0.1;
-  kc.aggregation = 4;
+  cfg.total_iterations = iters;
+  cfg.base_lr = 0.01;
+  cfg.lr_milestones = {50};
+  cfg.kfac.damping = 0.1;
+  cfg.kfac.aggregation = 4;
+  cfg.compress = false;
+  const compso::optim::StepLr lr(cfg.base_lr, cfg.lr_decay, cfg.lr_milestones);
 
-  cm::Communicator comm(cm::Topology::with_gpus(cfg.world),
+  cm::Communicator comm(cm::Topology::with_gpus(cfg.base.world),
                         cm::NetworkModel::platform1());
   cc::CompsoFramework framework({}, lr, iters, comm);
   ct::Rng rng(5);
@@ -37,10 +40,8 @@ TEST(Integration, FrameworkProviderTrainsToBaselineAccuracy) {
       1 << 15, ct::GradientProfile::kfac(), rng);
   framework.tune({1 << 14, 1 << 14, 1 << 14}, warmup, 0.4, rng);
 
-  cc::ClusterTrainer trainer(cfg);
-  const auto base = trainer.train_kfac(iters, lr, nullptr, kc);
-  const auto compressed =
-      trainer.train_kfac(iters, lr, framework.provider(), kc);
+  const auto base = cc::train(cfg);
+  const auto compressed = cc::train(cfg, framework.provider());
   EXPECT_GT(compressed.final_accuracy, base.final_accuracy - 0.04);
   EXPECT_GT(compressed.avg_compression_ratio, 2.0);
 }
@@ -61,14 +62,14 @@ TEST(Integration, TunedBoundsFeedTheCompressor) {
   params.quant_bound = tuned.quant_bound;
   const auto compressor = cp::make_compso(params);
 
-  cc::TrainerConfig cfg;
-  cfg.noise = 1.1F;
-  const compso::optim::StepLr lr(0.01, 0.1, {50});
-  compso::optim::DistKfacConfig kc;
-  kc.damping = 0.1;
-  cc::ClusterTrainer trainer(cfg);
-  const auto result = trainer.train_kfac(
-      80, lr, [&](std::size_t) { return compressor.get(); }, kc);
+  cc::FtTrainerConfig cfg;
+  cfg.base.noise = 1.1F;
+  cfg.total_iterations = 80;
+  cfg.base_lr = 0.01;
+  cfg.lr_milestones = {50};
+  cfg.kfac.damping = 0.1;
+  const auto result =
+      cc::train(cfg, [&](std::size_t) { return compressor.get(); });
   EXPECT_GT(result.final_accuracy, 0.9);
 }
 
@@ -129,18 +130,31 @@ TEST(Integration, BreakdownTotalsAreConsistent) {
   EXPECT_GT(b.decomp_s, 0.0);
 }
 
-TEST(Integration, SpanTrainerSgdAndKfacBothLearn) {
-  cc::SpanTrainerConfig cfg;
-  cfg.noise = 0.6F;
-  cc::SpanTrainer trainer(cfg);
-  const compso::optim::StepLr klr(0.02, 0.1, {80});
-  const compso::optim::StepLr slr(0.05, 0.1, {120});
-  compso::optim::DistKfacConfig kc;
-  kc.damping = 0.05;
-  const auto kfac = trainer.train_kfac(100, klr, nullptr, kc);
-  const auto sgd = trainer.train_sgd(150, slr, nullptr);
-  EXPECT_GT(kfac.metrics.f1, 70.0);
-  EXPECT_GT(sgd.metrics.f1, 70.0);
+TEST(Integration, SpanTaskSgdAndKfacBothLearn) {
+  cc::FtTrainerConfig kc;
+  kc.base = {.world = 4,
+             .batch_per_rank = 16,
+             .features = 24,
+             .classes = 12,  // positions
+             .hidden = 32,
+             .depth = 2,
+             .noise = 0.6F,
+             .seed = 99,
+             .task = cc::TrainTask::kSpans};
+  kc.compress = false;
+  auto sc = kc;
+  kc.total_iterations = 100;
+  kc.base_lr = 0.02;
+  kc.lr_milestones = {80};
+  kc.kfac.damping = 0.05;
+  sc.optimizer = cc::OptimizerKind::kSgd;
+  sc.total_iterations = 150;
+  sc.base_lr = 0.05;
+  sc.lr_milestones = {120};
+  const auto kfac = cc::train(kc);
+  const auto sgd = cc::train(sc);
+  EXPECT_GT(kfac.span.f1, 70.0);
+  EXPECT_GT(sgd.span.f1, 70.0);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 namespace nn = compso::nn;
 namespace ct = compso::tensor;
@@ -143,6 +144,21 @@ TEST(Loss, SoftmaxGradientMatchesFiniteDifference) {
     const double fm = nn::softmax_cross_entropy(lm, labels, g_unused);
     EXPECT_NEAR(grad[i], (fp - fm) / (2.0 * eps), 1e-3);
   }
+}
+
+TEST(Loss, SpanCrossEntropyAveragesTheTwoHeads) {
+  // Row = [start head | end head], two positions each.
+  ct::Tensor logits({1, 4}, {0.0F, 0.0F, 0.0F, 0.0F});
+  ct::Tensor grad;
+  const double loss = nn::span_cross_entropy(logits, {0}, {1}, grad);
+  EXPECT_NEAR(loss, std::log(2.0), 1e-6);
+  EXPECT_NEAR(grad.at(0, 0), -0.25, 1e-6);
+  EXPECT_NEAR(grad.at(0, 1), 0.25, 1e-6);
+  EXPECT_NEAR(grad.at(0, 2), 0.25, 1e-6);
+  EXPECT_NEAR(grad.at(0, 3), -0.25, 1e-6);
+  ct::Tensor odd({1, 3});
+  EXPECT_THROW(nn::span_cross_entropy(odd, {0}, {0}, grad),
+               std::invalid_argument);
 }
 
 TEST(Loss, MseKnownValue) {

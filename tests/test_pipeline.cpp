@@ -1,7 +1,6 @@
 // Chunked exchange suite (DESIGN.md §15): chunk frame v2 round trips and
 // edge sizes (chunk_bytes == 0 is one chunk), the decode cursor's
-// validation, the zero-allocation steady state of the producer, per-chunk
-// fault-injection fuzz (>= 1000 mutations per boundary category, every
+// validation, per-chunk fault-injection fuzz (>= 1000 mutations per boundary category, every
 // one failing typed), the chunk-scoped fault plan, the per-round chunk
 // collective, and the headline acceptance: training trajectories are
 // bit-identical at every chunk size — clean, under chunk-level and
@@ -142,35 +141,6 @@ TEST(ChunkCursor, GapAndForeignStreamRejected) {
   chunk::Cursor mixed;
   mixed.feed(p.chunk(0));
   EXPECT_THROW(mixed.feed(q.chunk(1)), PayloadError);
-}
-
-// --- steady-state allocation behavior ---
-
-TEST(ChunkProducer, ReserveForMakesRestepsAllocationFree) {
-  ct::Rng rng(15);
-  cc::ChunkedProducer p;
-  p.reserve_for(1 << 16, 1024);
-  const std::size_t cap = p.wire_capacity();
-  for (const std::size_t n : {std::size_t{100}, std::size_t{5000},
-                              std::size_t{1} << 16, std::size_t{37}}) {
-    const auto payload = random_payload(n, rng);
-    p.frame(cc::ByteView(payload), 1024);
-    EXPECT_EQ(p.wire_capacity(), cap) << "reallocated at n=" << n;
-  }
-}
-
-TEST(ChunkProducer, CompressorWorstCaseBoundHoldsPerChunk) {
-  // max_payload_bytes is the reserve_for bound the optimizers use: every
-  // real payload must fit under it, keeping chunked encode allocation-free.
-  const auto compso = cc::make_compso({});
-  ct::Rng data_rng(16);
-  for (const std::size_t n : {std::size_t{64}, std::size_t{4096}}) {
-    std::vector<float> values(n);
-    for (auto& v : values) v = data_rng.normal() * 0.01F;
-    ct::Rng sr(17);
-    const auto payload = compso->compress(values, sr);
-    EXPECT_LE(payload.size(), compso->max_payload_bytes(n)) << "n=" << n;
-  }
 }
 
 // --- per-chunk fault-injection fuzz (>= 1000 mutations per category) ---

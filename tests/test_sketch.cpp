@@ -2,8 +2,8 @@
 // variance of the count-sketch / random-projection estimators over ≥1000
 // independent seeded draws, counter-derived seed-stream determinism (same
 // payload bytes at any engine thread count, counters surviving checkpoint
-// resume), exact max_payload_bytes (chunked == monolithic), and typed
-// PayloadError rejection of truncated / corrupted payloads.
+// resume), and typed PayloadError rejection of truncated / corrupted
+// payloads.
 
 #include "src/compso.hpp"
 
@@ -143,21 +143,6 @@ TEST(Sketch, DrawsAreIndependentAcrossCounterAdvance) {
 }
 
 // --- geometry / wire-format contract ---------------------------------------
-
-TEST(Sketch, MaxPayloadBytesIsExact) {
-  ct::Rng rng(2);
-  for (const double ratio : {0.1, 0.25, 0.5}) {
-    const auto cs = cp::make_count_sketch(ratio, 3, 1);
-    const auto rp = cp::make_random_projection(ratio, 1);
-    for (const std::size_t n : {1UL, 7UL, 256UL, 300UL, 4096UL}) {
-      const auto x = test_vector(n, n);
-      EXPECT_EQ(cs->compress(x, rng).size(), cs->max_payload_bytes(n))
-          << "count-sketch n=" << n << " ratio=" << ratio;
-      EXPECT_EQ(rp->compress(x, rng).size(), rp->max_payload_bytes(n))
-          << "projection n=" << n << " ratio=" << ratio;
-    }
-  }
-}
 
 TEST(Sketch, GeometryHelpersMatchPayloadLayout) {
   // Bucket width scales the total sketch size to ~ratio·n across rows, and
