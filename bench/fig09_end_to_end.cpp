@@ -47,21 +47,10 @@ int main() {
         tensor::Rng rng(31);
         const auto sample = tensor::synthetic_gradient(
             1 << 16, tensor::GradientProfile::kfac(), rng);
-        perf::WarmupProfile profile;
-        {
-          perf::OnlineProfiler profiler;
-          const auto payload = compso->compress(sample, rng);
-          const std::size_t in_bytes = sample.size() * sizeof(float);
-          profiler.record(
-              in_bytes, payload.size(),
-              in_bytes / compso->modeled_throughput(cfg.dev, in_bytes,
-                                                    payload.size()),
-              payload.size() / compso->modeled_throughput(
-                                   cfg.dev, payload.size(), in_bytes),
-              sim.baseline().allgather_s + sim.baseline().allreduce_s,
-              sim.baseline().total_s());
-          profile = profiler.finish();
-        }
+        const auto profile = perf::profile_warmup(
+            *compso, sample, cfg.dev,
+            sim.baseline().allgather_s + sim.baseline().allreduce_s,
+            sim.baseline().total_s(), 1, rng);
         const auto decision = perf::choose_aggregation_factor(
             sim.layer_bytes(), profile, *compso, cfg.dev, table);
         const double s_p =

@@ -140,36 +140,6 @@ std::vector<Lz77Token> lz77_parse(ByteView input, const Lz77Params& params) {
   return tokens;
 }
 
-Bytes lz77_reconstruct(std::span<const Lz77Token> tokens, ByteView literals,
-                       std::size_t output_size) {
-  Bytes out;
-  out.reserve(output_size);
-  std::size_t lit_pos = 0;
-  for (const auto& t : tokens) {
-    if (lit_pos + t.literal_len > literals.size()) {
-      throw PayloadError("lz77: literal stream underrun");
-    }
-    out.insert(out.end(), literals.begin() + static_cast<std::ptrdiff_t>(lit_pos),
-               literals.begin() +
-                   static_cast<std::ptrdiff_t>(lit_pos + t.literal_len));
-    lit_pos += t.literal_len;
-    if (t.match_len > 0) {
-      if (t.distance == 0 || t.distance > out.size()) {
-        throw PayloadError("lz77: invalid match distance");
-      }
-      // Byte-by-byte to support overlapping matches (RLE-style).
-      std::size_t src = out.size() - t.distance;
-      for (std::uint32_t i = 0; i < t.match_len; ++i) {
-        out.push_back(out[src + i]);
-      }
-    }
-  }
-  if (out.size() != output_size) {
-    throw PayloadError("lz77: reconstructed size mismatch");
-  }
-  return out;
-}
-
 Lz77Streams lz77_serialize(ByteView input,
                            std::span<const Lz77Token> tokens) {
   Lz77Streams s;

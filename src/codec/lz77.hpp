@@ -28,11 +28,6 @@ struct Lz77Params {
 /// Greedy (optionally lazy) hash-chain parse.
 std::vector<Lz77Token> lz77_parse(ByteView input, const Lz77Params& params);
 
-/// Reconstructs the input from tokens + the literal bytes of `input_literals`
-/// (a buffer holding all literals in token order).
-Bytes lz77_reconstruct(std::span<const Lz77Token> tokens,
-                       ByteView literals, std::size_t output_size);
-
 /// Splits a parse into the two streams entropy coders consume: the literal
 /// bytes and a byte-serialized token stream (lengths/distances varint'd).
 struct Lz77Streams {

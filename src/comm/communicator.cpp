@@ -171,15 +171,6 @@ void Communicator::readmit_at(std::size_t rank, std::size_t iter) {
                {{"rank", rank}, {"iteration", iter}});
 }
 
-void Communicator::readmit(std::size_t rank) {
-  // Called between steps: the *next* iteration is the resync step.
-  readmit_at(rank, last_tick_ + 1);
-  rejoining_.clear();
-  for (std::size_t r = 0; r < active_.size(); ++r) {
-    if (membership_.phase(r) == RankPhase::kRejoining) rejoining_.push_back(r);
-  }
-}
-
 void Communicator::refresh_participation() {
   participating_.assign(active_.size(), 0);
   rejoining_.clear();

@@ -175,11 +175,6 @@ class Communicator {
   /// Removes a rank from the collective group (idempotent); counts an
   /// eviction in RecoveryStats on the first call per rank.
   void evict(std::size_t rank);
-  /// Returns an evicted rank to the group through the rejoin ladder: it
-  /// sits out one resync step (rejoining_ranks) and participates from the
-  /// next. Its clock fast-forwards to the group's front. Idempotent for
-  /// ranks that are already active.
-  void readmit(std::size_t rank);
   /// Replaces the liveness mask (checkpoint restore, admin override). The
   /// mask must match the world size and keep at least one rank active;
   /// every 1->0 edge is routed through the membership layer as an eviction

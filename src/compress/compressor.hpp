@@ -135,9 +135,6 @@ class StatefulCompressor {
   /// against the remaining bytes; malformed input throws
   /// compso::PayloadError and leaves no partially-applied state behind.
   virtual void deserialize_state(codec::wire::Reader& reader) = 0;
-
-  /// Drops all cross-step state (fresh-start semantics).
-  virtual void reset_state() = 0;
 };
 
 /// --- concrete compressor configs ---

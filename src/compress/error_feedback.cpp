@@ -173,11 +173,6 @@ void ErrorFeedbackCompressor::deserialize_state(wire::Reader& reader) {
   streams_ = std::move(restored);  // all-or-nothing swap.
 }
 
-void ErrorFeedbackCompressor::reset_state() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  streams_.clear();
-}
-
 std::vector<std::uint64_t> ErrorFeedbackCompressor::stream_ids() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::uint64_t> ids;

@@ -68,7 +68,6 @@ class ErrorFeedbackCompressor final : public GradientCompressor,
   // --- StatefulCompressor ---
   void serialize_state(Bytes& out) const override;
   void deserialize_state(codec::wire::Reader& reader) override;
-  void reset_state() override;
 
   // --- introspection (tests / DESIGN.md §17 properties) ---
   std::vector<std::uint64_t> stream_ids() const;

@@ -115,11 +115,6 @@ void SketchSeedState::deserialize(wire::Reader& reader) {
   counters_ = std::move(restored);
 }
 
-void SketchSeedState::reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-}
-
 void SketchSeedState::erase(std::uint64_t stream) {
   const std::lock_guard<std::mutex> lock(mu_);
   counters_.erase(stream);
@@ -248,7 +243,6 @@ class CountSketchCompressor final : public GradientCompressor,
   void deserialize_state(wire::Reader& reader) override {
     seeds_.deserialize(reader);
   }
-  void reset_state() override { seeds_.reset(); }
 
  private:
   double ratio_;
@@ -358,7 +352,6 @@ class RandomProjectionCompressor final : public GradientCompressor,
   void deserialize_state(wire::Reader& reader) override {
     seeds_.deserialize(reader);
   }
-  void reset_state() override { seeds_.reset(); }
 
  private:
   std::size_t total_rows(std::size_t n) const noexcept {

@@ -51,7 +51,6 @@ class SketchSeedState {
 
   void serialize(codec::Bytes& out) const;
   void deserialize(codec::wire::Reader& reader);
-  void reset();
   void erase(std::uint64_t stream);
 
   std::uint64_t base_seed() const noexcept { return base_seed_; }

@@ -20,7 +20,6 @@
 #include "src/core/adaptive_schedule.hpp"
 #include "src/core/bound_tuner.hpp"
 #include "src/core/checkpoint.hpp"
-#include "src/core/framework.hpp"
 #include "src/core/ft_trainer.hpp"
 #include "src/core/perf_sim.hpp"
 #include "src/gpusim/device_model.hpp"

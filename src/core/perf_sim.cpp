@@ -169,15 +169,6 @@ PerfSimulator::PrecondMemory PerfSimulator::precond_memory(
   return out;
 }
 
-std::size_t PerfSimulator::max_rank_bytes() const noexcept {
-  const std::size_t world = cfg_.topo.world_size();
-  std::vector<std::size_t> rank_bytes(world, 0);
-  for (std::size_t s = 0; s < cfg_.model.layers.size(); ++s) {
-    rank_bytes[s % world] += cfg_.model.layers[s].kfac_bytes();
-  }
-  return *std::max_element(rank_bytes.begin(), rank_bytes.end());
-}
-
 std::vector<std::size_t> PerfSimulator::layer_bytes() const {
   std::vector<std::size_t> out;
   out.reserve(cfg_.model.layers.size());

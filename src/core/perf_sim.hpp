@@ -124,8 +124,6 @@ class PerfSimulator {
   };
   PrecondMemory precond_memory(std::size_t world) const;
 
-  /// Per-rank original allgather bytes (layer-partitioned, max over ranks).
-  std::size_t max_rank_bytes() const noexcept;
   /// Aggregated layer-group original sizes for the owner with most data.
   std::vector<std::size_t> layer_bytes() const;
   const PerfConfig& config() const noexcept { return cfg_; }

@@ -1,11 +1,6 @@
 #include "src/gpusim/reduction.hpp"
 
-#include <algorithm>
 #include <cmath>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace compso::gpusim {
 
@@ -44,29 +39,6 @@ double reduction_time(const DeviceModel& dev, std::size_t n,
     }
   }
   return 0.0;
-}
-
-tensor::Extrema parallel_extrema(std::span<const float> v) noexcept {
-  tensor::Extrema e;
-  if (v.empty()) return e;
-  float lo = v[0], hi = v[0];
-#ifdef _OPENMP
-#pragma omp parallel for reduction(min : lo) reduction(max : hi) \
-    schedule(static)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(v.size()); ++i) {
-    lo = std::min(lo, v[static_cast<std::size_t>(i)]);
-    hi = std::max(hi, v[static_cast<std::size_t>(i)]);
-  }
-#else
-  for (float x : v) {
-    lo = std::min(lo, x);
-    hi = std::max(hi, x);
-  }
-#endif
-  e.min = lo;
-  e.max = hi;
-  e.abs_max = std::max(std::fabs(lo), std::fabs(hi));
-  return e;
 }
 
 }  // namespace compso::gpusim

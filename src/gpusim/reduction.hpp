@@ -1,6 +1,6 @@
 #pragma once
-// Extrema / range computation: the functional kernel plus timing models for
-// the three GPU strategies §4.5 discusses.
+// Extrema / range computation: timing models for the three GPU strategies
+// §4.5 discusses (the functional kernel is tensor::extrema).
 //
 // Finding a layer's value range (for Eq. 3 normalization) is a reduction.
 // The paper's optimization chain:
@@ -9,9 +9,8 @@
 // Each step moves the fine-grained combining into a faster storage tier.
 
 #include "src/gpusim/device_model.hpp"
-#include "src/tensor/stats.hpp"
 
-#include <span>
+#include <cstddef>
 
 namespace compso::gpusim {
 
@@ -24,10 +23,5 @@ enum class ReductionStrategy {
 /// Modeled time to reduce `n` float32 elements to (min, max).
 double reduction_time(const DeviceModel& dev, std::size_t n,
                       ReductionStrategy strategy) noexcept;
-
-/// Functional parallel extrema (OpenMP when available). Matches the
-/// tree-reduction result bit-for-bit with the sequential one for min/max
-/// (order-independent).
-tensor::Extrema parallel_extrema(std::span<const float> v) noexcept;
 
 }  // namespace compso::gpusim

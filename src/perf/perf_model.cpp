@@ -115,6 +115,27 @@ WarmupProfile OnlineProfiler::finish() const {
   return p;
 }
 
+WarmupProfile profile_warmup(const compress::GradientCompressor& compressor,
+                             std::span<const float> sample,
+                             const gpusim::DeviceModel& dev,
+                             double comm_seconds, double total_seconds,
+                             std::size_t iterations, tensor::Rng& rng) {
+  OnlineProfiler profiler;
+  const std::size_t in_bytes = sample.size() * sizeof(float);
+  for (std::size_t k = 0; k < iterations; ++k) {
+    const compress::Bytes payload = compressor.compress(sample, rng);
+    const double comp_s =
+        static_cast<double>(in_bytes) /
+        compressor.modeled_throughput(dev, in_bytes, payload.size());
+    const double decomp_s =
+        static_cast<double>(payload.size()) /
+        compressor.modeled_throughput(dev, payload.size(), in_bytes);
+    profiler.record(in_bytes, payload.size(), comp_s, decomp_s, comm_seconds,
+                    total_seconds);
+  }
+  return profiler.finish();
+}
+
 double communication_speedup(std::size_t orig_bytes, std::size_t comp_bytes,
                              const CommLookupTable& table,
                              double comp_throughput,
@@ -138,29 +159,6 @@ double end_to_end_speedup(double comm_fraction, double comm_speedup) noexcept {
   const double r = std::clamp(comm_fraction, 0.0, 1.0);
   const double s = std::max(comm_speedup, 1e-9);
   return 1.0 / ((1.0 - r) + r / s);
-}
-
-FamilyScore score_family(const compress::GradientCompressor& compressor,
-                         std::span<const float> sample, double comm_fraction,
-                         const gpusim::DeviceModel& dev,
-                         const CommLookupTable& table, tensor::Rng& rng) {
-  FamilyScore score;
-  score.name = std::string(compressor.name());
-  const std::size_t in_bytes = sample.size() * sizeof(float);
-  const compress::Bytes payload = compressor.compress(sample, rng);
-  score.compression_ratio =
-      payload.empty() ? 1.0
-                      : static_cast<double>(in_bytes) /
-                            static_cast<double>(payload.size());
-  const double comp_tput =
-      compressor.modeled_throughput(dev, in_bytes, payload.size());
-  const double decomp_tput =
-      compressor.modeled_throughput(dev, payload.size(), in_bytes);
-  score.est_comm_speedup = communication_speedup(
-      in_bytes, payload.size(), table, comp_tput, decomp_tput);
-  score.est_end_to_end =
-      end_to_end_speedup(comm_fraction, score.est_comm_speedup);
-  return score;
 }
 
 double chunked_pipeline_speedup(std::size_t orig_bytes,

@@ -16,7 +16,6 @@
 
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace compso::perf {
@@ -119,6 +118,16 @@ class OnlineProfiler {
   double comm_s_ = 0.0, total_s_ = 0.0;
 };
 
+/// The online half of §4.4 in one call: `iterations` compress rounds of
+/// `compressor` on `sample` (drawing from `rng` as compress does), each
+/// folded into an OnlineProfiler with device-modeled (de)compression times
+/// and the caller's per-iteration comm and total seconds.
+WarmupProfile profile_warmup(const compress::GradientCompressor& compressor,
+                             std::span<const float> sample,
+                             const gpusim::DeviceModel& dev,
+                             double comm_seconds, double total_seconds,
+                             std::size_t iterations, tensor::Rng& rng);
+
 /// Eq. 5: communication speedup of compressing a group of layers with
 /// total original size `orig_bytes` to `comp_bytes`, given the lookup
 /// table and the measured compressor throughputs.
@@ -163,27 +172,6 @@ AggregationDecision choose_aggregation_factor(
     const compress::GradientCompressor& compressor,
     const gpusim::DeviceModel& dev, const CommLookupTable& table,
     const std::vector<std::size_t>& candidates = {1, 2, 4, 8, 16, 32});
-
-/// Per-family Eq. 5 measurements for the widened compressor pool
-/// (DESIGN.md §17): CompsoFramework::tune scores every candidate family
-/// (COMPSO, error-feedback-wrapped baselines, sketches) on the same
-/// sample gradient and keeps the argmax end-to-end estimate.
-struct FamilyScore {
-  std::string name;
-  double compression_ratio = 1.0;  ///< input bytes / payload bytes.
-  double est_comm_speedup = 1.0;   ///< Eq. 5 s for the sample message.
-  double est_end_to_end = 1.0;     ///< ((1 - r) + r / s)^-1.
-};
-
-/// Scores one compressor family under Eq. 5: one measured compression of
-/// `sample` (ratio), modeled GPU (de)compression throughput for that
-/// payload, wire time from the lookup table, end-to-end via
-/// `comm_fraction`. Deterministic in (compressor, sample, rng state) —
-/// the differential tuner test recomputes it independently.
-FamilyScore score_family(const compress::GradientCompressor& compressor,
-                         std::span<const float> sample, double comm_fraction,
-                         const gpusim::DeviceModel& dev,
-                         const CommLookupTable& table, tensor::Rng& rng);
 
 /// Per-encoder measurements for encoder selection (and Table 2 rows).
 struct EncoderScore {

@@ -553,13 +553,4 @@ void add_diagonal(Tensor& a, float value) {
   for (std::size_t i = 0; i < n; ++i) a.at(i, i) += value;
 }
 
-double dot(const Tensor& a, const Tensor& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("dot: size mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return acc;
-}
-
 }  // namespace compso::tensor

@@ -82,9 +82,6 @@ void gemv(const Tensor& a, std::span<const float> x, std::span<float> y);
 /// Adds `value` to the diagonal of square matrix A (Tikhonov damping).
 void add_diagonal(Tensor& a, float value);
 
-/// Frobenius inner product <A, B>.
-double dot(const Tensor& a, const Tensor& b);
-
 /// Reshapes `t` to (rows x cols), reallocating only when the shape
 /// actually differs — scratch-reuse helper for per-step workspaces.
 void ensure_shape2(Tensor& t, std::size_t rows, std::size_t cols);

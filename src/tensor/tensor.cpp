@@ -80,13 +80,4 @@ void Tensor::fill(float value) noexcept {
   std::fill(data_.begin(), data_.end(), value);
 }
 
-std::string Tensor::shape_string() const {
-  std::string s = "[";
-  for (std::size_t i = 0; i < shape_.size(); ++i) {
-    if (i) s += ", ";
-    s += std::to_string(shape_[i]);
-  }
-  return s + "]";
-}
-
 }  // namespace compso::tensor

@@ -81,8 +81,6 @@ class Tensor {
   Tensor& axpby(float alpha, float beta, const Tensor& other);
   void fill(float value) noexcept;
 
-  std::string shape_string() const;
-
   /// Process-wide count of shape-constructing allocations (the explicit
   /// shape / shape+data constructors, including zeros/full/eye). Tests
   /// diff this across steps to assert steady-state code paths reuse

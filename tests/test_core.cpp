@@ -1,8 +1,7 @@
-// Tests for the COMPSO core: adaptive schedule (Alg. 1), framework tuning,
-// performance simulator invariants, and end-to-end training integration.
+// Tests for the COMPSO core: adaptive schedule (Alg. 1), performance
+// simulator invariants, and end-to-end training integration.
 
 #include "src/core/adaptive_schedule.hpp"
-#include "src/core/framework.hpp"
 #include "src/core/perf_sim.hpp"
 #include "src/core/ft_trainer.hpp"
 #include "src/tensor/synthetic.hpp"
@@ -77,50 +76,6 @@ TEST(AdaptiveSchedule, AggressiveCompressesMoreThanConservative) {
 TEST(AdaptiveSchedule, ZeroIterationsThrows) {
   compso::optim::StepLr lr(0.1, 0.1, {25});
   EXPECT_THROW(cc::AdaptiveSchedule(lr, 0), std::invalid_argument);
-}
-
-// --- framework ---
-
-TEST(Framework, TuneSelectsEncoderAndAggregation) {
-  cm::Communicator comm(cm::Topology::with_gpus(16),
-                        cm::NetworkModel::platform1());
-  compso::optim::StepLr lr(0.1, 0.1, {25});
-  cc::CompsoFramework fw({}, lr, 100, comm);
-  ct::Rng rng(8);
-  const auto grad =
-      ct::synthetic_gradient(1 << 16, ct::GradientProfile::kfac(), rng);
-  std::vector<std::size_t> layer_bytes(32, 1 << 18);
-  fw.tune(layer_bytes, grad, 0.4, rng);
-  EXPECT_GE(fw.aggregation(), 1U);
-  EXPECT_EQ(fw.encoder_scores().size(), 8U);
-  EXPECT_GT(fw.estimated_end_to_end(), 1.0);
-}
-
-TEST(Framework, CompressorCachedPerStage) {
-  cm::Communicator comm(cm::Topology::with_gpus(4),
-                        cm::NetworkModel::platform1());
-  compso::optim::StepLr lr(0.1, 0.1, {25});
-  cc::CompsoFramework fw({}, lr, 100, comm);
-  const auto* c0 = fw.compressor_for(0);
-  const auto* c1 = fw.compressor_for(10);
-  EXPECT_EQ(c0, c1);  // same stage -> same instance
-  const auto* c2 = fw.compressor_for(50);
-  EXPECT_NE(c0, c2);  // stage changed at the LR drop
-}
-
-TEST(Framework, FixedModeUsesConfiguredAggregation) {
-  cm::Communicator comm(cm::Topology::with_gpus(4),
-                        cm::NetworkModel::platform1());
-  compso::optim::StepLr lr(0.1, 0.1, {25});
-  cc::FrameworkConfig cfg;
-  cfg.use_perf_model = false;
-  cfg.fixed_aggregation = 4;
-  cc::CompsoFramework fw(cfg, lr, 100, comm);
-  ct::Rng rng(9);
-  const auto grad =
-      ct::synthetic_gradient(1 << 14, ct::GradientProfile::kfac(), rng);
-  fw.tune({1 << 16, 1 << 16}, grad, 0.4, rng);
-  EXPECT_EQ(fw.aggregation(), 4U);
 }
 
 // --- performance simulator ---

@@ -4,7 +4,6 @@
 #include "src/gpusim/device_model.hpp"
 #include "src/gpusim/layer_mapping.hpp"
 #include "src/gpusim/reduction.hpp"
-#include "src/tensor/rng.hpp"
 
 #include <gtest/gtest.h>
 
@@ -100,23 +99,6 @@ TEST(Reduction, ShuffleNearsBandwidthLimit) {
       gs::reduction_time(dev, n, gs::ReductionStrategy::kBlockWarpShuffle);
   const double ideal = static_cast<double>(n) * 4.0 / dev.effective_bandwidth();
   EXPECT_LT(t, ideal * 1.5);  // within 50% of the pure-bandwidth bound
-}
-
-TEST(Reduction, ParallelExtremaMatchesSequential) {
-  compso::tensor::Rng rng(5);
-  std::vector<float> v(100001);
-  rng.fill_normal(v);
-  v[50000] = 123.0F;
-  v[70000] = -321.0F;
-  const auto e = gs::parallel_extrema(v);
-  EXPECT_EQ(e.max, 123.0F);
-  EXPECT_EQ(e.min, -321.0F);
-  EXPECT_EQ(e.abs_max, 321.0F);
-}
-
-TEST(Reduction, EmptyInput) {
-  const auto e = gs::parallel_extrema({});
-  EXPECT_EQ(e.abs_max, 0.0F);
 }
 
 TEST(LayerBlockMap, BlocksNeverSpanLayers) {

@@ -1,12 +1,12 @@
 // End-to-end integration: the full COMPSO workflow a user would run —
-// build the framework, tune it on warm-up gradients, train distributed
-// KFAC with the per-iteration compressor it provides, and verify both the
-// learning outcome and the communication savings.
+// train distributed KFAC with the adaptive per-iteration compressor, feed
+// auto-tuned bounds to it, take the §4.4 decision on warm-up gradients,
+// and verify both the learning outcome and the communication savings.
 
 #include "src/core/bound_tuner.hpp"
-#include "src/core/framework.hpp"
 #include "src/core/perf_sim.hpp"
 #include "src/core/ft_trainer.hpp"
+#include "src/perf/perf_model.hpp"
 #include "src/tensor/synthetic.hpp"
 
 #include <gtest/gtest.h>
@@ -18,30 +18,20 @@ namespace ct = compso::tensor;
 
 namespace {
 
-TEST(Integration, FrameworkProviderTrainsToBaselineAccuracy) {
+TEST(Integration, ScheduledCompressionTrainsToBaselineAccuracy) {
   cc::FtTrainerConfig cfg;
   cfg.base.noise = 1.1F;
   cfg.base.classes = 8;
   cfg.base.hidden = 24;
-  const std::size_t iters = 80;
-  cfg.total_iterations = iters;
+  cfg.total_iterations = 80;
   cfg.base_lr = 0.01;
   cfg.lr_milestones = {50};
   cfg.kfac.damping = 0.1;
   cfg.kfac.aggregation = 4;
   cfg.compress = false;
-  const compso::optim::StepLr lr(cfg.base_lr, cfg.lr_decay, cfg.lr_milestones);
-
-  cm::Communicator comm(cm::Topology::with_gpus(cfg.base.world),
-                        cm::NetworkModel::platform1());
-  cc::CompsoFramework framework({}, lr, iters, comm);
-  ct::Rng rng(5);
-  const auto warmup = ct::synthetic_gradient(
-      1 << 15, ct::GradientProfile::kfac(), rng);
-  framework.tune({1 << 14, 1 << 14, 1 << 14}, warmup, 0.4, rng);
-
   const auto base = cc::train(cfg);
-  const auto compressed = cc::train(cfg, framework.provider());
+  cfg.compress = true;
+  const auto compressed = cc::train(cfg);
   EXPECT_GT(compressed.final_accuracy, base.final_accuracy - 0.04);
   EXPECT_GT(compressed.avg_compression_ratio, 2.0);
 }
@@ -95,13 +85,11 @@ TEST(Integration, PerfModelDecisionMatchesSimulatorOptimum) {
   ct::Rng rng(7);
   const auto sample = ct::synthetic_gradient(
       1 << 16, ct::GradientProfile::kfac(), rng);
-  compso::perf::OnlineProfiler profiler;
-  const auto payload = compso->compress(sample, rng);
-  const std::size_t in_bytes = sample.size() * sizeof(float);
-  profiler.record(in_bytes, payload.size(), 1e-4, 1e-4,
-                  sim.baseline().allgather_s, sim.baseline().total_s());
+  const auto profile = compso::perf::profile_warmup(
+      *compso, sample, pcfg.dev, sim.baseline().allgather_s,
+      sim.baseline().total_s(), 1, rng);
   const auto decision = compso::perf::choose_aggregation_factor(
-      sim.layer_bytes(), profiler.finish(), *compso, pcfg.dev, table);
+      sim.layer_bytes(), profile, *compso, pcfg.dev, table);
   const double realized =
       sim.with_compressor(*compso, decision.factor).end_to_end_speedup;
   EXPECT_GT(realized, best * 0.95);

@@ -194,47 +194,4 @@ TEST(ObsDeterminism, SaveResumeExportsByteIdentical) {
   EXPECT_EQ(obs::validate_trace(tracer_a.trace_json()), std::nullopt);
 }
 
-TEST(ObsDeterminism, TuneGaugesAreRecorded) {
-  cm::Communicator comm(cm::Topology::with_gpus(8),
-                        cm::NetworkModel::platform1());
-  compso::optim::StepLr lr(0.1, 0.1, {25});
-  core::CompsoFramework fw({}, lr, 100, comm);
-  obs::MetricsRegistry registry;
-  obs::Tracer tracer;
-  fw.set_obs({.metrics = &registry, .tracer = &tracer});
-  compso::tensor::Rng rng(8);
-  const auto grad = compso::tensor::synthetic_gradient(
-      1 << 14, compso::tensor::GradientProfile::kfac(), rng);
-  fw.tune({1 << 16, 1 << 16, 1 << 16, 1 << 16}, grad, 0.4, rng);
-
-  const auto snap = registry.snapshot();
-  EXPECT_EQ(snap.gauges.at("tune.selected.aggregation"),
-            static_cast<double>(fw.aggregation()));
-  EXPECT_DOUBLE_EQ(snap.gauges.at("tune.est_e2e"), fw.estimated_end_to_end());
-  // One gauge pair per scored encoder, one per aggregation candidate.
-  for (const auto& score : fw.encoder_scores()) {
-    const std::string stem =
-        std::string("tune.encoder.") + compso::codec::to_string(score.kind);
-    EXPECT_DOUBLE_EQ(snap.gauges.at(stem + ".est_total_s"),
-                     score.est_total_time);
-  }
-  for (std::size_t m : core::CompsoFramework::aggregation_candidates()) {
-    EXPECT_TRUE(snap.gauges.contains("tune.aggregation.m" +
-                                     std::to_string(m) + ".est_e2e"));
-  }
-  // One gauge pair per Eq. 5 family candidate (DESIGN.md §17), and the
-  // selection matches the recorded argmax.
-  ASSERT_FALSE(fw.family_scores().empty());
-  for (const auto& score : fw.family_scores()) {
-    const std::string stem = "tune.family." + score.name;
-    EXPECT_DOUBLE_EQ(snap.gauges.at(stem + ".est_e2e"),
-                     score.est_end_to_end);
-    EXPECT_DOUBLE_EQ(snap.gauges.at(stem + ".ratio"),
-                     score.compression_ratio);
-  }
-  // tune() ran entirely on this thread: five spans plus the parent.
-  EXPECT_EQ(tracer.event_count(), 5U);
-  EXPECT_EQ(obs::validate_trace(tracer.trace_json()), std::nullopt);
-}
-
 }  // namespace

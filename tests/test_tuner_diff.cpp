@@ -1,13 +1,14 @@
-// Differential test of the §4.4 tuner: brute-force Eq. 5 over every
+// Differential test of the §4.4 decision path: brute-force Eq. 5 over every
 // registered codec and every aggregation candidate with an independent
-// reimplementation of the selection math, and assert CompsoFramework::
-// tune() picked the arg-max on both network platforms.
+// reimplementation of the selection math, and assert that score_encoders
+// -> profile_warmup -> choose_aggregation_factor, run on the same inputs,
+// picks the arg-max on both network platforms.
 //
 // Tie-breaks under test:
-//  - encoder: tune() takes the front of the scores sorted by
+//  - encoder: the decision takes the front of the scores sorted by
 //    est_total_time; exact ties are unordered among themselves, so the
-//    assertion is by value (the selected encoder's time equals the
-//    brute-force minimum);
+//    assertion is by value (the front score's time equals the brute-force
+//    minimum);
 //  - aggregation: choose_aggregation_factor keeps a candidate only on a
 //    strictly greater estimate, so exact ties resolve to the smallest m —
 //    asserted directly with a degenerate all-tie input.
@@ -17,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace cc = compso::core;
@@ -30,12 +30,14 @@ namespace quant = compso::quant;
 
 namespace {
 
-/// Rebuilds the exact lossy-stage byte stream tune() scores encoders on:
-/// stage-0 filter + error-bounded quantization + packed codes + bitmap,
-/// consuming the same Rng draws tune() consumes.
-std::vector<std::uint8_t> lossy_stream_like_tune(
-    const cc::AdaptiveSchedule& sched, std::span<const float> grad,
-    ct::Rng& rng) {
+constexpr std::size_t kWarmupRounds = 5;
+constexpr double kCommFraction = 0.4;
+
+/// The stage-0 lossy byte stream encoders are scored on: filter +
+/// error-bounded quantization + packed codes + bitmap.
+std::vector<std::uint8_t> stage0_lossy_stream(const cc::AdaptiveSchedule& sched,
+                                              std::span<const float> grad,
+                                              ct::Rng& rng) {
   const auto stage0 = sched.at(0);
   const double abs_max = ct::extrema(grad).abs_max;
   const auto filt = quant::apply_filter(grad, stage0.filter_bound, abs_max);
@@ -45,6 +47,17 @@ std::vector<std::uint8_t> lossy_stream_like_tune(
   auto stream = quant::pack_codes(block.codes, block.bit_width);
   stream.insert(stream.end(), filt.bitmap.begin(), filt.bitmap.end());
   return stream;
+}
+
+/// Warm-up profile with the sample's allgather time as comm and
+/// comm / kCommFraction as the iteration total.
+perf::WarmupProfile warmup(const cp::GradientCompressor& compressor,
+                           std::span<const float> grad,
+                           const compso::gpusim::DeviceModel& dev,
+                           const perf::CommLookupTable& table, ct::Rng& rng) {
+  const double comm_s = table.allgather_time(grad.size() * sizeof(float));
+  return perf::profile_warmup(compressor, grad, dev, comm_s,
+                              comm_s / kCommFraction, kWarmupRounds, rng);
 }
 
 /// Independent Eq. 5 estimate for aggregation factor m: group consecutive
@@ -78,50 +91,74 @@ double brute_force_e2e(std::size_t m,
   return perf::end_to_end_speedup(profile.comm_fraction, s);
 }
 
-void check_tuner_against_brute_force(const cm::NetworkModel& net) {
+/// Mixed layer sizes so aggregation actually changes chunk shapes.
+std::vector<std::size_t> mixed_layer_bytes(std::size_t layers) {
+  std::vector<std::size_t> layer_bytes;
+  for (std::size_t i = 0; i < layers; ++i) {
+    layer_bytes.push_back((i % 3 == 0) ? (1 << 20) : (1 << 14));
+  }
+  return layer_bytes;
+}
+
+void check_decision_against_brute_force(const cm::NetworkModel& net) {
   cm::Communicator comm(cm::Topology::with_gpus(16), net);
-  compso::optim::StepLr lr(0.1, 0.1, {25});
-  cc::CompsoFramework fw({}, lr, 100, comm);
+  const compso::optim::StepLr lr(0.1, 0.1, {25});
+  const cc::AdaptiveSchedule sched(lr, 100);
+  const perf::CommLookupTable table(comm);
+  const auto dev = compso::gpusim::DeviceModel::a100();
 
   ct::Rng grad_rng(8);
   const auto grad =
       ct::synthetic_gradient(1 << 16, ct::GradientProfile::kfac(), grad_rng);
-  // Mixed layer sizes so aggregation actually changes chunk shapes.
-  std::vector<std::size_t> layer_bytes;
-  for (std::size_t i = 0; i < 24; ++i) {
-    layer_bytes.push_back((i % 3 == 0) ? (1 << 20) : (1 << 14));
-  }
-
-  ct::Rng tune_rng(2026), ref_rng(2026);
-  fw.tune(layer_bytes, grad, 0.4, tune_rng);
+  const auto layer_bytes = mixed_layer_bytes(24);
+  ct::Rng rng(2026);
 
   // --- encoder: brute-force every registered codec individually ---
-  const auto stream = lossy_stream_like_tune(fw.schedule(), grad, ref_rng);
-  const perf::CommLookupTable table(comm);  // framework's default sampling
-  const auto dev = compso::gpusim::DeviceModel::a100();
+  const auto stream = stage0_lossy_stream(sched, grad, rng);
+  const auto scores = perf::score_encoders(stream, dev, table);
   double best_time = std::numeric_limits<double>::infinity();
   for (codec::CodecKind kind : codec::kAllCodecKinds) {
-    const auto scores = perf::score_encoders(
+    const auto single = perf::score_encoders(
         stream, dev, table, std::span<const codec::CodecKind>(&kind, 1));
-    ASSERT_EQ(scores.size(), 1U);
-    best_time = std::min(best_time, scores.front().est_total_time);
+    ASSERT_EQ(single.size(), 1U);
+    best_time = std::min(best_time, single.front().est_total_time);
   }
-  ASSERT_FALSE(fw.encoder_scores().empty());
-  EXPECT_EQ(fw.encoder(), fw.encoder_scores().front().kind);
-  EXPECT_DOUBLE_EQ(fw.encoder_scores().front().est_total_time, best_time);
-  for (std::size_t i = 1; i < fw.encoder_scores().size(); ++i) {
-    EXPECT_LE(fw.encoder_scores()[i - 1].est_total_time,
-              fw.encoder_scores()[i].est_total_time);
+  ASSERT_EQ(scores.size(), 8U);
+  EXPECT_DOUBLE_EQ(scores.front().est_total_time, best_time);
+  for (std::size_t i = 1; i < scores.size(); ++i) {
+    EXPECT_LE(scores[i - 1].est_total_time, scores[i].est_total_time);
   }
 
-  // --- aggregation: brute-force Eq. 5 over every candidate m ---
-  const auto& profile = fw.warmup_profile();
-  EXPECT_GT(profile.iterations, 0U);
+  // --- warm-up: the k rounds folded by hand from a replayed Rng ---
   const auto compressor =
-      cp::make_compso(fw.schedule().params_at(0, fw.encoder()));
+      cp::make_compso(sched.params_at(0, scores.front().kind));
+  ct::Rng replay = rng;
+  const auto profile = warmup(*compressor, grad, dev, table, rng);
+  const std::size_t n = grad.size() * sizeof(float);
+  const double in_bytes = static_cast<double>(n);
+  double orig = 0.0, comp = 0.0, comp_s = 0.0, decomp_s = 0.0;
+  for (std::size_t k = 0; k < kWarmupRounds; ++k) {
+    const auto payload = compressor->compress(grad, replay);
+    orig += in_bytes;
+    comp += static_cast<double>(payload.size());
+    comp_s += in_bytes /
+              compressor->modeled_throughput(dev, n, payload.size());
+    decomp_s += static_cast<double>(payload.size()) /
+                compressor->modeled_throughput(dev, payload.size(), n);
+  }
+  EXPECT_EQ(profile.iterations, kWarmupRounds);
+  EXPECT_DOUBLE_EQ(profile.compression_ratio, orig / comp);
+  EXPECT_DOUBLE_EQ(profile.comp_throughput, orig / comp_s);
+  EXPECT_DOUBLE_EQ(profile.decomp_throughput, comp / decomp_s);
+  EXPECT_DOUBLE_EQ(profile.comm_fraction, kCommFraction);
+
+  // --- aggregation: brute-force Eq. 5 over every candidate m ---
+  const auto decision = perf::choose_aggregation_factor(
+      layer_bytes, profile, *compressor, dev, table);
+  EXPECT_EQ(decision.candidate_end_to_end.size(), 6U);
   double best_e2e = 0.0;
   std::size_t best_m = 1;
-  for (std::size_t m : cc::CompsoFramework::aggregation_candidates()) {
+  for (std::size_t m : {1UL, 2UL, 4UL, 8UL, 16UL, 32UL}) {
     const double e2e =
         brute_force_e2e(m, layer_bytes, profile, *compressor, dev, table);
     if (e2e > best_e2e) {  // strict >: ties keep the smallest factor.
@@ -129,45 +166,18 @@ void check_tuner_against_brute_force(const cm::NetworkModel& net) {
       best_m = m;
     }
   }
-  EXPECT_EQ(fw.aggregation(), best_m);
-  EXPECT_DOUBLE_EQ(fw.estimated_end_to_end(), best_e2e);
+  EXPECT_GE(decision.factor, 1U);
+  EXPECT_EQ(decision.factor, best_m);
+  EXPECT_DOUBLE_EQ(decision.est_end_to_end, best_e2e);
   EXPECT_GT(best_e2e, 1.0);
-
-  // --- family: brute-force Eq. 5 over the widened compressor pool ---
-  // tune()'s family stage derives each candidate's Rng by splitting the
-  // main generator (kFamilyRngStream + i) without drawing from it, and
-  // the aggregation stage before it is draw-free too — so the post-tune
-  // tune_rng state is exactly the state those splits came from, and the
-  // reference replays the identical streams.
-  const auto pool = cc::CompsoFramework::family_candidates(
-      fw.schedule().params_at(0, fw.encoder()));
-  ASSERT_EQ(fw.family_scores().size(), pool.size());
-  std::size_t best_family = 0;
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    ct::Rng fam_rng =
-        tune_rng.split(cc::CompsoFramework::kFamilyRngStream + i);
-    const perf::FamilyScore ref = perf::score_family(
-        *pool[i].compressor, grad, 0.4, dev, table, fam_rng);
-    const auto& got = fw.family_scores()[i];
-    EXPECT_EQ(got.name, pool[i].name);
-    EXPECT_DOUBLE_EQ(got.compression_ratio, ref.compression_ratio) << got.name;
-    EXPECT_DOUBLE_EQ(got.est_comm_speedup, ref.est_comm_speedup) << got.name;
-    EXPECT_DOUBLE_EQ(got.est_end_to_end, ref.est_end_to_end) << got.name;
-    // Strict >: exact ties keep the earliest candidate (COMPSO is first).
-    if (ref.est_end_to_end >
-        fw.family_scores()[best_family].est_end_to_end) {
-      best_family = i;
-    }
-  }
-  EXPECT_EQ(fw.selected_family(), pool[best_family].name);
 }
 
 TEST(TunerDiff, MatchesBruteForceOnPlatform1) {
-  check_tuner_against_brute_force(cm::NetworkModel::platform1());
+  check_decision_against_brute_force(cm::NetworkModel::platform1());
 }
 
 TEST(TunerDiff, MatchesBruteForceOnPlatform2) {
-  check_tuner_against_brute_force(cm::NetworkModel::platform2());
+  check_decision_against_brute_force(cm::NetworkModel::platform2());
 }
 
 TEST(TunerDiff, AggregationTieBreaksToSmallestFactor) {
@@ -175,37 +185,42 @@ TEST(TunerDiff, AggregationTieBreaksToSmallestFactor) {
   // speedup; the strict-> argmax must keep the first (smallest) factor.
   cm::Communicator comm(cm::Topology::with_gpus(8),
                         cm::NetworkModel::platform1());
-  compso::optim::StepLr lr(0.1, 0.1, {25});
-  cc::CompsoFramework fw({}, lr, 100, comm);
+  const perf::CommLookupTable table(comm);
+  const auto dev = compso::gpusim::DeviceModel::a100();
   ct::Rng rng(9);
   const auto grad =
       ct::synthetic_gradient(1 << 12, ct::GradientProfile::kfac(), rng);
-  fw.tune({}, grad, 0.4, rng);
-  EXPECT_EQ(fw.aggregation(), 1U);
+  const auto compressor = cp::make_compso({});
+  const auto profile = warmup(*compressor, grad, dev, table, rng);
+  const auto decision =
+      perf::choose_aggregation_factor({}, profile, *compressor, dev, table);
+  EXPECT_EQ(decision.factor, 1U);
 }
 
 TEST(TunerDiff, CandidateListMatchesPaper) {
-  const auto& c = cc::CompsoFramework::aggregation_candidates();
-  EXPECT_EQ(c, (std::vector<std::size_t>{1, 2, 4, 8, 16, 32}));
-}
-
-TEST(TunerDiff, FamilyPoolIsOrderedForFirstWinsTieBreak) {
-  // The pool order is part of the tie-break contract: selection uses
-  // strict >, so an exact tie resolves to the earliest entry, and COMPSO
-  // leads the pool. EF variants sit right after their inner compressor —
-  // the EF wrapper adds a memory pass, so on an exact model tie the plain
-  // variant wins, never the wrapper.
-  const auto pool = cc::CompsoFramework::family_candidates({});
-  std::vector<std::string> names;
-  names.reserve(pool.size());
-  for (const auto& cand : pool) names.push_back(cand.name);
-  EXPECT_EQ(names, (std::vector<std::string>{
-                       "COMPSO", "EF+COMPSO", "TopK", "EF+TopK",
-                       "CocktailSGD", "EF+CocktailSGD", "CountSketch",
-                       "RandProj"}));
-  for (const auto& cand : pool) {
-    ASSERT_NE(cand.compressor, nullptr) << cand.name;
+  // The default candidate list is the paper's {1, 2, 4, 8, 16, 32}: the
+  // default call scores exactly what the explicit list scores, on more
+  // layers than the largest candidate, where every estimate differs.
+  cm::Communicator comm(cm::Topology::with_gpus(16),
+                        cm::NetworkModel::platform1());
+  const perf::CommLookupTable table(comm);
+  const auto dev = compso::gpusim::DeviceModel::a100();
+  ct::Rng rng(8);
+  const auto grad =
+      ct::synthetic_gradient(1 << 14, ct::GradientProfile::kfac(), rng);
+  const auto compressor = cp::make_compso({});
+  const auto profile = warmup(*compressor, grad, dev, table, rng);
+  const auto layer_bytes = mixed_layer_bytes(40);
+  const auto by_default = perf::choose_aggregation_factor(
+      layer_bytes, profile, *compressor, dev, table);
+  const auto explicit_list = perf::choose_aggregation_factor(
+      layer_bytes, profile, *compressor, dev, table, {1, 2, 4, 8, 16, 32});
+  const auto& e2e = by_default.candidate_end_to_end;
+  ASSERT_EQ(e2e.size(), 6U);
+  for (std::size_t i = 1; i < e2e.size(); ++i) {
+    ASSERT_NE(e2e[i - 1], e2e[i]);
   }
+  EXPECT_EQ(e2e, explicit_list.candidate_end_to_end);
 }
 
 }  // namespace
