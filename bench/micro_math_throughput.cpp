@@ -1,10 +1,11 @@
 // Blocked math engine vs. naive reference throughput (DESIGN.md §11).
 //
-// Measures the packed-panel GEMM/syrk kernels and the fused cyclic-Jacobi
-// eigh against the retained naive references, plus the pool-parallel GEMM
-// path, verifies blocked-vs-reference accuracy and blocked-vs-parallel
-// bit-identity, prints a table, and writes BENCH_math.json (the compute
-// side of the repo's perf trajectory, next to BENCH_compress.json). Usage:
+// Measures the packed-panel GEMM/syrk kernels against the retained naive
+// references, the Householder + QL eigh against the Jacobi oracle (and
+// alone at n = 512 and 1024), plus the pool-parallel GEMM path, verifies
+// blocked-vs-reference accuracy and blocked-vs-parallel bit-identity,
+// prints a table, and writes BENCH_math.json (the compute side of the
+// repo's perf trajectory, next to BENCH_compress.json). Usage:
 //
 //   micro_math_throughput [--smoke] [--threads=N] [output.json]
 //                                             (default BENCH_math.json)
@@ -101,7 +102,8 @@ struct GemmRow {
 
 struct EighRow {
   std::size_t size;
-  double naive_ms, fused_ms;
+  double eigh_ms;
+  double jacobi_ms;  ///< 0 on the rows too large to run the oracle.
 };
 
 }  // namespace
@@ -149,7 +151,8 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{128, 256, 512};
   const std::vector<std::size_t> eigh_sizes =
       smoke ? std::vector<std::size_t>{96}
-            : std::vector<std::size_t>{96, 192, 256};
+            : std::vector<std::size_t>{96, 192, 256, 512, 1024};
+  constexpr std::size_t kMaxJacobiSize = 256;
 
   const unsigned host_concurrency = std::thread::hardware_concurrency();
   if (requested_threads == 0) {
@@ -227,9 +230,9 @@ int main(int argc, char** argv) {
               syrk_flops / syrk_t_blocked / 1e9,
               syrk_t_naive / syrk_t_blocked);
 
-  // --- eigh: fused cyclic-by-rows Jacobi vs two-pass reference ---
-  std::printf("\neigh (symmetric, double-precision Jacobi)\n");
-  std::printf("%6s | %10s %10s | %s\n", "size", "naive ms", "fused ms",
+  // --- eigh: Householder + implicit QL vs the Jacobi oracle ---
+  std::printf("\neigh (symmetric, double precision)\n");
+  std::printf("%6s | %10s %10s | %s\n", "size", "jacobi ms", "eigh ms",
               "speedup");
   std::vector<EighRow> eigh_rows;
   for (std::size_t n : eigh_sizes) {
@@ -240,16 +243,19 @@ int main(int argc, char** argv) {
         m.at(i, j) = m.at(j, i) = avg;
       }
     }
-    EighRow row;
-    row.size = n;
+    EighRow row{n, 0.0, 0.0};
     const std::string stem = "bench.eigh" + std::to_string(n);
-    row.naive_ms = 1e3 * time_best(stem + ".naive", reps,
-                                   [&] { (void)ct::eigh_reference(m); });
-    row.fused_ms =
-        1e3 * time_best(stem + ".fused", reps, [&] { (void)ct::eigh(m); });
+    row.eigh_ms =
+        1e3 * time_best(stem + ".ql", reps, [&] { (void)ct::eigh(m); });
+    if (n <= kMaxJacobiSize) {
+      row.jacobi_ms = 1e3 * time_best(stem + ".jacobi", reps,
+                                      [&] { (void)ct::eigh_jacobi(m); });
+      std::printf("%6zu | %10.2f %10.2f | %6.2fx\n", n, row.jacobi_ms,
+                  row.eigh_ms, row.jacobi_ms / row.eigh_ms);
+    } else {
+      std::printf("%6zu | %10s %10.2f |\n", n, "-", row.eigh_ms);
+    }
     eigh_rows.push_back(row);
-    std::printf("%6zu | %10.2f %10.2f | %6.2fx\n", n, row.naive_ms,
-                row.fused_ms, row.naive_ms / row.fused_ms);
   }
 
   // --- JSON ---
@@ -288,11 +294,13 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"eigh\": [\n");
   for (std::size_t i = 0; i < eigh_rows.size(); ++i) {
     const EighRow& r = eigh_rows[i];
-    std::fprintf(f,
-                 "    {\"size\": %zu, \"naive_ms\": %.3f, \"fused_ms\":"
-                 " %.3f, \"speedup\": %.3f}%s\n",
-                 r.size, r.naive_ms, r.fused_ms, r.naive_ms / r.fused_ms,
-                 i + 1 < eigh_rows.size() ? "," : "");
+    std::fprintf(f, "    {\"size\": %zu, \"eigh_ms\": %.3f", r.size,
+                 r.eigh_ms);
+    if (r.jacobi_ms > 0.0) {
+      std::fprintf(f, ", \"jacobi_ms\": %.3f, \"speedup\": %.3f",
+                   r.jacobi_ms, r.jacobi_ms / r.eigh_ms);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < eigh_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"gemm512_speedup\": %.3f, \"gemm512_speedup_gate\":"

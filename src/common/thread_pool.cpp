@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <stdexcept>
+#include <utility>
 
 namespace compso::common {
 namespace {
@@ -12,6 +13,29 @@ thread_local bool t_on_worker = false;
 }  // namespace
 
 bool ThreadPool::on_worker_thread() noexcept { return t_on_worker; }
+
+void ThreadPool::run_as_worker(const std::function<void()>& fn) {
+  struct Restore {
+    bool prev;
+    ~Restore() { t_on_worker = prev; }
+  } restore{std::exchange(t_on_worker, true)};
+  fn();
+}
+
+bool ThreadPool::run_one() {
+  std::packaged_task<void()> task;
+  for (std::size_t k = 0; k < queues_.size() && !task.valid(); ++k) {
+    Queue& q = *queues_[k];
+    std::lock_guard<std::mutex> lk(q.m);
+    if (q.d.empty()) continue;
+    task = std::move(q.d.back());  // the cold end, as a thief takes it
+    q.d.pop_back();
+  }
+  if (!task.valid()) return false;
+  pending_.fetch_sub(1, std::memory_order_relaxed);
+  run_as_worker([&task] { task(); });  // exceptions land in the future
+  return true;
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {

@@ -58,11 +58,22 @@ class ThreadPool {
   void parallel_for_static(
       std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// True on any ThreadPool worker thread (of any pool instance). The
-  /// math kernels consult this to run inline instead of re-entering a
-  /// pool from inside a pool task — nested blocking submission could
-  /// deadlock and would oversubscribe the cores either way.
+  /// True on any ThreadPool worker thread (of any pool instance), and on
+  /// a caller inside run_as_worker() or run_one(). The math kernels
+  /// consult this to run inline instead of re-entering a pool from inside
+  /// a pool task — nested blocking submission could deadlock and would
+  /// oversubscribe the cores either way.
   static bool on_worker_thread() noexcept;
+
+  /// Runs `fn` on the calling thread as a worker would run a task (so
+  /// on_worker_thread() is true inside it).
+  static void run_as_worker(const std::function<void()>& fn);
+
+  /// Takes one queued task, if any, and runs it on the calling thread
+  /// under run_as_worker(); returns false when every queue was empty.
+  /// Lets a caller that waits on a future help drain the queues instead
+  /// of sleeping while its task sits behind others.
+  bool run_one();
 
   /// Stops accepting work, drains the queues, joins the workers.
   /// Idempotent.

@@ -2,6 +2,7 @@
 
 #include "src/common/thread_pool.hpp"
 
+#include <chrono>
 #include <utility>
 
 namespace compso::compress {
@@ -80,6 +81,7 @@ CompressionEngine::Ticket CompressionEngine::submit(
 void CompressionEngine::wait(Ticket ticket) {
   if (pool_) {
     if (ticket < futures_.size() && futures_[ticket].valid()) {
+      help_until_ready(futures_[ticket]);
       futures_[ticket].get();
     }
     return;
@@ -90,11 +92,18 @@ void CompressionEngine::wait(Ticket ticket) {
   }
 }
 
+void CompressionEngine::help_until_ready(const std::future<void>& f) {
+  while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready &&
+         pool_->run_one()) {
+  }
+}
+
 void CompressionEngine::wait_all() {
   std::exception_ptr first;
   if (pool_) {
     for (auto& f : futures_) {
       if (!f.valid()) continue;
+      help_until_ready(f);
       try {
         f.get();
       } catch (...) {
@@ -117,11 +126,21 @@ void CompressionEngine::run_batch(std::vector<std::function<void()>>&& jobs) {
   if (obs_.enabled()) {
     for (auto& job : jobs) job = instrument(std::move(job));
   }
-  if (pool_) {
+  if (pool_ && !jobs.empty()) {
+    // The caller runs the first job itself, then helps drain the queue
+    // while it waits for the rest.
     std::vector<std::future<void>> batch;
-    batch.reserve(jobs.size());
-    for (auto& job : jobs) batch.push_back(pool_->submit(std::move(job)));
+    batch.reserve(jobs.size() - 1);
+    for (std::size_t i = 1; i < jobs.size(); ++i) {
+      batch.push_back(pool_->submit(std::move(jobs[i])));
+    }
+    try {
+      common::ThreadPool::run_as_worker(jobs[0]);
+    } catch (...) {
+      first = std::current_exception();
+    }
     for (auto& f : batch) {
+      help_until_ready(f);
       try {
         f.get();
       } catch (...) {

@@ -77,7 +77,8 @@ class CompressionEngine {
                 std::string name = "engine.task");
 
   /// Blocks until the job behind `ticket` finished; rethrows its
-  /// exception. Waiting twice on a ticket is a no-op.
+  /// exception. Waiting twice on a ticket is a no-op. While the job is
+  /// pending, the caller runs queued pool jobs itself instead of sleeping.
   void wait(Ticket ticket);
 
   /// Blocks until every submitted job finished, rethrows the first
@@ -85,12 +86,13 @@ class CompressionEngine {
   void wait_all();
 
   /// Runs a batch of independent jobs to completion — in parallel on the
-  /// pool when present, else serially in order. Every job runs even when
-  /// another throws (callers retry per-item; a half-executed batch would
-  /// corrupt their bookkeeping); the first exception in batch order is
-  /// rethrown after the barrier. Outstanding submit() tickets are not
-  /// waited on (the batch may run while earlier-layer tickets are still
-  /// in flight).
+  /// pool when present (the caller runs the first job, then runs queued
+  /// jobs until the rest finished), else serially in order. Every job
+  /// runs even when another throws (callers retry per-item; a
+  /// half-executed batch would corrupt their bookkeeping); the first
+  /// exception in batch order is rethrown after the barrier. Outstanding
+  /// submit() tickets are not waited on (the batch may run while
+  /// earlier-layer tickets are still in flight).
   void run_batch(std::vector<std::function<void()>>&& jobs);
 
   /// Attaches metrics/tracer hooks and restarts the engine's task
@@ -112,6 +114,9 @@ class CompressionEngine {
   /// on the optimizer thread in submission order.
   std::function<void()> instrument(std::function<void()> job,
                                    std::string name = "engine.task");
+  /// Runs queued pool jobs on the calling thread until `f` is ready or
+  /// the queues are empty.
+  void help_until_ready(const std::future<void>& f);
 
   std::unique_ptr<common::ThreadPool> pool_;
   std::vector<std::future<void>> futures_;          ///< parallel tickets.

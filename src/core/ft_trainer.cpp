@@ -74,19 +74,25 @@ std::vector<nn::Model> build_replicas(const TrainerConfig& cfg) {
 
 }  // namespace
 
-double FaultTolerantTrainer::forward_backward(nn::Model& model) {
+FaultTolerantTrainer::TrainBatch FaultTolerantTrainer::draw_batch() {
   const std::size_t b = cfg_.base.batch_per_rank;
+  if (const auto* spans = std::get_if<nn::SpanDataset>(&dataset_)) {
+    return spans->sample(b, data_rng_);
+  }
+  return std::get<nn::ClusterDataset>(dataset_).sample(b, data_rng_);
+}
+
+double FaultTolerantTrainer::forward_backward(nn::Model& model,
+                                              const TrainBatch& batch) {
   tensor::Tensor grad;
   double loss = 0.0;
-  if (const auto* spans = std::get_if<nn::SpanDataset>(&dataset_)) {
-    const auto batch = spans->sample(b, data_rng_);
-    loss = nn::span_cross_entropy(model.forward(batch.x), batch.start,
-                                  batch.end, grad);
+  if (const auto* spans = std::get_if<nn::SpanDataset::SpanBatch>(&batch)) {
+    loss = nn::span_cross_entropy(model.forward(spans->x), spans->start,
+                                  spans->end, grad);
   } else {
-    const auto batch = std::get<nn::ClusterDataset>(dataset_).sample(
-        b, data_rng_);
-    loss = nn::softmax_cross_entropy(model.forward(batch.x), batch.labels,
-                                     grad);
+    const auto& clusters = std::get<nn::Batch>(batch);
+    loss = nn::softmax_cross_entropy(model.forward(clusters.x),
+                                     clusters.labels, grad);
   }
   model.backward(grad);
   return loss;
@@ -260,13 +266,33 @@ double FaultTolerantTrainer::step(
 
   auto compute_span =
       obs_.span(obs::kMainTrack, "trainer.forward_backward", "trainer");
-  double loss = 0.0;
+  // Every participating rank's batch is drawn first, in rank order, so
+  // data_rng_ advances exactly as a rank-by-rank loop would. Each replica
+  // owns its model, activations and gradients, so the forward/backward
+  // passes then run as one engine batch; the losses are summed and the
+  // NaN faults applied in rank order after the join.
+  std::vector<std::size_t> ranks;
+  std::vector<TrainBatch> batches;
   for (std::size_t r = 0; r < cfg_.base.world; ++r) {
     if (!comm_.is_participating(r)) continue;
-    loss += forward_backward(replicas_[r]);
+    ranks.push_back(r);
+    batches.push_back(draw_batch());
+  }
+  std::vector<double> losses(ranks.size(), 0.0);
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve(ranks.size());
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    jobs.emplace_back([this, &batches, &losses, &ranks, i] {
+      losses[i] = forward_backward(replicas_[ranks[i]], batches[i]);
+    });
+  }
+  engine_.run_batch(std::move(jobs));
+  double loss = 0.0;
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    loss += losses[i];
     if (injector_ != nullptr &&
-        injector_->take(comm::FaultKind::kNanGradient, r)) {
-      poison_gradients(replicas_[r]);
+        injector_->take(comm::FaultKind::kNanGradient, ranks[i])) {
+      poison_gradients(replicas_[ranks[i]]);
     }
   }
   loss /= static_cast<double>(comm_.participant_count());

@@ -203,9 +203,12 @@ class FaultTolerantTrainer {
   void load_checkpoint(const std::string& path);
 
  private:
-  /// Samples this rank's batch, runs forward, the task's loss and
-  /// backward on `model`; returns the batch loss.
-  double forward_backward(nn::Model& model);
+  using TrainBatch = std::variant<nn::Batch, nn::SpanDataset::SpanBatch>;
+  /// Samples one rank's batch for the task from data_rng_.
+  TrainBatch draw_batch();
+  /// Runs forward, the task's loss and backward on `model`; returns the
+  /// batch loss. Touches only `model`, so ranks may run concurrently.
+  static double forward_backward(nn::Model& model, const TrainBatch& batch);
   void poison_gradients(nn::Model& model);
   nn::Model& lead_replica() { return replicas_[comm_.first_participant()]; }
   /// Re-syncs the shared (rank-agnostic) training state — schedule cursor,

@@ -518,17 +518,30 @@ void DistKfac::step(std::size_t iteration, double lr,
         },
         /*is_comm=*/true);
 
-    // Eigendecomposition refresh (owner-partitioned, every
-    // eigen_refresh_every steps) fused with preconditioning: both read
-    // only this slot's state, so the pair overlaps other slots'
-    // collectives — the §4.4 "eigh under comm" overlap.
+    // Preconditioning reads only this slot's state, so it overlaps other
+    // slots' collectives — the §4.4 "eigh under comm" overlap. On a
+    // refresh step (owner-partitioned, every eigen_refresh_every steps)
+    // each factor's eigendecomposition is its own task after the factor
+    // exchange, so a refresh keeps every slot's eigh calls in flight at
+    // once (the order rule in StepGraph::order() submits all of them
+    // before the first precondition reaps any).
     const auto ep = graph_.add_compute(
-        (refresh ? "eigh_precond" : "precond") + std::to_string(s),
-        static_cast<int>(s), [this, s, refresh, own] {
-          if (refresh) states_[s]->refresh_eigen();
+        "precond" + std::to_string(s), static_cast<int>(s), [this, s, own] {
           preconditioned_[s] =
               states_[s]->precondition(grad_work_[s][own], cfg_.damping);
         });
+    if (refresh) {
+      const auto ea = graph_.add_compute(
+          "eigh_a" + std::to_string(s), static_cast<int>(s),
+          [this, s] { states_[s]->refresh_eigen_a(); });
+      const auto eg = graph_.add_compute(
+          "eigh_g" + std::to_string(s), static_cast<int>(s),
+          [this, s] { states_[s]->refresh_eigen_g(); });
+      graph_.depends(ea, fx);
+      graph_.depends(eg, fx);
+      graph_.depends(ep, ea);
+      graph_.depends(ep, eg);
+    }
     graph_.depends(ep, fx);
     graph_.depends(ep, gar);
 

@@ -38,17 +38,31 @@ void KfacLayerState::blend_factors(const Tensor& cov_a, const Tensor& cov_g,
 }
 
 void KfacLayerState::refresh_eigen() {
+  refresh_eigen_a();
+  refresh_eigen_g();
+}
+
+void KfacLayerState::refresh_eigen_a() {
+  eig_a_ = decompose(a_);
+  has_eigen_a_ = true;
+}
+
+void KfacLayerState::refresh_eigen_g() {
+  eig_g_ = decompose(g_);
+  has_eigen_g_ = true;
+}
+
+tensor::EigenDecomposition KfacLayerState::decompose(
+    const Tensor& factor) const {
   if (updates_ == 0) {
     throw std::logic_error("KfacLayerState: no factor statistics yet");
   }
-  eig_a_ = tensor::eigh(a_);
-  eig_g_ = tensor::eigh(g_);
-  has_eigen_ = true;
+  return tensor::eigh(factor);
 }
 
 Tensor KfacLayerState::precondition(const Tensor& combined_grad,
                                     double gamma) const {
-  if (!has_eigen_) {
+  if (!has_eigen()) {
     throw std::logic_error("KfacLayerState: eigendecomposition not ready");
   }
   const std::size_t out = g_.rows();
@@ -87,7 +101,7 @@ void KfacLayerState::restore(Tensor a, Tensor g,
   g_ = std::move(g);
   eig_a_ = std::move(eig_a);
   eig_g_ = std::move(eig_g);
-  has_eigen_ = has_eigen;
+  has_eigen_a_ = has_eigen_g_ = has_eigen;
   updates_ = updates;
 }
 

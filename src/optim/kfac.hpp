@@ -33,8 +33,12 @@ class KfacLayerState {
                      double stat_decay);
 
   /// Refreshes the eigendecompositions (the expensive step that the
-  /// distributed variant partitions across GPUs).
+  /// distributed variant partitions across GPUs): refresh_eigen_a() then
+  /// refresh_eigen_g(). The two halves touch disjoint state, so they may
+  /// run concurrently (DistKfac schedules them as separate tasks).
   void refresh_eigen();
+  void refresh_eigen_a();
+  void refresh_eigen_g();
 
   /// Computes the preconditioned gradient for combined [W | b] gradient
   /// (out, in+1) with Tikhonov damping `gamma`. refresh_eigen() must have
@@ -45,7 +49,7 @@ class KfacLayerState {
   Tensor& factor_g() noexcept { return g_; }
   const Tensor& factor_a() const noexcept { return a_; }
   const Tensor& factor_g() const noexcept { return g_; }
-  bool has_eigen() const noexcept { return has_eigen_; }
+  bool has_eigen() const noexcept { return has_eigen_a_ && has_eigen_g_; }
   std::size_t updates() const noexcept { return updates_; }
 
   /// Checkpoint support: the eigendecompositions belong to the factors as
@@ -58,11 +62,14 @@ class KfacLayerState {
                std::size_t updates);
 
  private:
+  tensor::EigenDecomposition decompose(const Tensor& factor) const;
+
   Tensor a_;  ///< (in+1, in+1)
   Tensor g_;  ///< (out, out)
   tensor::EigenDecomposition eig_a_;
   tensor::EigenDecomposition eig_g_;
-  bool has_eigen_ = false;
+  bool has_eigen_a_ = false;
+  bool has_eigen_g_ = false;
   std::size_t updates_ = 0;
 };
 

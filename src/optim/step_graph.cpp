@@ -42,9 +42,22 @@ std::vector<StepGraph::TaskId> StepGraph::order() const {
   }
   // Kahn's algorithm with a deterministic selection rule: among ready
   // tasks, compute before main (so submissions are as eager as the
-  // edges allow), then priority descending, then insertion order. The
-  // ready set is small (tens of tasks), so a linear scan beats heap
-  // bookkeeping and keeps ties trivially stable.
+  // edges allow) — except a compute task that depends on another compute
+  // task, which goes after the ready main tasks: placing it reaps its
+  // compute deps, and doing that before the main tasks that release
+  // further compute work would run those deps one at a time. Then
+  // priority descending, then insertion order. The ready set is small
+  // (tens of tasks), so a linear scan beats heap bookkeeping and keeps
+  // ties trivially stable.
+  // Tier 0: compute, 1: main, 2: compute with a compute dep.
+  std::vector<int> tier(n, 1);
+  for (TaskId t = 0; t < n; ++t) {
+    if (!tasks_[t].compute) continue;
+    tier[t] = 0;
+    for (TaskId d : tasks_[t].deps) {
+      if (tasks_[d].compute) tier[t] = 2;
+    }
+  }
   std::vector<TaskId> ready;
   for (TaskId t = 0; t < n; ++t) {
     if (missing[t] == 0) ready.push_back(t);
@@ -56,11 +69,12 @@ std::vector<StepGraph::TaskId> StepGraph::order() const {
     for (std::size_t i = 1; i < ready.size(); ++i) {
       const Task& a = tasks_[ready[i]];
       const Task& b = tasks_[ready[best]];
+      const int ta = tier[ready[i]];
+      const int tb = tier[ready[best]];
       const bool wins =
-          a.compute != b.compute
-              ? a.compute
-              : (a.priority != b.priority ? a.priority > b.priority
-                                          : ready[i] < ready[best]);
+          ta != tb ? ta < tb
+                   : (a.priority != b.priority ? a.priority > b.priority
+                                               : ready[i] < ready[best]);
       if (wins) best = i;
     }
     const TaskId t = ready[best];

@@ -18,13 +18,15 @@
 //
 // Scheduling is fully deterministic: order() linearises the graph with a
 // fixed selection rule (ready compute tasks before ready main tasks —
-// eager submission — then priority descending, then insertion order),
-// and run() walks that single total order on the calling thread. A
-// compute task's result is reaped (engine.wait) at the first task that
-// depends on it, never earlier; everything between submission and reap
-// overlaps it. With backward-order priorities (later layers first) this
-// reproduces the wavefront schedule of Shi et al.'s smart-parallelism
-// pipeline.
+// eager submission — except that a compute task with a compute dep comes
+// after the ready main tasks, so reaping its deps never holds back the
+// main tasks that release more compute work; then priority descending,
+// then insertion order), and run() walks that single total order on the
+// calling thread. A compute task's result is reaped (engine.wait) at the
+// first task that depends on it, never earlier; everything between
+// submission and reap overlaps it. With backward-order priorities
+// (later layers first) this reproduces the wavefront schedule of Shi et
+// al.'s smart-parallelism pipeline.
 //
 // Determinism contract: every submission, reap, collective and tracer
 // claim happens on the calling thread at a position that is a pure

@@ -4,6 +4,7 @@
 // FaultTolerantTrainer checkpoint/resume under a parallel engine, and a
 // fuzz loop driving mutated payloads through the fused COMPSO decoder.
 
+#include "src/common/thread_pool.hpp"
 #include "src/compress/compression_engine.hpp"
 #include "src/compress/compressor.hpp"
 #include "src/compress/payload_fuzz.hpp"
@@ -19,8 +20,10 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace cm = compso::comm;
@@ -78,6 +81,45 @@ TEST(CompressionEngine, RunBatchRunsEveryJobEvenWhenOneThrows) {
     // must not observe half-written buffers from an abandoned batch.
     EXPECT_EQ(ran.load(), 8) << "threads=" << threads;
   }
+}
+
+TEST(CompressionEngine, WaitRunsQueuedJobsWhileItsTicketIsPending) {
+  // The only worker holds a job that spins (up to 10 s) until a later
+  // job runs. Waiting on the later job's ticket must run it on the
+  // waiting thread instead of sleeping behind the spinner.
+  cc::CompressionEngine eng(1);
+  std::atomic<bool> released{false};
+  std::atomic<bool> saw_release{false};
+  eng.submit([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!released.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    saw_release = released.load();
+  });
+  const auto later = eng.submit([&] { released = true; });
+  eng.wait(later);
+  eng.wait_all();
+  EXPECT_TRUE(saw_release.load());
+}
+
+TEST(CompressionEngine, RunBatchRunsFirstJobOnCallerAsWorker) {
+  cc::CompressionEngine eng(2);
+  const auto caller = std::this_thread::get_id();
+  bool on_caller = false;
+  bool as_worker = false;
+  std::vector<std::function<void()>> jobs;
+  jobs.push_back([&] {
+    on_caller = std::this_thread::get_id() == caller;
+    // Math kernels inside the job run inline, as on a pool worker.
+    as_worker = compso::common::ThreadPool::on_worker_thread();
+  });
+  jobs.push_back([] {});
+  eng.run_batch(std::move(jobs));
+  EXPECT_TRUE(on_caller);
+  EXPECT_TRUE(as_worker);
+  EXPECT_FALSE(compso::common::ThreadPool::on_worker_thread());
 }
 
 TEST(CompressionEngine, TaskRngIsDeterministicPerTaskId) {

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
@@ -67,6 +68,41 @@ TEST(StepGraph, ComputeFirstThenPriorityThenInsertion) {
   EXPECT_EQ(ord[2], main_hi);
   EXPECT_EQ(ord[3], main_lo);
   EXPECT_EQ(ord[4], main_tie);
+}
+
+TEST(StepGraph, ComputeAfterComputeWaitsForReadyMainTasks) {
+  // Two compute->compute chains, each behind its own main task. Placing
+  // a second-level task reaps its first-level dep, so it must wait until
+  // the ready main tasks ran and every first-level task is submitted —
+  // otherwise the first chain is reaped before the second even starts.
+  for (const std::size_t threads : {0UL, 2UL}) {
+    opt::StepGraph g;
+    cc::CompressionEngine eng(threads);
+    std::vector<std::string> log;  // serial engine: compute runs at submit.
+    const auto note = [&log, threads](const char* name) {
+      return [&log, threads, name] {
+        if (threads == 0) log.emplace_back(name);
+      };
+    };
+    const auto m1 = g.add_main("m1", 2, note("m1"));
+    const auto m2 = g.add_main("m2", 1, note("m2"));
+    const auto c1 = g.add_compute("c1", 0, note("c1"));
+    const auto d1 = g.add_compute("d1", 0, note("d1"));
+    const auto c2 = g.add_compute("c2", 0, note("c2"));
+    const auto d2 = g.add_compute("d2", 0, note("d2"));
+    g.depends(c1, m1);
+    g.depends(d1, c1);
+    g.depends(c2, m2);
+    g.depends(d2, c2);
+    const std::vector<opt::StepGraph::TaskId> want = {m1, c1, m2, c2, d1, d2};
+    EXPECT_EQ(g.order(), want);
+    g.run(eng, obs::ObsHooks{});
+    if (threads == 0) {
+      const std::vector<std::string> ran = {"m1", "c1", "m2",
+                                            "c2", "d1", "d2"};
+      EXPECT_EQ(log, ran);
+    }
+  }
 }
 
 TEST(StepGraph, CycleThrows) {
@@ -349,6 +385,46 @@ TEST(SchedDeterminism, FaultInjectedTrajectoryIndependentOfThreads) {
   }
 }
 
+TEST(SchedDeterminism, RankParallelForwardBackwardBitExact) {
+  // The ranks' forward/backward passes run as one engine batch; losses,
+  // parameters and the NaN-fault response must not depend on the pool.
+  for (const auto task :
+       {core::TrainTask::kClusters, core::TrainTask::kSpans}) {
+    const char* what =
+        task == core::TrainTask::kClusters ? "clusters" : "spans";
+    std::vector<double> base_loss;
+    std::vector<float> base_params;
+    for (const std::size_t threads : {0UL, 2UL, 4UL}) {
+      auto cfg = sched_ft_config(core::OptimizerKind::kKfac, threads);
+      cfg.base.task = task;
+      core::FaultTolerantTrainer trainer(cfg);
+      trainer.set_fault_plan(cm::FaultPlan{}.nan_gradient(3, 1), 99);
+      std::vector<double> loss;
+      for (std::size_t t = 0; t < 7; ++t) {
+        const auto skips = trainer.comm().recovery().nonfinite_skips;
+        loss.push_back(trainer.step());
+        // Rank 1's poisoned gradient skips step 3, and only step 3.
+        EXPECT_EQ(trainer.comm().recovery().nonfinite_skips > skips, t == 3)
+            << what << " threads=" << threads << " step " << t;
+        EXPECT_EQ(trainer.bounds_tightened(), t >= 3)
+            << what << " threads=" << threads << " step " << t;
+      }
+      EXPECT_EQ(trainer.comm().recovery().bound_tightenings, 1U) << what;
+      if (threads == 0) {
+        base_loss = loss;
+        base_params = trainer.parameters();
+        continue;
+      }
+      for (std::size_t i = 0; i < loss.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(loss[i]),
+                  std::bit_cast<std::uint64_t>(base_loss[i]))
+            << what << " threads=" << threads << " step " << i;
+      }
+      expect_bitwise_equal(base_params, trainer.parameters(), what);
+    }
+  }
+}
+
 TEST(SchedDeterminism, CheckpointResumeBitExactAcrossThreadCounts) {
   core::FaultTolerantTrainer straight(
       sched_ft_config(core::OptimizerKind::kKfac, 8));
@@ -458,6 +534,45 @@ TEST(SchedOverlap, CompressionOverlapsAnotherLayersCollective) {
     }
     EXPECT_TRUE(covered) << "idle gap under " << comm_e.name;
   }
+}
+
+TEST(SchedOverlap, RefreshSubmitsEveryEighBeforeReapingAny) {
+  DistFixture f(4);
+  cm::Communicator comm(cm::Topology::with_gpus(4),
+                        cm::NetworkModel::platform1());
+  opt::DistKfac kfac({.damping = 0.1, .eigen_refresh_every = 2,
+                      .aggregation = 2},
+                     comm, f.ptrs);
+  cc::CompressionEngine eng(2);
+  kfac.set_engine(&eng);
+  const auto compso = cc::make_compso({});
+  ct::Rng data_rng(1), sr_rng(2);
+  for (std::size_t t = 0; t < 2; ++t) {
+    f.run_fwd_bwd(data_rng);
+    kfac.step(t, 0.01, compso.get(), sr_rng);
+  }
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
+  comm.set_obs({.metrics = &metrics, .tracer = &tracer});
+  f.run_fwd_bwd(data_rng);
+  kfac.step(2, 0.01, compso.get(), sr_rng);  // a refresh step.
+  comm.set_obs({});
+
+  // One eigh task per factor per slot, each spanning [submit, reap):
+  // the last submission precedes the first reap.
+  std::size_t eigh_tasks = 0;
+  std::uint64_t last_submit = 0;
+  std::uint64_t first_reap = ~std::uint64_t{0};
+  for (const auto& e : tracer.events()) {
+    if (e.cat != "sched.task" || e.name.rfind("sched.eigh_", 0) != 0) {
+      continue;
+    }
+    ++eigh_tasks;
+    last_submit = std::max(last_submit, e.ts_ns);
+    first_reap = std::min(first_reap, e.ts_ns + e.dur_ns);
+  }
+  EXPECT_EQ(eigh_tasks, 2 * f.replicas[0].trainable_layers().size());
+  EXPECT_LT(last_submit, first_reap);
 }
 
 // --- steady-state allocations (ISSUE 6 satellite: evicted-rank slots) ---
