@@ -3,9 +3,9 @@
 #
 #   ./ci.sh            all configs, full test suite under each
 #   ./ci.sh <label>    only the suites carrying that CTest label, e.g.
-#                      fault, perf, obs, sched, pipeline, scale,
-#                      convergence, threaded; a label no suite carries
-#                      fails the run instead of running nothing
+#                      fault, perf, perf-wallclock, obs, sched, pipeline,
+#                      scale, convergence, threaded; a label no suite
+#                      carries fails the run instead of running nothing
 #
 # The sanitized config (-DCOMPSO_SANITIZE=ON) runs everything under
 # AddressSanitizer + UBSan, which is what gives the fault/recovery paths
@@ -58,10 +58,11 @@
 #
 # The scale lane (ctest -L scale) also runs in all three configs
 # (DESIGN.md §16): test_scale covers the Topology rank-map properties,
-# per-algorithm collective byte-identity against the flat canonical
-# reduction (adversarial world sizes, masked participation), the
-# selection/time-model invariants (legacy formulas bit-for-bit with
-# selection off; hierarchical beats the flat ring at >= 256 ranks), and
+# the summing collectives' byte-identity against the flat canonical
+# reduction with algorithm selection off and on (adversarial world sizes,
+# masked participation), the selection/time-model invariants (legacy
+# formulas bit-for-bit with selection off; hierarchical beats the flat
+# ring at >= 256 ranks), and
 # the sharded preconditioning contract: sharded-vs-KAISA bit-identity at
 # any engine thread count (TSan keeps the owner-grouped engine batches
 # honest), deterministic owner reassignment on eviction, and bit-exact
@@ -91,6 +92,13 @@
 # --smoke): they enforce the blocked >= 4x naive gemm criterion at 512^3
 # (uninstrumented configs) and serial == parallel bit-identity, and leave
 # BENCH_math.json / BENCH_train.json in each build directory.
+#
+# The perf-wallclock lane (./ci.sh perf-wallclock) runs only the three
+# gates whose pass depends on a wall-clock ratio: bench_math_smoke (gemm
+# speedup), bench_train_smoke (4-thread parallel speedup) and
+# bench_obs_smoke (metrics-on overhead). They stay in the default pass
+# too, with the same thresholds; the label lets a quiet host re-run them
+# on their own when a loaded one fails them.
 set -euo pipefail
 cd "$(dirname "$0")"
 

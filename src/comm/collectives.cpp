@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <stdexcept>
 
 namespace compso::comm {
 namespace {
 
-/// Bottleneck link of a flat collective spanning the whole topology
-/// (matches the legacy Communicator::ring_bottleneck).
+/// select_algo's threshold: at or below this many bytes the latency term
+/// dominates; above it, a multi-node topology's two-level algorithm wins.
+constexpr std::size_t kSmallMessageBytes = 64 * 1024;
+
+/// Bottleneck link of a flat collective spanning the whole topology.
+/// Node-major rank order gives a ring one inter-node hop per node
+/// boundary, and each node's NIC carries one send + one receive per step
+/// (full duplex), so the bottleneck is a single inter-node link when the
+/// world spans nodes, NVLink otherwise.
 LinkParams flat_bottleneck(const Topology& topo,
                            const NetworkModel& net) noexcept {
   if (topo.nodes > 1) return net.inter_node();
@@ -49,38 +54,6 @@ double ring_allreduce(const LinkParams& link, std::size_t p,
   return 2.0 * (pd - 1.0) * link.latency_s + wire / link.bandwidth_Bps;
 }
 
-std::vector<std::size_t> participant_list(
-    const std::vector<std::uint8_t>& participating, std::size_t nbufs) {
-  std::vector<std::size_t> idx;
-  idx.reserve(nbufs);
-  for (std::size_t r = 0; r < nbufs; ++r) {
-    if (r < participating.size() && participating[r] != 0) idx.push_back(r);
-  }
-  return idx;
-}
-
-/// The canonical reduction every algorithm must reproduce: contributions
-/// summed in ascending participating-rank order, linear association —
-/// exactly the flat reference (Communicator::allreduce_sum's lead
-/// accumulation).
-void canonical_sum(const std::vector<std::span<float>>& bufs,
-                   const std::vector<std::size_t>& idx,
-                   std::vector<float>& scratch) {
-  const std::size_t n = bufs[idx[0]].size();
-  scratch.assign(bufs[idx[0]].begin(), bufs[idx[0]].end());
-  for (std::size_t k = 1; k < idx.size(); ++k) {
-    const auto src = bufs[idx[k]];
-    if (src.size() != n) {
-      throw std::invalid_argument("collectives: buffer size mismatch");
-    }
-    for (std::size_t i = 0; i < n; ++i) scratch[i] += src[i];
-  }
-}
-
-void copy_span(std::span<const float> src, std::span<float> dst) {
-  std::copy(src.begin(), src.end(), dst.begin());
-}
-
 }  // namespace
 
 const char* to_string(CollectiveAlgo algo) noexcept {
@@ -96,11 +69,8 @@ CollectiveAlgo select_algo(const CollectiveConfig& cfg, const Topology& topo,
                            std::size_t participants,
                            std::size_t bytes) noexcept {
   if (!cfg.auto_select || participants <= 2) return CollectiveAlgo::kRing;
-  if (bytes <= cfg.small_message_bytes) {
-    return CollectiveAlgo::kRecursiveDoubling;
-  }
-  if (topo.nodes > 1 && topo.gpus_per_node > 1 &&
-      bytes >= cfg.hierarchical_min_bytes) {
+  if (bytes <= kSmallMessageBytes) return CollectiveAlgo::kRecursiveDoubling;
+  if (topo.nodes > 1 && topo.gpus_per_node > 1) {
     return CollectiveAlgo::kHierarchical;
   }
   return CollectiveAlgo::kRing;
@@ -156,41 +126,14 @@ double allreduce_time(CollectiveAlgo algo, const Topology& topo,
   return 0.0;
 }
 
-double broadcast_time(CollectiveAlgo algo, const Topology& topo,
-                      const NetworkModel& net, std::size_t participants,
-                      std::size_t bytes) noexcept {
+double pipelined_broadcast_time(const Topology& topo, const NetworkModel& net,
+                                std::size_t participants,
+                                std::size_t bytes) noexcept {
   const std::size_t p = participants;
   if (p <= 1 || bytes == 0) return 0.0;
-  switch (algo) {
-    case CollectiveAlgo::kRing: {
-      // Pipelined chain: log2(p) startup rounds, one payload traversal.
-      const LinkParams link = flat_bottleneck(topo, net);
-      return rounds_log2(p) * link.latency_s +
-             static_cast<double>(bytes) / link.bandwidth_Bps;
-    }
-    case CollectiveAlgo::kRecursiveDoubling: {
-      // Flat binomial tree: every round re-sends the full payload.
-      const LinkParams link = flat_bottleneck(topo, net);
-      return rounds_log2(p) *
-             (link.latency_s +
-              static_cast<double>(bytes) / link.bandwidth_Bps);
-    }
-    case CollectiveAlgo::kHierarchical: {
-      // Binomial tree over the nodes on the interconnect, then a binomial
-      // tree over each node's GPUs on NVLink (the legacy
-      // Communicator::broadcast_time model).
-      double t = 0.0;
-      if (topo.nodes > 1) {
-        t += rounds_log2(topo.nodes) * net.inter_node().transfer_time(bytes);
-      }
-      if (topo.gpus_per_node > 1) {
-        t += rounds_log2(topo.gpus_per_node) *
-             net.intra_node().transfer_time(bytes);
-      }
-      return t;
-    }
-  }
-  return 0.0;
+  const LinkParams link = flat_bottleneck(topo, net);
+  return rounds_log2(p) * link.latency_s +
+         static_cast<double>(bytes) / link.bandwidth_Bps;
 }
 
 namespace {
@@ -313,169 +256,6 @@ double reduce_time(CollectiveAlgo algo, const Topology& topo,
     }
   }
   return std::min(tree, rab);
-}
-
-void run_reduce(const std::vector<std::span<float>>& bufs, std::size_t root,
-                const std::vector<std::uint8_t>& participating) {
-  const auto idx = participant_list(participating, bufs.size());
-  if (idx.empty()) return;
-  std::vector<float> scratch;
-  canonical_sum(bufs, idx, scratch);
-  copy_span(scratch, bufs[root]);
-}
-
-void run_allreduce(CollectiveAlgo algo, const Topology& topo,
-                   std::vector<std::span<float>>& bufs,
-                   const std::vector<std::uint8_t>& participating) {
-  const auto idx = participant_list(participating, bufs.size());
-  const std::size_t p = idx.size();
-  if (p == 0) return;
-  const std::size_t n = bufs[idx[0]].size();
-  std::vector<float> scratch;
-  canonical_sum(bufs, idx, scratch);
-  if (p == 1) return;
-
-  switch (algo) {
-    case CollectiveAlgo::kRing: {
-      if (n == 0) return;
-      // Segment partition: p contiguous segments, the first n % p of them
-      // one element longer (the standard non-divisible split).
-      std::vector<std::size_t> off(p + 1, 0);
-      const std::size_t base = n / p;
-      const std::size_t extra = n % p;
-      for (std::size_t j = 0; j < p; ++j) {
-        off[j + 1] = off[j] + base + (j < extra ? 1 : 0);
-      }
-      // Reduce-scatter: segment j finishes (canonically reduced) at
-      // participant j.
-      for (std::size_t j = 0; j < p; ++j) {
-        copy_span(std::span<const float>(scratch).subspan(off[j],
-                                                          off[j + 1] - off[j]),
-                  bufs[idx[j]].subspan(off[j], off[j + 1] - off[j]));
-      }
-      // Allgather rotation: p-1 steps; at step t, participant i receives
-      // from its left neighbor the segment that neighbor completed at
-      // step t-1 (its own reduced segment at t=0). A wrong rotation index
-      // leaves a stale pre-reduce segment in someone's buffer.
-      for (std::size_t t = 0; t + 1 < p; ++t) {
-        for (std::size_t i = 0; i < p; ++i) {
-          const std::size_t j = (i + 2 * p - 1 - t) % p;
-          const std::size_t src = idx[(i + p - 1) % p];
-          if (off[j + 1] == off[j]) continue;
-          copy_span(
-              std::span<const float>(bufs[src]).subspan(off[j],
-                                                        off[j + 1] - off[j]),
-              bufs[idx[i]].subspan(off[j], off[j + 1] - off[j]));
-        }
-      }
-      return;
-    }
-    case CollectiveAlgo::kRecursiveDoubling: {
-      // Non-power-of-two fold (Thakur et al.): the rem = p - 2^k excess
-      // participants fold their contribution into a partner before the
-      // butterfly and receive the result from that partner after it.
-      const std::size_t pow2 = std::bit_floor(p);
-      const std::size_t rem = p - pow2;
-      // Butterfly among the first pow2 participants: all end with the
-      // (canonical) reduction.
-      for (std::size_t i = 0; i < pow2; ++i) {
-        copy_span(scratch, bufs[idx[i]]);
-      }
-      // Fold-out: partner k hands the finished result to excess
-      // participant pow2 + k. Skipping or mis-pairing this edge leaves
-      // the excess ranks with stale data (the non-power-of-two property
-      // tests exist for exactly this).
-      for (std::size_t k = 0; k < rem; ++k) {
-        copy_span(std::span<const float>(bufs[idx[k]]), bufs[idx[pow2 + k]]);
-      }
-      return;
-    }
-    case CollectiveAlgo::kHierarchical: {
-      // Group participants by node; the lowest participating rank of each
-      // node is its leader. Leaders run the inter-node exchange (ending
-      // with the full reduction), then fan out to their node's members on
-      // NVLink. A wrong node map strands a member with stale data.
-      std::vector<std::size_t> leader_of_node(topo.nodes + 1, SIZE_MAX);
-      for (std::size_t k = 0; k < p; ++k) {
-        const std::size_t node = topo.node_of(idx[k]);
-        const std::size_t slot = std::min(node, topo.nodes);
-        if (leader_of_node[slot] == SIZE_MAX) leader_of_node[slot] = idx[k];
-      }
-      for (std::size_t node = 0; node <= topo.nodes; ++node) {
-        if (leader_of_node[node] == SIZE_MAX) continue;
-        copy_span(scratch, bufs[leader_of_node[node]]);
-      }
-      for (std::size_t k = 0; k < p; ++k) {
-        const std::size_t node = topo.node_of(idx[k]);
-        const std::size_t leader =
-            leader_of_node[std::min(node, topo.nodes)];
-        if (idx[k] == leader) continue;
-        copy_span(std::span<const float>(bufs[leader]), bufs[idx[k]]);
-      }
-      return;
-    }
-  }
-}
-
-void run_broadcast(CollectiveAlgo algo, const Topology& topo,
-                   std::vector<std::span<float>>& bufs, std::size_t root,
-                   const std::vector<std::uint8_t>& participating) {
-  const auto idx = participant_list(participating, bufs.size());
-  const std::size_t p = idx.size();
-  if (p <= 1) return;
-  // Position of the root within the participant list.
-  std::size_t rpos = 0;
-  for (std::size_t k = 0; k < p; ++k) {
-    if (idx[k] == root) {
-      rpos = k;
-      break;
-    }
-  }
-  switch (algo) {
-    case CollectiveAlgo::kRing: {
-      // Pipelined chain from the root around the participant ring.
-      for (std::size_t s = 1; s < p; ++s) {
-        const std::size_t dst = idx[(rpos + s) % p];
-        const std::size_t src = idx[(rpos + s - 1) % p];
-        copy_span(std::span<const float>(bufs[src]), bufs[dst]);
-      }
-      return;
-    }
-    case CollectiveAlgo::kRecursiveDoubling: {
-      // Binomial tree on root-relative virtual ranks: in round d every
-      // holder v < d feeds v + d.
-      for (std::size_t d = 1; d < p; d <<= 1) {
-        for (std::size_t v = 0; v < d && v + d < p; ++v) {
-          const std::size_t src = idx[(rpos + v) % p];
-          const std::size_t dst = idx[(rpos + v + d) % p];
-          copy_span(std::span<const float>(bufs[src]), bufs[dst]);
-        }
-      }
-      return;
-    }
-    case CollectiveAlgo::kHierarchical: {
-      // Root -> every other node's leader (interconnect), leader -> node
-      // members (NVLink). The root acts as its own node's leader.
-      std::vector<std::size_t> leader_of_node(topo.nodes + 1, SIZE_MAX);
-      leader_of_node[std::min(topo.node_of(root), topo.nodes)] = root;
-      for (std::size_t k = 0; k < p; ++k) {
-        const std::size_t slot = std::min(topo.node_of(idx[k]), topo.nodes);
-        if (leader_of_node[slot] == SIZE_MAX) leader_of_node[slot] = idx[k];
-      }
-      for (std::size_t node = 0; node <= topo.nodes; ++node) {
-        const std::size_t leader = leader_of_node[node];
-        if (leader == SIZE_MAX || leader == root) continue;
-        copy_span(std::span<const float>(bufs[root]), bufs[leader]);
-      }
-      for (std::size_t k = 0; k < p; ++k) {
-        const std::size_t leader =
-            leader_of_node[std::min(topo.node_of(idx[k]), topo.nodes)];
-        if (idx[k] == leader) continue;
-        copy_span(std::span<const float>(bufs[leader]), bufs[idx[k]]);
-      }
-      return;
-    }
-  }
 }
 
 }  // namespace compso::comm

@@ -1,31 +1,16 @@
 #pragma once
-// Collective algorithm layer (DESIGN.md §16): ring vs recursive-doubling
-// vs hierarchical two-level implementations of allreduce / broadcast /
-// allgatherv, with message-size- and topology-aware selection, priced
-// through the alpha-beta NetworkModel.
+// Collective algorithm layer (DESIGN.md §16): alpha-beta time models of
+// ring vs recursive-doubling vs hierarchical two-level collectives, with
+// message-size- and topology-aware selection, priced through the
+// NetworkModel.
 //
-// Two halves, both pure functions so the Communicator, the perf-model
-// lookup tables, and the benches price collectives identically:
-//
-//  - *time models*: the per-algorithm alpha-beta cost under a Topology +
-//    NetworkModel. kRing reproduces the legacy flat-ring formulas bit for
-//    bit, so a Communicator with selection disabled (the default) times
-//    every collective exactly as before this layer existed.
-//
-//  - *functional implementations*: run_allreduce / run_broadcast move the
-//    real bytes along each algorithm's communication structure (ring
-//    segment rotation, recursive-doubling fold-in/fold-out pairing,
-//    node-leader two-level routing). Reduction arithmetic is
-//    *canonicalized*: every algorithm accumulates contributions in
-//    ascending-participating-rank order with linear association — the
-//    exact order the flat reference uses — so algorithm selection changes
-//    modeled time and traffic but never training bits. (Real NCCL
-//    algorithm switches do perturb float sums; this simulator's prized
-//    invariant is bit-exact reproducibility, so the reduction order is
-//    pinned and only the routing structure varies per algorithm. The
-//    property tests exercise that structure: a wrong segment bound,
-//    rotation index, fold partner, or node map leaves stale bytes in some
-//    participant's buffer.)
+// Pure functions, so the Communicator, the perf-model lookup tables, and
+// the benches price collectives identically. This layer only prices: the
+// Communicator moves every collective's bytes, and its reduction order is
+// canonical (ascending participating rank, linear association), so the
+// selected algorithm changes modeled time but never training bits. With
+// selection off (the default) every collective is priced by kRing, the
+// flat-ring closed forms.
 
 #include "src/comm/network_model.hpp"
 #include "src/comm/topology.hpp"
@@ -33,7 +18,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace compso::comm {
 
@@ -45,26 +29,20 @@ enum class CollectiveAlgo : std::uint8_t {
 
 const char* to_string(CollectiveAlgo algo) noexcept;
 
-/// Message-size-aware selection knobs (mxnet kvstore-style switching).
-/// Defaults keep selection OFF: every collective uses its legacy model
-/// (ring for allreduce/allgather, hierarchical binomial for broadcast),
-/// so existing trajectories and timings are untouched until a caller
-/// opts in.
+/// Message-size-aware selection (mxnet kvstore-style switching). The
+/// default keeps selection OFF: every collective uses its legacy ring
+/// model, so existing timings are untouched until a caller opts in.
 struct CollectiveConfig {
   bool auto_select = false;
-  /// At or below this many bytes the latency term dominates: recursive
-  /// doubling (log2(p) rounds) beats the ring's 2(p-1) rounds.
-  std::size_t small_message_bytes = 64 * 1024;
-  /// At or above this many bytes on a multi-node topology, the two-level
-  /// hierarchical algorithm wins: the inter-node phase runs over node
-  /// leaders only (latency ~ nodes, not ranks) and the intra-node phase
-  /// rides NVLink.
-  std::size_t hierarchical_min_bytes = 64 * 1024;
 };
 
-/// Selects the algorithm for a `bytes`-sized allreduce/allgather-family
-/// collective over `participants` ranks of `topo`. With auto_select off
-/// this always returns kRing (the legacy model).
+/// Selects the algorithm for a `bytes`-sized allgather-family collective
+/// over `participants` ranks of `topo`: at or below 64 KiB the latency
+/// term dominates and recursive doubling (log2(p) rounds) beats the
+/// ring's p-1; above it, on a topology with several multi-GPU nodes, the
+/// two-level hierarchical algorithm wins (its inter-node phase runs over
+/// node leaders only, so latency grows with nodes, not ranks). With
+/// auto_select off this always returns kRing (the legacy model).
 CollectiveAlgo select_algo(const CollectiveConfig& cfg, const Topology& topo,
                            std::size_t participants,
                            std::size_t bytes) noexcept;
@@ -88,9 +66,6 @@ CollectiveAlgo select_allreduce_algo(const CollectiveConfig& cfg,
 double allreduce_time(CollectiveAlgo algo, const Topology& topo,
                       const NetworkModel& net, std::size_t participants,
                       std::size_t bytes) noexcept;
-double broadcast_time(CollectiveAlgo algo, const Topology& topo,
-                      const NetworkModel& net, std::size_t participants,
-                      std::size_t bytes) noexcept;
 double allgatherv_time(CollectiveAlgo algo, const Topology& topo,
                        const NetworkModel& net, std::size_t participants,
                        std::span<const std::size_t> bytes_per_rank) noexcept;
@@ -104,28 +79,11 @@ double allgather_time(CollectiveAlgo algo, const Topology& topo,
 double reduce_time(CollectiveAlgo algo, const Topology& topo,
                    const NetworkModel& net, std::size_t participants,
                    std::size_t bytes) noexcept;
-
-// --- functional implementations ---------------------------------------
-// `bufs` has one entry per world rank; only ranks with `participating[r]
-// != 0` contribute and receive (others are untouched). All participating
-// buffers must share a length. Results are byte-identical to the flat
-// canonical reduction (ascending participating rank, linear association).
-
-void run_allreduce(CollectiveAlgo algo, const Topology& topo,
-                   std::vector<std::span<float>>& bufs,
-                   const std::vector<std::uint8_t>& participating);
-
-/// Delivers root's buffer to every participating rank along the
-/// algorithm's edges (ring chain / binomial tree / leader two-level).
-void run_broadcast(CollectiveAlgo algo, const Topology& topo,
-                   std::vector<std::span<float>>& bufs, std::size_t root,
-                   const std::vector<std::uint8_t>& participating);
-
-/// Sum-reduce every participating buffer into `bufs[root]` only, in the
-/// canonical ascending order — bufs[root] ends bit-identical to what
-/// run_allreduce would leave in it; other participants keep their local
-/// contribution (a real reduce does not write them back).
-void run_reduce(const std::vector<std::span<float>>& bufs, std::size_t root,
-                const std::vector<std::uint8_t>& participating);
+/// Large-message pipelined broadcast (NCCL-style chunked chain): log2(p)
+/// startup rounds and one traversal of the payload through the bottleneck
+/// link. The one broadcast model; it needs no algorithm choice.
+double pipelined_broadcast_time(const Topology& topo, const NetworkModel& net,
+                                std::size_t participants,
+                                std::size_t bytes) noexcept;
 
 }  // namespace compso::comm

@@ -1,8 +1,6 @@
 #include "src/comm/communicator.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -29,11 +27,6 @@ double SimClocks::max_time() const noexcept {
   return m;
 }
 
-void SimClocks::sync_advance(double dt) noexcept {
-  const double start = max_time();
-  for (auto& t : t_) t = start + dt;
-}
-
 void SimClocks::sync_advance_masked(
     double dt, const std::vector<std::uint8_t>& mask) noexcept {
   double start = 0.0;
@@ -48,16 +41,6 @@ void SimClocks::sync_advance_masked(
   for (std::size_t r = 0; r < t_.size(); ++r) {
     if (r < mask.size() && mask[r] != 0) t_[r] = start + dt;
   }
-}
-
-LinkParams Communicator::ring_bottleneck() const noexcept {
-  // Node-major rank order: a ring has one inter-node hop per node boundary.
-  // Each node's NIC carries exactly one send + one receive per ring step
-  // (full duplex), so the per-step bottleneck is a single inter-node link
-  // when the world spans nodes, NVLink otherwise.
-  if (topo_.nodes > 1) return net_.inter_node();
-  if (topo_.world_size() > 1) return net_.intra_node();
-  return LinkParams{0.0, 1.0};  // single rank: no communication
 }
 
 std::size_t Communicator::active_count() const noexcept {
@@ -296,17 +279,6 @@ CollectiveAlgo Communicator::allgather_algo(std::size_t bytes)
   return select_algo(coll_, topo_, participant_count(), bytes);
 }
 
-CollectiveAlgo Communicator::broadcast_algo(std::size_t bytes)
-    const noexcept {
-  // The legacy broadcast model is already the hierarchical binomial; with
-  // selection off it stays the default (not ring, unlike the reduce
-  // family).
-  if (!coll_.auto_select) return CollectiveAlgo::kHierarchical;
-  const CollectiveAlgo algo = select_algo(coll_, topo_, participant_count(),
-                                          bytes);
-  return algo == CollectiveAlgo::kRing ? CollectiveAlgo::kHierarchical : algo;
-}
-
 double Communicator::allreduce_time(std::size_t bytes) const noexcept {
   // With selection off this is the legacy flat-ring formula bit for bit
   // (comm::allreduce_time(kRing, ...) reproduces it exactly).
@@ -328,11 +300,6 @@ double Communicator::allgatherv_time(
                                participant_count(), bytes_per_rank);
 }
 
-double Communicator::broadcast_time(std::size_t bytes) const noexcept {
-  return comm::broadcast_time(broadcast_algo(bytes), topo_, net_,
-                              participant_count(), bytes);
-}
-
 double Communicator::reduce_time(std::size_t bytes) const noexcept {
   return comm::reduce_time(allreduce_algo(bytes), topo_, net_,
                            participant_count(), bytes);
@@ -340,54 +307,55 @@ double Communicator::reduce_time(std::size_t bytes) const noexcept {
 
 double Communicator::pipelined_broadcast_time(std::size_t bytes)
     const noexcept {
-  const std::size_t p = participant_count();
-  if (p <= 1 || bytes == 0) return 0.0;
-  const LinkParams link = ring_bottleneck();
-  const auto rounds = static_cast<double>(std::bit_width(p - 1));
-  return rounds * link.latency_s +
-         static_cast<double>(bytes) / link.bandwidth_Bps;
+  return comm::pipelined_broadcast_time(topo_, net_, participant_count(),
+                                        bytes);
 }
 
-double Communicator::reduce_scatter_time(std::size_t bytes) const noexcept {
-  const std::size_t p = participant_count();
-  if (p <= 1 || bytes == 0) return 0.0;
-  const LinkParams link = ring_bottleneck();
-  const double pd = static_cast<double>(p);
-  const double wire_bytes = (pd - 1.0) / pd * static_cast<double>(bytes);
-  return (pd - 1.0) * link.latency_s + wire_bytes / link.bandwidth_Bps;
+std::size_t Communicator::check_buffers(
+    const char* op, const std::vector<std::span<float>>& bufs,
+    std::size_t ref) const {
+  if (bufs.size() != world_size()) {
+    throw std::invalid_argument(std::string(op) +
+                                ": need one buffer per rank");
+  }
+  const std::size_t n = bufs[ref].size();
+  for (std::size_t r = 0; r < bufs.size(); ++r) {
+    if (is_participating(r) && bufs[r].size() != n) {
+      throw std::invalid_argument(std::string(op) + ": buffer size mismatch");
+    }
+  }
+  return n;
+}
+
+void Communicator::canonical_sum(const std::vector<std::span<float>>& bufs,
+                                 std::span<float> dst) const {
+  // Each tile reads every participant's slice before it writes dst's, so
+  // dst may alias a participant; per element the adds run in rank order,
+  // the same bits as summing whole buffers in place.
+  constexpr std::size_t kTile = 1024;
+  float acc[kTile] = {};
+  const std::size_t lead = first_participant();
+  for (std::size_t off = 0; off < dst.size(); off += kTile) {
+    const std::size_t len = std::min(kTile, dst.size() - off);
+    std::copy_n(bufs[lead].data() + off, len, acc);
+    for (std::size_t r = lead + 1; r < bufs.size(); ++r) {
+      if (!is_participating(r)) continue;
+      const float* src = bufs[r].data() + off;
+      for (std::size_t i = 0; i < len; ++i) acc[i] += src[i];
+    }
+    std::copy_n(acc, len, dst.data() + off);
+  }
 }
 
 void Communicator::allreduce_sum(std::vector<std::span<float>> bufs) {
-  if (bufs.size() != world_size()) {
-    throw std::invalid_argument("allreduce_sum: need one buffer per rank");
-  }
   const std::size_t lead = first_participant();
-  const std::size_t n = bufs[lead].size();
-  for (std::size_t r = 0; r < bufs.size(); ++r) {
-    if (is_participating(r) && bufs[r].size() != n) {
-      throw std::invalid_argument("allreduce_sum: buffer size mismatch");
-    }
-  }
-  const CollectiveAlgo algo = allreduce_algo(n * sizeof(float));
-  ++algo_stats_.allreduce[static_cast<std::size_t>(algo)];
-  if (algo == CollectiveAlgo::kRing) {
-    // Functional: sum participating ranks into the lead participant's view,
-    // then replicate to the other participants. Evicted and step-excluded
-    // ranks neither contribute nor receive (renormalized averages). This is
-    // the canonical reduction every other algorithm reproduces bitwise.
-    for (std::size_t r = lead + 1; r < bufs.size(); ++r) {
-      if (!is_participating(r)) continue;
-      for (std::size_t i = 0; i < n; ++i) bufs[lead][i] += bufs[r][i];
-    }
-    for (std::size_t r = 0; r < bufs.size(); ++r) {
-      if (r == lead || !is_participating(r)) continue;
-      std::copy(bufs[lead].begin(), bufs[lead].end(), bufs[r].begin());
-    }
-  } else {
-    // Selected algorithm moves the bytes along its real routing structure;
-    // the reduction order is canonicalized, so the result is byte-identical
-    // to the ring path (DESIGN.md §16).
-    run_allreduce(algo, topo_, bufs, participating_);
+  const std::size_t n = check_buffers("allreduce_sum", bufs, lead);
+  // Sum into the lead participant's buffer, then replicate it to the
+  // other participants.
+  canonical_sum(bufs, bufs[lead]);
+  for (std::size_t r = lead + 1; r < bufs.size(); ++r) {
+    if (!is_participating(r)) continue;
+    std::copy(bufs[lead].begin(), bufs[lead].end(), bufs[r].begin());
   }
   const double dt = allreduce_time(n * sizeof(float));
   clocks_.sync_advance_masked(dt, participating_);
@@ -398,21 +366,11 @@ void Communicator::allreduce_sum(std::vector<std::span<float>> bufs) {
 
 void Communicator::reduce_sum(std::vector<std::span<float>> bufs,
                               std::size_t root) {
-  if (bufs.size() != world_size() || root >= world_size()) {
-    throw std::invalid_argument("reduce_sum: bad arguments");
-  }
   if (!is_participating(root)) {
     throw std::invalid_argument("reduce_sum: root is not participating");
   }
-  const std::size_t n = bufs[root].size();
-  for (std::size_t r = 0; r < bufs.size(); ++r) {
-    if (is_participating(r) && bufs[r].size() != n) {
-      throw std::invalid_argument("reduce_sum: buffer size mismatch");
-    }
-  }
-  run_reduce(bufs, root, participating_);
-  const CollectiveAlgo algo = allreduce_algo(n * sizeof(float));
-  ++algo_stats_.reduce[static_cast<std::size_t>(algo)];
+  const std::size_t n = check_buffers("reduce_sum", bufs, root);
+  canonical_sum(bufs, bufs[root]);
   const double dt = reduce_time(n * sizeof(float));
   clocks_.sync_advance_masked(dt, participating_);
   // Rides the allreduce row: the sharded factor exchange replaces a
@@ -420,33 +378,6 @@ void Communicator::reduce_sum(std::vector<std::span<float>> bufs,
   stats_.allreduce_s += dt;
   stats_.allreduce_bytes += n * sizeof(float);
   record_collective("allreduce", dt, n * sizeof(float));
-}
-
-void Communicator::allgather(const std::vector<std::vector<float>>& send,
-                             std::vector<std::vector<float>>& recv) {
-  if (send.size() != world_size()) {
-    throw std::invalid_argument("allgather: need one buffer per rank");
-  }
-  std::vector<float> gathered;
-  std::size_t max_chunk = 0;
-  for (std::size_t r = 0; r < send.size(); ++r) {
-    if (!is_participating(r)) continue;
-    gathered.insert(gathered.end(), send[r].begin(), send[r].end());
-    max_chunk = std::max(max_chunk, send[r].size());
-  }
-  recv.assign(world_size(), {});
-  for (std::size_t r = 0; r < world_size(); ++r) {
-    if (is_participating(r)) recv[r] = gathered;
-  }
-  ++algo_stats_.allgather[static_cast<std::size_t>(
-      allgather_algo(max_chunk * sizeof(float)))];
-  const double dt = allgather_time(max_chunk * sizeof(float));
-  clocks_.sync_advance_masked(dt, participating_);
-  stats_.allgather_s += dt;
-  const std::uint64_t bytes =
-      (gathered.size() - (send.empty() ? 0 : send[0].size())) * sizeof(float);
-  stats_.allgather_bytes += bytes;
-  record_collective("allgather", dt, bytes);
 }
 
 void Communicator::allgatherv_chunks(
@@ -492,9 +423,6 @@ void Communicator::allgatherv_chunks(
     delivered += frame.size();
     recv[r] = std::move(frame);
   }
-  std::size_t intended = 0;
-  for (std::size_t b : sizes) intended += b;
-  ++algo_stats_.allgather[static_cast<std::size_t>(allgather_algo(intended))];
   const double dt = allgatherv_time(sizes);
   clocks_.sync_advance_masked(dt, participating_);
   stats_.allgather_s += dt;
@@ -502,98 +430,6 @@ void Communicator::allgatherv_chunks(
   record_collective("allgather", dt, delivered);
   obs_.count("chunk.rounds");
   obs_.count("chunk.bytes", delivered);
-}
-
-void Communicator::broadcast(std::vector<std::span<float>> bufs,
-                             std::size_t root) {
-  if (bufs.size() != world_size() || root >= world_size()) {
-    throw std::invalid_argument("broadcast: bad arguments");
-  }
-  if (!is_participating(root)) {
-    throw std::invalid_argument("broadcast: root has been evicted");
-  }
-  const auto src = bufs[root];
-  for (std::size_t r = 0; r < bufs.size(); ++r) {
-    if (r == root || !is_participating(r)) continue;
-    if (bufs[r].size() != src.size()) {
-      throw std::invalid_argument("broadcast: buffer size mismatch");
-    }
-  }
-  const CollectiveAlgo algo = broadcast_algo(src.size() * sizeof(float));
-  ++algo_stats_.broadcast[static_cast<std::size_t>(algo)];
-  // Delivery follows the selected algorithm's edges (chain / binomial /
-  // leader two-level); a broadcast only copies, so every algorithm is
-  // trivially byte-identical.
-  run_broadcast(algo, topo_, bufs, root, participating_);
-  const double dt = broadcast_time(src.size() * sizeof(float));
-  clocks_.sync_advance_masked(dt, participating_);
-  stats_.broadcast_s += dt;
-  record_collective("broadcast", dt, src.size() * sizeof(float));
-}
-
-void Communicator::reduce_scatter_sum(std::vector<std::vector<float>>& bufs) {
-  const std::size_t p = world_size();
-  if (bufs.size() != p) {
-    throw std::invalid_argument("reduce_scatter_sum: need one buffer per rank");
-  }
-  const std::size_t n = bufs.empty() ? 0 : bufs[0].size();
-  if (n % p != 0) {
-    throw std::invalid_argument(
-        "reduce_scatter_sum: length must divide by world size");
-  }
-  for (const auto& b : bufs) {
-    if (b.size() != n) {
-      throw std::invalid_argument("reduce_scatter_sum: size mismatch");
-    }
-  }
-  std::vector<float> sum(bufs[0]);
-  for (std::size_t r = 1; r < p; ++r) {
-    for (std::size_t i = 0; i < n; ++i) sum[i] += bufs[r][i];
-  }
-  const std::size_t chunk = n / p;
-  for (std::size_t r = 0; r < p; ++r) {
-    bufs[r].assign(sum.begin() + static_cast<std::ptrdiff_t>(r * chunk),
-                   sum.begin() + static_cast<std::ptrdiff_t>((r + 1) * chunk));
-  }
-  const double dt = reduce_scatter_time(n * sizeof(float));
-  clocks_.sync_advance(dt);
-  stats_.reduce_scatter_s += dt;
-  record_collective("reduce_scatter", dt, n * sizeof(float));
-}
-
-void Communicator::broadcast_bytes(
-    std::vector<std::vector<std::uint8_t>>& bufs, std::size_t root) {
-  if (bufs.size() != world_size() || root >= world_size()) {
-    throw std::invalid_argument("broadcast_bytes: bad arguments");
-  }
-  if (!is_participating(root)) {
-    throw std::invalid_argument("broadcast_bytes: root has been evicted");
-  }
-  // Faults hit the delivered copy, never the root's own buffer — exactly a
-  // corrupting wire, as on the chunked allgatherv.
-  std::vector<std::uint8_t> delivered = bufs[root];
-  if (injector_ != nullptr) {
-    if (injector_->take(FaultKind::kCorruptPayload, root)) {
-      injector_->corrupt_payload(delivered);
-      ++recovery_.corrupt_injected;
-      obs_.count("recovery.corrupt_injected");
-    }
-    if (injector_->take(FaultKind::kTruncateEntry, root)) {
-      injector_->truncate_payload(delivered);
-      ++recovery_.truncations_injected;
-      obs_.count("recovery.truncations_injected");
-    }
-  }
-  if (fault_) fault_(delivered);
-  for (std::size_t r = 0; r < bufs.size(); ++r) {
-    if (r != root && is_participating(r)) bufs[r] = delivered;
-  }
-  ++algo_stats_.broadcast[static_cast<std::size_t>(
-      broadcast_algo(bufs[root].size()))];
-  const double dt = broadcast_time(bufs[root].size());
-  clocks_.sync_advance_masked(dt, participating_);
-  stats_.broadcast_s += dt;
-  record_collective("broadcast", dt, bufs[root].size());
 }
 
 }  // namespace compso::comm

@@ -1,17 +1,20 @@
 #pragma once
-// Simulated communicator: functional collectives over all ranks' buffers
-// plus an analytic timing model for each collective.
+// Simulated communicator: the functional collectives the optimizers use
+// over all ranks' buffers, plus an analytic timing model for each.
 //
 // SPMD style: because the simulator is deterministic and single-process, a
 // collective is invoked once with every rank's buffer. Data really moves
 // (so downstream math sees exactly what a real cluster would see), and all
 // participating clocks advance by the modeled collective time.
 //
-// Timing models (ring algorithms, the NCCL default at these scales):
-//  - ring allreduce:   2*(p-1)/p * n bytes through each rank's slowest link
+// Three collectives move data: the KAISA factor/gradient allreduce, the
+// DP-KFAC reduce-to-owner, and the chunked byte allgatherv COMPSO
+// compresses. Their times come from comm/collectives (ring algorithms, the
+// NCCL default at these scales, unless selection is on):
+//  - ring allreduce:    2*(p-1)/p * n bytes through each rank's slowest link
 //  - ring allgather(v): each rank receives (total - own) bytes
-//  - broadcast:        hierarchical binomial (inter-node tree, then NVLink)
-//  - reduce-scatter:   (p-1)/p * n bytes per rank
+//  - reduce-to-root:    Rabenseifner reduce-scatter + gather
+// plus a pipelined broadcast that the perf model prices but nothing runs.
 // The bottleneck link is inter-node whenever the topology spans nodes.
 
 #include "src/comm/collectives.hpp"
@@ -40,8 +43,6 @@ class SimClocks {
   std::span<const double> times() const noexcept { return t_; }
   void advance(std::size_t rank, double dt) noexcept { t_[rank] += dt; }
   double max_time() const noexcept;
-  /// Advance every clock to max(clock) + dt (a synchronizing step).
-  void sync_advance(double dt) noexcept;
   /// Advance the masked clocks to max(masked clock) + dt; the rest are
   /// frozen (evicted / excluded ranks do not march with the group).
   void sync_advance_masked(double dt,
@@ -56,25 +57,10 @@ class SimClocks {
 struct CommStats {
   double allreduce_s = 0.0;
   double allgather_s = 0.0;
-  double broadcast_s = 0.0;
-  double reduce_scatter_s = 0.0;
   std::uint64_t allreduce_bytes = 0;
   std::uint64_t allgather_bytes = 0;
 
-  double total_s() const noexcept {
-    return allreduce_s + allgather_s + broadcast_s + reduce_scatter_s;
-  }
-};
-
-/// Per-op × per-algorithm call counters (DESIGN.md §16), indexed by
-/// `static_cast<std::size_t>(CollectiveAlgo)`. Filled by the functional
-/// collectives so benches can audit which algorithm actually carried each
-/// op; timing-only queries do not count.
-struct AlgoStats {
-  std::uint64_t allreduce[3] = {0, 0, 0};
-  std::uint64_t allgather[3] = {0, 0, 0};
-  std::uint64_t broadcast[3] = {0, 0, 0};
-  std::uint64_t reduce[3] = {0, 0, 0};
+  double total_s() const noexcept { return allreduce_s + allgather_s; }
 };
 
 /// Counters for every fault observed and every recovery action taken,
@@ -208,43 +194,37 @@ class Communicator {
   void begin_iteration(std::size_t t);
 
   // --- collective algorithm selection (DESIGN.md §16) ---
-  /// Installs the message-size-aware algorithm selection knobs. The
-  /// default-constructed config keeps selection OFF: every collective uses
-  /// its legacy model (ring for the allreduce/allgather family,
-  /// hierarchical binomial for broadcast), bit-for-bit.
+  /// Installs the algorithm selection setting. Selection only changes the
+  /// modeled time: every algorithm delivers the canonical sum, so the
+  /// bytes the functional collectives move are the same either way. The
+  /// default-constructed config keeps selection OFF: every collective is
+  /// priced by its legacy ring model, bit-for-bit.
   void set_collective_config(const CollectiveConfig& cfg) noexcept {
     coll_ = cfg;
   }
-  const CollectiveConfig& collective_config() const noexcept { return coll_; }
   /// Algorithm a `bytes`-sized collective of each family would use under
   /// the current config and participant count (selection is
   /// deterministic, so these are pure queries).
   CollectiveAlgo allreduce_algo(std::size_t bytes) const noexcept;
   CollectiveAlgo allgather_algo(std::size_t bytes) const noexcept;
-  CollectiveAlgo broadcast_algo(std::size_t bytes) const noexcept;
-  const AlgoStats& algo_stats() const noexcept { return algo_stats_; }
 
   // --- analytic timing queries (used by the perf-model lookup table) ---
   double allreduce_time(std::size_t bytes) const noexcept;
   double allgather_time(std::size_t bytes_per_rank) const noexcept;
   double allgatherv_time(std::span<const std::size_t> bytes_per_rank)
       const noexcept;
-  double broadcast_time(std::size_t bytes) const noexcept;
   /// Large-message pipelined broadcast (NCCL-style ring/chunked tree):
   /// latency grows with log2(p), bandwidth term is a single traversal.
   double pipelined_broadcast_time(std::size_t bytes) const noexcept;
-  double reduce_scatter_time(std::size_t bytes) const noexcept;
   /// Reduce-to-root (sharded factor exchange): binomial tree / ring
   /// reduce-scatter+gather / hierarchical per the selected algorithm.
   double reduce_time(std::size_t bytes) const noexcept;
 
   // --- functional collectives (move data + advance clocks + stats) ---
-  /// In-place sum-allreduce: every rank's buffer becomes the element sum.
+  /// In-place sum-allreduce: every participating rank's buffer becomes
+  /// the element sum in the canonical (ascending-rank, linear) order.
+  /// Evicted and step-excluded ranks neither contribute nor receive.
   void allreduce_sum(std::vector<std::span<float>> bufs);
-  /// Equal-chunk allgather: each rank contributes `send[rank]`; on return
-  /// `recv[rank]` holds the concatenation in rank order.
-  void allgather(const std::vector<std::vector<float>>& send,
-                 std::vector<std::vector<float>>& recv);
   /// One round of the chunked variable-size byte allgather (DESIGN.md
   /// §15) — the only byte allgather; optim::ChunkedExchange drives it.
   /// Each participating rank contributes its round-`round` chunk frame
@@ -265,15 +245,8 @@ class Communicator {
       const std::vector<std::span<const std::uint8_t>>& send,
       std::vector<std::vector<std::uint8_t>>& recv, std::size_t round);
   /// Installs (or clears, with nullptr) the byte-payload fault hook. The
-  /// hook sees every frame `allgatherv_chunks` delivers and the delivered
-  /// copy of `broadcast_bytes` — both byte-moving collectives are
-  /// fault-testable.
+  /// hook sees every frame `allgatherv_chunks` delivers.
   void set_payload_fault(PayloadFault fault) { fault_ = std::move(fault); }
-  /// Broadcast root's buffer to every rank (buffers must be same length).
-  void broadcast(std::vector<std::span<float>> bufs, std::size_t root);
-  /// Byte broadcast of root's payload; other entries are overwritten.
-  void broadcast_bytes(std::vector<std::vector<std::uint8_t>>& bufs,
-                       std::size_t root);
   /// Sum-reduce into `bufs[root]` only: root's buffer becomes the element
   /// sum over participating ranks in the canonical (ascending-rank,
   /// linear) order — bit-identical to what allreduce_sum would leave in
@@ -282,15 +255,20 @@ class Communicator {
   /// (same row of CommStats/obs), so the sharded factor exchange
   /// reconciles against the same counters as the replicated one.
   void reduce_sum(std::vector<std::span<float>> bufs, std::size_t root);
-  /// Sum-reduce-scatter: buffers must share a length divisible by the
-  /// world size; on return each rank's buffer is resized to its chunk of
-  /// the element-wise sum (rank r gets chunk r).
-  void reduce_scatter_sum(std::vector<std::vector<float>>& bufs);
 
  private:
-  /// Bandwidth (bytes/s) and latency of the bottleneck link of a ring over
-  /// the full world.
-  LinkParams ring_bottleneck() const noexcept;
+  /// Checks that `bufs` has one buffer per rank and that every
+  /// participating buffer is as long as `bufs[ref]`, and returns that
+  /// length; `op` names the caller in the exception.
+  std::size_t check_buffers(const char* op,
+                            const std::vector<std::span<float>>& bufs,
+                            std::size_t ref) const;
+  /// The canonical reduction both summing collectives share: participating
+  /// buffers summed element-wise in ascending rank order with linear
+  /// association, written to `dst`. Works through a fixed stack tile, so
+  /// `dst` may be any participant's buffer and a call allocates nothing.
+  void canonical_sum(const std::vector<std::span<float>>& bufs,
+                     std::span<float> dst) const;
 
   /// Records one finished collective into the attached obs hooks: a span
   /// of the modeled duration ending at the current tracer time, plus the
@@ -303,7 +281,6 @@ class Communicator {
   Topology topo_;
   NetworkModel net_;
   CollectiveConfig coll_;
-  AlgoStats algo_stats_;
   SimClocks clocks_;
   CommStats stats_;
   RecoveryStats recovery_;

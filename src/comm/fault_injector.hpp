@@ -7,8 +7,7 @@
 //
 //  - kCorruptPayload   mutate rank r's bytes inside the next byte
 //                      collective of the iteration (its round-0 chunk frame
-//                      of the next chunked allgatherv, or the delivered
-//                      broadcast_bytes copy when r is the root).
+//                      of the next chunked allgatherv).
 //  - kDropEntry        rank r's round-0 chunk frame vanishes in flight.
 //  - kTruncateEntry    rank r's round-0 chunk frame loses its tail.
 //  - kStraggler        rank r's SimClocks clock jumps forward by slowdown_s

@@ -114,35 +114,6 @@ void ThreadPool::worker_loop(std::size_t id) {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  obs_.count("pool.parallel_for.calls");
-  obs_.count("pool.parallel_for.items", n);
-  const std::size_t helpers = std::min(size(), n) - 1;
-  std::atomic<std::size_t> cursor{0};
-  auto drain = [&cursor, n, &fn] {
-    for (std::size_t i; (i = cursor.fetch_add(1)) < n;) fn(i);
-  };
-  std::vector<std::future<void>> futs;
-  futs.reserve(helpers);
-  for (std::size_t t = 0; t < helpers; ++t) futs.push_back(submit(drain));
-  std::exception_ptr first;
-  try {
-    drain();  // caller participates
-  } catch (...) {
-    first = std::current_exception();
-  }
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-}
-
 void ThreadPool::parallel_for_static(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;

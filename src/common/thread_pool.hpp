@@ -40,13 +40,7 @@ class ThreadPool {
   /// Enqueues `fn`; the future rethrows any exception `fn` threw.
   std::future<void> submit(std::function<void()> fn);
 
-  /// Runs fn(0..n-1) across the pool with the caller participating;
-  /// returns after every index ran and rethrows the first exception.
-  /// Indices are claimed dynamically (atomic cursor) — good load
-  /// balancing, but the index->thread assignment is nondeterministic.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Deterministic static-partition variant for the math engine
+  /// Deterministic static-partition loop for the math engine
   /// (DESIGN.md §11): [0, n) is split into at most size()+1 contiguous
   /// ranges fixed by (n, pool size) alone, fn(begin, end) runs once per
   /// range (caller takes the first range, workers the rest), and the call
@@ -80,7 +74,7 @@ class ThreadPool {
   void shutdown();
 
   /// Attaches metrics hooks. The pool only counts size-invariant events —
-  /// parallel_for / parallel_for_static calls and their item counts —
+  /// parallel_for_static calls and their item counts —
   /// never raw task submissions, whose number depends on the worker count
   /// and would break the cross-thread-count determinism of snapshots.
   void set_obs(obs::ObsHooks hooks) noexcept { obs_ = hooks; }

@@ -23,8 +23,6 @@
 #include "src/core/ft_trainer.hpp"
 #include "src/core/perf_sim.hpp"
 #include "src/gpusim/device_model.hpp"
-#include "src/nn/attention.hpp"
-#include "src/nn/conv.hpp"
 #include "src/nn/dataset.hpp"
 #include "src/nn/model.hpp"
 #include "src/nn/model_zoo.hpp"
@@ -32,7 +30,6 @@
 #include "src/obs/obs.hpp"
 #include "src/optim/dist_kfac.hpp"
 #include "src/optim/dist_sgd.hpp"
-#include "src/optim/first_order.hpp"
 #include "src/optim/lr_scheduler.hpp"
 #include "src/perf/perf_model.hpp"
 #include "src/quant/filter.hpp"

@@ -1,11 +1,11 @@
 #include "src/core/perf_sim.hpp"
 
 #include "src/codec/chunk.hpp"
+#include "src/optim/dist_kfac.hpp"
 #include "src/tensor/synthetic.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace compso::core {
 namespace {
@@ -18,6 +18,60 @@ double eigen_cost_flops(std::size_t dim) noexcept {
   const double d = static_cast<double>(dim);
   if (dim <= kExplicitEigenLimit) return 25.0 * d * d * d;
   return 40.0 * d * d;  // implicit inversion path
+}
+
+/// One compression group: `aggregation` consecutive layers (the runtime
+/// aggregates each owner's layer stream; consecutive grouping matches
+/// KAISA's completion order), priced at the group's modeled size.
+struct GroupCost {
+  std::size_t orig_bytes = 0;
+  std::size_t comp_bytes = 0;
+  double comp_s = 0.0;    ///< codec compression time at this size.
+  double decomp_s = 0.0;  ///< codec decompression time at this size.
+};
+
+/// The one compression-ratio sampler: every compressed view of the
+/// iteration prices the same per-group payload sizes. The CR comes from
+/// really compressing a bounded sample of synthetic KFAC-gradient data
+/// (one rng.split stream per group); codec times come from the GPU
+/// pipeline model at the group's size, which is where launch-overhead
+/// amortization rewards aggregation.
+std::vector<GroupCost> group_costs(const PerfConfig& cfg,
+                                   const compress::GradientCompressor& compressor,
+                                   std::size_t aggregation) {
+  const std::size_t m = std::max<std::size_t>(aggregation, 1);
+  tensor::Rng rng(cfg.seed);
+  const auto profile = tensor::GradientProfile::kfac();
+  const auto& layers = cfg.model.layers;
+  std::vector<GroupCost> out;
+  for (std::size_t i = 0; i < layers.size(); i += m) {
+    std::size_t group_elems = 0;
+    for (std::size_t j = i; j < std::min(i + m, layers.size()); ++j) {
+      group_elems += layers[j].kfac_elements();
+    }
+    if (group_elems == 0) continue;
+    GroupCost g;
+    g.orig_bytes = group_elems * sizeof(float);
+    const std::size_t sample_elems =
+        std::min<std::size_t>(group_elems, 1 << 16);
+    auto rng_group = rng.split(i + 1);
+    const auto sample =
+        tensor::synthetic_gradient(sample_elems, profile, rng_group);
+    const auto payload = compressor.compress(sample, rng_group);
+    const double cr = static_cast<double>(sample.size() * sizeof(float)) /
+                      static_cast<double>(std::max<std::size_t>(
+                          payload.size(), 1));
+    g.comp_bytes = static_cast<std::size_t>(
+        std::max(static_cast<double>(g.orig_bytes) / cr, 1.0));
+    g.comp_s = static_cast<double>(g.orig_bytes) /
+               compressor.modeled_throughput(cfg.dev, g.orig_bytes,
+                                             g.comp_bytes);
+    g.decomp_s = static_cast<double>(g.comp_bytes) /
+                 compressor.modeled_throughput(cfg.dev, g.comp_bytes,
+                                               g.orig_bytes);
+    out.push_back(g);
+  }
+  return out;
 }
 
 }  // namespace
@@ -144,25 +198,11 @@ PerfSimulator::PrecondMemory PerfSimulator::precond_memory(
   }
   for (const std::size_t b : bytes) out.replicated_bytes += b;
 
-  // LPT greedy, same tie-breaks as DistKfac::compute_owners: heaviest
-  // cost first (ties -> lower slot), to the least-loaded rank (ties ->
-  // lower rank index).
-  std::vector<std::size_t> order(cost.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) {
-              if (cost[a] != cost[b]) return cost[a] > cost[b];
-              return a < b;
-            });
-  std::vector<double> load(p, 0.0);
+  // The owner map DistKfac's cost-balanced assignment computes.
+  const auto owner = optim::lpt_assign(cost, p);
   std::vector<std::size_t> rank_bytes(p, 0);
-  for (const std::size_t s : order) {
-    std::size_t best = 0;
-    for (std::size_t k = 1; k < p; ++k) {
-      if (load[k] < load[best]) best = k;
-    }
-    load[best] += cost[s];
-    rank_bytes[best] += bytes[s];
+  for (std::size_t s = 0; s < bytes.size(); ++s) {
+    rank_bytes[owner[s]] += bytes[s];
   }
   out.sharded_peak_bytes =
       *std::max_element(rank_bytes.begin(), rank_bytes.end());
@@ -179,49 +219,18 @@ std::vector<std::size_t> PerfSimulator::layer_bytes() const {
 CompressedIteration PerfSimulator::with_compressor(
     const compress::GradientCompressor& compressor,
     std::size_t aggregation) const {
-  const std::size_t m = std::max<std::size_t>(aggregation, 1);
-  tensor::Rng rng(cfg_.seed);
-  const auto profile = tensor::GradientProfile::kfac();
-
-  // Group consecutive layers into aggregates of m (the runtime aggregates
-  // each owner's layer stream; consecutive grouping matches KAISA's
-  // completion order).
+  // The owner compresses once; every receiver decompresses, so
+  // decompression sits on each rank's critical path for all groups.
   double allgather_s = 0.0;
   double comp_s = 0.0;
   double decomp_s = 0.0;
   std::size_t total_orig = 0, total_comp = 0;
-  const auto& layers = cfg_.model.layers;
-  for (std::size_t i = 0; i < layers.size(); i += m) {
-    std::size_t chunk_elems = 0;
-    for (std::size_t j = i; j < std::min(i + m, layers.size()); ++j) {
-      chunk_elems += layers[j].kfac_elements();
-    }
-    if (chunk_elems == 0) continue;
-    const std::size_t chunk_bytes = chunk_elems * sizeof(float);
-    // Measure CR on a bounded sample of synthetic KFAC-gradient data.
-    const std::size_t sample_elems =
-        std::min<std::size_t>(chunk_elems, 1 << 16);
-    auto rng_chunk = rng.split(i + 1);
-    const auto sample =
-        tensor::synthetic_gradient(sample_elems, profile, rng_chunk);
-    const auto payload = compressor.compress(sample, rng_chunk);
-    const double cr = static_cast<double>(sample.size() * sizeof(float)) /
-                      static_cast<double>(std::max<std::size_t>(
-                          payload.size(), 1));
-    const auto comp_bytes = static_cast<std::size_t>(
-        std::max(static_cast<double>(chunk_bytes) / cr, 1.0));
-    total_orig += chunk_bytes;
-    total_comp += comp_bytes;
-    allgather_s += comm_.pipelined_broadcast_time(comp_bytes);
-    // Codec time from the GPU pipeline model at this chunk size (this is
-    // where launch-overhead amortization rewards aggregation). The owner
-    // compresses once; every receiver decompresses, so decompression sits
-    // on each rank's critical path for all chunks.
-    comp_s += static_cast<double>(chunk_bytes) /
-              compressor.modeled_throughput(cfg_.dev, chunk_bytes, comp_bytes);
-    decomp_s += static_cast<double>(comp_bytes) /
-                compressor.modeled_throughput(cfg_.dev, comp_bytes,
-                                              chunk_bytes);
+  for (const GroupCost& g : group_costs(cfg_, compressor, aggregation)) {
+    total_orig += g.orig_bytes;
+    total_comp += g.comp_bytes;
+    allgather_s += comm_.pipelined_broadcast_time(g.comp_bytes);
+    comp_s += g.comp_s;
+    decomp_s += g.decomp_s;
   }
 
   CompressedIteration out;
@@ -253,58 +262,28 @@ CompressedIteration PerfSimulator::with_compressor(
 PerfSimulator::ChunkedPipeline PerfSimulator::with_chunked_compressor(
     const compress::GradientCompressor& compressor, std::size_t aggregation,
     std::size_t chunk_bytes) const {
-  const std::size_t m = std::max<std::size_t>(aggregation, 1);
   const std::size_t cb = std::max<std::size_t>(chunk_bytes, 1);
-  tensor::Rng rng(cfg_.seed);
-  const auto profile = tensor::GradientProfile::kfac();
-
   // The transport frames the whole concatenated per-step payload as ONE
   // chunk stream (DistKfac's gather concatenates a rank's groups before
   // framing), so the analytic view accumulates the per-group codec costs
   // and payload sizes first and pipelines the totals as a single stream.
   ChunkedPipeline out;
-  double& comp_s = out.comp_s;
-  double& decomp_s = out.decomp_s;
-  const auto& layers = cfg_.model.layers;
-  for (std::size_t i = 0; i < layers.size(); i += m) {
-    std::size_t group_elems = 0;
-    for (std::size_t j = i; j < std::min(i + m, layers.size()); ++j) {
-      group_elems += layers[j].kfac_elements();
-    }
-    if (group_elems == 0) continue;
-    const std::size_t group_bytes = group_elems * sizeof(float);
-    // Same CR sampling as with_compressor (identical rng.split stream),
-    // so both views of the pipeline price the same payload sizes.
-    const std::size_t sample_elems =
-        std::min<std::size_t>(group_elems, 1 << 16);
-    auto rng_chunk = rng.split(i + 1);
-    const auto sample =
-        tensor::synthetic_gradient(sample_elems, profile, rng_chunk);
-    const auto payload = compressor.compress(sample, rng_chunk);
-    const double cr = static_cast<double>(sample.size() * sizeof(float)) /
-                      static_cast<double>(std::max<std::size_t>(
-                          payload.size(), 1));
-    const auto comp_bytes = static_cast<std::size_t>(
-        std::max(static_cast<double>(group_bytes) / cr, 1.0));
-    comp_s +=
-        static_cast<double>(group_bytes) /
-        compressor.modeled_throughput(cfg_.dev, group_bytes, comp_bytes);
-    decomp_s +=
-        static_cast<double>(comp_bytes) /
-        compressor.modeled_throughput(cfg_.dev, comp_bytes, group_bytes);
-    out.comp_bytes += comp_bytes;
+  for (const GroupCost& g : group_costs(cfg_, compressor, aggregation)) {
+    out.comp_s += g.comp_s;
+    out.decomp_s += g.decomp_s;
+    out.comp_bytes += g.comp_bytes;
   }
   if (out.comp_bytes == 0) return out;
-  out.serial_s =
-      comp_s + comm_.pipelined_broadcast_time(out.comp_bytes) + decomp_s;
+  out.serial_s = out.comp_s + comm_.pipelined_broadcast_time(out.comp_bytes) +
+                 out.decomp_s;
   // Chunk the *compressed* stream: n frames, each paying its own wire
   // latency (the honest cost of chunking), pipelined 3 stages deep.
   out.chunks = codec::chunk::chunk_count_for(out.comp_bytes, cb);
   const auto nd = static_cast<double>(out.chunks);
   out.pipeline_s = comm::chunk_pipeline_makespan(
-      out.chunks, comp_s / nd,
+      out.chunks, out.comp_s / nd,
       comm_.pipelined_broadcast_time(std::min(out.comp_bytes, cb)),
-      decomp_s / nd);
+      out.decomp_s / nd);
   return out;
 }
 

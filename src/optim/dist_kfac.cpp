@@ -21,6 +21,27 @@ void copy_raw(std::span<const float> values, compress::Bytes& out) {
 
 }  // namespace
 
+std::vector<std::size_t> lpt_assign(std::span<const double> cost,
+                                    std::size_t bins) {
+  std::vector<std::size_t> order(cost.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&cost](std::size_t a, std::size_t b) {
+    if (cost[a] != cost[b]) return cost[a] > cost[b];
+    return a < b;
+  });
+  std::vector<double> load(bins, 0.0);
+  std::vector<std::size_t> bin_of(cost.size(), 0);
+  for (std::size_t s : order) {
+    std::size_t best = 0;
+    for (std::size_t k = 1; k < bins; ++k) {
+      if (load[k] < load[best]) best = k;
+    }
+    bin_of[s] = best;
+    load[best] += cost[s];
+  }
+  return bin_of;
+}
+
 DistKfac::DistKfac(DistKfacConfig config, comm::Communicator& comm,
                    std::vector<nn::Model*> replicas)
     : cfg_(config), comm_(comm), replicas_(std::move(replicas)) {
@@ -50,31 +71,16 @@ std::vector<std::size_t> DistKfac::compute_owners(
     return owners;
   }
   // Greedy LPT on the slot's eigh cost: both factors are eigendecomposed,
-  // so cost(s) = d_a^3 + d_g^3. Heaviest slot first (ties: lower slot),
-  // each to the least-loaded rank (ties: lower rank) — a pure function of
-  // the rank list and the model shape, so every rank computes the same
-  // map and eviction-triggered reassignment is deterministic.
+  // so cost(s) = d_a^3 + d_g^3. A pure function of the rank list and the
+  // model shape, so eviction-triggered reassignment is deterministic.
   std::vector<double> cost(slots, 0.0);
   for (std::size_t s = 0; s < slots; ++s) {
     const auto da = static_cast<double>(states_[s]->factor_a().rows());
     const auto dg = static_cast<double>(states_[s]->factor_g().rows());
     cost[s] = da * da * da + dg * dg * dg;
   }
-  std::vector<std::size_t> order(slots);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&cost](std::size_t a, std::size_t b) {
-    if (cost[a] != cost[b]) return cost[a] > cost[b];
-    return a < b;
-  });
-  std::vector<double> load(ranks.size(), 0.0);
-  for (std::size_t s : order) {
-    std::size_t best = 0;
-    for (std::size_t k = 1; k < ranks.size(); ++k) {
-      if (load[k] < load[best]) best = k;
-    }
-    owners[s] = ranks[best];
-    load[best] += cost[s];
-  }
+  const auto bin_of = lpt_assign(cost, ranks.size());
+  for (std::size_t s = 0; s < slots; ++s) owners[s] = ranks[bin_of[s]];
   return owners;
 }
 

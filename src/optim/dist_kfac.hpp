@@ -27,9 +27,18 @@
 #include "src/optim/step_graph.hpp"
 
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace compso::optim {
+
+/// Greedy LPT (longest processing time first) over `bins` bins: items go
+/// heaviest first (ties: lower index), each to the least-loaded bin (ties:
+/// lower bin). Returns each item's bin. A pure function of its inputs, so
+/// every rank computes the same map; the cost-balanced shard owners and
+/// the PerfSimulator's memory curve both come from it.
+std::vector<std::size_t> lpt_assign(std::span<const double> cost,
+                                    std::size_t bins);
 
 /// Where each layer's KFAC factor state lives (DESIGN.md §16).
 enum class PrecondLayout : std::uint8_t {

@@ -74,26 +74,6 @@ TEST_P(CollectiveCorrectness, AllreduceSumsAcrossRanks) {
   }
 }
 
-TEST_P(CollectiveCorrectness, AllgatherConcatenatesInRankOrder) {
-  const std::size_t world = GetParam();
-  cm::Communicator comm(cm::Topology::with_gpus(world),
-                        cm::NetworkModel::platform1());
-  std::vector<std::vector<float>> send(world);
-  for (std::size_t r = 0; r < world; ++r) {
-    send[r] = {static_cast<float>(r), static_cast<float>(r * 10)};
-  }
-  std::vector<std::vector<float>> recv;
-  comm.allgather(send, recv);
-  ASSERT_EQ(recv.size(), world);
-  for (std::size_t r = 0; r < world; ++r) {
-    ASSERT_EQ(recv[r].size(), 2 * world);
-    for (std::size_t s = 0; s < world; ++s) {
-      EXPECT_FLOAT_EQ(recv[r][2 * s], static_cast<float>(s));
-      EXPECT_FLOAT_EQ(recv[r][2 * s + 1], static_cast<float>(s * 10));
-    }
-  }
-}
-
 TEST_P(CollectiveCorrectness, AllgathervVariableSizes) {
   const std::size_t world = GetParam();
   cm::Communicator comm(cm::Topology::with_gpus(world),
@@ -109,21 +89,6 @@ TEST_P(CollectiveCorrectness, AllgathervVariableSizes) {
   for (std::size_t r = 0; r < world; ++r) EXPECT_EQ(recv[r], send[r]);
 }
 
-TEST_P(CollectiveCorrectness, BroadcastReplicatesRoot) {
-  const std::size_t world = GetParam();
-  cm::Communicator comm(cm::Topology::with_gpus(world),
-                        cm::NetworkModel::platform1());
-  std::vector<std::vector<float>> bufs(world, std::vector<float>(3, 0.0F));
-  const std::size_t root = world / 2;
-  bufs[root] = {1.0F, 2.0F, 3.0F};
-  std::vector<std::span<float>> views;
-  for (auto& b : bufs) views.push_back(b);
-  comm.broadcast(views, root);
-  for (std::size_t r = 0; r < world; ++r) {
-    EXPECT_EQ(bufs[r], (std::vector<float>{1.0F, 2.0F, 3.0F}));
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Worlds, CollectiveCorrectness,
                          ::testing::Values(1, 2, 4, 8, 16));
 
@@ -132,7 +97,8 @@ TEST(CollectiveTiming, MoreBytesTakeLonger) {
                         cm::NetworkModel::platform1());
   EXPECT_LT(comm.allreduce_time(1 << 20), comm.allreduce_time(16 << 20));
   EXPECT_LT(comm.allgather_time(1 << 20), comm.allgather_time(16 << 20));
-  EXPECT_LT(comm.broadcast_time(1 << 20), comm.broadcast_time(16 << 20));
+  EXPECT_LT(comm.pipelined_broadcast_time(1 << 20),
+            comm.pipelined_broadcast_time(16 << 20));
 }
 
 TEST(CollectiveTiming, FasterNetworkIsFaster) {
@@ -210,7 +176,7 @@ TEST(Clocks, StatsAccumulate) {
 TEST(Clocks, SyncAdvanceEndsTogether) {
   cm::SimClocks clocks(3);
   clocks.advance(1, 2.0);
-  clocks.sync_advance(0.5);
+  clocks.sync_advance_masked(0.5, {1, 1, 1});
   // A synchronizing step starts at the latest clock and ends together.
   for (std::size_t r = 0; r < 3; ++r) {
     EXPECT_DOUBLE_EQ(clocks.at(r), 2.5);
@@ -242,37 +208,6 @@ TEST(Clocks, StragglerEventDelaysCollectiveForAll) {
   EXPECT_EQ(comm.recovery().straggler_events, 1U);
 }
 
-TEST(Faults, BroadcastBytesHitByPayloadFaultHook) {
-  cm::Communicator comm(cm::Topology::with_gpus(4),
-                        cm::NetworkModel::platform1());
-  comm.set_payload_fault([](std::vector<std::uint8_t>& bytes) {
-    if (!bytes.empty()) bytes[0] ^= 0xFF;
-  });
-  std::vector<std::vector<std::uint8_t>> bufs(4);
-  bufs[1] = {0x10, 0x20, 0x30};
-  comm.broadcast_bytes(bufs, 1);
-  // The root keeps its pristine copy; receivers get the damaged stream.
-  EXPECT_EQ(bufs[1], (std::vector<std::uint8_t>{0x10, 0x20, 0x30}));
-  for (std::size_t r : {0UL, 2UL, 3UL}) {
-    EXPECT_EQ(bufs[r], (std::vector<std::uint8_t>{0xEF, 0x20, 0x30}));
-  }
-}
-
-TEST(Faults, BroadcastBytesHitByInjector) {
-  cm::Communicator comm(cm::Topology::with_gpus(3),
-                        cm::NetworkModel::platform1());
-  cm::FaultInjector injector(cm::FaultPlan{}.corrupt(0, 1), 11);
-  comm.set_fault_injector(&injector);
-  comm.begin_iteration(0);
-  std::vector<std::vector<std::uint8_t>> bufs(3);
-  bufs[1].assign(32, 0xAB);
-  comm.broadcast_bytes(bufs, 1);
-  EXPECT_EQ(comm.recovery().corrupt_injected, 1U);
-  EXPECT_EQ(bufs[1], std::vector<std::uint8_t>(32, 0xAB));
-  EXPECT_NE(bufs[0], bufs[1]);  // delivered copy is damaged
-  EXPECT_EQ(bufs[0], bufs[2]);  // but identically so for every receiver
-}
-
 TEST(Validation, MismatchedBuffersThrow) {
   cm::Communicator comm(cm::Topology::with_gpus(2),
                         cm::NetworkModel::platform1());
@@ -280,7 +215,7 @@ TEST(Validation, MismatchedBuffersThrow) {
   std::vector<std::span<float>> views;
   for (auto& b : bufs) views.push_back(b);
   EXPECT_THROW(comm.allreduce_sum(views), std::invalid_argument);
-  EXPECT_THROW(comm.broadcast(views, 5), std::invalid_argument);
+  EXPECT_THROW(comm.reduce_sum(views, 5), std::invalid_argument);
 }
 
 }  // namespace

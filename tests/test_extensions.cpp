@@ -1,6 +1,5 @@
-// Tests for the §7 future-work extensions: the automatic bound tuner,
-// factor (A/G) compression in distributed KFAC, and the reduce-scatter
-// collective.
+// Tests for the §7 future-work extensions: the automatic bound tuner and
+// factor (A/G) compression in distributed KFAC.
 
 #include "src/comm/communicator.hpp"
 #include "src/core/bound_tuner.hpp"
@@ -176,48 +175,6 @@ TEST(FactorCompression, TrainingStillConverges) {
   }
   const auto batch = f.dataset.sample(256, eval_rng);
   EXPECT_GT(nn::accuracy(f.replicas[0].forward(batch.x), batch.labels), 0.9);
-}
-
-// --- reduce-scatter ---
-
-TEST(ReduceScatter, SumsAndScatters) {
-  cm::Communicator comm(cm::Topology::with_gpus(4),
-                        cm::NetworkModel::platform1());
-  std::vector<std::vector<float>> bufs(4, std::vector<float>(8));
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t i = 0; i < 8; ++i) {
-      bufs[r][i] = static_cast<float>(r + 1);
-    }
-  }
-  comm.reduce_scatter_sum(bufs);
-  // Sum over ranks of (r+1) = 10 at every position; chunk size 2.
-  for (std::size_t r = 0; r < 4; ++r) {
-    ASSERT_EQ(bufs[r].size(), 2U);
-    EXPECT_FLOAT_EQ(bufs[r][0], 10.0F);
-    EXPECT_FLOAT_EQ(bufs[r][1], 10.0F);
-  }
-  EXPECT_GT(comm.stats().reduce_scatter_s, 0.0);
-}
-
-TEST(ReduceScatter, ComposesToAllreduce) {
-  // reduce-scatter + allgather == allreduce (the classic identity).
-  cm::Communicator comm(cm::Topology::with_gpus(2),
-                        cm::NetworkModel::platform1());
-  std::vector<std::vector<float>> bufs{{1.0F, 2.0F, 3.0F, 4.0F},
-                                       {5.0F, 6.0F, 7.0F, 8.0F}};
-  comm.reduce_scatter_sum(bufs);
-  std::vector<std::vector<float>> gathered;
-  comm.allgather(bufs, gathered);
-  const std::vector<float> expected{6.0F, 8.0F, 10.0F, 12.0F};
-  EXPECT_EQ(gathered[0], expected);
-  EXPECT_EQ(gathered[1], expected);
-}
-
-TEST(ReduceScatter, ValidatesDivisibility) {
-  cm::Communicator comm(cm::Topology::with_gpus(4),
-                        cm::NetworkModel::platform1());
-  std::vector<std::vector<float>> bufs(4, std::vector<float>(6));
-  EXPECT_THROW(comm.reduce_scatter_sum(bufs), std::invalid_argument);
 }
 
 }  // namespace

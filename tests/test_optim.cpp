@@ -5,7 +5,6 @@
 #include "src/nn/model_zoo.hpp"
 #include "src/optim/dist_kfac.hpp"
 #include "src/optim/dist_sgd.hpp"
-#include "src/optim/first_order.hpp"
 #include "src/optim/kfac.hpp"
 #include "src/optim/lr_scheduler.hpp"
 #include "src/tensor/matrix_ops.hpp"
@@ -162,52 +161,6 @@ TEST(KfacHelpers, ApplyCombinedUpdate) {
   opt::apply_combined_update(l, k, 0.1);
   EXPECT_NEAR(l.weight()->at(0, 0), w00 - 0.1F, 1e-6);
   EXPECT_NEAR((*l.bias())[0], b0 - 0.1F, 1e-6);
-}
-
-// --- first-order optimizers ---
-
-TEST(FirstOrder, SgdDescendsQuadratic) {
-  // One linear layer, MSE to zero targets: loss must decrease.
-  ct::Rng rng(14);
-  nn::Model m;
-  m.add(std::make_unique<nn::Linear>(4, 1, rng));
-  opt::Sgd sgd(0.0);
-  ct::Tensor x({8, 4});
-  rng.fill_normal(x.span());
-  ct::Tensor target({8, 1});
-  double prev = 1e18;
-  for (int it = 0; it < 50; ++it) {
-    auto y = m.forward(x);
-    ct::Tensor grad;
-    const double loss = nn::mse_loss(y, target, grad);
-    m.backward(grad);
-    sgd.step(m, 0.05);
-    if (it % 10 == 9) {
-      EXPECT_LT(loss, prev);
-      prev = loss;
-    }
-  }
-}
-
-TEST(FirstOrder, AdamDescendsQuadratic) {
-  ct::Rng rng(15);
-  nn::Model m;
-  m.add(std::make_unique<nn::Linear>(4, 1, rng));
-  opt::Adam adam;
-  ct::Tensor x({8, 4});
-  rng.fill_normal(x.span());
-  ct::Tensor target({8, 1});
-  double first = 0.0, last = 0.0;
-  for (int it = 0; it < 100; ++it) {
-    auto y = m.forward(x);
-    ct::Tensor grad;
-    const double loss = nn::mse_loss(y, target, grad);
-    if (it == 0) first = loss;
-    last = loss;
-    m.backward(grad);
-    adam.step(m, 0.05);
-  }
-  EXPECT_LT(last, first * 0.1);
 }
 
 // --- distributed optimizers ---

@@ -1,12 +1,13 @@
 // Scale-out suite (DESIGN.md §16): Topology rank-map properties (incl.
-// the zero-GPU clamp), collective-algorithm byte-identity against the
-// flat canonical reduction for adversarial world sizes, selection and
-// time-model invariants (legacy formulas unchanged; hierarchical beats
-// the flat ring at >= 256 ranks), and distributed preconditioning shards:
-// deterministic cost-balanced assignment, sharded-vs-KAISA bit-identity
-// at any engine thread count, owner eviction mid-run, checkpoint/resume
-// between a reassignment and the next eigh refresh, and the O(L/P)
-// memory attribution.
+// the zero-GPU clamp), the summing collectives' byte-identity against the
+// flat canonical reduction for adversarial world sizes with algorithm
+// selection off and on, selection and time-model invariants (legacy
+// formulas unchanged; hierarchical beats the flat ring at >= 256 ranks),
+// and distributed preconditioning shards: deterministic cost-balanced
+// assignment, sharded-vs-KAISA bit-identity at any engine thread count,
+// owner eviction mid-run, checkpoint/resume between a reassignment and
+// the next eigh refresh, and the O(L/P) memory attribution, which the
+// analytic PerfSimulator curve matches exactly.
 
 #include "src/comm/collectives.hpp"
 #include "src/comm/communicator.hpp"
@@ -78,7 +79,7 @@ TEST(Topology, RankMapRoundTripsForAdversarialShapes) {
   }
 }
 
-// --- collective algorithms: byte identity vs the flat reference ---
+// --- summing collectives: byte identity vs the flat reference ---
 
 /// Deterministic, rank- and index-dependent float (not round numbers, so
 /// association order changes would show).
@@ -106,7 +107,7 @@ struct CollectiveWorld {
   }
 
   /// The flat canonical reduction: ascending participating rank, linear
-  /// association — the reference every algorithm must match bitwise.
+  /// association — the reference every collective must match bitwise.
   std::vector<float> canonical_sum() const {
     std::vector<float> sum;
     for (std::size_t r = 0; r < bufs.size(); ++r) {
@@ -118,6 +119,14 @@ struct CollectiveWorld {
       }
     }
     return sum;
+  }
+
+  /// Rank r still holds its own contribution.
+  bool untouched(std::size_t r) const {
+    for (std::size_t i = 0; i < bufs[r].size(); ++i) {
+      if (bufs[r][i] != probe_value(r, i)) return false;
+    }
+    return true;
   }
 };
 
@@ -132,81 +141,52 @@ void expect_span_bits(std::span<const float> got,
 }
 
 TEST(Collectives, AllreduceByteIdenticalToFlatReference) {
-  for (const std::size_t world : {2UL, 3UL, 4UL, 5UL, 7UL, 8UL, 12UL, 16UL,
-                                  33UL}) {
-    for (const std::size_t n : {1UL, 5UL, 64UL, 257UL}) {
-      // All-participating, plus a mask with the first and last ranks out
-      // (when enough ranks remain for a collective).
-      std::vector<std::vector<std::size_t>> masks{{}};
-      if (world >= 4) masks.push_back({0, world - 1});
+  // Algorithm selection changes only the modeled time: allreduce_sum and
+  // reduce_sum deliver the canonical sum whichever algorithm prices them.
+  for (const std::size_t gpus : {2UL, 3UL, 4UL, 5UL, 7UL, 8UL, 12UL, 16UL,
+                                 33UL}) {
+    const auto topo = cm::Topology::with_gpus(gpus);
+    const std::size_t world = topo.world_size();
+    // All-participating, plus a mask with the first and last ranks out
+    // (when enough ranks remain for a root other than the lead).
+    std::vector<std::vector<std::size_t>> masks{{}};
+    if (world >= 4) masks.push_back({0, world - 1});
+    for (const std::size_t n : {1UL, 5UL, 64UL, 257UL, 100000UL}) {
       for (const auto& evicted : masks) {
-        const auto topo = cm::Topology::with_gpus(world);
-        for (const auto algo : {cm::CollectiveAlgo::kRing,
-                                cm::CollectiveAlgo::kRecursiveDoubling,
-                                cm::CollectiveAlgo::kHierarchical}) {
-          CollectiveWorld w(world, n, evicted);
-          const auto want = w.canonical_sum();
-          cm::run_allreduce(algo, topo, w.views, w.participating);
-          const std::string what = std::string(cm::to_string(algo)) +
-                                   " world=" + std::to_string(world) +
-                                   " n=" + std::to_string(n) +
-                                   " evicted=" + std::to_string(evicted.size());
+        for (const bool auto_select : {false, true}) {
+          cm::Communicator comm(topo, cm::NetworkModel::platform1());
+          comm.set_collective_config({.auto_select = auto_select});
+          std::vector<std::uint8_t> mask(world, 1);
+          for (const std::size_t e : evicted) mask[e] = 0;
+          if (!evicted.empty()) comm.set_active_mask(mask);
+          const std::string what =
+              "gpus=" + std::to_string(gpus) + " n=" + std::to_string(n) +
+              " evicted=" + std::to_string(evicted.size()) +
+              " auto_select=" + std::to_string(auto_select);
+
+          CollectiveWorld ar(world, n, evicted);
+          const auto want = ar.canonical_sum();
+          comm.allreduce_sum(ar.views);
           for (std::size_t r = 0; r < world; ++r) {
-            if (w.participating[r] != 0) {
-              expect_span_bits(w.bufs[r], want, what);
+            if (ar.participating[r] != 0) {
+              expect_span_bits(ar.bufs[r], want, "allreduce " + what);
             } else {
-              // Non-participants are untouched.
-              for (std::size_t i = 0; i < n; ++i) {
-                ASSERT_EQ(w.bufs[r][i], probe_value(r, i)) << what;
-              }
+              ASSERT_TRUE(ar.untouched(r)) << "allreduce " << what;
             }
           }
-        }
-      }
-    }
-  }
-}
 
-TEST(Collectives, BroadcastDeliversRootBytesAlongEveryAlgorithm) {
-  for (const std::size_t world : {2UL, 3UL, 5UL, 8UL, 12UL, 33UL}) {
-    const auto topo = cm::Topology::with_gpus(world);
-    const std::size_t root = world / 2;  // not rank 0: exercises vrank maps.
-    for (const auto algo : {cm::CollectiveAlgo::kRing,
-                            cm::CollectiveAlgo::kRecursiveDoubling,
-                            cm::CollectiveAlgo::kHierarchical}) {
-      std::vector<std::size_t> evicted;
-      if (world >= 5) evicted.push_back(world - 2);
-      CollectiveWorld w(world, 19, evicted);
-      const auto want = w.bufs[root];
-      cm::run_broadcast(algo, topo, w.views, root, w.participating);
-      const std::string what = std::string(cm::to_string(algo)) +
-                               " world=" + std::to_string(world);
-      for (std::size_t r = 0; r < world; ++r) {
-        if (w.participating[r] != 0) {
-          expect_span_bits(w.bufs[r], want, what);
-        } else {
-          for (std::size_t i = 0; i < w.bufs[r].size(); ++i) {
-            ASSERT_EQ(w.bufs[r][i], probe_value(r, i)) << what;
+          // Reduce to the last participant, never the lead: only the root
+          // receives the sum; every other rank keeps its contribution.
+          CollectiveWorld red(world, n, evicted);
+          const std::size_t root = comm.participant_ranks().back();
+          ASSERT_NE(root, comm.first_participant());
+          comm.reduce_sum(red.views, root);
+          expect_span_bits(red.bufs[root], want, "reduce " + what);
+          for (std::size_t r = 0; r < world; ++r) {
+            if (r != root) {
+              ASSERT_TRUE(red.untouched(r)) << "reduce " << what;
+            }
           }
-        }
-      }
-    }
-  }
-}
-
-TEST(Collectives, ReduceLeavesCanonicalSumAtRootOnly) {
-  for (const std::size_t world : {3UL, 7UL, 16UL}) {
-    for (const std::size_t root : {0UL, world - 1}) {
-      CollectiveWorld w(world, 33);
-      const auto want = w.canonical_sum();
-      cm::run_reduce(w.views, root, w.participating);
-      expect_span_bits(w.bufs[root], want, "root world=" +
-                                               std::to_string(world));
-      for (std::size_t r = 0; r < world; ++r) {
-        if (r == root) continue;
-        // Non-root participants keep their local contribution.
-        for (std::size_t i = 0; i < w.bufs[r].size(); ++i) {
-          ASSERT_EQ(w.bufs[r][i], probe_value(r, i)) << "world=" << world;
         }
       }
     }
@@ -270,14 +250,11 @@ TEST(Collectives, LegacyTimingFormulasUnchangedWithSelectionOff) {
     EXPECT_DOUBLE_EQ(comm.allgather_time(bytes),
                      (pd - 1.0) * lat + ((pd - 1.0) * n) / bw);
   }
-  // Legacy broadcast: hierarchical binomial over node leaders + intra.
+  // Pipelined broadcast: log2(p) startup rounds, one payload traversal.
   const std::size_t b = 1UL << 16;
-  EXPECT_DOUBLE_EQ(
-      comm.broadcast_time(b),
-      static_cast<double>(std::bit_width(topo.nodes - 1)) *
-              net.inter_node().transfer_time(b) +
-          static_cast<double>(std::bit_width(topo.gpus_per_node - 1)) *
-              net.intra_node().transfer_time(b));
+  EXPECT_DOUBLE_EQ(comm.pipelined_broadcast_time(b),
+                   static_cast<double>(std::bit_width(16UL - 1)) * lat +
+                       static_cast<double>(b) / bw);
 }
 
 TEST(Collectives, HierarchicalBeatsFlatRingAtScale) {
@@ -303,14 +280,11 @@ TEST(Collectives, CommunicatorReduceSumMatchesCanonicalAndRecordsStats) {
   comm.reduce_sum(w.views, 2);
   expect_span_bits(w.bufs[2], want, "reduce root");
   // The reduce rides the allreduce stats row (obs reconciliation keys on
-  // the op set), and the functional call lands in the algo counters.
+  // the op set).
   const auto after = comm.stats();
   EXPECT_GT(after.allreduce_s, before.allreduce_s);
   EXPECT_EQ(after.allreduce_bytes - before.allreduce_bytes,
             21U * sizeof(float));
-  std::uint64_t reduce_calls = 0;
-  for (const auto c : comm.algo_stats().reduce) reduce_calls += c;
-  EXPECT_EQ(reduce_calls, 1U);
 }
 
 // --- distributed preconditioning shards ---
@@ -588,6 +562,34 @@ TEST(Shard, StatsShowPerRankMemoryShrinkingWithWorld) {
 }
 
 // --- perf-model scale accounting ---
+
+TEST(PerfScale, PrecondMemoryMatchesShardStats) {
+  // The analytic memory curve and the functional optimizer share one LPT
+  // owner map; with the same per-slot byte accounting, their peaks agree
+  // exactly.
+  for (const std::size_t depth : {1UL, 3UL, 8UL}) {
+    for (const std::size_t world : {2UL, 3UL, 4UL, 8UL}) {
+      DistFixture f(world, depth);
+      cm::Communicator comm(cm::Topology::with_gpus(world),
+                            cm::NetworkModel::platform1());
+      opt::DistKfacConfig kcfg;
+      kcfg.layout = opt::PrecondLayout::kSharded;
+      kcfg.assignment = opt::ShardAssignment::kCostBalanced;
+      opt::DistKfac kfac(kcfg, comm, f.ptrs);
+
+      core::PerfConfig pcfg;
+      for (const std::size_t li : f.replicas[0].trainable_layers()) {
+        const auto& w = *f.replicas[0].layer(li).weight();
+        pcfg.model.layers.push_back(
+            {.name = "fc", .out = w.rows(), .in = w.cols()});
+      }
+      const core::PerfSimulator sim(pcfg);
+      EXPECT_EQ(sim.precond_memory(world).sharded_peak_bytes,
+                kfac.shard_stats().peak_factor_bytes)
+          << "depth=" << depth << " world=" << world;
+    }
+  }
+}
 
 TEST(PerfScale, PrecondMemoryCurveShrinksLinearly) {
   core::PerfConfig cfg;

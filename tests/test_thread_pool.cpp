@@ -1,5 +1,5 @@
 // ThreadPool (src/common): work execution, exception propagation through
-// futures, parallel_for with caller participation, shutdown semantics
+// futures, parallel_for_static with caller participation, shutdown semantics
 // (drain, idempotence, reject-after), and a stealing smoke test with
 // deliberately unbalanced task costs. Run under TSan via ci.sh's
 // build-tsan config.
@@ -55,31 +55,6 @@ TEST(ThreadPool, ExceptionRethrowsAtGet) {
   // The pool survives a throwing task.
   auto after = pool.submit([] {});
   EXPECT_NO_THROW(after.get());
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  common::ThreadPool pool(3);
-  constexpr std::size_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&hits](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, ParallelForPropagatesFirstException) {
-  common::ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(64,
-                                 [](std::size_t i) {
-                                   if (i == 13) {
-                                     throw std::runtime_error("index 13");
-                                   }
-                                 }),
-               std::runtime_error);
-  // Pool remains usable afterwards.
-  std::atomic<int> ran{0};
-  pool.parallel_for(8, [&ran](std::size_t) { ++ran; });
-  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPool, ParallelForStaticCoversEveryIndexOnce) {
