@@ -10,7 +10,9 @@
 // training-hours table (see EXPERIMENTS.md). The two trainers are timed
 // in 5 interleaved windows of the same length and each side keeps its
 // best window, so a burst of host load hits both sides instead of
-// deciding the speedup.
+// deciding the speedup. It also records the config's communication per
+// step (simulated comm time, allreduce bytes, collective calls) from a
+// serial trainer's simulated clocks and obs counters.
 //
 // With --trace[=path] it additionally runs the observability smoke gate
 // (DESIGN.md §12): a serial run with metrics + tracer attached, whose
@@ -34,6 +36,7 @@
 #include "src/core/ft_trainer.hpp"
 #include "src/tensor/matrix_ops.hpp"
 #include "src/obs/json.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
 
 #include <algorithm>
@@ -151,6 +154,35 @@ Run run_faulted(bool smoke, std::size_t steps) {
   r.steps_per_s = static_cast<double>(steps) / secs;
   r.params = trainer.parameters();
   return r;
+}
+
+/// The config's communication per step, from a serial trainer's
+/// simulated clocks and obs counters over `steps` steps after the warmup
+/// step: simulated comm time, allreduce bytes (reduces ride that row),
+/// and collective calls — allreduces, reduces and allgather rounds.
+/// Deterministic: a pure function of the config.
+struct CommPerStep {
+  double sim_comm_ms = 0.0;
+  double allreduce_bytes = 0.0;
+  double collective_calls = 0.0;
+};
+
+CommPerStep run_comm(bool smoke, std::size_t steps) {
+  core::FaultTolerantTrainer trainer(bench_config(smoke, 0));
+  trainer.run(1);  // warmup, same as the timed legs.
+  obs::MetricsRegistry registry;
+  trainer.set_obs({.metrics = &registry});
+  const comm::CommStats before = trainer.comm().stats();
+  trainer.run(steps);
+  trainer.set_obs({});
+  const comm::CommStats after = trainer.comm().stats();
+  const auto n = static_cast<double>(steps);
+  return {
+      (after.total_s() - before.total_s()) * 1e3 / n,
+      static_cast<double>(after.allreduce_bytes - before.allreduce_bytes) / n,
+      static_cast<double>(registry.counter("comm.allreduce.calls") +
+                          registry.counter("comm.allgather.calls")) /
+          n};
 }
 
 bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
@@ -300,6 +332,7 @@ int main(int argc, char** argv) {
   const bool identical = bitwise_equal(serial.params, parallel.params);
   const Run faulted = run_faulted(smoke, steps);
   const double recovery_overhead = serial.steps_per_s / faulted.steps_per_s;
+  const CommPerStep comm_step = run_comm(smoke, steps);
 
   const auto cfg = bench_config(smoke, 0);
   std::printf(
@@ -317,6 +350,10 @@ int main(int argc, char** argv) {
   std::printf("  faulted (membership storm): %7.3f steps/s  "
               "(recovery overhead %.3fx)\n",
               faulted.steps_per_s, recovery_overhead);
+  std::printf("  per step: %.6f ms simulated comm, %.0f allreduce bytes, "
+              "%.2f collective calls\n",
+              comm_step.sim_comm_ms, comm_step.allreduce_bytes,
+              comm_step.collective_calls);
 
   ObsGate gate;
   if (with_obs_gate) {
@@ -354,6 +391,11 @@ int main(int argc, char** argv) {
                "  \"recovery_overhead\": {\"clean_steps_per_s\": %.4f,"
                " \"faulted_steps_per_s\": %.4f, \"ratio\": %.4f},\n",
                serial.steps_per_s, faulted.steps_per_s, recovery_overhead);
+  std::fprintf(f,
+               "  \"comm_per_step\": {\"sim_comm_ms\": %.6f,"
+               " \"allreduce_bytes\": %.0f, \"collective_calls\": %.2f},\n",
+               comm_step.sim_comm_ms, comm_step.allreduce_bytes,
+               comm_step.collective_calls);
   std::fprintf(f, "  \"speedup_gate\": %.2f,\n", kMinParallelSpeedup);
   std::fprintf(f, "  \"speedup_gate_enforced\": %s,\n",
                gate_enforced ? "true" : "false");

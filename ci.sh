@@ -93,6 +93,11 @@
 # (uninstrumented configs) and serial == parallel bit-identity, and leave
 # BENCH_math.json / BENCH_train.json in each build directory.
 #
+# A last, build-only step compiles everything in Release with
+# -DCOMPSO_WERROR=ON: GCC warns on some code only at -O3 (a false
+# -Wrestrict on string concatenation, for one), which the RelWithDebInfo
+# configs above never see. It runs only when no label is given.
+#
 # The perf-wallclock lane (./ci.sh perf-wallclock) runs only the three
 # gates whose pass depends on a wall-clock ratio: bench_math_smoke (gemm
 # speedup), bench_train_smoke (4-thread parallel speedup) and
@@ -122,5 +127,12 @@ run_suite build-asan -DCOMPSO_SANITIZE=ON
 
 echo "=== config 3/3: ThreadSanitizer ==="
 run_suite build-tsan -DCOMPSO_TSAN=ON
+
+if [[ -z "$LABEL" ]]; then
+  echo "=== build only: Release -Werror ==="
+  cmake -S . -B build-werror -DCMAKE_BUILD_TYPE=Release -DCOMPSO_WERROR=ON \
+    >/dev/null
+  cmake --build build-werror -j "$JOBS"
+fi
 
 echo "ci.sh: all green"

@@ -122,7 +122,8 @@ ModelShape gpt_neo_125m_shape() {
   add_embedding(m, "wte", h, vocab);
   add_embedding(m, "wpe", h, 2048);
   for (std::size_t l = 0; l < layers; ++l) {
-    const std::string p = "h" + std::to_string(l);
+    std::string p = "h";
+    p += std::to_string(l);
     add_fc(m, p + ".attn.q", h, h, seq);
     add_fc(m, p + ".attn.k", h, h, seq);
     add_fc(m, p + ".attn.v", h, h, seq);

@@ -145,40 +145,50 @@ DistKfac::ShardStats DistKfac::shard_stats() const {
   return st;
 }
 
-void DistKfac::exchange_covariances(std::vector<Tensor>& local,
-                                    const std::vector<compress::Bytes>* send,
-                                    std::size_t owner) {
-  const std::size_t world = comm_.world_size();
-  const auto active = static_cast<float>(comm_.participant_count());
-  const std::size_t lead = comm_.first_participant();
-  if (send != nullptr) {
-    // Compressed path (§7): the per-rank payloads arrive pre-compressed
-    // (the engine compressed them while earlier layers were exchanging);
-    // a retry re-sends the same bytes.
-    if (exchange_.average(comm_, policy_, *send, cfg_.chunk_bytes,
-                          *factor_compressor_, engine(), local[0].span())) {
-      return;
+void DistKfac::average_factors(std::size_t begin, std::size_t end,
+                               std::size_t root) {
+  std::vector<std::span<float>> views(comm_.world_size());
+  for (std::size_t r = 0; r < views.size(); ++r) {
+    if (comm_.is_participating(r)) {
+      views[r] = std::span<float>(factor_buf_[r]).subspan(begin, end - begin);
     }
-    record_fallback(comm_, policy_, "kfac.factor_fallback");
   }
-  std::vector<std::span<float>> views;
-  views.reserve(world);
-  for (auto& t : local) views.push_back(t.span());
-  if (send == nullptr && cfg_.layout == PrecondLayout::kSharded) {
-    // Reduce-to-owner (DP-KFAC): only the owner needs the averaged
-    // covariance — it alone blends and eigendecomposes this slot's
-    // factors. The canonical summation order makes the owner's value
-    // bit-identical to what the allreduce would have left at the lead.
-    comm_.reduce_sum(views, owner);
-    local[owner] *= 1.0F / active;
-    if (owner != 0) local[0] = local[owner];
+  if (cfg_.layout == PrecondLayout::kSharded) {
+    comm_.reduce_sum(views, root);
+  } else {
+    comm_.allreduce_sum(views);
+  }
+  const float inv = 1.0F / static_cast<float>(comm_.participant_count());
+  for (float& v : views[root]) v *= inv;
+}
+
+void DistKfac::exchange_compressed_factor(std::size_t s, bool a,
+                                          std::size_t root) {
+  std::vector<Tensor>& local = a ? cov_a_[s] : cov_g_[s];
+  // The per-rank payloads arrive pre-compressed (the cov tasks compressed
+  // them while earlier slots were exchanging); a retry re-sends the same
+  // bytes.
+  const auto& send = a ? factor_send_a_[s] : factor_send_g_[s];
+  if (exchange_.average(comm_, policy_, send, cfg_.chunk_bytes,
+                        *factor_compressor_, engine(), local[root].span())) {
     return;
   }
-  // Plain allreduce: the uncompressed path, and the compressed path's
-  // fallback (the raw covariances are untouched by the failed attempt).
-  comm_.allreduce_sum(views);
-  local[lead] *= 1.0F / active;
-  if (lead != 0) local[0] = local[lead];
+  record_fallback(comm_, policy_, "kfac.factor_fallback");
+  // The raw covariances are untouched by the failed attempt: their packed
+  // triangles take the uncompressed path.
+  const auto [na, ng] = packed_sizes(s);
+  const std::size_t begin = factor_off_[s] + (a ? 0 : na);
+  const std::size_t end = begin + (a ? na : ng);
+  for (std::size_t r = 0; r < comm_.world_size(); ++r) {
+    if (!comm_.is_participating(r)) continue;
+    factor_buf_[r].resize(factor_floats_);
+    tensor::pack_upper(local[r], std::span<float>(factor_buf_[r])
+                                     .subspan(begin, end - begin));
+  }
+  average_factors(begin, end, root);
+  tensor::unpack_upper(
+      std::span<const float>(factor_buf_[root]).subspan(begin, end - begin),
+      local[root].rows(), local[root]);
 }
 
 std::uint64_t DistKfac::group_stream(const GatherGroup& grp) const {
@@ -332,12 +342,9 @@ void DistKfac::step(std::size_t iteration, double lr,
   // stream id are pure functions of the step's inputs.
   // ------------------------------------------------------------------
   graph_.clear();
-  if (cov_a_.size() < slots) {
+  if (fcomp && cov_a_.size() < slots) {
     cov_a_.resize(slots);
     cov_g_.resize(slots);
-  }
-  if (grad_work_.size() < slots) grad_work_.resize(slots);
-  if (fcomp && factor_send_a_.size() < slots) {
     factor_send_a_.resize(slots);
     factor_send_g_.resize(slots);
   }
@@ -347,6 +354,31 @@ void DistKfac::step(std::size_t iteration, double lr,
   for (auto& v : owned_) v.clear();
   for (std::size_t s = 0; s < slots; ++s) owned_[owner_of(s)].push_back(s);
   if (refresh) hooks.count("kfac.eigh_refreshes");
+
+  // Fused exchange layouts: factors grouped by owner, so each owner's
+  // slots are one contiguous reduce; gradients in slot order.
+  factor_off_.resize(slots);
+  grad_off_.resize(slots);
+  factor_floats_ = 0;
+  for (const auto& mine : owned_) {
+    for (std::size_t s : mine) {
+      const auto [na, ng] = packed_sizes(s);
+      factor_off_[s] = factor_floats_;
+      factor_floats_ += na + ng;
+    }
+  }
+  std::size_t grad_floats = 0;
+  for (std::size_t s = 0; s < slots; ++s) {
+    grad_off_[s] = grad_floats;
+    grad_floats += momentum_[s].size();
+  }
+  factor_buf_.resize(world);
+  grad_buf_.resize(world);
+  for (std::size_t r = 0; r < world; ++r) {
+    // The compressed path sizes its factor buffers only on a fallback.
+    if (!fcomp) factor_buf_[r].resize(factor_floats_);
+    grad_buf_[r].resize(grad_floats);
+  }
 
   // Stream ids, claimed in the legacy order before any task is built.
   std::vector<std::uint64_t> tid_a(slots * world, 0);
@@ -379,151 +411,158 @@ void DistKfac::step(std::size_t iteration, double lr,
   }
 
   // Priorities implement the backward-order wavefront: within the ready
-  // set, later layers run first (their factors and gradients are ready
-  // first in a real backward pass), comm tasks of ALL layers run before
-  // any guard (so preconditioning stays in flight under the remaining
-  // collectives), and the gather/update tail runs last.
-  const auto prio_fx = [](std::size_t s) { return static_cast<int>(3 * s) + 2; };
-  const auto prio_gar = [](std::size_t s) { return static_cast<int>(3 * s) + 1; };
+  // set, the gradient allreduce (no deps) runs first, under the
+  // covariance syrks; then the factor exchange — per slot with a factor
+  // compressor, later slots first, since their factors are ready first in
+  // a real backward pass; every collective runs before any guard (so
+  // preconditioning stays in flight under the remaining collectives), and
+  // the gather/update tail runs last.
+  const int prio_gar = static_cast<int>(slots) + 1;
   const auto prio_guard = [slots](std::size_t s) {
     return static_cast<int>(s) - static_cast<int>(slots);
   };
   constexpr int kPrioGather = -1000000;
 
-  std::vector<StepGraph::TaskId> guard_id(slots, 0);
+  // Every slot's combined gradient, straight into its slice of the rank's
+  // buffer, and one allreduce for all of them. It reads only the layers'
+  // gradients, so it has no deps and overlaps the covariance tasks.
+  const auto gar = graph_.add_main(
+      "grad_allreduce", prio_gar,
+      [this, world, slots] {
+        std::vector<std::span<float>> views(world);
+        for (std::size_t r = 0; r < world; ++r) {
+          if (!comm_.is_participating(r)) continue;
+          for (std::size_t s = 0; s < slots; ++s) {
+            combined_gradient_into(
+                replicas_[r]->layer(layer_indices_[s]),
+                std::span<float>(grad_buf_[r])
+                    .subspan(grad_off_[s], momentum_[s].size()));
+          }
+          views[r] = grad_buf_[r];
+        }
+        comm_.allreduce_sum(views);
+      },
+      /*is_comm=*/true);
 
+  // Per-(slot, rank) covariance tasks. Uncompressed, each packs its two
+  // syrks into its slice of the rank's factor buffer; with a factor
+  // compressor, each keeps its full covariances and compresses them —
+  // fused, so the graph stays free of compute->compute edges and the
+  // main thread never blocks just to submit a dependent. Distinct (s, r)
+  // write disjoint memory.
+  std::vector<std::vector<StepGraph::TaskId>> cov_ids(slots);
   for (std::size_t s = 0; s < slots; ++s) {
     const std::size_t li = layer_indices_[s];
-    auto& local_a = cov_a_[s];
-    auto& local_g = cov_g_[s];
-    local_a.resize(world);
-    local_g.resize(world);
-    const std::size_t shape_a = states_[s]->factor_a().rows();
-    const std::size_t shape_g = states_[s]->factor_g().rows();
     if (fcomp) {
+      cov_a_[s].resize(world);
+      cov_g_[s].resize(world);
       factor_send_a_[s].resize(world);
       factor_send_g_[s].resize(world);
-      for (std::size_t r = 0; r < world; ++r) {
-        factor_send_a_[s][r].clear();
-        factor_send_g_[s][r].clear();
-      }
     }
-    // Fused per-(slot, rank) covariance + factor-compression tasks. The
-    // syrks of distinct (s, r) write disjoint tensors and each
-    // compression reads only its own rank's covariance, so fusing keeps
-    // the graph free of compute->compute edges — the main thread never
-    // has to block just to submit a dependent.
-    std::vector<StepGraph::TaskId> cov_ids;
     for (std::size_t r = 0; r < world; ++r) {
-      if (!comm_.is_participating(r)) {
-        // allreduce_sum overwrites every view with the sum, so
-        // non-participating slots must be re-zeroed every step — in
-        // place: re-allocating a zero tensor per evicted rank per layer
-        // per step was measurable churn (see the steady-state allocation
-        // test).
-        if (local_a[r].rank() != 2 || local_a[r].rows() != shape_a ||
-            local_a[r].cols() != shape_a) {
-          local_a[r] = Tensor({shape_a, shape_a});
-        } else {
-          local_a[r].fill(0.0F);
-        }
-        if (local_g[r].rank() != 2 || local_g[r].rows() != shape_g ||
-            local_g[r].cols() != shape_g) {
-          local_g[r] = Tensor({shape_g, shape_g});
-        } else {
-          local_g[r].fill(0.0F);
-        }
-        continue;
-      }
+      if (!comm_.is_participating(r)) continue;
       auto& layer = replicas_[r]->layer(li);
       const Tensor* a = layer.kfac_input();
       const Tensor* g = layer.kfac_grad_output();
       if (a == nullptr || g == nullptr || a->empty() || g->empty()) {
         throw std::logic_error("DistKfac: run forward/backward first");
       }
+      if (!fcomp) {
+        cov_ids[s].push_back(graph_.add_compute(
+            "cov" + std::to_string(s), static_cast<int>(s), [this, a, g, s, r] {
+              const auto batch = static_cast<float>(a->rows());
+              const auto [na, ng] = packed_sizes(s);
+              const auto out = std::span<float>(factor_buf_[r]).subspan(
+                  factor_off_[s], na + ng);
+              tensor::syrk_tn_packed(*a, 1.0F / batch, out.first(na));
+              tensor::syrk_tn_packed(*g, batch, out.subspan(na));
+            }));
+        continue;
+      }
       const std::uint64_t ta = tid_a[s * world + r];
       const std::uint64_t tg = tid_g[s * world + r];
-      cov_ids.push_back(graph_.add_compute(
-          (fcomp ? "cov_compress" : "cov") + std::to_string(s),
-          static_cast<int>(s), [this, a, g, s, r, fcomp, step_seed, ta, tg] {
+      cov_ids[s].push_back(graph_.add_compute(
+          "cov_compress" + std::to_string(s), static_cast<int>(s),
+          [this, a, g, s, r, step_seed, ta, tg] {
             const auto batch = static_cast<float>(a->rows());
             tensor::syrk_tn(*a, 1.0F / batch, 0.0F, cov_a_[s][r]);
             tensor::syrk_tn(*g, batch, 0.0F, cov_g_[s][r]);
-            if (fcomp) {
-              tensor::Rng rng_a =
-                  compress::CompressionEngine::task_rng(step_seed, ta);
-              factor_compressor_->compress_into(cov_a_[s][r].span(), rng_a,
-                                                factor_send_a_[s][r]);
-              tensor::Rng rng_g =
-                  compress::CompressionEngine::task_rng(step_seed, tg);
-              factor_compressor_->compress_into(cov_g_[s][r].span(), rng_g,
-                                                factor_send_g_[s][r]);
-            }
+            tensor::Rng rng_a =
+                compress::CompressionEngine::task_rng(step_seed, ta);
+            factor_compressor_->compress_into(cov_a_[s][r].span(), rng_a,
+                                              factor_send_a_[s][r]);
+            tensor::Rng rng_g =
+                compress::CompressionEngine::task_rng(step_seed, tg);
+            factor_compressor_->compress_into(cov_g_[s][r].span(), rng_g,
+                                              factor_send_g_[s][r]);
           }));
     }
+  }
 
-    // Factor exchange + blend: the slot's collective(s), driven on the
-    // main thread while other slots' covariances compress on the pool.
-    // Under the sharded layout the slot's owner is the reduce root and
-    // the rank whose buffer feeds the precondition — identical bits, but
-    // the comm is a reduce and the memory/compute attribution is O(L/P).
-    const std::size_t own =
-        cfg_.layout == PrecondLayout::kSharded ? shard_owner_[s] : lead;
+  // Factor exchange + blend into the shared running-average state (all
+  // ranks hold the same state after the exchange; the simulator stores it
+  // once). Uncompressed: one task for every slot, the packed buffers'
+  // collective(s) — under the sharded layout one reduce per owner, whose
+  // buffer feeds its slots' blend: identical bits, but the comm is a
+  // reduce and the memory/compute attribution is O(L/P). Compressed: one
+  // task per slot, driven on the main thread while other slots'
+  // covariances compress on the pool.
+  std::vector<StepGraph::TaskId> fx_id(slots, 0);
+  if (!fcomp) {
     const auto fx = graph_.add_main(
-        "factor_exchange" + std::to_string(s), prio_fx(s),
-        [this, s, fcomp, world, own] {
-          if (fcomp) {
+        "factor_exchange", /*priority=*/0,
+        [this, world, slots, lead] {
+          if (cfg_.layout == PrecondLayout::kSharded) {
+            for (std::size_t o = 0; o < world; ++o) {
+              if (owned_[o].empty()) continue;
+              const std::size_t last = owned_[o].back();
+              const auto [na, ng] = packed_sizes(last);
+              average_factors(factor_off_[owned_[o].front()],
+                              factor_off_[last] + na + ng, o);
+            }
+          } else {
+            average_factors(0, factor_floats_, lead);
+          }
+          for (std::size_t s = 0; s < slots; ++s) {
+            const auto [na, ng] = packed_sizes(s);
+            const auto avg =
+                std::span<const float>(factor_buf_[root_of(s, lead)])
+                    .subspan(factor_off_[s], na + ng);
+            states_[s]->blend_packed_factors(avg.first(na), avg.subspan(na),
+                                             cfg_.stat_decay);
+          }
+        },
+        /*is_comm=*/true);
+    for (std::size_t s = 0; s < slots; ++s) {
+      fx_id[s] = fx;
+      for (const auto c : cov_ids[s]) graph_.depends(fx, c);
+    }
+  } else {
+    for (std::size_t s = 0; s < slots; ++s) {
+      const std::size_t root = root_of(s, lead);
+      fx_id[s] = graph_.add_main(
+          "factor_exchange" + std::to_string(s), static_cast<int>(s),
+          [this, s, world, root] {
+            const auto [na, ng] = packed_sizes(s);
             for (std::size_t r = 0; r < world; ++r) {
               if (!comm_.is_participating(r)) continue;
-              factor_orig_bytes_ +=
-                  (cov_a_[s][r].size() + cov_g_[s][r].size()) * sizeof(float);
+              factor_orig_bytes_ += (na + ng) * sizeof(float);
               factor_comp_bytes_ +=
                   factor_send_a_[s][r].size() + factor_send_g_[s][r].size();
             }
-            exchange_covariances(cov_a_[s], &factor_send_a_[s], own);
-            exchange_covariances(cov_g_[s], &factor_send_g_[s], own);
-          } else {
-            exchange_covariances(cov_a_[s], nullptr, own);
-            exchange_covariances(cov_g_[s], nullptr, own);
-          }
-          // Blend into the shared running-average state. (All ranks hold
-          // the same state after the exchange; the simulator stores it
-          // once.)
-          states_[s]->blend_factors(cov_a_[s][0], cov_g_[s][0],
-                                    cfg_.stat_decay);
-        },
-        /*is_comm=*/true);
-    for (const auto c : cov_ids) graph_.depends(fx, c);
+            exchange_compressed_factor(s, /*a=*/true, root);
+            exchange_compressed_factor(s, /*a=*/false, root);
+            states_[s]->blend_factors(cov_a_[s][root], cov_g_[s][root],
+                                      cfg_.stat_decay);
+          },
+          /*is_comm=*/true);
+      for (const auto c : cov_ids[s]) graph_.depends(fx_id[s], c);
+    }
+  }
 
-    // Gradient allreduce (data-parallel average of the SGD gradients) —
-    // reads only the layer's gradient buffers, so it has no deps and
-    // overlaps earlier slots' compute.
-    const auto gar = graph_.add_main(
-        "grad_allreduce" + std::to_string(s), prio_gar(s),
-        [this, s, li, world, active, own] {
-          auto& gw = grad_work_[s];
-          gw.resize(world);
-          const auto& shape = momentum_[s].shape();
-          for (std::size_t r = 0; r < world; ++r) {
-            if (comm_.is_participating(r)) {
-              combined_gradient_into(replicas_[r]->layer(li), gw[r]);
-            } else if (gw[r].rank() != 2 || gw[r].shape() != shape) {
-              gw[r] = Tensor(shape);
-            } else {
-              gw[r].fill(0.0F);
-            }
-          }
-          std::vector<std::span<float>> views;
-          views.reserve(world);
-          for (auto& t : gw) views.push_back(t.span());
-          comm_.allreduce_sum(views);
-          // The slot owner's copy becomes the average it preconditions
-          // from (the allreduce replicated the sum, so any participant's
-          // copy is the same bits; `own` == lead under kKaisa).
-          gw[own] *= 1.0F / static_cast<float>(active);
-        },
-        /*is_comm=*/true);
-
+  std::vector<StepGraph::TaskId> guard_id(slots, 0);
+  const float inv_active = 1.0F / static_cast<float>(active);
+  for (std::size_t s = 0; s < slots; ++s) {
     // Preconditioning reads only this slot's state, so it overlaps other
     // slots' collectives — the §4.4 "eigh under comm" overlap. On a
     // refresh step (owner-partitioned, every eigen_refresh_every steps)
@@ -531,10 +570,19 @@ void DistKfac::step(std::size_t iteration, double lr,
     // exchange, so a refresh keeps every slot's eigh calls in flight at
     // once (the order rule in StepGraph::order() submits all of them
     // before the first precondition reaps any).
+    const std::size_t root = root_of(s, lead);
     const auto ep = graph_.add_compute(
-        "precond" + std::to_string(s), static_cast<int>(s), [this, s, own] {
-          preconditioned_[s] =
-              states_[s]->precondition(grad_work_[s][own], cfg_.damping);
+        "precond" + std::to_string(s), static_cast<int>(s),
+        [this, s, root, inv_active] {
+          // The slot's averaged gradient (the allreduce left the sum on
+          // every participant), staged in its output tensor.
+          Tensor& k = preconditioned_[s];
+          tensor::ensure_shape2(k, momentum_[s].rows(), momentum_[s].cols());
+          const float* sum = grad_buf_[root].data() + grad_off_[s];
+          for (std::size_t i = 0; i < k.size(); ++i) {
+            k[i] = sum[i] * inv_active;
+          }
+          k = states_[s]->precondition(k, cfg_.damping);
         });
     if (refresh) {
       const auto ea = graph_.add_compute(
@@ -543,12 +591,12 @@ void DistKfac::step(std::size_t iteration, double lr,
       const auto eg = graph_.add_compute(
           "eigh_g" + std::to_string(s), static_cast<int>(s),
           [this, s] { states_[s]->refresh_eigen_g(); });
-      graph_.depends(ea, fx);
-      graph_.depends(eg, fx);
+      graph_.depends(ea, fx_id[s]);
+      graph_.depends(eg, fx_id[s]);
       graph_.depends(ep, ea);
       graph_.depends(ep, eg);
     }
-    graph_.depends(ep, fx);
+    graph_.depends(ep, fx_id[s]);
     graph_.depends(ep, gar);
 
     // Non-finite guard + byte accounting: mutates shared recovery state,

@@ -3,7 +3,10 @@
 //
 //  per iteration, for every trainable layer:
 //   1. each rank computes local covariance contributions from its batch;
-//   2. factors are all-reduced (averaged) across ranks;
+//   2. factors are all-reduced (averaged) across ranks — every layer's A
+//      and G as packed upper triangles in one buffer per rank, so the
+//      step runs one factor collective (one reduce per owner under the
+//      sharded layout) and one gradient allreduce, not three per layer;
 //   3. eigendecompositions are partitioned layer-wise: layer l is owned by
 //      rank (l mod world) and refreshed there every `eigen_refresh_every`
 //      iterations;
@@ -25,9 +28,11 @@
 #include "src/optim/kfac.hpp"
 #include "src/optim/recovery.hpp"
 #include "src/optim/step_graph.hpp"
+#include "src/tensor/matrix_ops.hpp"
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace compso::optim {
@@ -130,6 +135,9 @@ class DistKfac {
       const compress::GradientCompressor* compressor) noexcept {
     factor_compressor_ = compressor;
   }
+  /// Factor bytes the last step's compressed exchange replaced — the
+  /// packed triangles the uncompressed exchange sends — and the
+  /// compressed payload bytes sent in their place.
   std::uint64_t last_factor_original_bytes() const noexcept {
     return factor_orig_bytes_;
   }
@@ -210,14 +218,21 @@ class DistKfac {
   StepGraph graph_;
   StepGraph::Stats sched_stats_;
   // Per-step workspaces (persistent so steady-state steps reuse
-  // capacity): covariances + factor payloads and averaged/preconditioned
-  // gradients indexed [slot][rank] / [slot], gather-group buffers indexed
-  // [group].
+  // capacity). The uncompressed exchanges send one buffer per rank: every
+  // slot's packed A then G triangles, grouped by owner (ascending rank,
+  // then owned slots ascending), and every slot's combined gradient in
+  // slot order. The compressed factor path keeps the full covariances it
+  // compresses and their payloads, indexed [slot][rank]; gather-group
+  // buffers are indexed [group].
+  std::vector<std::vector<float>> factor_buf_;  ///< [rank].
+  std::vector<std::size_t> factor_off_;         ///< [slot] A's offset.
+  std::size_t factor_floats_ = 0;               ///< per-rank buffer size.
+  std::vector<std::vector<float>> grad_buf_;    ///< [rank].
+  std::vector<std::size_t> grad_off_;           ///< [slot].
   std::vector<std::vector<Tensor>> cov_a_;
   std::vector<std::vector<Tensor>> cov_g_;
   std::vector<std::vector<compress::Bytes>> factor_send_a_;
   std::vector<std::vector<compress::Bytes>> factor_send_g_;
-  std::vector<std::vector<Tensor>> grad_work_;  ///< [slot][rank].
   std::vector<Tensor> preconditioned_;          ///< [slot].
   std::vector<std::uint8_t> skip_;              ///< [slot], non-finite.
   std::vector<std::vector<std::size_t>> owned_;  ///< [rank] -> slots.
@@ -252,15 +267,32 @@ class DistKfac {
   /// since it was computed (eviction/readmission reassigns shards).
   void refresh_assignment() const;
 
-  /// Exchanges per-rank covariance contributions: plain allreduce when
-  /// `send` is null (reduce-to-`owner` under the sharded layout — the
-  /// canonical summation order makes the owner's average bit-identical to
-  /// the allreduce lead's), else the chunked exchange of the
-  /// pre-compressed per-rank payloads, falling back to the allreduce. On
-  /// return, local[0] holds the rank average.
-  void exchange_covariances(std::vector<Tensor>& local,
-                            const std::vector<compress::Bytes>* send,
-                            std::size_t owner);
+  /// Floats of slot `s`'s packed A and G triangles.
+  std::pair<std::size_t, std::size_t> packed_sizes(std::size_t s) const {
+    return {tensor::packed_size(states_[s]->factor_a().rows()),
+            tensor::packed_size(states_[s]->factor_g().rows())};
+  }
+
+  /// The slot's rank (its owner under the sharded layout, else the lead
+  /// participant) whose averaged factors and gradient feed its
+  /// preconditioning.
+  std::size_t root_of(std::size_t s, std::size_t lead) const {
+    return cfg_.layout == PrecondLayout::kSharded ? shard_owner_[s] : lead;
+  }
+
+  /// Averages floats [begin, end) of every participant's factor_buf_ into
+  /// factor_buf_[root]: one reduce to `root` under the sharded layout
+  /// (DP-KFAC: only the owner needs the average; the canonical summation
+  /// order gives it the bits the allreduce would), else one allreduce
+  /// with `root` the lead participant.
+  void average_factors(std::size_t begin, std::size_t end, std::size_t root);
+
+  /// Slot `s`'s §7 compressed exchange of one factor (`a` selects A or
+  /// G): the chunked exchange of the pre-compressed per-rank payloads,
+  /// falling back to the packed triangles of the raw covariances through
+  /// average_factors. Either way cov_{a,g}_[s][root] ends up holding the
+  /// rank average.
+  void exchange_compressed_factor(std::size_t s, bool a, std::size_t root);
 
   /// Stateful-compressor stream key of a gather group: (owner rank, first
   /// owned slot).

@@ -2,6 +2,7 @@
 
 #include "src/tensor/matrix_ops.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace compso::optim {
@@ -34,6 +35,40 @@ void KfacLayerState::blend_factors(const Tensor& cov_a, const Tensor& cov_g,
   const double blend = updates_ == 0 ? 0.0 : stat_decay;
   a_.axpby(static_cast<float>(blend), static_cast<float>(1.0 - blend), cov_a);
   g_.axpby(static_cast<float>(blend), static_cast<float>(1.0 - blend), cov_g);
+  ++updates_;
+}
+
+namespace {
+
+/// f = alpha * f + beta * cov over f's upper triangle, read from `cov` in
+/// pack_upper order one row segment at a time, then mirrored — the
+/// arithmetic of Tensor::axpby on the unpacked covariance.
+void blend_upper(Tensor& f, std::span<const float> cov, float alpha,
+                 float beta) {
+  const std::size_t d = f.rows();
+  if (cov.size() != tensor::packed_size(d)) {
+    throw std::invalid_argument("blend_packed_factors: shape mismatch");
+  }
+  const float* src = cov.data();
+  for (std::size_t i = 0; i < d; ++i) {
+    float* row = f.data() + i * d;
+    for (std::size_t j = i; j < d; ++j) {
+      row[j] = alpha * row[j] + beta * *src++;
+    }
+  }
+  tensor::mirror_upper(f);
+}
+
+}  // namespace
+
+void KfacLayerState::blend_packed_factors(std::span<const float> cov_a,
+                                          std::span<const float> cov_g,
+                                          double stat_decay) {
+  const double blend = updates_ == 0 ? 0.0 : stat_decay;
+  const auto alpha = static_cast<float>(blend);
+  const auto beta = static_cast<float>(1.0 - blend);
+  blend_upper(a_, cov_a, alpha, beta);
+  blend_upper(g_, cov_g, alpha, beta);
   ++updates_;
 }
 
@@ -112,18 +147,27 @@ Tensor combined_gradient(nn::Layer& layer) {
 }
 
 void combined_gradient_into(nn::Layer& layer, Tensor& c) {
+  const auto* wg = layer.weight_grad();
+  if (wg == nullptr) {
+    throw std::invalid_argument("combined_gradient: layer has no params");
+  }
+  tensor::ensure_shape2(c, wg->rows(), wg->cols() + 1);
+  combined_gradient_into(layer, c.span());
+}
+
+void combined_gradient_into(nn::Layer& layer, std::span<float> c) {
   auto* wg = layer.weight_grad();
   auto* bg = layer.bias_grad();
   if (wg == nullptr || bg == nullptr) {
     throw std::invalid_argument("combined_gradient: layer has no params");
   }
   const std::size_t out = wg->rows(), in = wg->cols();
-  if (c.rank() != 2 || c.rows() != out || c.cols() != in + 1) {
-    c = Tensor({out, in + 1});
+  if (c.size() != out * (in + 1)) {
+    throw std::invalid_argument("combined_gradient: output size mismatch");
   }
   for (std::size_t r = 0; r < out; ++r) {
-    for (std::size_t j = 0; j < in; ++j) c.at(r, j) = wg->at(r, j);
-    c.at(r, in) = (*bg)[r];
+    float* row = std::copy_n(wg->data() + r * in, in, c.data() + r * (in + 1));
+    *row = (*bg)[r];
   }
 }
 

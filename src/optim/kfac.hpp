@@ -11,6 +11,8 @@
 #include "src/nn/layer.hpp"
 #include "src/tensor/eigen.hpp"
 
+#include <span>
+
 namespace compso::optim {
 
 using tensor::Tensor;
@@ -31,6 +33,13 @@ class KfacLayerState {
   /// where the per-batch covariances are averaged across ranks first.
   void blend_factors(const Tensor& cov_a, const Tensor& cov_g,
                      double stat_decay);
+  /// Same, from covariances packed as upper triangles (tensor::pack_upper
+  /// layout) — the uncompressed factor exchange's wire format. The same
+  /// bits as blend_factors on the unpacked matrices: the factors and the
+  /// covariances are exactly symmetric, so each mirrored element repeats
+  /// its upper twin's arithmetic.
+  void blend_packed_factors(std::span<const float> cov_a,
+                            std::span<const float> cov_g, double stat_decay);
 
   /// Refreshes the eigendecompositions (the expensive step that the
   /// distributed variant partitions across GPUs): refresh_eigen_a() then
@@ -78,6 +87,8 @@ Tensor combined_gradient(nn::Layer& layer);
 /// Same, into a caller-owned tensor (reshaped in place when needed) so
 /// steady-state steps reuse the buffer instead of allocating per call.
 void combined_gradient_into(nn::Layer& layer, Tensor& out);
+/// Same, row-major into `out` (exactly out * (in + 1) floats).
+void combined_gradient_into(nn::Layer& layer, std::span<float> out);
 /// Splits a combined (preconditioned) gradient back into dW / db and
 /// applies `param -= lr * K` (with optional momentum handled by caller).
 void apply_combined_update(nn::Layer& layer, const Tensor& combined,

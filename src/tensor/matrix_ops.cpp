@@ -331,6 +331,33 @@ std::size_t flops_of(std::size_t m, std::size_t n, std::size_t k) {
   return m * n * k;
 }
 
+/// The reference syrk loop: C's upper triangle += (alpha * A)^T A for A
+/// of shape (n x d), C a dense d x d buffer holding the initial values.
+void syrk_upper_reference(const Tensor& a, float alpha, float* c) {
+  const std::size_t n = a.rows(), d = a.cols();
+  for (std::size_t s = 0; s < n; ++s) {
+    const float* row = a.data() + s * d;
+    for (std::size_t i = 0; i < d; ++i) {
+      const float av = alpha * row[i];
+      float* crow = c + i * d;
+      for (std::size_t j = i; j < d; ++j) crow[j] += av * row[j];
+    }
+  }
+}
+
+/// syrk_upper_reference on the blocked engine once the product is large
+/// enough to amortize packing. alpha folds into the A pack, which matches
+/// the reference's `(alpha * row[i]) * row[j]` operation order exactly.
+void syrk_upper(const Tensor& a, float alpha, float* c) {
+  const std::size_t n = a.rows(), d = a.cols();
+  if (flops_of(d, d, n) < kSmallGemmFlops) {
+    syrk_upper_reference(a, alpha, c);
+    return;
+  }
+  gemm_driver({a.data(), d, true}, {a.data(), d, true}, c, d, d, n, alpha,
+              true);
+}
+
 }  // namespace
 
 void set_math_pool(common::ThreadPool* pool) noexcept {
@@ -421,24 +448,14 @@ void gemm_nt_reference(const Tensor& a, const Tensor& b, Tensor& c) {
 
 void syrk_tn_reference(const Tensor& a, float alpha, float beta, Tensor& c) {
   check2(a, "syrk_tn A");
-  const std::size_t n = a.rows(), d = a.cols();
+  const std::size_t d = a.cols();
   if (c.rank() != 2 || c.rows() != d || c.cols() != d) {
     c = Tensor({d, d});
     beta = 0.0F;
   }
   for (auto& v : c.span()) v *= beta;
-  for (std::size_t s = 0; s < n; ++s) {
-    const float* row = a.data() + s * d;
-    for (std::size_t i = 0; i < d; ++i) {
-      const float av = alpha * row[i];
-      float* crow = c.data() + i * d;
-      for (std::size_t j = i; j < d; ++j) crow[j] += av * row[j];
-    }
-  }
-  // Mirror the upper triangle into the lower one.
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = i + 1; j < d; ++j) c.at(j, i) = c.at(i, j);
-  }
+  syrk_upper_reference(a, alpha, c.data());
+  mirror_upper(c);
 }
 
 // --- blocked production kernels --------------------------------------------
@@ -499,20 +516,60 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c) {
 
 void syrk_tn(const Tensor& a, float alpha, float beta, Tensor& c) {
   check2(a, "syrk_tn A");
-  const std::size_t n = a.rows(), d = a.cols();
-  if (flops_of(d, d, n) < kSmallGemmFlops) {
-    syrk_tn_reference(a, alpha, beta, c);
-    return;
-  }
+  const std::size_t d = a.cols();
   if (c.rank() != 2 || c.rows() != d || c.cols() != d) {
     c = Tensor({d, d});
     beta = 0.0F;
   }
   for (auto& v : c.span()) v *= beta;
-  // C_upper += (alpha * A)^T A; alpha folds into the A pack, which matches
-  // the reference's `(alpha * row[i]) * row[j]` operation order exactly.
-  gemm_driver({a.data(), d, true}, {a.data(), d, true}, c.data(), d, d, n,
-              alpha, true);
+  syrk_upper(a, alpha, c.data());
+  mirror_upper(c);
+}
+
+void syrk_tn_packed(const Tensor& a, float alpha, std::span<float> packed) {
+  check2(a, "syrk_tn_packed A");
+  const std::size_t d = a.cols();
+  if (packed.size() != packed_size(d)) {
+    throw std::invalid_argument("syrk_tn_packed: packed size mismatch");
+  }
+  thread_local std::vector<float> t_product;  ///< d x d, upper triangle used.
+  t_product.assign(d * d, 0.0F);
+  syrk_upper(a, alpha, t_product.data());
+  float* dst = packed.data();
+  for (std::size_t i = 0; i < d; ++i) {
+    dst = std::copy_n(t_product.data() + i * d + i, d - i, dst);
+  }
+}
+
+void pack_upper(const Tensor& c, std::span<float> packed) {
+  check2(c, "pack_upper");
+  const std::size_t d = c.rows();
+  if (c.cols() != d || packed.size() != packed_size(d)) {
+    throw std::invalid_argument("pack_upper: shape mismatch");
+  }
+  float* dst = packed.data();
+  for (std::size_t i = 0; i < d; ++i) {
+    dst = std::copy_n(c.data() + i * d + i, d - i, dst);
+  }
+}
+
+void unpack_upper(std::span<const float> packed, std::size_t d, Tensor& c) {
+  if (packed.size() != packed_size(d)) {
+    throw std::invalid_argument("unpack_upper: packed size mismatch");
+  }
+  ensure_shape2(c, d, d);
+  const float* src = packed.data();
+  for (std::size_t i = 0; i < d; ++i) {
+    std::copy_n(src, d - i, c.data() + i * d + i);
+    src += d - i;
+  }
+  mirror_upper(c);
+}
+
+void mirror_upper(Tensor& c) {
+  check2(c, "mirror_upper");
+  const std::size_t d = c.rows();
+  if (c.cols() != d) throw std::invalid_argument("mirror_upper: not square");
   for (std::size_t i = 0; i < d; ++i) {
     for (std::size_t j = i + 1; j < d; ++j) c.at(j, i) = c.at(i, j);
   }

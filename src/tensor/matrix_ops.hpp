@@ -58,8 +58,32 @@ void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c);
 
 /// C = alpha * A^T A + beta * C, for A of shape (n x d): the covariance
 /// accumulation at the heart of KFAC factor computation (Eq. 1). Only the
-/// upper-triangle blocks are computed; the result is mirrored.
+/// upper-triangle blocks are computed; the result is mirrored, so C
+/// equals C^T bit for bit.
 void syrk_tn(const Tensor& a, float alpha, float beta, Tensor& c);
+
+/// Floats in the packed upper triangle of a d x d symmetric matrix: row i
+/// contributes its elements j = i .. d-1, rows in order.
+constexpr std::size_t packed_size(std::size_t d) noexcept {
+  return d * (d + 1) / 2;
+}
+
+/// Copies the upper triangle of square `c` into `packed` (packed_size
+/// floats), one contiguous row segment per row.
+void pack_upper(const Tensor& c, std::span<float> packed);
+
+/// Inverse of pack_upper: fills the upper triangle of the d x d matrix
+/// `c` (reshaped when needed) from `packed` and mirrors it.
+void unpack_upper(std::span<const float> packed, std::size_t d, Tensor& c);
+
+/// Copies the upper triangle of square `c` into its lower one.
+void mirror_upper(Tensor& c);
+
+/// The upper triangle of syrk_tn(a, alpha, 0, c) on a fresh c, written
+/// straight into `packed` (see pack_upper) — the same bits. The d x d
+/// product lives in a per-thread scratch, so steady-state calls allocate
+/// nothing.
+void syrk_tn_packed(const Tensor& a, float alpha, std::span<float> packed);
 
 /// Naive single-thread reference kernels (the pre-blocking loops), kept
 /// as correctness oracles. NOTE: like the blocked kernels, these do NOT

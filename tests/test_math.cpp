@@ -19,6 +19,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -148,6 +150,45 @@ TEST(BlockedSyrk, MatchesReferenceIncludingBetaAccumulation) {
       for (std::size_t j = 0; j < d; ++j) {
         ASSERT_EQ(std::bit_cast<std::uint32_t>(got2.at(i, j)),
                   std::bit_cast<std::uint32_t>(got2.at(j, i)));
+      }
+    }
+  }
+}
+
+// The uncompressed factor exchange ships covariances as packed upper
+// triangles, which loses nothing only because syrk_tn's output is exactly
+// symmetric. Shapes straddle the MR / NR / KC tile edges of every ISA
+// variant and the small-op cutoff; pool sizes cover the serial and the
+// row-parallel paths. syrk_tn_packed must write the same bits.
+TEST(BlockedSyrk, FreshOutputIsExactlySymmetricAtAnyPoolSize) {
+  std::uint64_t seed = 450;
+  for (const std::size_t threads : {0UL, 2UL, 4UL}) {
+    std::unique_ptr<common::ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<common::ThreadPool>(threads);
+    ct::MathPoolGuard guard(pool.get());
+    for (const std::size_t d : {1UL, 31UL, 33UL, 65UL, 193UL, 257UL}) {
+      for (const std::size_t n : {1UL, 7UL, 256UL}) {
+        const std::string what = "syrk_tn d=" + std::to_string(d) +
+                                 " n=" + std::to_string(n) + " threads=" +
+                                 std::to_string(threads);
+        const auto a = rand2(n, d, seed++);
+        ct::Tensor c;
+        ct::syrk_tn(a, 0.3F, 0.0F, c);
+        for (std::size_t i = 0; i < d; ++i) {
+          for (std::size_t j = 0; j < i; ++j) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(c.at(i, j)),
+                      std::bit_cast<std::uint32_t>(c.at(j, i)))
+                << what << " at (" << i << ", " << j << ")";
+          }
+        }
+        std::vector<float> packed(ct::packed_size(d));
+        std::vector<float> direct(ct::packed_size(d));
+        ct::pack_upper(c, packed);
+        ct::syrk_tn_packed(a, 0.3F, direct);
+        ASSERT_EQ(packed, direct) << what;
+        ct::Tensor unpacked;
+        ct::unpack_upper(packed, d, unpacked);
+        expect_bitwise(unpacked, c, what.c_str());
       }
     }
   }

@@ -17,6 +17,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace obs = compso::obs;
@@ -252,7 +253,9 @@ TEST(Exporter, DeepSpanNestingStaysFlatAndValid) {
   // which must not matter because trace events serialize as a flat array.
   std::vector<obs::Tracer::Span> stack;
   for (int i = 0; i < 300; ++i) {
-    stack.push_back(tracer.span(obs::kMainTrack, "n" + std::to_string(i), "t"));
+    std::string name = "n";
+    name += std::to_string(i);
+    stack.push_back(tracer.span(obs::kMainTrack, std::move(name), "t"));
     clock.advance_ns(1);
   }
   while (!stack.empty()) stack.pop_back();

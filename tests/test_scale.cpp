@@ -9,6 +9,8 @@
 // the next eigh refresh, and the O(L/P) memory attribution, which the
 // analytic PerfSimulator curve matches exactly.
 
+#include "src/codec/ckpt.hpp"
+#include "src/codec/wire.hpp"
 #include "src/comm/collectives.hpp"
 #include "src/comm/communicator.hpp"
 #include "src/comm/fault_injector.hpp"
@@ -17,9 +19,12 @@
 #include "src/core/ft_trainer.hpp"
 #include "src/core/perf_sim.hpp"
 #include "src/nn/dataset.hpp"
+#include "src/nn/model.hpp"
 #include "src/nn/model_zoo.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/perf/perf_model.hpp"
 #include "src/optim/dist_kfac.hpp"
+#include "src/tensor/matrix_ops.hpp"
 #include "src/tensor/tensor.hpp"
 
 #include <gtest/gtest.h>
@@ -28,6 +33,7 @@
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -39,6 +45,8 @@ namespace opt = compso::optim;
 namespace nn = compso::nn;
 namespace ct = compso::tensor;
 namespace cc = compso::compress;
+namespace ckpt = compso::codec::ckpt;
+namespace obs = compso::obs;
 namespace perf = compso::perf;
 
 namespace {
@@ -559,6 +567,183 @@ TEST(Shard, StatsShowPerRankMemoryShrinkingWithWorld) {
   const auto rep = kaisa.shard_stats();
   EXPECT_EQ(rep.factor_bytes[0], rep.factor_bytes[1]);
   EXPECT_EQ(rep.peak_factor_bytes, total(s2));
+}
+
+// --- one KFAC step's collectives against closed forms ---
+//
+// The uncompressed step ships every slot's A and G as packed upper
+// triangles in one factor collective per root (one allreduce; one reduce
+// per owner under the sharded layout) and every slot's combined gradient
+// in one allreduce. Shapes: trainbench's kfac_compso and kfac_scaleout
+// workloads and micro_train_throughput's config.
+
+struct StepShape {
+  const char* name;
+  std::size_t world, batch, features, classes, hidden, depth;
+  float noise;
+};
+constexpr StepShape kStepShapes[] = {
+    {"kfac_compso", 2, 256, 32, 32, 192, 2, 1.8F},
+    {"kfac_scaleout", 8, 32, 32, 32, 64, 8, 1.6F},
+    {"bench_train", 2, 128, 64, 8, 192, 2, 0.5F},
+};
+
+/// Each slot's (A, G) running factors, read back from DistKfac's
+/// checkpoint section.
+std::vector<std::pair<ct::Tensor, ct::Tensor>> saved_factors(
+    const opt::DistKfac& kfac, nn::Model& model) {
+  std::vector<std::uint8_t> bytes;
+  kfac.save_state(bytes);
+  compso::codec::wire::Reader in(bytes);
+  EXPECT_EQ(in.u64(), kfac.layer_count());
+  std::vector<std::pair<ct::Tensor, ct::Tensor>> out;
+  for (const std::size_t li : model.trainable_layers()) {
+    const auto& w = *model.layer(li).weight();
+    const std::size_t o = w.rows(), a = w.cols() + 1;
+    ckpt::get_tensor(in, {o, a}, "momentum");
+    ct::Tensor fa = ckpt::get_tensor(in, {a, a}, "factor a");
+    ct::Tensor fg = ckpt::get_tensor(in, {o, o}, "factor g");
+    if (in.u8() != 0) {
+      ckpt::get_tensor(in, {a, a}, "eigenvectors a");
+      ckpt::get_floats(in, "eigenvalues a");
+      ckpt::get_tensor(in, {o, o}, "eigenvectors g");
+      ckpt::get_floats(in, "eigenvalues g");
+    }
+    in.u64();
+    out.emplace_back(std::move(fa), std::move(fg));
+  }
+  return out;
+}
+
+/// One uncompressed step of `shape` under `layout`/`assignment` with
+/// `evicted` (if any) out of the group: the step's collectives and the
+/// factor state it leaves must match their closed forms.
+void check_one_step(const StepShape& shape, opt::PrecondLayout layout,
+                    opt::ShardAssignment assignment,
+                    std::optional<std::size_t> evicted) {
+  const std::string what =
+      std::string(shape.name) + " sharded=" +
+      std::to_string(layout == opt::PrecondLayout::kSharded) +
+      " lpt=" +
+      std::to_string(assignment == opt::ShardAssignment::kCostBalanced) +
+      " evicted=" + (evicted ? std::to_string(*evicted) : "none");
+  SCOPED_TRACE(what);
+  std::vector<nn::Model> replicas;
+  for (std::size_t r = 0; r < shape.world; ++r) {
+    ct::Rng rng(91);
+    replicas.push_back(nn::make_mlp_classifier(
+        shape.features, shape.hidden, shape.classes, shape.depth, rng));
+  }
+  std::vector<nn::Model*> ptrs;
+  for (auto& m : replicas) ptrs.push_back(&m);
+  cm::Communicator comm(cm::Topology::with_gpus(shape.world),
+                        cm::NetworkModel::platform1());
+  if (evicted) comm.evict(*evicted);
+  opt::DistKfacConfig cfg;
+  cfg.layout = layout;
+  cfg.assignment = assignment;
+  opt::DistKfac kfac(cfg, comm, ptrs);
+  const nn::ClusterDataset data(shape.features, shape.classes, shape.noise,
+                                17);
+  ct::Rng data_rng(5), sr_rng(6);
+  for (auto& m : replicas) {
+    const auto batch = data.sample(shape.batch, data_rng);
+    ct::Tensor grad;
+    nn::softmax_cross_entropy(m.forward(batch.x), batch.labels, grad);
+    m.backward(grad);
+  }
+  obs::MetricsRegistry metrics;
+  comm.set_obs({.metrics = &metrics});
+  kfac.step(0, 0.01, nullptr, sr_rng);
+  comm.set_obs({});
+
+  // Wire bytes: d(d+1)/2 floats per factor, out * (in + 1) per gradient.
+  const auto trainable = replicas[0].trainable_layers();
+  std::vector<std::uint64_t> owner_bytes(shape.world, 0);
+  std::uint64_t factor_bytes = 0;
+  std::uint64_t grad_bytes = 0;
+  core::PerfConfig pcfg;
+  pcfg.topo = cm::Topology::with_gpus(shape.world);
+  pcfg.factor_update_every = 1;
+  for (std::size_t s = 0; s < trainable.size(); ++s) {
+    const auto& w = *replicas[0].layer(trainable[s]).weight();
+    const std::size_t da = w.cols() + 1, dg = w.rows();
+    const std::uint64_t bytes =
+        (da * (da + 1) / 2 + dg * (dg + 1) / 2) * sizeof(float);
+    factor_bytes += bytes;
+    owner_bytes[kfac.owner_of(s)] += bytes;
+    grad_bytes += dg * da * sizeof(float);
+    pcfg.model.layers.push_back({.name = "fc", .out = dg, .in = w.cols()});
+  }
+  std::uint64_t want_calls = 1;
+  double want_s = comm.allreduce_time(grad_bytes);
+  if (layout == opt::PrecondLayout::kSharded) {
+    for (const std::uint64_t b : owner_bytes) {
+      if (b == 0) continue;
+      ++want_calls;
+      want_s += comm.reduce_time(b);
+    }
+  } else {
+    ++want_calls;
+    want_s += comm.allreduce_time(factor_bytes);
+    if (!evicted) {
+      // The same bytes the Eq. 5 model prices for the factor allreduce.
+      EXPECT_DOUBLE_EQ(core::PerfSimulator(pcfg).baseline().allreduce_s,
+                       comm.allreduce_time(factor_bytes));
+    }
+  }
+  EXPECT_EQ(metrics.counter("comm.allreduce.calls"), want_calls);
+  EXPECT_EQ(comm.stats().allreduce_bytes, factor_bytes + grad_bytes);
+  EXPECT_DOUBLE_EQ(comm.stats().allreduce_s, want_s);
+
+  // Factor state: the first blend adds the rank-ordered average of every
+  // participant's covariances to a zero state.
+  const float inv = 1.0F / static_cast<float>(comm.participant_count());
+  const auto saved = saved_factors(kfac, replicas[0]);
+  for (std::size_t s = 0; s < trainable.size(); ++s) {
+    for (const bool is_a : {true, false}) {
+      ct::Tensor sum;
+      for (std::size_t r = 0; r < shape.world; ++r) {
+        if (!comm.is_participating(r)) continue;
+        const auto& layer = replicas[r].layer(trainable[s]);
+        const ct::Tensor& x =
+            is_a ? *layer.kfac_input() : *layer.kfac_grad_output();
+        const auto batch = static_cast<float>(x.rows());
+        ct::Tensor c;
+        ct::syrk_tn(x, is_a ? 1.0F / batch : batch, 0.0F, c);
+        if (sum.empty()) {
+          sum = std::move(c);
+        } else {
+          for (std::size_t i = 0; i < c.size(); ++i) sum[i] += c[i];
+        }
+      }
+      const ct::Tensor& got = is_a ? saved[s].first : saved[s].second;
+      ASSERT_EQ(got.size(), sum.size());
+      for (std::size_t i = 0; i < sum.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                  std::bit_cast<std::uint32_t>(sum[i] * inv + 0.0F))
+            << "slot " << s << (is_a ? " A" : " G") << " element " << i;
+      }
+    }
+  }
+}
+
+TEST(KfacStepComm, OneCollectivePerRootMatchesClosedForms) {
+  for (const auto& shape : kStepShapes) {
+    for (const auto& [layout, assignment] :
+         {std::pair{opt::PrecondLayout::kKaisa,
+                    opt::ShardAssignment::kRoundRobin},
+          std::pair{opt::PrecondLayout::kSharded,
+                    opt::ShardAssignment::kRoundRobin},
+          std::pair{opt::PrecondLayout::kSharded,
+                    opt::ShardAssignment::kCostBalanced}}) {
+      for (const std::optional<std::size_t> evicted :
+           {std::optional<std::size_t>{}, std::optional<std::size_t>{0},
+            std::optional<std::size_t>{shape.world - 1}}) {
+        check_one_step(shape, layout, assignment, evicted);
+      }
+    }
+  }
 }
 
 // --- perf-model scale accounting ---
