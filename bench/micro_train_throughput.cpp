@@ -3,8 +3,8 @@
 // Runs the FaultTolerantTrainer (KFAC + COMPSO compression, the paper's
 // full per-step pipeline: forward/backward gemms, factor syrks, factor
 // exchange, eigendecomposition refresh, preconditioning, compressed
-// gather) with the serial engine and with the shared thread pool (engine
-// workers + math-kernel row blocks, DESIGN.md §11), verifies the two
+// gather) without a pool and with the trainer's shared thread pool
+// (StepGraph tasks + math-kernel row blocks, DESIGN.md §11), verifies the two
 // parameter trajectories are bit-identical, prints steps/s, and writes
 // BENCH_train.json — the host-side counterpart of the paper's §5.4
 // training-hours table (see EXPERIMENTS.md). The two trainers are timed
@@ -16,10 +16,15 @@
 //
 // With --trace[=path] it additionally runs the observability smoke gate
 // (DESIGN.md §12): a serial run with metrics + tracer attached, whose
-// trace.json export is schema-validated in-process, whose parameter
-// trajectory must stay bit-identical to the uninstrumented run, and whose
-// wall time must stay within the overhead budget of the obs-off baseline
-// (min-of-3, interleaved; budget relaxed in sanitized builds). Usage:
+// trace.json export is schema-validated in-process and must hold one
+// wall-clock execution span per StepGraph compute task of the timed
+// steps, whose parameter trajectory must stay bit-identical to the
+// uninstrumented run, and whose wall time must stay within the overhead
+// budget of the obs-off baseline (min-of-3, interleaved; budget relaxed
+// in sanitized builds). Each wall-clock ratio is enforced by exactly one
+// ctest entry: with --trace the overhead budget, without it the
+// parallel speedup below — the --trace run still measures and reports
+// the speedup, but does not fail on it.
 //
 // The parallel run needs a real pool to say anything about overlap: the
 // engine thread count defaults to the host's concurrency but is floored
@@ -119,7 +124,7 @@ std::pair<Run, Run> run_speedup(bool smoke, std::size_t threads,
   core::FaultTolerantTrainer pooled(bench_config(smoke, threads));
   const auto window = [&](core::FaultTolerantTrainer& trainer,
                           std::string_view name) {
-    tensor::MathPoolGuard guard(trainer.engine().pool());
+    tensor::MathPoolGuard guard(trainer.pool());
     return bench::time_once(g_metrics, name, [&] { trainer.run(steps); });
   };
   serial.run(1);  // warmup: allocations, factor init, first eigh.
@@ -202,6 +207,8 @@ struct ObsGate {
   bool metrics_valid = false;
   double overhead = 0.0;  ///< obs-on wall time / obs-off wall time.
   std::size_t trace_events = 0;
+  std::uint64_t exec_spans = 0;     ///< "sched.exec" spans in the trace.
+  std::uint64_t compute_tasks = 0;  ///< sched.compute_tasks, timed steps.
   std::string error;
 };
 
@@ -220,6 +227,7 @@ ObsGate run_obs_gate(bool smoke, std::size_t steps,
   off.run(1);
   on.run(1);
   tracer.reset();  // trace covers the timed steps only.
+  const std::uint64_t tasks_before = registry.counter("sched.compute_tasks");
 
   double best_off = 1e100;
   double best_on = 1e100;
@@ -238,8 +246,16 @@ ObsGate run_obs_gate(bool smoke, std::size_t steps,
 
   const std::string trace = tracer.trace_json();
   gate.trace_events = tracer.event_count();
+  gate.compute_tasks = registry.counter("sched.compute_tasks") - tasks_before;
+  for (const auto& e : tracer.events()) {
+    if (e.cat == "sched.exec") ++gate.exec_spans;
+  }
   if (const auto err = obs::validate_trace(trace)) {
     gate.error = *err;
+  } else if (gate.exec_spans != gate.compute_tasks) {
+    gate.error = "trace holds " + std::to_string(gate.exec_spans) +
+                 " compute-task execution spans for " +
+                 std::to_string(gate.compute_tasks) + " compute tasks";
   } else {
     gate.trace_valid = true;
   }
@@ -319,7 +335,7 @@ int main(int argc, char** argv) {
   // measures queueing overhead and reports a meaningless speedup.
   const std::size_t threads = std::max<std::size_t>(2, requested_threads);
   const bool gate_enforced =
-      !kSanitizedBuild && host_concurrency >= kMinGateCores;
+      !kSanitizedBuild && host_concurrency >= kMinGateCores && !with_obs_gate;
   if (host_concurrency <= 1) {
     std::fprintf(stderr,
                  "WARNING: host reports %u hardware thread(s); the %zu-thread "
@@ -344,7 +360,9 @@ int main(int argc, char** argv) {
   std::printf("  %zu-thread shared pool: %7.3f steps/s  (%.2fx, gate %s)\n",
               threads, parallel.steps_per_s,
               parallel.steps_per_s / serial.steps_per_s,
-              gate_enforced ? "enforced" : "skipped");
+              gate_enforced  ? "enforced"
+              : with_obs_gate ? "not enforced with --trace"
+                              : "skipped");
   std::printf("  parameters: %s\n",
               identical ? "bit-identical" : "MISMATCH");
   std::printf("  faulted (membership storm): %7.3f steps/s  "
@@ -359,8 +377,9 @@ int main(int argc, char** argv) {
   if (with_obs_gate) {
     gate = run_obs_gate(smoke, steps, trace_path);
     std::printf("  obs gate: overhead %.3fx (budget %.2fx), %zu trace "
-                "events, trace %s, params %s\n",
+                "events (%llu task execution spans), trace %s, params %s\n",
                 gate.overhead, kMaxObsOverhead, gate.trace_events,
+                static_cast<unsigned long long>(gate.exec_spans),
                 gate.trace_valid ? "valid" : "INVALID",
                 gate.params_identical ? "bit-identical" : "MISMATCH");
     if (gate.trace_valid) std::printf("  wrote %s\n", trace_path.c_str());
@@ -402,9 +421,12 @@ int main(int argc, char** argv) {
   if (with_obs_gate) {
     std::fprintf(f,
                  "  \"obs\": {\"overhead\": %.4f, \"overhead_budget\": %.2f,"
-                 " \"trace_events\": %zu, \"trace_valid\": %s,"
+                 " \"trace_events\": %zu, \"task_exec_spans\": %llu,"
+                 " \"compute_tasks\": %llu, \"trace_valid\": %s,"
                  " \"params_bit_identical\": %s},\n",
                  gate.overhead, kMaxObsOverhead, gate.trace_events,
+                 static_cast<unsigned long long>(gate.exec_spans),
+                 static_cast<unsigned long long>(gate.compute_tasks),
                  gate.trace_valid ? "true" : "false",
                  gate.params_identical ? "true" : "false");
   }

@@ -22,11 +22,12 @@
 # rejoins and the resumed run is bit-exact).
 #
 # The TSan config (-DCOMPSO_TSAN=ON) runs everything under
-# ThreadSanitizer — that is what keeps the parallel compression engine
-# (thread pool + engine batches in DistSgd/DistKfac) AND the blocked math
-# engine's parallel_for_static row-block path (test_math, test_engine,
-# bench_math_smoke, bench_train_smoke) honest. ASan and TSan cannot share
-# a binary, hence the separate build directory.
+# ThreadSanitizer — that is what keeps the thread pool honest: the
+# StepGraph compute tasks DistSgd/DistKfac submit to it, the
+# parallel_for_static fan-outs (rank forward/backward, decodes) AND the
+# blocked math engine's row-block path (test_math, test_engine,
+# bench_math_smoke, bench_train_smoke). ASan and TSan cannot share a
+# binary, hence the separate build directory.
 #
 # The obs lane (ctest -L obs) runs in all three configs: the normal
 # config checks byte-identical trace/metrics exports across thread
@@ -51,8 +52,8 @@
 # ASan+UBSan config), the chunk-scoped fault plan, the per-round chunk
 # collective, and the bit-exact trajectory gates across chunk sizes
 # (clean, chunk and whole-payload faults + retries, and across
-# checkpoint resume; the TSan config drives the decode batches on the
-# engine pool). The bench_pipeline_smoke gate (ablation_overlap --smoke)
+# checkpoint resume; the TSan config drives the decode fan-outs on the
+# pool). The bench_pipeline_smoke gate (ablation_overlap --smoke)
 # enforces chunked >= 1.3x unchunked at Slingshot-10 plus byte-identity
 # and transport/model agreement.
 #
@@ -64,7 +65,7 @@
 # formulas bit-for-bit with selection off; hierarchical beats the flat
 # ring at >= 256 ranks), and
 # the sharded preconditioning contract: sharded-vs-KAISA bit-identity at
-# any engine thread count (TSan keeps the owner-grouped engine batches
+# any engine thread count (TSan keeps the owner-grouped pool tasks
 # honest), deterministic owner reassignment on eviction, and bit-exact
 # checkpoint resume between a reassignment and the next eigh refresh.
 # The bench_scale_smoke gate (scale_sweep --smoke) re-proves the
@@ -104,35 +105,51 @@
 # bench_obs_smoke (metrics-on overhead). They stay in the default pass
 # too, with the same thresholds; the label lets a quiet host re-run them
 # on their own when a loaded one fails them.
+#
+# A failing config does not stop the run: every config, and the -Werror
+# build, runs to its end, so one flaky gate cannot hide what the others
+# would say. The script then names each failed step and exits non-zero.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 JOBS="${JOBS:-$(nproc)}"
 LABEL="${1:-}"
 
+# Runs under `||`, where `set -e` does not apply: each step returns on
+# its own failure.
 run_suite() {
   local dir="$1"; shift
-  cmake -S . -B "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo "$@" >/dev/null
-  cmake --build "$dir" -j "$JOBS"
+  cmake -S . -B "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo "$@" >/dev/null \
+    || return 1
+  cmake --build "$dir" -j "$JOBS" || return 1
   local filter=()
   if [[ -n "$LABEL" ]]; then filter=(-L "$LABEL" --no-tests=error); fi
   ctest --test-dir "$dir" "${filter[@]}" --output-on-failure -j "$JOBS"
 }
 
+failed=()
+
 echo "=== config 1/3: normal ==="
-run_suite build-ci
+run_suite build-ci || failed+=("config 1/3: normal")
 
 echo "=== config 2/3: AddressSanitizer + UBSan ==="
-run_suite build-asan -DCOMPSO_SANITIZE=ON
+run_suite build-asan -DCOMPSO_SANITIZE=ON \
+  || failed+=("config 2/3: AddressSanitizer + UBSan")
 
 echo "=== config 3/3: ThreadSanitizer ==="
-run_suite build-tsan -DCOMPSO_TSAN=ON
+run_suite build-tsan -DCOMPSO_TSAN=ON \
+  || failed+=("config 3/3: ThreadSanitizer")
 
 if [[ -z "$LABEL" ]]; then
   echo "=== build only: Release -Werror ==="
-  cmake -S . -B build-werror -DCMAKE_BUILD_TYPE=Release -DCOMPSO_WERROR=ON \
-    >/dev/null
-  cmake --build build-werror -j "$JOBS"
+  { cmake -S . -B build-werror -DCMAKE_BUILD_TYPE=Release -DCOMPSO_WERROR=ON \
+      >/dev/null && cmake --build build-werror -j "$JOBS"; } \
+    || failed+=("build only: Release -Werror")
 fi
 
+if ((${#failed[@]} > 0)); then
+  echo "ci.sh: ${#failed[@]} step(s) failed:"
+  printf '  %s\n' "${failed[@]}"
+  exit 1
+fi
 echo "ci.sh: all green"

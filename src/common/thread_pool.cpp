@@ -1,6 +1,7 @@
 #include "src/common/thread_pool.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <utility>
@@ -35,6 +36,12 @@ bool ThreadPool::run_one() {
   pending_.fetch_sub(1, std::memory_order_relaxed);
   run_as_worker([&task] { task(); });  // exceptions land in the future
   return true;
+}
+
+void ThreadPool::help_until_ready(const std::future<void>& f) {
+  while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready &&
+         run_one()) {
+  }
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -145,11 +152,13 @@ void ThreadPool::parallel_for_static(
   }
   std::exception_ptr first;
   try {
-    fn(0, range_begin(1));  // caller takes the first range.
+    // The caller takes the first range, as a worker would run it.
+    run_as_worker([&fn, e = range_begin(1)] { fn(0, e); });
   } catch (...) {
     first = std::current_exception();
   }
   for (auto& f : futs) {
+    help_until_ready(f);
     try {
       f.get();
     } catch (...) {

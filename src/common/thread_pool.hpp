@@ -1,9 +1,12 @@
 #pragma once
-// Small work-stealing thread pool for the parallel compression engine
-// (DESIGN.md §10). Each worker owns a deque: submissions are distributed
+// Small work-stealing thread pool (DESIGN.md §10.2, §11.3): the one
+// threading runtime. The step scheduler (optim::StepGraph) submits its
+// compute tasks here, the trainer and the exchanges fan independent jobs
+// out with parallel_for_static, and the math kernels split row blocks
+// with it. Each worker owns a deque: submissions are distributed
 // round-robin, a worker pops from the front of its own deque and steals
 // from the back of a sibling's when it runs dry — cheap load balancing for
-// the uneven per-layer compression costs without a global hot queue.
+// uneven task costs without a global hot queue.
 //
 // Tasks are type-erased void() jobs; exceptions thrown inside a task are
 // captured in the returned future and rethrow at get(). shutdown() (also
@@ -40,15 +43,22 @@ class ThreadPool {
   /// Enqueues `fn`; the future rethrows any exception `fn` threw.
   std::future<void> submit(std::function<void()> fn);
 
-  /// Deterministic static-partition loop for the math engine
-  /// (DESIGN.md §11): [0, n) is split into at most size()+1 contiguous
-  /// ranges fixed by (n, pool size) alone, fn(begin, end) runs once per
-  /// range (caller takes the first range, workers the rest), and the call
+  /// Deterministic static-partition loop (DESIGN.md §11): [0, n) is
+  /// split into at most size()+1 contiguous ranges fixed by (n, pool
+  /// size) alone, fn(begin, end) runs once per range, and the call
   /// returns after every range completed, rethrowing the first exception
-  /// in range order. Callers index *output blocks* with it: because each
-  /// block's computation is self-contained, results are bit-identical at
-  /// any thread count. Nested calls (from a pool worker of any pool) and
-  /// calls after shutdown() degrade to a serial inline fn(0, n).
+  /// in range order. Callers index *output blocks* or independent jobs
+  /// with it: because each block's computation is self-contained,
+  /// results are bit-identical at any thread count. Nested calls (from a
+  /// pool worker of any pool) and calls after shutdown() degrade to a
+  /// serial inline fn(0, n).
+  ///
+  /// Two timing rules: the caller runs the first range itself under
+  /// run_as_worker() (so the kernels inside it run inline, as on a
+  /// worker), and while it waits for the other ranges it runs queued
+  /// tasks (run_one()) instead of sleeping. Those tasks may be anyone's,
+  /// so fn must not leave caller-thread scratch that another task run on
+  /// this thread could overwrite while the workers still read it.
   void parallel_for_static(
       std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -68,6 +78,11 @@ class ThreadPool {
   /// Lets a caller that waits on a future help drain the queues instead
   /// of sleeping while its task sits behind others.
   bool run_one();
+
+  /// Runs queued tasks on the calling thread (run_one()) until `f` is
+  /// ready or every queue is empty; then f.wait() blocks, if it must,
+  /// only on a task already running on a worker.
+  void help_until_ready(const std::future<void>& f);
 
   /// Stops accepting work, drains the queues, joins the workers.
   /// Idempotent.

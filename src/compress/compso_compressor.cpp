@@ -223,7 +223,7 @@ class CompsoCompressor final : public GradientCompressor {
   static quant::FusedScratch& tls_scratch() {
     // One scratch per thread, shared by every fused compressor instance:
     // compress_into is a single-threaded critical path per call, and the
-    // parallel engine runs each layer's compress on exactly one worker.
+    // thread pool runs each layer's compress on exactly one worker.
     thread_local quant::FusedScratch scratch;
     return scratch;
   }

@@ -136,7 +136,9 @@ FaultTolerantTrainer::FaultTolerantTrainer(FtTrainerConfig config)
             comm::NetworkModel::platform1()),
       lr_(cfg_.base_lr, cfg_.lr_decay, cfg_.lr_milestones),
       schedule_(lr_, cfg_.total_iterations, cfg_.schedule),
-      engine_(cfg_.engine_threads),
+      pool_(cfg_.engine_threads > 0
+                ? std::make_unique<common::ThreadPool>(cfg_.engine_threads)
+                : nullptr),
       data_rng_(cfg_.base.seed ^ streams(cfg_.base).batches),
       sr_rng_(cfg_.base.seed ^ (cfg_.optimizer == OptimizerKind::kKfac
                                     ? streams(cfg_.base).kfac_step
@@ -170,25 +172,23 @@ FaultTolerantTrainer::FaultTolerantTrainer(FtTrainerConfig config)
   std::vector<nn::Model*> ptrs;
   for (auto& m : replicas_) ptrs.push_back(&m);
   if (cfg_.optimizer == OptimizerKind::kKfac) {
-    kfac_ = std::make_unique<optim::DistKfac>(cfg_.kfac, comm_, ptrs);
+    kfac_ = std::make_unique<optim::DistKfac>(cfg_.kfac, comm_, ptrs,
+                                              pool_.get());
     kfac_->set_recovery(cfg_.recovery);
-    kfac_->set_engine(&engine_);
   } else {
-    sgd_ = std::make_unique<optim::DistSgd>(cfg_.sgd, comm_, ptrs);
+    sgd_ = std::make_unique<optim::DistSgd>(cfg_.sgd, comm_, ptrs,
+                                            pool_.get());
     sgd_->set_recovery(cfg_.recovery);
-    sgd_->set_engine(&engine_);
   }
   // One pool for everything (DESIGN.md §11): the math kernels fan
-  // top-level gemms/syrks across the engine's workers, while gemms issued
-  // from inside an engine job run inline — never two pools competing for
-  // the cores. Results are bit-identical with or without the pool.
-  if (engine_.pool() != nullptr) {
-    tensor::set_math_pool(engine_.pool());
-  }
+  // top-level gemms/syrks across its workers, while gemms issued from
+  // inside a pool task run inline — never two pools competing for the
+  // cores. Results are bit-identical with or without the pool.
+  if (pool_ != nullptr) tensor::set_math_pool(pool_.get());
 }
 
 FaultTolerantTrainer::~FaultTolerantTrainer() {
-  if (engine_.pool() != nullptr && tensor::math_pool() == engine_.pool()) {
+  if (pool_ != nullptr && tensor::math_pool() == pool_.get()) {
     tensor::set_math_pool(nullptr);
   }
 }
@@ -231,8 +231,7 @@ compress::CompsoParams FaultTolerantTrainer::effective_params(
 void FaultTolerantTrainer::set_obs(obs::ObsHooks hooks) {
   obs_ = hooks;
   comm_.set_obs(hooks);
-  engine_.set_obs(hooks);
-  if (engine_.pool() != nullptr) engine_.pool()->set_obs(hooks);
+  if (pool_ != nullptr) pool_->set_obs(hooks);
 }
 
 double FaultTolerantTrainer::step() {
@@ -269,8 +268,8 @@ double FaultTolerantTrainer::step(
   // Every participating rank's batch is drawn first, in rank order, so
   // data_rng_ advances exactly as a rank-by-rank loop would. Each replica
   // owns its model, activations and gradients, so the forward/backward
-  // passes then run as one engine batch; the losses are summed and the
-  // NaN faults applied in rank order after the join.
+  // passes then fan out over the pool, one rank per index; the losses are
+  // summed and the NaN faults applied in rank order after the join.
   std::vector<std::size_t> ranks;
   std::vector<TrainBatch> batches;
   for (std::size_t r = 0; r < cfg_.base.world; ++r) {
@@ -279,14 +278,16 @@ double FaultTolerantTrainer::step(
     batches.push_back(draw_batch());
   }
   std::vector<double> losses(ranks.size(), 0.0);
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(ranks.size());
-  for (std::size_t i = 0; i < ranks.size(); ++i) {
-    jobs.emplace_back([this, &batches, &losses, &ranks, i] {
+  const auto fwd_bwd = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
       losses[i] = forward_backward(replicas_[ranks[i]], batches[i]);
-    });
+    }
+  };
+  if (pool_ != nullptr) {
+    pool_->parallel_for_static(ranks.size(), fwd_bwd);
+  } else {
+    fwd_bwd(0, ranks.size());
   }
-  engine_.run_batch(std::move(jobs));
   double loss = 0.0;
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     loss += losses[i];

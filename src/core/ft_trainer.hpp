@@ -21,7 +21,7 @@
 // benches print.
 
 #include "src/comm/communicator.hpp"
-#include "src/compress/compression_engine.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/core/adaptive_schedule.hpp"
 #include "src/core/checkpoint.hpp"
 #include "src/nn/dataset.hpp"
@@ -108,10 +108,12 @@ struct FtTrainerConfig {
   /// Sizes the adaptive schedule; also core::train()'s run length.
   std::size_t total_iterations = 100;
   AdaptiveScheduleParams schedule{};
-  /// Worker threads for the parallel compression engine. 0 = serial
-  /// (compress inline on the training thread). Any value produces
-  /// bit-identical training trajectories and checkpoints — parallelism
-  /// only changes wall-clock time.
+  /// Worker threads of the trainer's ThreadPool, which runs the ranks'
+  /// forward/backward passes, the optimizer's StepGraph compute tasks and
+  /// the math kernels' row blocks. 0 = no pool: everything runs inline on
+  /// the training thread. Any value produces bit-identical training
+  /// trajectories and checkpoints — parallelism only changes wall-clock
+  /// time.
   std::size_t engine_threads = 0;
 };
 
@@ -119,7 +121,7 @@ class FaultTolerantTrainer {
  public:
   explicit FaultTolerantTrainer(FtTrainerConfig config);
   /// Detaches the shared math pool if this trainer attached it (the pool
-  /// dies with the trainer's engine; a stale global pointer would dangle).
+  /// dies with the trainer; a stale global pointer would dangle).
   ~FaultTolerantTrainer();
 
   /// Installs a fault plan (seeded injector wired with the payload-fuzz
@@ -157,7 +159,8 @@ class FaultTolerantTrainer {
   comm::Communicator& comm() noexcept { return comm_; }
   const comm::Communicator& comm() const noexcept { return comm_; }
   const AdaptiveSchedule& schedule() const noexcept { return schedule_; }
-  compress::CompressionEngine& engine() noexcept { return engine_; }
+  /// The trainer's pool (nullptr when engine_threads is 0).
+  common::ThreadPool* pool() noexcept { return pool_.get(); }
   /// The optimizer of the run: exactly one of the two is non-null. Through
   /// it a caller attaches a §7 factor compressor or reads the last step's
   /// exchange volume.
@@ -177,11 +180,11 @@ class FaultTolerantTrainer {
   }
 
   /// Attaches observability to the whole runtime: the Communicator (per
-  /// collective spans + byte counters), the CompressionEngine (per-task
-  /// spans), its ThreadPool, and the trainer itself (per-step spans,
-  /// checkpoint/tightening events). Pass {} to detach. For byte-identical
-  /// exports across engine thread counts, drive the attached tracer with
-  /// comm::sim_time_clock(comm().clocks()).
+  /// collective spans + byte counters, and the optimizer's StepGraph
+  /// spans through it), the ThreadPool, and the trainer itself (per-step
+  /// spans, checkpoint/tightening events). Pass {} to detach. For
+  /// byte-identical exports across engine thread counts, drive the
+  /// attached tracer with comm::sim_time_clock(comm().clocks()).
   void set_obs(obs::ObsHooks hooks);
 
   /// One named body section of a checkpoint frame: [begin, end) byte
@@ -224,7 +227,9 @@ class FaultTolerantTrainer {
   comm::Communicator comm_;
   optim::StepLr lr_;
   AdaptiveSchedule schedule_;
-  compress::CompressionEngine engine_;  ///< shared by whichever optimizer.
+  /// Shared by the forward/backward fan-out, the optimizer and the math
+  /// kernels; declared before the optimizers, which hold it.
+  std::unique_ptr<common::ThreadPool> pool_;
   std::unique_ptr<optim::DistSgd> sgd_;
   std::unique_ptr<optim::DistKfac> kfac_;
   /// Persistent family compressor (families other than kCompso); its

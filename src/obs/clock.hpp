@@ -12,8 +12,9 @@
 //
 // `deterministic()` is a contract, not a hint: when it returns true, the
 // instrumentation layer only reads the clock from deterministic program
-// points (e.g. the CompressionEngine stamps task spans at submission, on
-// the optimizer thread, instead of at execution on a racing worker).
+// points (e.g. the StepGraph then records its compute tasks only as
+// logical-tick spans on the optimizer thread; it times their execution
+// on a racing worker only under a wall clock).
 
 #include <chrono>
 #include <cmath>

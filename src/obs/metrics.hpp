@@ -1,7 +1,7 @@
 #pragma once
 // MetricsRegistry (DESIGN.md §12): counters, gauges and fixed-bucket
-// histograms shared by the whole pipeline — the comm layer, the
-// compression engine, the optimizers, the trainers and the bench
+// histograms shared by the whole pipeline — the comm layer, the thread
+// pool, the step scheduler, the optimizers, the trainers and the bench
 // binaries all account into one registry, so a BENCH_*.json and a test
 // assertion read the very same cells.
 //

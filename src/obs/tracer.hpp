@@ -5,8 +5,8 @@
 //
 // Determinism contract: every event carries a (track, seq) pair. seq is
 // claimed when the event begins, at a deterministic program point (span
-// construction on the optimizer thread, engine-task submission), and the
-// export sorts by (track, seq) — never by timestamp and never by
+// construction on the optimizer thread, a StepGraph scheduling event),
+// and the export sorts by (track, seq) — never by timestamp and never by
 // completion order. Under a deterministic Clock the exported document is
 // therefore byte-identical at any engine thread count, because both the
 // payload (names, integer args, simulated timestamps) and the order are
@@ -29,15 +29,16 @@
 
 namespace compso::obs {
 
-/// Track 0 is the main (optimizer) thread; engine task spans use
-/// kTaskTrackBase + task id so each task's events sort independently of
-/// which worker executed it.
+/// Track 0 is the main (optimizer) thread. Under a wall clock each
+/// StepGraph compute task t also records its execution span on
+/// kTaskTrackBase + t, so its events sort independently of which worker
+/// executed it.
 inline constexpr std::uint32_t kMainTrack = 0;
 inline constexpr std::uint32_t kTaskTrackBase = 1;
-/// Step-scheduler tracks (optim::StepGraph): the graph's main-thread
-/// tasks record on kSchedTrackBase and each graph task t on
-/// kSchedTrackBase + 1 + t, far above any realistic engine task id so
-/// the two families never collide within a step.
+/// Step-scheduler tick tracks (optim::StepGraph): the graph's
+/// main-thread tasks record on kSchedTrackBase and each graph task t on
+/// kSchedTrackBase + 1 + t, far above any realistic graph size so the
+/// tick and execution families never collide.
 inline constexpr std::uint32_t kSchedTrackBase = 0x40000000U;
 
 class Tracer {

@@ -1,6 +1,7 @@
 #include "src/optim/dist_kfac.hpp"
 
 #include "src/codec/ckpt.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/tensor/matrix_ops.hpp"
 
 #include <algorithm>
@@ -43,8 +44,8 @@ std::vector<std::size_t> lpt_assign(std::span<const double> cost,
 }
 
 DistKfac::DistKfac(DistKfacConfig config, comm::Communicator& comm,
-                   std::vector<nn::Model*> replicas)
-    : cfg_(config), comm_(comm), replicas_(std::move(replicas)) {
+                   std::vector<nn::Model*> replicas, common::ThreadPool* pool)
+    : cfg_(config), comm_(comm), replicas_(std::move(replicas)), pool_(pool) {
   if (replicas_.size() != comm_.world_size()) {
     throw std::invalid_argument("DistKfac: one replica per rank required");
   }
@@ -170,7 +171,7 @@ void DistKfac::exchange_compressed_factor(std::size_t s, bool a,
   // bytes.
   const auto& send = a ? factor_send_a_[s] : factor_send_g_[s];
   if (exchange_.average(comm_, policy_, send, cfg_.chunk_bytes,
-                        *factor_compressor_, engine(), local[root].span())) {
+                        *factor_compressor_, pool_, local[root].span())) {
     return;
   }
   record_fallback(comm_, policy_, "kfac.factor_fallback");
@@ -260,20 +261,22 @@ void DistKfac::decode_gathered(const compress::GradientCompressor* compressor) {
   if (std::find(seen.begin(), seen.end(), 0) != seen.end()) {
     throw PayloadError("DistKfac: missing layer group in gathered stream");
   }
-  // Pass 2: decompress every group as one engine batch. Any payload
-  // damage throws PayloadError from the batch barrier.
+  // Pass 2: decompress the groups, fanned out over the pool. Any payload
+  // damage throws PayloadError once every range finished.
   if (group_values_.size() < groups.size()) {
     group_values_.resize(groups.size());
   }
   if (compressor != nullptr) {
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(groups.size());
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      jobs.push_back([this, compressor, payload = groups[g].payload, g] {
-        compressor->decompress_into(payload, group_values_[g]);
-      });
+    const auto decode = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t g = begin; g < end; ++g) {
+        compressor->decompress_into(groups[g].payload, group_values_[g]);
+      }
+    };
+    if (pool_ != nullptr) {
+      pool_->parallel_for_static(groups.size(), decode);
+    } else {
+      decode(0, groups.size());
     }
-    engine().run_batch(std::move(jobs));
   } else {
     for (std::size_t g = 0; g < groups.size(); ++g) {
       const auto payload = groups[g].payload;
@@ -317,13 +320,11 @@ void DistKfac::step(std::size_t iteration, double lr,
   comp_bytes_ = 0;
   const obs::ObsHooks& hooks = comm_.obs();
   hooks.count("kfac.steps");
-  auto& eng = engine();
-  eng.wait_all();  // reap any tickets left by a previous failed step.
   task_counter_ = 0;
   // Exactly one main-stream draw per step when any compressor is
   // attached; every compression job derives its own Rng from this seed
   // and a build-ordered task id, so the main stream's draw count is
-  // independent of faults, retries, degradation, and engine threading.
+  // independent of faults, retries, degradation, and pool size.
   const std::uint64_t step_seed =
       (compressor != nullptr || factor_compressor_ != nullptr) ? rng() : 0;
   const bool fcomp = factor_compressor_ != nullptr;
@@ -487,12 +488,10 @@ void DistKfac::step(std::size_t iteration, double lr,
             const auto batch = static_cast<float>(a->rows());
             tensor::syrk_tn(*a, 1.0F / batch, 0.0F, cov_a_[s][r]);
             tensor::syrk_tn(*g, batch, 0.0F, cov_g_[s][r]);
-            tensor::Rng rng_a =
-                compress::CompressionEngine::task_rng(step_seed, ta);
+            tensor::Rng rng_a = task_rng(step_seed, ta);
             factor_compressor_->compress_into(cov_a_[s][r].span(), rng_a,
                                               factor_send_a_[s][r]);
-            tensor::Rng rng_g =
-                compress::CompressionEngine::task_rng(step_seed, tg);
+            tensor::Rng rng_g = task_rng(step_seed, tg);
             factor_compressor_->compress_into(cov_g_[s][r].span(), rng_g,
                                               factor_send_g_[s][r]);
           }));
@@ -640,15 +639,14 @@ void DistKfac::step(std::size_t iteration, double lr,
             concat.insert(concat.end(), k.span().begin(), k.span().end());
           }
           if (gather_comp != nullptr) {
-            tensor::Rng task_rng =
-                compress::CompressionEngine::task_rng(step_seed, grp.tid);
+            tensor::Rng rng = task_rng(step_seed, grp.tid);
             // Stream key (owner rank, first owned slot): stable across
             // steps while the shard layout holds, so stateful compressors
             // (EF residual, sketch counters) survive group reordering; a
             // reassignment changes the group's size and the state resets
             // itself (DESIGN.md §17).
-            gather_comp->compress_stream_into(group_stream(grp), concat,
-                                              task_rng, group_payloads_[g]);
+            gather_comp->compress_stream_into(group_stream(grp), concat, rng,
+                                              group_payloads_[g]);
           } else {
             copy_raw(concat, group_payloads_[g]);
           }
@@ -704,8 +702,8 @@ void DistKfac::step(std::size_t iteration, double lr,
   for (std::size_t s = 0; s < slots; ++s) graph_.depends(gather, guard_id[s]);
 
   // Rejoin re-sync (DESIGN.md §14): one resync_layer compute task per
-  // layer. The tasks overlap the other layers' collectives on the engine
-  // pool; `update` waits for them and then applies the step to rejoiners
+  // layer. The tasks overlap the other layers' collectives on the pool;
+  // `update` waits for them and then applies the step to rejoiners
   // too, keeping them in lockstep from this iteration on.
   std::vector<StepGraph::TaskId> resync_ids;
   const std::vector<std::size_t> rejoining = comm_.rejoining_ranks();
@@ -786,7 +784,7 @@ void DistKfac::step(std::size_t iteration, double lr,
   graph_.depends(update, gather);
   for (const auto rs : resync_ids) graph_.depends(update, rs);
 
-  sched_stats_ = graph_.run(eng, hooks);
+  sched_stats_ = graph_.run(pool_, hooks);
 }
 
 void DistKfac::save_state(std::vector<std::uint8_t>& out) const {

@@ -21,7 +21,6 @@
 
 #include "src/codec/wire.hpp"
 #include "src/comm/communicator.hpp"
-#include "src/compress/compression_engine.hpp"
 #include "src/compress/compressor.hpp"
 #include "src/nn/model.hpp"
 #include "src/optim/exchange.hpp"
@@ -103,9 +102,16 @@ struct DistKfacConfig {
 class DistKfac {
  public:
   /// `replicas` are the per-rank model copies (must be structurally
-  /// identical; typically created from the same seed).
+  /// identical; typically created from the same seed). With a `pool`
+  /// (not owned) the step's compute tasks — covariances, factor and
+  /// gather compression, eigh, preconditioning, decodes — run on its
+  /// workers while this thread drives the collectives (compute/
+  /// communication overlap, §4.4); with none they run inline. Output is
+  /// bit-identical either way: each compression task draws from its own
+  /// task_rng() stream, never from the step generator.
   DistKfac(DistKfacConfig config, comm::Communicator& comm,
-           std::vector<nn::Model*> replicas);
+           std::vector<nn::Model*> replicas,
+           common::ThreadPool* pool = nullptr);
 
   /// One optimizer step after every rank ran forward/backward on its local
   /// batch. `compressor` == nullptr means no compression (the paper's
@@ -118,16 +124,6 @@ class DistKfac {
   /// allgather (for compression-ratio reporting).
   std::uint64_t last_original_bytes() const noexcept { return orig_bytes_; }
   std::uint64_t last_compressed_bytes() const noexcept { return comp_bytes_; }
-
-  /// Attaches a parallel compression engine: factor and gather-group
-  /// compression jobs run on its pool while this thread drives the
-  /// collectives (compute/communication overlap, §4.4). Pass nullptr for
-  /// the built-in serial engine. Output is bit-identical either way: each
-  /// job draws from a counter-derived Rng stream, never from the step
-  /// generator.
-  void set_engine(compress::CompressionEngine* engine) noexcept {
-    engine_ = engine;
-  }
 
   /// Enables factor (A/G) compression for the covariance exchange (§7
   /// future work). Pass nullptr to disable (default: plain allreduce).
@@ -208,8 +204,7 @@ class DistKfac {
   std::uint64_t factor_comp_bytes_ = 0;
   DegradeState gather_state_;  ///< the gather's degradation ladder.
 
-  compress::CompressionEngine* engine_ = nullptr;
-  compress::CompressionEngine serial_engine_{0};  ///< inline fallback.
+  common::ThreadPool* pool_ = nullptr;
   /// Per-step task counter: every compression job's Rng stream id,
   /// assigned in deterministic order while the step's task graph is
   /// built on the optimizer thread (see step()).
@@ -254,10 +249,6 @@ class DistKfac {
   std::vector<std::vector<float>> group_values_;
   std::vector<compress::Bytes> gather_send_;  ///< [rank] framed groups.
   ChunkedExchange exchange_;
-
-  compress::CompressionEngine& engine() noexcept {
-    return engine_ ? *engine_ : serial_engine_;
-  }
 
   /// Deterministic slot -> owner map over `ranks` (ascending rank list)
   /// under the configured assignment policy.
@@ -306,8 +297,7 @@ class DistKfac {
 
   /// Decodes the exchanged per-rank streams into preconditioned_ (throws
   /// PayloadError on any framing or payload damage). Framing is parsed
-  /// and validated serially; group decompressions run as one engine
-  /// batch.
+  /// and validated serially; group decompressions fan out over the pool.
   void decode_gathered(const compress::GradientCompressor* compressor);
 };
 

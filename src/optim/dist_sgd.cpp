@@ -35,8 +35,11 @@ void apply_flat_update(nn::Layer& layer, std::span<const float> update,
 }  // namespace
 
 DistSgd::DistSgd(DistSgdConfig config, comm::Communicator& comm,
-                 std::vector<nn::Model*> replicas)
-    : cfg_(config), comm_(comm), replicas_(std::move(replicas)) {
+                 std::vector<nn::Model*> replicas, common::ThreadPool* pool)
+    : cfg_(config),
+      comm_(comm),
+      replicas_(std::move(replicas)),
+      pool_(pool) {
   if (replicas_.size() != comm_.world_size()) {
     throw std::invalid_argument("DistSgd: one replica per rank required");
   }
@@ -55,15 +58,13 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
   const obs::ObsHooks& hooks = comm_.obs();
   hooks.count("sgd.steps");
   auto step_span = hooks.span(obs::kMainTrack, "sgd.step", "sgd");
-  compress::CompressionEngine& eng = engine();
-  eng.wait_all();  // reap any jobs a previous exceptional step left behind
 
-  // One draw from the step generator seeds every compression job's
-  // private stream (CompressionEngine::task_rng). The draw count per step
-  // is therefore fixed (1 with a compressor, 0 without) no matter which
-  // layers end up degraded, non-finite or evicted — which is what keeps
+  // One draw from the step generator seeds every compression task's
+  // private stream (task_rng). The draw count per step is therefore
+  // fixed (1 with a compressor, 0 without) no matter which layers end up
+  // degraded, non-finite or evicted — which is what keeps
   // checkpoint/resume and fault/clean runs bit-exact, and what makes the
-  // parallel engine's output identical to the serial one.
+  // pooled schedule's output identical to the inline one.
   const std::uint64_t step_seed = compressor != nullptr ? rng() : 0;
 
   step_grads_.resize(slots);
@@ -99,7 +100,7 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
   // degradation of one layer never shifts another task's Rng stream.
   // Backward-order priorities (higher slot first) mirror the order the
   // gradients become ready in a real backward pass: while the main thread
-  // drives slot s's collective + decode, the engine's workers compress
+  // drives slot s's collective + decode, the pool's workers compress
   // slots s-1..0 — the host-side analogue of the paper's
   // compression/communication overlap.
   graph_.clear();
@@ -142,12 +143,11 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
               // must be fixed by (slot, rank) alone (DESIGN.md §17).
               const std::uint64_t stream =
                   static_cast<std::uint64_t>(s) * world + r;
-              tensor::Rng task_rng =
-                  compress::CompressionEngine::task_rng(step_seed, stream);
+              tensor::Rng rng = task_rng(step_seed, stream);
               // Compress once; retries re-send these exact payloads, so
               // the training trajectory is identical to a fault-free run.
-              compressor->compress_stream_into(stream, step_grads_[s][r],
-                                               task_rng, send_payloads_[s][r]);
+              compressor->compress_stream_into(stream, step_grads_[s][r], rng,
+                                               send_payloads_[s][r]);
             }));
       }
     }
@@ -169,7 +169,7 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
             }
             averaged_ok = exchange_.average(comm_, policy_, send_payloads_[s],
                                             cfg_.chunk_bytes, *compressor,
-                                            engine(), averaged);
+                                            pool_, averaged);
             if (averaged_ok) {
               degrade_[s].failures = 0;
             } else {
@@ -213,7 +213,7 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
               hooks.count("recovery.nonfinite_skips");
               return;  // skip this layer's update; momentum untouched
             }
-            // StepGraph::run reaps every in-flight job before rethrowing.
+            // StepGraph::run joins every in-flight task before rethrowing.
             throw NonFiniteError("DistSgd: non-finite averaged gradient");
           }
 
@@ -233,7 +233,7 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
     for (const auto c : comp_ids) graph_.depends(exch, c);
     if (!rejoining.empty()) graph_.depends(exch, resync_ids[s]);
   }
-  sched_stats_ = graph_.run(eng, hooks);
+  sched_stats_ = graph_.run(pool_, hooks);
   hooks.count("sgd.orig_bytes", orig_bytes_);
   hooks.count("sgd.comp_bytes", comp_bytes_);
 }

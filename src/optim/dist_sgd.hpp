@@ -19,7 +19,6 @@
 
 #include "src/codec/wire.hpp"
 #include "src/comm/communicator.hpp"
-#include "src/compress/compression_engine.hpp"
 #include "src/compress/compressor.hpp"
 #include "src/nn/model.hpp"
 #include "src/optim/exchange.hpp"
@@ -42,22 +41,19 @@ struct DistSgdConfig {
 
 class DistSgd {
  public:
+  /// With a `pool` (not owned) layer compressions and decodes run on
+  /// its workers while this thread drives layer i's collective and
+  /// decode (compute/communication overlap, §4.4); with none they run
+  /// inline. Output is bit-identical either way — every compression task
+  /// draws from its own task_rng() stream, never from the shared step
+  /// generator.
   DistSgd(DistSgdConfig config, comm::Communicator& comm,
-          std::vector<nn::Model*> replicas);
+          std::vector<nn::Model*> replicas,
+          common::ThreadPool* pool = nullptr);
 
   /// One step after every rank ran forward/backward on its local batch.
   void step(double lr, const compress::GradientCompressor* compressor,
             tensor::Rng& rng);
-
-  /// Attaches a parallel compression engine: layer compression jobs run on
-  /// its pool while the optimizer thread drives layer i's collective and
-  /// decode (compute/communication overlap, §4.4). Pass nullptr to return
-  /// to the built-in serial engine. Output is bit-identical either way —
-  /// every compression job draws from its own counter-derived Rng stream
-  /// (CompressionEngine::task_rng), never from the shared step generator.
-  void set_engine(compress::CompressionEngine* engine) noexcept {
-    engine_ = engine;
-  }
 
   void set_recovery(const RecoveryPolicy& policy) noexcept {
     policy_ = policy;
@@ -94,8 +90,7 @@ class DistSgd {
   std::uint64_t orig_bytes_ = 0;
   std::uint64_t comp_bytes_ = 0;
 
-  compress::CompressionEngine* engine_ = nullptr;
-  compress::CompressionEngine serial_engine_{0};  ///< inline fallback.
+  common::ThreadPool* pool_ = nullptr;
   /// The step's task graph + the schedule-shape counters of its last run.
   StepGraph graph_;
   StepGraph::Stats sched_stats_;
@@ -106,10 +101,6 @@ class DistSgd {
   /// Reused slot after slot — the per-slot exchanges run serially on the
   /// optimizer thread.
   ChunkedExchange exchange_;
-
-  compress::CompressionEngine& engine() noexcept {
-    return engine_ ? *engine_ : serial_engine_;
-  }
 };
 
 }  // namespace compso::optim

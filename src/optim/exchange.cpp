@@ -1,9 +1,9 @@
 #include "src/optim/exchange.hpp"
 
 #include "src/common/payload_error.hpp"
+#include "src/common/thread_pool.hpp"
 
 #include <algorithm>
-#include <functional>
 
 namespace compso::optim {
 
@@ -59,27 +59,30 @@ bool ChunkedExchange::average(comm::Communicator& comm,
                               const std::vector<compress::Bytes>& send,
                               std::size_t chunk_bytes,
                               const compress::GradientCompressor& compressor,
-                              compress::CompressionEngine& engine,
+                              common::ThreadPool* pool,
                               std::span<float> out) {
   if (!run(comm, policy, send, chunk_bytes)) return false;
   const std::size_t world = comm.world_size();
   const std::size_t n = out.size();
   decoded_.resize(world);
-  // Per-rank decodes are independent: one engine batch (parallel when a
-  // pool is attached). Accumulation stays on this thread in rank order,
-  // keeping the float sum deterministic.
-  std::vector<std::function<void()>> jobs;
-  for (std::size_t r = 0; r < world; ++r) {
-    if (!comm.is_participating(r)) continue;
-    jobs.push_back([this, &compressor, r, n] {
+  // Per-rank decodes are independent, so they fan out over the pool.
+  // Accumulation stays on this thread in rank order, keeping the float
+  // sum deterministic.
+  const auto decode = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t r = begin; r < end; ++r) {
+      if (!comm.is_participating(r)) continue;
       compressor.decompress_into(cursors_[r].payload(), decoded_[r]);
       if (decoded_[r].size() != n) {
         throw PayloadError("exchange: decompressed size mismatch");
       }
-    });
-  }
+    }
+  };
   try {
-    engine.run_batch(std::move(jobs));
+    if (pool != nullptr) {
+      pool->parallel_for_static(world, decode);
+    } else {
+      decode(0, world);
+    }
   } catch (const PayloadError&) {
     if (!policy.enabled) throw;
     return false;

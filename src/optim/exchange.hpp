@@ -17,12 +17,15 @@
 #include "src/codec/chunk.hpp"
 #include "src/comm/communicator.hpp"
 #include "src/compress/chunked_stream.hpp"
-#include "src/compress/compression_engine.hpp"
 #include "src/compress/compressor.hpp"
 #include "src/optim/recovery.hpp"
 
 #include <span>
 #include <vector>
+
+namespace compso::common {
+class ThreadPool;
+}
 
 namespace compso::optim {
 
@@ -42,8 +45,9 @@ class ChunkedExchange {
   }
 
   /// run(), then the decode-and-average of a compressed allgather: every
-  /// participating rank's payload is decompressed (one engine batch; any
-  /// damage, or a length other than out.size(), is a PayloadError) and
+  /// participating rank's payload is decompressed (fanned out over `pool`
+  /// with parallel_for_static, or inline when it is null; any damage, or
+  /// a length other than out.size(), is a PayloadError) and
   /// out[i] = Σ_r decoded_r[i] / participants, accumulated in rank order.
   /// Returns false, leaving `out` untouched, when the exchange or a
   /// decode failed under an enabled policy.
@@ -51,7 +55,7 @@ class ChunkedExchange {
                const std::vector<compress::Bytes>& send,
                std::size_t chunk_bytes,
                const compress::GradientCompressor& compressor,
-               compress::CompressionEngine& engine, std::span<float> out);
+               common::ThreadPool* pool, std::span<float> out);
 
  private:
   std::vector<compress::ChunkedProducer> producers_;  ///< [rank].

@@ -1,6 +1,10 @@
 #include "src/optim/step_graph.hpp"
 
+#include "src/common/thread_pool.hpp"
+
 #include <algorithm>
+#include <exception>
+#include <future>
 #include <stdexcept>
 #include <utility>
 
@@ -90,7 +94,7 @@ std::vector<StepGraph::TaskId> StepGraph::order() const {
   return out;
 }
 
-StepGraph::Stats StepGraph::run(compress::CompressionEngine& engine,
+StepGraph::Stats StepGraph::run(common::ThreadPool* pool,
                                 const obs::ObsHooks& hooks) {
   const std::vector<TaskId> ord = order();
   const std::size_t n = tasks_.size();
@@ -106,17 +110,22 @@ StepGraph::Stats StepGraph::run(compress::CompressionEngine& engine,
   }
 
   const bool tracing = hooks.tracer != nullptr;
-  std::vector<compress::CompressionEngine::Ticket> ticket(n, 0);
+  // Execution spans read the clock on whichever thread runs the task, so
+  // they are recorded only under a wall clock.
+  obs::Tracer* const exec_tracer =
+      tracing && !hooks.deterministic_time() ? hooks.tracer : nullptr;
+  std::vector<std::future<void>> pending(n);     ///< pooled compute tasks.
+  std::vector<std::exception_ptr> inline_error(n);  ///< null pool.
   std::vector<std::uint8_t> reaped(n, 0);
   std::vector<std::uint64_t> submit_tick(n, 0);
   std::uint64_t tick = 0;  ///< one per scheduling event, main thread only.
   std::size_t in_flight = 0;
   std::size_t unsubmitted_compute = st.compute_tasks;
 
-  // Reaps compute task `d`: waits its ticket (rethrowing its exception)
-  // and records the [submission, reap) span on the task's own track.
-  // The reap point sits in the total order, so `tick`, `in_flight` and
-  // the recorded spans are identical at any engine thread count.
+  // Reaps compute task `d`: waits for it (rethrowing its exception) and
+  // records the [submission, reap) span on the task's own track. The
+  // reap point sits in the total order, so `tick`, `in_flight` and the
+  // recorded spans are identical at any pool size.
   const auto reap = [&](TaskId d) {
     const auto record_span = [&](std::uint64_t end) {
       if (tracing) {
@@ -130,7 +139,12 @@ StepGraph::Stats StepGraph::run(compress::CompressionEngine& engine,
     --in_flight;
     const std::uint64_t end = tick++;
     try {
-      engine.wait(ticket[d]);
+      if (pending[d].valid()) {
+        pool->help_until_ready(pending[d]);
+        pending[d].get();
+      } else if (inline_error[d]) {
+        std::rethrow_exception(std::exchange(inline_error[d], {}));
+      }
     } catch (...) {
       record_span(end);
       throw;
@@ -150,7 +164,27 @@ StepGraph::Stats StepGraph::run(compress::CompressionEngine& engine,
       if (task.compute) {
         submit_tick[t] = tick++;
         --unsubmitted_compute;
-        ticket[t] = engine.submit(std::move(task.fn), task.name);
+        std::function<void()> fn = std::move(task.fn);
+        if (exec_tracer != nullptr) {
+          fn = [exec_tracer, t, name = "sched." + task.name,
+                body = std::move(fn)] {
+            // The span records when it leaves scope, also on a throw.
+            auto span = exec_tracer->span(
+                obs::kTaskTrackBase + static_cast<std::uint32_t>(t), name,
+                "sched.exec");
+            span.add_arg("task", t);
+            body();
+          };
+        }
+        if (pool != nullptr) {
+          pending[t] = pool->submit(std::move(fn));
+        } else {
+          try {
+            fn();
+          } catch (...) {
+            inline_error[t] = std::current_exception();
+          }
+        }
         ++in_flight;
         st.max_in_flight = std::max(st.max_in_flight, in_flight);
       } else {
@@ -184,12 +218,13 @@ StepGraph::Stats StepGraph::run(compress::CompressionEngine& engine,
       if (tasks_[t].compute && !reaped[t]) reap(t);
     }
   } catch (...) {
-    // Outstanding tasks capture optimizer state; reap them before the
+    // Outstanding tasks capture optimizer state; join them before the
     // exception unwinds past our caller. Their own errors must not mask
-    // the original exception.
-    try {
-      engine.wait_all();
-    } catch (...) {
+    // the original exception (a future's error stays in the future).
+    for (auto& f : pending) {
+      if (!f.valid()) continue;
+      pool->help_until_ready(f);
+      f.wait();
     }
     throw;
   }

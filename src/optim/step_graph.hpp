@@ -1,17 +1,19 @@
 #pragma once
-// Dependency-graph step scheduler (DESIGN.md §13).
+// Dependency-graph step scheduler (DESIGN.md §13) — the one scheduler of
+// an optimizer step.
 //
 // An optimizer step decomposes into per-layer tasks — covariance update,
 // factor exchange, eigendecomposition refresh, preconditioning, gradient
-// compression, collective — with explicit edges. The graph executes them
-// on the shared CompressionEngine so that layer N's compute runs on the
-// pool while layer N-1 is inside its collective on the main thread (the
-// paper's §4.4 compute/communication overlap, generalised from "compress
-// while communicating" to the whole step pipeline).
+// compression, collective — with explicit edges. The graph submits its
+// compute tasks straight to the shared ThreadPool so that layer N's
+// compute runs on the pool while layer N-1 is inside its collective on
+// the main thread (the paper's §4.4 compute/communication overlap,
+// generalised from "compress while communicating" to the whole step
+// pipeline).
 //
 // Two task kinds:
-//  - compute tasks run on the engine (pool workers, or inline on the
-//    serial engine); their bodies must not touch the Communicator;
+//  - compute tasks run on the pool (or inline at submission when there
+//    is none); their bodies must not touch the Communicator;
 //  - main tasks run inline on the optimizer thread in schedule order —
 //    collectives live here (the Communicator is single-threaded), as do
 //    serial bookkeeping steps that mutate shared recovery state.
@@ -22,27 +24,43 @@
 // after the ready main tasks, so reaping its deps never holds back the
 // main tasks that release more compute work; then priority descending,
 // then insertion order), and run() walks that single total order on the
-// calling thread. A compute task's result is reaped (engine.wait) at the
-// first task that depends on it, never earlier; everything between
-// submission and reap overlaps it. With backward-order priorities
-// (later layers first) this reproduces the wavefront schedule of Shi et
-// al.'s smart-parallelism pipeline.
+// calling thread. A compute task's result is reaped at the first task
+// that depends on it, never earlier; everything between submission and
+// reap overlaps it. With backward-order priorities (later layers first)
+// this reproduces the wavefront schedule of Shi et al.'s
+// smart-parallelism pipeline.
 //
 // Determinism contract: every submission, reap, collective and tracer
 // claim happens on the calling thread at a position that is a pure
 // function of the graph — never of worker timing — so a step executed
-// through run() is bit-identical at any engine thread count, and the
-// exported trace (logical-tick spans, see run()) is byte-identical too.
+// through run() is bit-identical at any pool size, and the exported trace
+// (logical-tick spans, see run()) is byte-identical too. Compute tasks
+// that draw random numbers take a private generator from task_rng(), so
+// execution order cannot reach any draw.
 
-#include "src/compress/compression_engine.hpp"
 #include "src/obs/obs.hpp"
+#include "src/tensor/rng.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+namespace compso::common {
+class ThreadPool;
+}
+
 namespace compso::optim {
+
+/// A compute task's private generator: Rng(step_seed) split by the
+/// task's stream id. The optimizer draws one step_seed from its step
+/// generator and claims stream ids in build order, so the serial and the
+/// pooled schedule draw identical numbers.
+inline tensor::Rng task_rng(std::uint64_t step_seed,
+                            std::uint64_t task_id) noexcept {
+  return tensor::Rng(step_seed).split(task_id);
+}
 
 class StepGraph {
  public:
@@ -64,7 +82,7 @@ class StepGraph {
     std::size_t max_in_flight = 0;
   };
 
-  /// Adds a task that run() submits to the engine. Higher priority =
+  /// Adds a task that run() submits to the pool. Higher priority =
   /// earlier among ready tasks (use the layer's backward position).
   TaskId add_compute(std::string name, int priority,
                      std::function<void()> fn);
@@ -86,10 +104,14 @@ class StepGraph {
   /// rule). Throws std::logic_error when the graph has a cycle.
   std::vector<TaskId> order() const;
 
-  /// Executes the graph: submits compute tasks to `engine` in order,
-  /// runs main tasks inline, and reaps each compute task at its first
-  /// dependent (or at the end). On any exception every outstanding
-  /// ticket is reaped before rethrowing, so no task outlives the call.
+  /// Executes the graph: submits compute tasks to `pool` in order, runs
+  /// main tasks inline, and reaps each compute task at its first
+  /// dependent (or at the end). A reap runs queued pool tasks while it
+  /// waits (ThreadPool::help_until_ready). With a null pool each compute
+  /// task runs inline at submission and its exception, if any, is
+  /// rethrown at its reap, so the main tasks placed in between run as
+  /// they would on a pool. On any exception every submitted task is
+  /// joined before rethrowing, so no task outlives the call.
   ///
   /// Tracing: when `hooks` carries a tracer, every task records a
   /// "sched" span stamped in logical ticks (one tick per scheduling
@@ -97,8 +119,10 @@ class StepGraph {
   /// cover [submission, reap), main spans one tick — so span overlap in
   /// the export reflects the *structure* of the schedule and the
   /// document is byte-identical at any thread count and on any host.
-  Stats run(compress::CompressionEngine& engine,
-            const obs::ObsHooks& hooks);
+  /// Under a wall clock each compute task also records its execution
+  /// span ("sched.exec", on track kTaskTrackBase + task id), timed on
+  /// whichever thread ran it.
+  Stats run(common::ThreadPool* pool, const obs::ObsHooks& hooks);
 
  private:
   struct Task {

@@ -46,7 +46,13 @@ std::atomic<common::ThreadPool*> g_math_pool{nullptr};
 // ---------------------------------------------------------------------------
 
 thread_local std::vector<float> t_apack;  ///< per-thread A panel scratch.
-thread_local std::vector<float> t_bpack;  ///< caller-thread B panel scratch.
+/// Caller-thread B panel scratch: t_bpack for inline products, t_bpack_top
+/// for row-parallel ones. The caller of a row-parallel product runs queued
+/// tasks while it waits for its row blocks (parallel_for_static), and
+/// those tasks' products run inline on this thread: they pack into
+/// t_bpack, never into the panel the workers are reading.
+thread_local std::vector<float> t_bpack;
+thread_local std::vector<float> t_bpack_top;
 
 /// Operand layouts the packers understand. `trans == false` reads
 /// element (i, p) at src[i * ld + p]; `trans == true` reads src[p * ld + i]
@@ -310,8 +316,9 @@ void gemm_driver(const Panel& a, const Panel& b, float* c, std::size_t m,
     const std::size_t j1 = std::min(jc + kd.nc, n);
     for (std::size_t pc = 0; pc < k; pc += kd.kc) {
       const std::size_t p1 = std::min(pc + kd.kc, k);
-      pack_b(b, kd, pc, p1, jc, j1, t_bpack);
-      BlockArgs ba{a, &kd, t_bpack.data(), c, n, pc, p1, jc, j1, alpha,
+      std::vector<float>& bpack = parallel ? t_bpack_top : t_bpack;
+      pack_b(b, kd, pc, p1, jc, j1, bpack);
+      BlockArgs ba{a, &kd, bpack.data(), c, n, pc, p1, jc, j1, alpha,
                    triangular};
       auto ranges = [&ba, &kd, m](std::size_t b0, std::size_t b1) {
         for (std::size_t ib = b0; ib < b1; ++ib) {
@@ -532,12 +539,18 @@ void syrk_tn_packed(const Tensor& a, float alpha, std::span<float> packed) {
   if (packed.size() != packed_size(d)) {
     throw std::invalid_argument("syrk_tn_packed: packed size mismatch");
   }
-  thread_local std::vector<float> t_product;  ///< d x d, upper triangle used.
-  t_product.assign(d * d, 0.0F);
-  syrk_upper(a, alpha, t_product.data());
+  // d x d, upper triangle used. As with the B panel, a row-parallel
+  // product's output must not be a buffer that a task this thread runs
+  // while it waits (an inline call, on_worker_thread()) reallocates.
+  thread_local std::vector<float> t_product;
+  thread_local std::vector<float> t_product_top;
+  std::vector<float>& product =
+      common::ThreadPool::on_worker_thread() ? t_product : t_product_top;
+  product.assign(d * d, 0.0F);
+  syrk_upper(a, alpha, product.data());
   float* dst = packed.data();
   for (std::size_t i = 0; i < d; ++i) {
-    dst = std::copy_n(t_product.data() + i * d + i, d - i, dst);
+    dst = std::copy_n(product.data() + i * d + i, d - i, dst);
   }
 }
 

@@ -24,10 +24,11 @@ namespace compso::tensor {
 
 /// Attaches (or detaches, with nullptr) the pool the blocked kernels use
 /// to parallelize output-row blocks. The pool is shared with whatever
-/// else the caller runs (typically the CompressionEngine's pool) — the
-/// kernels never spawn threads of their own, and calls that already run
-/// on a pool worker execute inline, so layer-level parallelism above is
-/// never oversubscribed by gemm-level parallelism below.
+/// else the caller runs (typically the FaultTolerantTrainer's pool, which
+/// also runs the StepGraph tasks) — the kernels never spawn threads of
+/// their own, and calls that already run on a pool worker execute
+/// inline, so layer-level parallelism above is never oversubscribed by
+/// gemm-level parallelism below.
 void set_math_pool(common::ThreadPool* pool) noexcept;
 common::ThreadPool* math_pool() noexcept;
 

@@ -1,11 +1,10 @@
-// CompressionEngine + parallel-vs-serial determinism: the engine's
-// ticket/batch semantics, bit-identical optimizer trajectories for any
-// worker count (DistSgd and DistKfac, including factor compression),
-// FaultTolerantTrainer checkpoint/resume under a parallel engine, and a
-// fuzz loop driving mutated payloads through the fused COMPSO decoder.
+// Pooled-vs-inline determinism: bit-identical optimizer trajectories for
+// any pool size (DistSgd and DistKfac, including factor compression),
+// FaultTolerantTrainer checkpoint/resume across pool sizes, the
+// per-task generator, and a fuzz loop driving mutated payloads through
+// the fused COMPSO decoder.
 
 #include "src/common/thread_pool.hpp"
-#include "src/compress/compression_engine.hpp"
 #include "src/compress/compressor.hpp"
 #include "src/compress/payload_fuzz.hpp"
 #include "src/compso.hpp"
@@ -13,17 +12,15 @@
 #include "src/nn/model_zoo.hpp"
 #include "src/optim/dist_kfac.hpp"
 #include "src/optim/dist_sgd.hpp"
+#include "src/optim/step_graph.hpp"
 #include "src/tensor/matrix_ops.hpp"
 #include "src/tensor/synthetic.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
-#include <stdexcept>
-#include <thread>
+#include <memory>
 #include <vector>
 
 namespace cm = compso::comm;
@@ -32,100 +29,20 @@ namespace opt = compso::optim;
 namespace nn = compso::nn;
 namespace ct = compso::tensor;
 namespace cc = compso::compress;
+namespace common = compso::common;
 
 namespace {
 
-// --- engine unit semantics ---
-
-TEST(CompressionEngine, SerialEngineDefersExceptionToWait) {
-  cc::CompressionEngine eng(0);
-  EXPECT_EQ(eng.thread_count(), 0U);
-  const auto ok = eng.submit([] {});
-  const auto bad = eng.submit([] { throw std::runtime_error("job boom"); });
-  EXPECT_NO_THROW(eng.wait(ok));
-  EXPECT_THROW(eng.wait(bad), std::runtime_error);
-  EXPECT_NO_THROW(eng.wait(bad));  // double-wait is a no-op.
-  EXPECT_NO_THROW(eng.wait_all());
+/// The optimizer's pool: none at 0 threads (compute tasks run inline).
+std::unique_ptr<common::ThreadPool> make_pool(std::size_t threads) {
+  if (threads == 0) return nullptr;
+  return std::make_unique<common::ThreadPool>(threads);
 }
 
-TEST(CompressionEngine, ParallelEngineRunsJobsAndRethrows) {
-  cc::CompressionEngine eng(3);
-  EXPECT_EQ(eng.thread_count(), 3U);
-  std::atomic<int> ran{0};
-  std::vector<cc::CompressionEngine::Ticket> tickets;
-  for (int i = 0; i < 20; ++i) {
-    tickets.push_back(eng.submit([&ran] { ++ran; }));
-  }
-  const auto bad =
-      eng.submit([] { throw std::runtime_error("parallel boom"); });
-  for (auto t : tickets) eng.wait(t);
-  EXPECT_EQ(ran.load(), 20);
-  EXPECT_THROW(eng.wait(bad), std::runtime_error);
-  EXPECT_NO_THROW(eng.wait_all());
-}
-
-TEST(CompressionEngine, RunBatchRunsEveryJobEvenWhenOneThrows) {
-  for (std::size_t threads : {0UL, 2UL}) {
-    cc::CompressionEngine eng(threads);
-    std::atomic<int> ran{0};
-    std::vector<std::function<void()>> jobs;
-    for (int i = 0; i < 8; ++i) {
-      jobs.push_back([&ran, i] {
-        ++ran;
-        if (i == 3) throw std::runtime_error("batch boom");
-      });
-    }
-    EXPECT_THROW(eng.run_batch(std::move(jobs)), std::runtime_error)
-        << "threads=" << threads;
-    // The barrier ran *all* jobs before rethrowing: a retried exchange
-    // must not observe half-written buffers from an abandoned batch.
-    EXPECT_EQ(ran.load(), 8) << "threads=" << threads;
-  }
-}
-
-TEST(CompressionEngine, WaitRunsQueuedJobsWhileItsTicketIsPending) {
-  // The only worker holds a job that spins (up to 10 s) until a later
-  // job runs. Waiting on the later job's ticket must run it on the
-  // waiting thread instead of sleeping behind the spinner.
-  cc::CompressionEngine eng(1);
-  std::atomic<bool> released{false};
-  std::atomic<bool> saw_release{false};
-  eng.submit([&] {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!released.load() && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-    saw_release = released.load();
-  });
-  const auto later = eng.submit([&] { released = true; });
-  eng.wait(later);
-  eng.wait_all();
-  EXPECT_TRUE(saw_release.load());
-}
-
-TEST(CompressionEngine, RunBatchRunsFirstJobOnCallerAsWorker) {
-  cc::CompressionEngine eng(2);
-  const auto caller = std::this_thread::get_id();
-  bool on_caller = false;
-  bool as_worker = false;
-  std::vector<std::function<void()>> jobs;
-  jobs.push_back([&] {
-    on_caller = std::this_thread::get_id() == caller;
-    // Math kernels inside the job run inline, as on a pool worker.
-    as_worker = compso::common::ThreadPool::on_worker_thread();
-  });
-  jobs.push_back([] {});
-  eng.run_batch(std::move(jobs));
-  EXPECT_TRUE(on_caller);
-  EXPECT_TRUE(as_worker);
-  EXPECT_FALSE(compso::common::ThreadPool::on_worker_thread());
-}
-
-TEST(CompressionEngine, TaskRngIsDeterministicPerTaskId) {
-  ct::Rng a = cc::CompressionEngine::task_rng(42, 7);
-  ct::Rng b = cc::CompressionEngine::task_rng(42, 7);
-  ct::Rng c = cc::CompressionEngine::task_rng(42, 8);
+TEST(TaskRng, IsDeterministicPerTaskId) {
+  ct::Rng a = opt::task_rng(42, 7);
+  ct::Rng b = opt::task_rng(42, 7);
+  ct::Rng c = opt::task_rng(42, 8);
   bool differs = false;
   for (int i = 0; i < 16; ++i) {
     const auto va = a(), vb = b(), vc = c();
@@ -187,9 +104,8 @@ std::vector<float> run_sgd(std::size_t engine_threads) {
   DistFixture f(4);
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
-  opt::DistSgd sgd({.momentum = 0.9}, comm, f.ptrs);
-  cc::CompressionEngine eng(engine_threads);
-  sgd.set_engine(&eng);
+  const auto pool = make_pool(engine_threads);
+  opt::DistSgd sgd({.momentum = 0.9}, comm, f.ptrs, pool.get());
   const auto compso = cc::make_error_feedback(cc::make_compso({}));
   ct::Rng data_rng(1), sr_rng(2);
   for (std::size_t t = 0; t < 5; ++t) {
@@ -210,9 +126,9 @@ std::vector<float> run_kfac(std::size_t engine_threads,
   DistFixture f(4);
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
-  opt::DistKfac kfac({.damping = 0.1, .aggregation = 2}, comm, f.ptrs);
-  cc::CompressionEngine eng(engine_threads);
-  kfac.set_engine(&eng);
+  const auto pool = make_pool(engine_threads);
+  opt::DistKfac kfac({.damping = 0.1, .aggregation = 2}, comm, f.ptrs,
+                     pool.get());
   const auto compso = cc::make_compso({});
   const auto factor_comp = cc::make_compso(
       {.filter_bound = 0.0, .quant_bound = 1e-4, .use_filter = false});
@@ -242,7 +158,7 @@ TEST(ParallelDeterminism, DistKfacFactorCompressionBitExact) {
 // Wider model + batch than DistFixture: the forward/backward gemms, the
 // factor syrks, and the A-factor eigh all exceed the blocked math
 // engine's small-op cutoff, so this run exercises the packed-panel
-// kernels — and, with the engine's pool shared via MathPoolGuard, the
+// kernels — and, with the optimizer's pool shared via MathPoolGuard, the
 // pool-parallel row-block path — inside a real DistKfac step.
 std::vector<float> run_kfac_blocked_math(std::size_t engine_threads) {
   std::vector<nn::Model> replicas;
@@ -256,10 +172,10 @@ std::vector<float> run_kfac_blocked_math(std::size_t engine_threads) {
 
   cm::Communicator comm(cm::Topology::with_gpus(2),
                         cm::NetworkModel::platform1());
-  opt::DistKfac kfac({.damping = 0.1, .eigen_refresh_every = 3}, comm, ptrs);
-  cc::CompressionEngine eng(engine_threads);
-  kfac.set_engine(&eng);
-  ct::MathPoolGuard math(eng.pool());  // nullptr in serial mode.
+  const auto pool = make_pool(engine_threads);
+  opt::DistKfac kfac({.damping = 0.1, .eigen_refresh_every = 3}, comm, ptrs,
+                     pool.get());
+  ct::MathPoolGuard math(pool.get());  // nullptr in serial mode.
   const auto compso = cc::make_compso({});
   ct::Rng data_rng(1), sr_rng(2);
   for (std::size_t t = 0; t < 3; ++t) {

@@ -11,8 +11,8 @@
 #include "src/codec/wire.hpp"
 #include "src/comm/communicator.hpp"
 #include "src/comm/fault_injector.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/compress/chunked_stream.hpp"
-#include "src/compress/compression_engine.hpp"
 #include "src/compress/compressor.hpp"
 #include "src/core/ft_trainer.hpp"
 #include "src/nn/dataset.hpp"
@@ -26,6 +26,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -36,9 +37,16 @@ namespace nn = compso::nn;
 namespace ct = compso::tensor;
 namespace cc = compso::compress;
 namespace chunk = compso::codec::chunk;
+namespace common = compso::common;
 using compso::PayloadError;
 
 namespace {
+
+/// The optimizer's pool: none at 0 threads (compute tasks run inline).
+std::unique_ptr<common::ThreadPool> make_pool(std::size_t threads) {
+  if (threads == 0) return nullptr;
+  return std::make_unique<common::ThreadPool>(threads);
+}
 
 cc::Bytes random_payload(std::size_t n, ct::Rng& rng) {
   cc::Bytes b(n);
@@ -391,11 +399,10 @@ std::vector<float> run_kfac(std::size_t engine_threads,
   DistFixture f(4);
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
+  const auto pool = make_pool(engine_threads);
   opt::DistKfac kfac({.damping = 0.1, .eigen_refresh_every = 2,
                       .aggregation = 2, .chunk_bytes = chunk_bytes},
-                     comm, f.ptrs);
-  cc::CompressionEngine eng(engine_threads);
-  kfac.set_engine(&eng);
+                     comm, f.ptrs, pool.get());
   const auto compso = cc::make_compso({});
   const auto factor_comp = cc::make_compso(
       {.filter_bound = 0.0, .quant_bound = 1e-4, .use_filter = false});
@@ -430,10 +437,9 @@ std::vector<float> run_sgd(std::size_t engine_threads,
   DistFixture f(4);
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
+  const auto pool = make_pool(engine_threads);
   opt::DistSgd sgd({.momentum = 0.9, .chunk_bytes = chunk_bytes}, comm,
-                   f.ptrs);
-  cc::CompressionEngine eng(engine_threads);
-  sgd.set_engine(&eng);
+                   f.ptrs, pool.get());
   const auto ef_compso = cc::make_error_feedback(cc::make_compso({}));
   ct::Rng data_rng(1), sr_rng(2);
   for (std::size_t t = 0; t < 5; ++t) {

@@ -14,7 +14,7 @@
 #include "src/comm/collectives.hpp"
 #include "src/comm/communicator.hpp"
 #include "src/comm/fault_injector.hpp"
-#include "src/compress/compression_engine.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/compress/compressor.hpp"
 #include "src/core/ft_trainer.hpp"
 #include "src/core/perf_sim.hpp"
@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -47,9 +48,16 @@ namespace ct = compso::tensor;
 namespace cc = compso::compress;
 namespace ckpt = compso::codec::ckpt;
 namespace obs = compso::obs;
+namespace common = compso::common;
 namespace perf = compso::perf;
 
 namespace {
+
+/// The optimizer's pool: none at 0 threads (compute tasks run inline).
+std::unique_ptr<common::ThreadPool> make_pool(std::size_t threads) {
+  if (threads == 0) return nullptr;
+  return std::make_unique<common::ThreadPool>(threads);
+}
 
 // --- Topology properties ---
 
@@ -357,9 +365,8 @@ std::vector<float> run_shard_config(std::size_t world, std::size_t steps,
   cfg.eigen_refresh_every = 2;
   cfg.layout = layout;
   cfg.assignment = assignment;
-  opt::DistKfac kfac(cfg, comm, f.ptrs);
-  cc::CompressionEngine eng(engine_threads);
-  if (engine_threads > 0) kfac.set_engine(&eng);
+  const auto pool = make_pool(engine_threads);
+  opt::DistKfac kfac(cfg, comm, f.ptrs, pool.get());
   const auto compso = cc::make_compso({});
   ct::Rng data_rng(1), sr_rng(2);
   for (std::size_t t = 0; t < steps; ++t) {

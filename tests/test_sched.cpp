@@ -1,11 +1,12 @@
 // Step-graph scheduler suite (DESIGN.md §13): StepGraph ordering/stats
-// semantics, bit-identical optimizer trajectories at any engine thread
-// count (clean, fault-injected, and across a checkpoint/resume), the
-// trace-derived overlap + idle-gap gate, and the steady-state allocation
-// invariant for evicted-rank covariance slots.
+// semantics and its submit/reap/join contract on a pool or inline,
+// bit-identical optimizer trajectories at any engine thread count (clean,
+// fault-injected, and across a checkpoint/resume), the trace-derived
+// overlap + idle-gap gate, and the steady-state allocation invariant for
+// evicted-rank covariance slots.
 
 #include "src/comm/fault_injector.hpp"
-#include "src/compress/compression_engine.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/compress/compressor.hpp"
 #include "src/core/ft_trainer.hpp"
 #include "src/nn/dataset.hpp"
@@ -19,10 +20,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace cm = compso::comm;
@@ -32,8 +37,15 @@ namespace nn = compso::nn;
 namespace obs = compso::obs;
 namespace ct = compso::tensor;
 namespace cc = compso::compress;
+namespace common = compso::common;
 
 namespace {
+
+/// The graph's pool: none at 0 threads (compute tasks run inline).
+std::unique_ptr<common::ThreadPool> make_pool(std::size_t threads) {
+  if (threads == 0) return nullptr;
+  return std::make_unique<common::ThreadPool>(threads);
+}
 
 // --- StepGraph unit semantics ---
 
@@ -77,8 +89,8 @@ TEST(StepGraph, ComputeAfterComputeWaitsForReadyMainTasks) {
   // otherwise the first chain is reaped before the second even starts.
   for (const std::size_t threads : {0UL, 2UL}) {
     opt::StepGraph g;
-    cc::CompressionEngine eng(threads);
-    std::vector<std::string> log;  // serial engine: compute runs at submit.
+    const auto pool = make_pool(threads);
+    std::vector<std::string> log;  // no pool: compute runs at submit.
     const auto note = [&log, threads](const char* name) {
       return [&log, threads, name] {
         if (threads == 0) log.emplace_back(name);
@@ -96,7 +108,7 @@ TEST(StepGraph, ComputeAfterComputeWaitsForReadyMainTasks) {
     g.depends(d2, c2);
     const std::vector<opt::StepGraph::TaskId> want = {m1, c1, m2, c2, d1, d2};
     EXPECT_EQ(g.order(), want);
-    g.run(eng, obs::ObsHooks{});
+    g.run(pool.get(), obs::ObsHooks{});
     if (threads == 0) {
       const std::vector<std::string> ran = {"m1", "c1", "m2",
                                             "c2", "d1", "d2"};
@@ -125,7 +137,7 @@ TEST(StepGraph, DependsValidatesIds) {
 TEST(StepGraph, RunExecutesEveryTaskAndCountsStats) {
   for (const std::size_t threads : {0UL, 2UL}) {
     opt::StepGraph g;
-    cc::CompressionEngine eng(threads);
+    const auto pool = make_pool(threads);
     std::vector<int> log;
     const auto c0 = g.add_compute("c0", 0, [&] {});
     const auto c1 = g.add_compute("c1", 1, [&] {});
@@ -134,7 +146,7 @@ TEST(StepGraph, RunExecutesEveryTaskAndCountsStats) {
     g.depends(m0, c0);
     g.depends(m1, m0);
     g.depends(m1, c1);
-    const auto st = g.run(eng, obs::ObsHooks{});
+    const auto st = g.run(pool.get(), obs::ObsHooks{});
     EXPECT_EQ(st.tasks, 4U);
     EXPECT_EQ(st.compute_tasks, 2U);
     EXPECT_EQ(st.main_tasks, 2U);
@@ -152,13 +164,12 @@ TEST(StepGraph, RunExecutesEveryTaskAndCountsStats) {
 
 TEST(StepGraph, IdleCommCountedWhenNothingInFlight) {
   opt::StepGraph g;
-  cc::CompressionEngine eng(0);
   const auto c = g.add_compute("c", 0, [] {});
   const auto m = g.add_main("m", 0, [] {}, true);
   // The compute task is gated behind the collective, so the collective
   // runs bare while compute work still waits — the idle-gap shape.
   g.depends(c, m);
-  const auto st = g.run(eng, obs::ObsHooks{});
+  const auto st = g.run(nullptr, obs::ObsHooks{});
   EXPECT_EQ(st.overlapped_comm, 0U);
   EXPECT_EQ(st.idle_comm, 1U);  // ran bare with compute still unsubmitted.
 }
@@ -166,41 +177,120 @@ TEST(StepGraph, IdleCommCountedWhenNothingInFlight) {
 TEST(StepGraph, ComputeExceptionIsReapedAndRethrown) {
   for (const std::size_t threads : {0UL, 2UL}) {
     opt::StepGraph g;
-    cc::CompressionEngine eng(threads);
+    const auto pool = make_pool(threads);
     bool tail_ran = false;
     const auto bad =
         g.add_compute("bad", 0, [] { throw std::runtime_error("boom"); });
     const auto sink = g.add_main("sink", 0, [&] { tail_ran = true; });
     g.depends(sink, bad);
-    EXPECT_THROW(g.run(eng, obs::ObsHooks{}), std::runtime_error)
+    EXPECT_THROW(g.run(pool.get(), obs::ObsHooks{}), std::runtime_error)
         << "threads=" << threads;
     EXPECT_FALSE(tail_ran) << "threads=" << threads;
-    // The engine's ticket table was drained: the next run is clean.
+    // Nothing of the failed run is left behind: the next run is clean.
     opt::StepGraph g2;
     bool ok = false;
     g2.add_compute("ok", 0, [&] { ok = true; });
-    EXPECT_NO_THROW(g2.run(eng, obs::ObsHooks{}));
+    EXPECT_NO_THROW(g2.run(pool.get(), obs::ObsHooks{}));
     EXPECT_TRUE(ok) << "threads=" << threads;
   }
 }
 
 TEST(StepGraph, MainExceptionReapsInFlightComputeAndRethrows) {
-  cc::CompressionEngine eng(2);
+  const auto pool = make_pool(2);
   opt::StepGraph g;
-  g.add_compute("slow", 5, [] {});
+  std::atomic<bool> slow_done{false};
+  g.add_compute("slow", 5, [&slow_done] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    slow_done = true;
+  });
   const auto bad =
       g.add_main("bad", 0, [] { throw std::runtime_error("main boom"); });
   (void)bad;
-  EXPECT_THROW(g.run(eng, obs::ObsHooks{}), std::runtime_error);
-  EXPECT_NO_THROW(eng.wait_all());  // nothing left outstanding.
+  EXPECT_THROW(g.run(pool.get(), obs::ObsHooks{}), std::runtime_error);
+  EXPECT_TRUE(slow_done.load());  // joined before the rethrow.
+}
+
+TEST(StepGraph, ComputeExceptionJoinsEveryOtherTaskBeforeRethrowing) {
+  // The first task reaped throws while 20 others are still queued or
+  // running on the pool; none of them may outlive the run.
+  const auto pool = make_pool(3);
+  opt::StepGraph g;
+  std::atomic<int> ran{0};
+  g.add_compute("bad", 1, [] { throw std::runtime_error("compute boom"); });
+  for (int i = 0; i < 20; ++i) {
+    g.add_compute("ok", 0, [&ran] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ++ran;
+    });
+  }
+  EXPECT_THROW(g.run(pool.get(), obs::ObsHooks{}), std::runtime_error);
+  EXPECT_EQ(ran.load(), 20);
+}
+
+TEST(StepGraph, ComputeExceptionSurfacesAtTheReapNotAtSubmission) {
+  // Without a pool the throwing task runs inline when it is submitted,
+  // yet its exception waits for the reap: the main task placed between
+  // the task and its dependent runs, exactly as it does on a pool.
+  for (const std::size_t threads : {0UL, 2UL}) {
+    const auto pool = make_pool(threads);
+    opt::StepGraph g;
+    bool between_ran = false;
+    bool sink_ran = false;
+    const auto bad =
+        g.add_compute("bad", 0, [] { throw std::runtime_error("job boom"); });
+    const auto between = g.add_main("between", 1, [&] { between_ran = true; });
+    const auto sink = g.add_main("sink", 0, [&] { sink_ran = true; });
+    g.depends(sink, bad);
+    const std::vector<opt::StepGraph::TaskId> want = {bad, between, sink};
+    EXPECT_EQ(g.order(), want);
+    EXPECT_THROW(g.run(pool.get(), obs::ObsHooks{}), std::runtime_error)
+        << "threads=" << threads;
+    EXPECT_TRUE(between_ran) << "threads=" << threads;
+    EXPECT_FALSE(sink_ran) << "threads=" << threads;
+  }
+}
+
+TEST(StepGraph, ReapRunsQueuedTasksWhileItsTaskIsPending) {
+  // The only worker holds a task that spins (up to 10 s) until a later
+  // task runs. Reaping the later task must run it on the reaping thread
+  // instead of sleeping behind the spinner.
+  const auto pool = make_pool(1);
+  opt::StepGraph g;
+  std::atomic<bool> started{false};
+  std::atomic<bool> released{false};
+  std::atomic<bool> saw_release{false};
+  g.add_compute("spinner", 1, [&] {
+    started = true;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!released.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    saw_release = released.load();
+  });
+  // Waits until the worker holds the spinner, so that only the reaping
+  // thread can run the release task.
+  const auto hold = g.add_main("hold", 2, [&] {
+    while (!started.load()) std::this_thread::yield();
+  });
+  const auto release = g.add_compute("release", 0, [&] { released = true; });
+  const auto sink = g.add_main("sink", 0, [] {});
+  g.depends(release, hold);
+  g.depends(sink, release);
+  g.run(pool.get(), obs::ObsHooks{});
+  EXPECT_TRUE(saw_release.load());
 }
 
 // The scheduler's trace is stamped in logical ticks claimed on the
 // calling thread, so the recorded spans must be identical — names,
-// tracks, timestamps, durations — at any engine thread count.
+// tracks, timestamps, durations — at any engine thread count. The
+// promise holds under a deterministic clock (DESIGN.md §12.2): under a
+// wall clock the graph also records each compute task's execution span,
+// whose timestamps vary from run to run.
 std::vector<obs::Tracer::Event> trace_small_graph(std::size_t threads) {
-  cc::CompressionEngine eng(threads);
-  obs::Tracer tracer;
+  const auto pool = make_pool(threads);
+  obs::ManualClock clock;
+  obs::Tracer tracer(&clock);
   obs::MetricsRegistry metrics;
   opt::StepGraph g;
   const auto c0 = g.add_compute("c0", 0, [] {});
@@ -210,7 +300,7 @@ std::vector<obs::Tracer::Event> trace_small_graph(std::size_t threads) {
   g.depends(m0, c1);
   g.depends(m1, m0);
   g.depends(m1, c0);
-  g.run(eng, obs::ObsHooks{.metrics = &metrics, .tracer = &tracer});
+  g.run(pool.get(), obs::ObsHooks{.metrics = &metrics, .tracer = &tracer});
   return tracer.events();
 }
 
@@ -283,11 +373,10 @@ std::vector<float> run_kfac_sched(std::size_t engine_threads) {
   DistFixture f(4);
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
+  const auto pool = make_pool(engine_threads);
   opt::DistKfac kfac({.damping = 0.1, .eigen_refresh_every = 2,
                       .aggregation = 2},
-                     comm, f.ptrs);
-  cc::CompressionEngine eng(engine_threads);
-  kfac.set_engine(&eng);
+                     comm, f.ptrs, pool.get());
   const auto compso = cc::make_compso({});
   const auto factor_comp = cc::make_compso(
       {.filter_bound = 0.0, .quant_bound = 1e-4, .use_filter = false});
@@ -311,9 +400,8 @@ std::vector<float> run_sgd_sched(std::size_t engine_threads) {
   DistFixture f(4);
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
-  opt::DistSgd sgd({.momentum = 0.9}, comm, f.ptrs);
-  cc::CompressionEngine eng(engine_threads);
-  sgd.set_engine(&eng);
+  const auto pool = make_pool(engine_threads);
+  opt::DistSgd sgd({.momentum = 0.9}, comm, f.ptrs, pool.get());
   const auto compso = cc::make_error_feedback(cc::make_compso({}));
   ct::Rng data_rng(1), sr_rng(2);
   for (std::size_t t = 0; t < 5; ++t) {
@@ -457,9 +545,9 @@ TEST(SchedOverlap, CompressionOverlapsAnotherLayersCollective) {
   DistFixture f(4);
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
-  opt::DistKfac kfac({.damping = 0.1, .aggregation = 2}, comm, f.ptrs);
-  cc::CompressionEngine eng(2);
-  kfac.set_engine(&eng);
+  const auto pool = make_pool(2);
+  opt::DistKfac kfac({.damping = 0.1, .aggregation = 2}, comm, f.ptrs,
+                     pool.get());
   const auto compso = cc::make_compso({});
   const auto factor_comp = cc::make_compso(
       {.filter_bound = 0.0, .quant_bound = 1e-4, .use_filter = false});
@@ -540,11 +628,10 @@ TEST(SchedOverlap, RefreshSubmitsEveryEighBeforeReapingAny) {
   DistFixture f(4);
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
+  const auto pool = make_pool(2);
   opt::DistKfac kfac({.damping = 0.1, .eigen_refresh_every = 2,
                       .aggregation = 2},
-                     comm, f.ptrs);
-  cc::CompressionEngine eng(2);
-  kfac.set_engine(&eng);
+                     comm, f.ptrs, pool.get());
   const auto compso = cc::make_compso({});
   ct::Rng data_rng(1), sr_rng(2);
   for (std::size_t t = 0; t < 2; ++t) {

@@ -1,8 +1,9 @@
 // ThreadPool (src/common): work execution, exception propagation through
-// futures, parallel_for_static with caller participation, shutdown semantics
-// (drain, idempotence, reject-after), and a stealing smoke test with
-// deliberately unbalanced task costs. Run under TSan via ci.sh's
-// build-tsan config.
+// futures, parallel_for_static with caller participation (its own range
+// as a worker, queued tasks while it waits, no range outliving the call),
+// shutdown semantics (drain, idempotence, reject-after), and a stealing
+// smoke test with deliberately unbalanced task costs. Run under TSan via
+// ci.sh's build-tsan config.
 
 #include "src/common/thread_pool.hpp"
 
@@ -112,11 +113,70 @@ TEST(ThreadPool, ParallelForStaticPropagatesFirstException) {
                                  }
                                }),
       std::runtime_error);
+  // The caller's own range throws at once while the workers' two ranges
+  // still sleep: no range may outlive the call that rethrows.
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.parallel_for_static(
+                   64,
+                   [&finished](std::size_t b, std::size_t) {
+                     if (b == 0) throw std::runtime_error("caller boom");
+                     std::this_thread::sleep_for(
+                         std::chrono::milliseconds(20));
+                     ++finished;
+                   }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 2);
   std::atomic<int> ran{0};
   pool.parallel_for_static(8, [&ran](std::size_t b, std::size_t e) {
     ran += static_cast<int>(e - b);
   });
   EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(ThreadPool, ParallelForStaticRunsFirstRangeOnCallerAsWorker) {
+  common::ThreadPool pool(2);
+  const auto caller = std::this_thread::get_id();
+  bool on_caller = false;
+  bool as_worker = false;
+  pool.parallel_for_static(2, [&](std::size_t b, std::size_t) {
+    if (b != 0) return;
+    on_caller = std::this_thread::get_id() == caller;
+    // Math kernels inside the range run inline, as on a pool worker.
+    as_worker = common::ThreadPool::on_worker_thread();
+  });
+  EXPECT_TRUE(on_caller);
+  EXPECT_TRUE(as_worker);
+  EXPECT_FALSE(common::ThreadPool::on_worker_thread());
+}
+
+TEST(ThreadPool, ParallelForStaticCallerRunsQueuedTasksWhileItWaits) {
+  // The only worker holds a task that spins (up to 10 s) until the
+  // second range runs, so that range sits queued behind it. The caller,
+  // done with its own range, must run it instead of sleeping.
+  common::ThreadPool pool(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> released{false};
+  std::atomic<bool> saw_release{false};
+  auto spinner = pool.submit([&] {
+    started = true;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!released.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    saw_release = released.load();
+  });
+  while (!started.load()) std::this_thread::yield();
+  const auto caller = std::this_thread::get_id();
+  bool second_on_caller = false;
+  pool.parallel_for_static(2, [&](std::size_t b, std::size_t) {
+    if (b == 0) return;
+    second_on_caller = std::this_thread::get_id() == caller;
+    released = true;
+  });
+  spinner.get();
+  EXPECT_TRUE(second_on_caller);
+  EXPECT_TRUE(saw_release.load());
 }
 
 TEST(ThreadPool, ParallelForStaticNestedCallRunsInlineOnWorker) {
