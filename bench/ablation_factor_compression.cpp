@@ -6,9 +6,9 @@
 // allgather only, and (c) COMPSO on the allgather + a conservative
 // error-bounded compressor on the covariance exchange, then reports
 // accuracy and both communication volumes, plus the modeled allreduce-time
-// saving at ResNet-50 scale. The factor CR counts against the packed
-// symmetric halves the uncompressed exchange sends — what the model's
-// factor allreduce prices — not against full d x d matrices.
+// saving at ResNet-50 scale. The compressor sees each factor's packed
+// upper triangle, the bytes the uncompressed exchange sends and the
+// model's factor allreduce prices, so the factor CR counts against them.
 
 #include "bench/bench_util.hpp"
 
@@ -97,8 +97,8 @@ int main() {
       "\nShape checks: factor compression preserves accuracy at the\n"
       "conservative bound while sending fewer bytes than the packed\n"
       "symmetric halves of the uncompressed exchange (factor CR > 1) — the\n"
-      "§7 direction is viable. The ratio is taken against the packed\n"
-      "halves: the compressor still sees full d x d matrices, and the\n"
-      "symmetry the uncompressed exchange exploits is not counted twice.\n");
+      "§7 direction is viable. The compressor sees the same packed\n"
+      "halves, so the symmetry the uncompressed exchange exploits is\n"
+      "neither sent twice nor counted twice.\n");
   return 0;
 }

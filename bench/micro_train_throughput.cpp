@@ -14,17 +14,17 @@
 // step (simulated comm time, allreduce bytes, collective calls) from a
 // serial trainer's simulated clocks and obs counters.
 //
-// With --trace[=path] it additionally runs the observability smoke gate
-// (DESIGN.md §12): a serial run with metrics + tracer attached, whose
+// With --trace[=path] it runs the observability smoke gate (DESIGN.md
+// §12) instead: a serial run with metrics + tracer attached, whose
 // trace.json export is schema-validated in-process and must hold one
 // wall-clock execution span per StepGraph compute task of the timed
 // steps, whose parameter trajectory must stay bit-identical to the
 // uninstrumented run, and whose wall time must stay within the overhead
-// budget of the obs-off baseline (min-of-3, interleaved; budget relaxed
-// in sanitized builds). Each wall-clock ratio is enforced by exactly one
-// ctest entry: with --trace the overhead budget, without it the
-// parallel speedup below — the --trace run still measures and reports
-// the speedup, but does not fail on it.
+// budget of the obs-off baseline (5 interleaved windows per side, best
+// window each, as the speedup is timed; budget relaxed in sanitized
+// builds). Each wall-clock ratio is enforced by exactly one ctest entry:
+// with --trace the overhead budget, without it the parallel speedup
+// below.
 //
 // The parallel run needs a real pool to say anything about overlap: the
 // engine thread count defaults to the host's concurrency but is floored
@@ -79,8 +79,8 @@ constexpr double kMaxObsOverhead = kSanitizedBuild ? 2.0 : 1.05;
 /// concurrently, so the gate is enforced on >= 4-core unsanitized hosts.
 constexpr double kMinParallelSpeedup = 1.5;
 constexpr unsigned kMinGateCores = 4;
-/// Interleaved timing windows per side of the speedup comparison.
-constexpr int kSpeedupWindows = 5;
+/// Interleaved timing windows per side of each wall-clock comparison.
+constexpr int kTimingWindows = 5;
 
 /// All wall timings flow through bench::time_* into this registry; the
 /// snapshot is embedded in the output JSON under "metrics".
@@ -114,7 +114,7 @@ struct Run {
 };
 
 /// Serial engine vs `threads`-worker pool: both trainers run
-/// kSpeedupWindows interleaved windows of `steps` steps, and each side's
+/// kTimingWindows interleaved windows of `steps` steps, and each side's
 /// steps/s comes from its best window. Every window starts on the same
 /// step of the refresh cycle on both sides. The math-pool guard keeps
 /// the serial trainer's top-level gemms off the pooled trainer's pool.
@@ -131,7 +131,7 @@ std::pair<Run, Run> run_speedup(bool smoke, std::size_t threads,
   pooled.run(1);
   double best_serial = 1e100;
   double best_pooled = 1e100;
-  for (int w = 0; w < kSpeedupWindows; ++w) {
+  for (int w = 0; w < kTimingWindows; ++w) {
     best_serial = std::min(best_serial, window(serial, "bench.train.serial"));
     best_pooled = std::min(best_pooled, window(pooled, "bench.train.parallel"));
   }
@@ -212,9 +212,10 @@ struct ObsGate {
   std::string error;
 };
 
-/// Observability smoke gate: obs-off vs obs-on serial runs, interleaved
-/// min-of-3 timing, bit-exact parameter check, and in-process schema
-/// validation of the exported trace + metrics documents.
+/// Observability smoke gate: obs-off vs obs-on serial runs timed in
+/// kTimingWindows interleaved windows (best window per side), bit-exact
+/// parameter check, and in-process schema validation of the exported
+/// trace + metrics documents.
 ObsGate run_obs_gate(bool smoke, std::size_t steps,
                      const std::string& trace_path) {
   core::FaultTolerantTrainer off(bench_config(smoke, 0));
@@ -231,7 +232,8 @@ ObsGate run_obs_gate(bool smoke, std::size_t steps,
 
   double best_off = 1e100;
   double best_on = 1e100;
-  for (int r = 0; r < 3; ++r) {  // interleave so load noise hits both sides.
+  // Interleaved, so a burst of host load hits both sides.
+  for (int w = 0; w < kTimingWindows; ++w) {
     best_off = std::min(best_off, bench::time_once(g_metrics,
                                                    "bench.train.obs_off",
                                                    [&] { off.run(steps); }));
@@ -273,6 +275,130 @@ ObsGate run_obs_gate(bool smoke, std::size_t steps,
   std::fwrite(trace.data(), 1, trace.size(), tf);
   std::fclose(tf);
   return gate;
+}
+
+/// The default mode: serial vs pooled throughput with the speedup gate,
+/// the faulted leg and the per-step communication. Prints its lines,
+/// writes its JSON fields to `f`, and returns its failure count.
+int run_throughput_mode(bool smoke, std::size_t steps,
+                        std::size_t requested_threads,
+                        unsigned host_concurrency, std::FILE* f) {
+  if (requested_threads == 0) {
+    requested_threads = std::max(1U, host_concurrency);
+  }
+  // The parallel leg needs an actual pool — a 1-thread "pool" only
+  // measures queueing overhead and reports a meaningless speedup.
+  const std::size_t threads = std::max<std::size_t>(2, requested_threads);
+  const bool gate_enforced =
+      !kSanitizedBuild && host_concurrency >= kMinGateCores;
+  if (host_concurrency <= 1) {
+    std::fprintf(stderr,
+                 "WARNING: host reports %u hardware thread(s); the %zu-thread "
+                 "pool timeshares one core, so parallel_speedup measures "
+                 "scheduler noise, not overlap. Speedup gate skipped.\n",
+                 host_concurrency, threads);
+  }
+
+  const auto [serial, parallel] = run_speedup(smoke, threads, steps);
+  const bool identical = bitwise_equal(serial.params, parallel.params);
+  const Run faulted = run_faulted(smoke, steps);
+  const double recovery_overhead = serial.steps_per_s / faulted.steps_per_s;
+  const CommPerStep comm_step = run_comm(smoke, steps);
+  const double speedup = parallel.steps_per_s / serial.steps_per_s;
+
+  std::printf("  serial engine      : %7.3f steps/s\n", serial.steps_per_s);
+  std::printf("  %zu-thread shared pool: %7.3f steps/s  (%.2fx, gate %s)\n",
+              threads, parallel.steps_per_s, speedup,
+              gate_enforced ? "enforced" : "skipped");
+  std::printf("  parameters: %s\n",
+              identical ? "bit-identical" : "MISMATCH");
+  std::printf("  faulted (membership storm): %7.3f steps/s  "
+              "(recovery overhead %.3fx)\n",
+              faulted.steps_per_s, recovery_overhead);
+  std::printf("  per step: %.6f ms simulated comm, %.0f allreduce bytes, "
+              "%.2f collective calls\n",
+              comm_step.sim_comm_ms, comm_step.allreduce_bytes,
+              comm_step.collective_calls);
+
+  std::fprintf(f, "  \"serial_steps_per_s\": %.4f,\n", serial.steps_per_s);
+  std::fprintf(f, "  \"requested_threads\": %zu,\n", requested_threads);
+  std::fprintf(f, "  \"pool_threads\": %zu,\n", threads);
+  std::fprintf(f, "  \"parallel_steps_per_s\": %.4f,\n",
+               parallel.steps_per_s);
+  std::fprintf(f, "  \"parallel_speedup\": %.4f,\n", speedup);
+  std::fprintf(f,
+               "  \"recovery_overhead\": {\"clean_steps_per_s\": %.4f,"
+               " \"faulted_steps_per_s\": %.4f, \"ratio\": %.4f},\n",
+               serial.steps_per_s, faulted.steps_per_s, recovery_overhead);
+  std::fprintf(f,
+               "  \"comm_per_step\": {\"sim_comm_ms\": %.6f,"
+               " \"allreduce_bytes\": %.0f, \"collective_calls\": %.2f},\n",
+               comm_step.sim_comm_ms, comm_step.allreduce_bytes,
+               comm_step.collective_calls);
+  std::fprintf(f, "  \"speedup_gate\": %.2f,\n", kMinParallelSpeedup);
+  std::fprintf(f, "  \"speedup_gate_enforced\": %s,\n",
+               gate_enforced ? "true" : "false");
+  std::fprintf(f, "  \"parameters_bit_identical\": %s,\n",
+               identical ? "true" : "false");
+
+  int failures = 0;
+  if (!identical) {
+    std::fprintf(stderr,
+                 "FAIL: parallel trajectory diverged from serial transcript\n");
+    ++failures;
+  }
+  if (gate_enforced && !(speedup >= kMinParallelSpeedup)) {
+    std::fprintf(stderr,
+                 "FAIL: parallel_speedup %.3fx below %.2fx gate "
+                 "(host_concurrency=%u, pool_threads=%zu)\n",
+                 speedup, kMinParallelSpeedup, host_concurrency, threads);
+    ++failures;
+  }
+  return failures;
+}
+
+/// The --trace mode: the observability gate alone. Prints its line,
+/// writes its JSON field to `f`, and returns its failure count.
+int run_obs_mode(bool smoke, std::size_t steps, const std::string& trace_path,
+                 std::FILE* f) {
+  const ObsGate gate = run_obs_gate(smoke, steps, trace_path);
+  std::printf("  obs gate: overhead %.3fx (budget %.2fx), %zu trace "
+              "events (%llu task execution spans), trace %s, params %s\n",
+              gate.overhead, kMaxObsOverhead, gate.trace_events,
+              static_cast<unsigned long long>(gate.exec_spans),
+              gate.trace_valid ? "valid" : "INVALID",
+              gate.params_identical ? "bit-identical" : "MISMATCH");
+  if (gate.trace_valid) std::printf("  wrote %s\n", trace_path.c_str());
+  std::fprintf(f,
+               "  \"obs\": {\"overhead\": %.4f, \"overhead_budget\": %.2f,"
+               " \"timing_windows\": %d, \"trace_events\": %zu,"
+               " \"task_exec_spans\": %llu, \"compute_tasks\": %llu,"
+               " \"trace_valid\": %s, \"params_bit_identical\": %s},\n",
+               gate.overhead, kMaxObsOverhead, kTimingWindows,
+               gate.trace_events,
+               static_cast<unsigned long long>(gate.exec_spans),
+               static_cast<unsigned long long>(gate.compute_tasks),
+               gate.trace_valid ? "true" : "false",
+               gate.params_identical ? "true" : "false");
+
+  int failures = 0;
+  if (!gate.params_identical) {
+    std::fprintf(stderr,
+                 "FAIL: attaching observability changed the parameter "
+                 "trajectory\n");
+    ++failures;
+  }
+  if (!gate.trace_valid || !gate.metrics_valid) {
+    std::fprintf(stderr, "FAIL: exported documents invalid: %s\n",
+                 gate.error.c_str());
+    ++failures;
+  }
+  if (!(gate.overhead <= kMaxObsOverhead)) {
+    std::fprintf(stderr, "FAIL: obs overhead %.3fx exceeds %.2fx budget\n",
+                 gate.overhead, kMaxObsOverhead);
+    ++failures;
+  }
+  return failures;
 }
 
 }  // namespace
@@ -328,63 +454,12 @@ int main(int argc, char** argv) {
 
   const std::size_t steps = smoke ? 4 : 16;
   const unsigned host_concurrency = std::thread::hardware_concurrency();
-  if (requested_threads == 0) {
-    requested_threads = std::max(1U, host_concurrency);
-  }
-  // The parallel leg needs an actual pool — a 1-thread "pool" only
-  // measures queueing overhead and reports a meaningless speedup.
-  const std::size_t threads = std::max<std::size_t>(2, requested_threads);
-  const bool gate_enforced =
-      !kSanitizedBuild && host_concurrency >= kMinGateCores && !with_obs_gate;
-  if (host_concurrency <= 1) {
-    std::fprintf(stderr,
-                 "WARNING: host reports %u hardware thread(s); the %zu-thread "
-                 "pool timeshares one core, so parallel_speedup measures "
-                 "scheduler noise, not overlap. Speedup gate skipped.\n",
-                 host_concurrency, threads);
-  }
-
-  const auto [serial, parallel] = run_speedup(smoke, threads, steps);
-  const bool identical = bitwise_equal(serial.params, parallel.params);
-  const Run faulted = run_faulted(smoke, steps);
-  const double recovery_overhead = serial.steps_per_s / faulted.steps_per_s;
-  const CommPerStep comm_step = run_comm(smoke, steps);
-
   const auto cfg = bench_config(smoke, 0);
   std::printf(
       "DistKfac end-to-end (world=%zu, batch/rank=%zu, hidden=%zu, "
       "depth=%zu, %zu timed steps)\n",
       cfg.base.world, cfg.base.batch_per_rank, cfg.base.hidden,
       cfg.base.depth, steps);
-  std::printf("  serial engine      : %7.3f steps/s\n", serial.steps_per_s);
-  std::printf("  %zu-thread shared pool: %7.3f steps/s  (%.2fx, gate %s)\n",
-              threads, parallel.steps_per_s,
-              parallel.steps_per_s / serial.steps_per_s,
-              gate_enforced  ? "enforced"
-              : with_obs_gate ? "not enforced with --trace"
-                              : "skipped");
-  std::printf("  parameters: %s\n",
-              identical ? "bit-identical" : "MISMATCH");
-  std::printf("  faulted (membership storm): %7.3f steps/s  "
-              "(recovery overhead %.3fx)\n",
-              faulted.steps_per_s, recovery_overhead);
-  std::printf("  per step: %.6f ms simulated comm, %.0f allreduce bytes, "
-              "%.2f collective calls\n",
-              comm_step.sim_comm_ms, comm_step.allreduce_bytes,
-              comm_step.collective_calls);
-
-  ObsGate gate;
-  if (with_obs_gate) {
-    gate = run_obs_gate(smoke, steps, trace_path);
-    std::printf("  obs gate: overhead %.3fx (budget %.2fx), %zu trace "
-                "events (%llu task execution spans), trace %s, params %s\n",
-                gate.overhead, kMaxObsOverhead, gate.trace_events,
-                static_cast<unsigned long long>(gate.exec_spans),
-                gate.trace_valid ? "valid" : "INVALID",
-                gate.params_identical ? "bit-identical" : "MISMATCH");
-    if (gate.trace_valid) std::printf("  wrote %s\n", trace_path.c_str());
-  }
-
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -398,77 +473,14 @@ int main(int argc, char** argv) {
                " \"depth\": %zu, \"timed_steps\": %zu},\n",
                cfg.base.world, cfg.base.batch_per_rank, cfg.base.features,
                cfg.base.classes, cfg.base.hidden, cfg.base.depth, steps);
-  std::fprintf(f, "  \"serial_steps_per_s\": %.4f,\n", serial.steps_per_s);
   std::fprintf(f, "  \"host_concurrency\": %u,\n", host_concurrency);
-  std::fprintf(f, "  \"requested_threads\": %zu,\n", requested_threads);
-  std::fprintf(f, "  \"pool_threads\": %zu,\n", threads);
-  std::fprintf(f, "  \"parallel_steps_per_s\": %.4f,\n",
-               parallel.steps_per_s);
-  std::fprintf(f, "  \"parallel_speedup\": %.4f,\n",
-               parallel.steps_per_s / serial.steps_per_s);
-  std::fprintf(f,
-               "  \"recovery_overhead\": {\"clean_steps_per_s\": %.4f,"
-               " \"faulted_steps_per_s\": %.4f, \"ratio\": %.4f},\n",
-               serial.steps_per_s, faulted.steps_per_s, recovery_overhead);
-  std::fprintf(f,
-               "  \"comm_per_step\": {\"sim_comm_ms\": %.6f,"
-               " \"allreduce_bytes\": %.0f, \"collective_calls\": %.2f},\n",
-               comm_step.sim_comm_ms, comm_step.allreduce_bytes,
-               comm_step.collective_calls);
-  std::fprintf(f, "  \"speedup_gate\": %.2f,\n", kMinParallelSpeedup);
-  std::fprintf(f, "  \"speedup_gate_enforced\": %s,\n",
-               gate_enforced ? "true" : "false");
-  if (with_obs_gate) {
-    std::fprintf(f,
-                 "  \"obs\": {\"overhead\": %.4f, \"overhead_budget\": %.2f,"
-                 " \"trace_events\": %zu, \"task_exec_spans\": %llu,"
-                 " \"compute_tasks\": %llu, \"trace_valid\": %s,"
-                 " \"params_bit_identical\": %s},\n",
-                 gate.overhead, kMaxObsOverhead, gate.trace_events,
-                 static_cast<unsigned long long>(gate.exec_spans),
-                 static_cast<unsigned long long>(gate.compute_tasks),
-                 gate.trace_valid ? "true" : "false",
-                 gate.params_identical ? "true" : "false");
-  }
-  std::fprintf(f, "  \"parameters_bit_identical\": %s,\n",
-               identical ? "true" : "false");
+  const int failures = with_obs_gate
+                           ? run_obs_mode(smoke, steps, trace_path, f)
+                           : run_throughput_mode(smoke, steps,
+                                                 requested_threads,
+                                                 host_concurrency, f);
   std::fprintf(f, "  \"metrics\": %s\n}\n", g_metrics.to_json().c_str());
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-
-  int failures = 0;
-  if (!identical) {
-    std::fprintf(stderr,
-                 "FAIL: parallel trajectory diverged from serial transcript\n");
-    ++failures;
-  }
-  if (gate_enforced &&
-      !(parallel.steps_per_s / serial.steps_per_s >= kMinParallelSpeedup)) {
-    std::fprintf(stderr,
-                 "FAIL: parallel_speedup %.3fx below %.2fx gate "
-                 "(host_concurrency=%u, pool_threads=%zu)\n",
-                 parallel.steps_per_s / serial.steps_per_s,
-                 kMinParallelSpeedup, host_concurrency, threads);
-    ++failures;
-  }
-  if (with_obs_gate) {
-    if (!gate.params_identical) {
-      std::fprintf(stderr,
-                   "FAIL: attaching observability changed the parameter "
-                   "trajectory\n");
-      ++failures;
-    }
-    if (!gate.trace_valid || !gate.metrics_valid) {
-      std::fprintf(stderr, "FAIL: exported documents invalid: %s\n",
-                   gate.error.c_str());
-      ++failures;
-    }
-    if (!(gate.overhead <= kMaxObsOverhead)) {
-      std::fprintf(stderr,
-                   "FAIL: obs overhead %.3fx exceeds %.2fx budget\n",
-                   gate.overhead, kMaxObsOverhead);
-      ++failures;
-    }
-  }
   return failures == 0 ? 0 : 1;
 }

@@ -16,6 +16,9 @@ namespace {
 
 /// Seed offset for the sketch families' counter-derived payload seeds.
 constexpr std::uint64_t kSketchSeedSalt = 0x5EEDC0DEULL;
+/// The TopK families' keep fraction and the sketch families' size ratio.
+constexpr double kFamilyKeepFraction = 0.1;
+constexpr double kFamilySketchRatio = 0.25;
 
 /// Checkpoint body layout version, the body's first byte (DESIGN.md §9.3).
 /// Layout 1 had no version byte — its first byte is the optimizer kind, 0
@@ -154,19 +157,19 @@ FaultTolerantTrainer::FaultTolerantTrainer(FtTrainerConfig config)
           compress::make_compso(schedule_.params_at(0)));
       break;
     case CompressorFamily::kTopK:
-      family_compressor_ = compress::make_topk(cfg_.family_keep_fraction);
+      family_compressor_ = compress::make_topk(kFamilyKeepFraction);
       break;
     case CompressorFamily::kEfTopK:
       family_compressor_ = compress::make_error_feedback(
-          compress::make_topk(cfg_.family_keep_fraction));
+          compress::make_topk(kFamilyKeepFraction));
       break;
     case CompressorFamily::kCountSketch:
       family_compressor_ = compress::make_count_sketch(
-          cfg_.family_sketch_ratio, 3, cfg_.base.seed ^ kSketchSeedSalt);
+          kFamilySketchRatio, 3, cfg_.base.seed ^ kSketchSeedSalt);
       break;
     case CompressorFamily::kRandomProjection:
       family_compressor_ = compress::make_random_projection(
-          cfg_.family_sketch_ratio, cfg_.base.seed ^ kSketchSeedSalt);
+          kFamilySketchRatio, cfg_.base.seed ^ kSketchSeedSalt);
       break;
   }
   std::vector<nn::Model*> ptrs;

@@ -103,8 +103,6 @@ struct FtTrainerConfig {
   /// inner compressor is rebuilt from effective_params(t) each iteration
   /// while the residuals persist.
   CompressorFamily family = CompressorFamily::kCompso;
-  double family_keep_fraction = 0.1;  ///< top-k keep for the TopK families.
-  double family_sketch_ratio = 0.25;  ///< size ratio for sketch families.
   /// Sizes the adaptive schedule; also core::train()'s run length.
   std::size_t total_iterations = 100;
   AdaptiveScheduleParams schedule{};

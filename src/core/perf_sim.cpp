@@ -182,19 +182,14 @@ PerfSimulator::PrecondMemory PerfSimulator::precond_memory(
     std::size_t world) const {
   PrecondMemory out;
   const std::size_t p = std::max<std::size_t>(world, 1);
-  // Factor dims and costs exactly as DistKfac::shard_stats accounts them:
-  // A is (in+1)^2, G is out^2, plus the two eigenvalue vectors; eigh cost
-  // is the 25 d^3 LAPACK estimate the LPT assignment balances on.
+  // Each layer's factors charged as DistKfac::shard_stats charges them.
   std::vector<std::size_t> bytes;
   std::vector<double> cost;
   for (const auto& l : cfg_.model.layers) {
     if (l.embedding) continue;  // element-wise path: no covariance factors.
-    const std::size_t da = l.in + 1;
-    const std::size_t dg = l.out;
-    bytes.push_back((2 * (da * da + dg * dg) + da + dg) * sizeof(float));
-    const double a = static_cast<double>(da);
-    const double g = static_cast<double>(dg);
-    cost.push_back(a * a * a + g * g * g);
+    const optim::FactorCost c = optim::factor_cost(l.in + 1, l.out);
+    bytes.push_back(c.resident_bytes);
+    cost.push_back(c.eigh_cost);
   }
   for (const std::size_t b : bytes) out.replicated_bytes += b;
 

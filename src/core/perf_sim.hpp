@@ -116,8 +116,9 @@ class PerfSimulator {
   /// layouts (DESIGN.md §16): KAISA replicates every layer's covariance
   /// factors on every rank (O(L)), the sharded DP-KFAC layout stores a
   /// layer's factors only on its owner (O(L/P) with cost-balanced
-  /// assignment). Mirrors DistKfac::shard_stats' byte/cost accounting so
-  /// the modeled curve and the functional optimizer agree.
+  /// assignment). Charges each layer optim::factor_cost, as
+  /// DistKfac::shard_stats does, so the modeled curve and the functional
+  /// optimizer agree.
   struct PrecondMemory {
     std::size_t replicated_bytes = 0;    ///< every rank: all factors.
     std::size_t sharded_peak_bytes = 0;  ///< heaviest owner under LPT.

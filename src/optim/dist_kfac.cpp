@@ -43,6 +43,16 @@ std::vector<std::size_t> lpt_assign(std::span<const double> cost,
   return bin_of;
 }
 
+FactorCost factor_cost(std::size_t da, std::size_t dg) noexcept {
+  const auto a = static_cast<double>(da);
+  const auto g = static_cast<double>(dg);
+  FactorCost c;
+  c.eigh_cost = a * a * a + g * g * g;
+  c.eigh_flops = 25.0 * c.eigh_cost;
+  c.resident_bytes = (2 * (da * da + dg * dg) + da + dg) * sizeof(float);
+  return c;
+}
+
 DistKfac::DistKfac(DistKfacConfig config, comm::Communicator& comm,
                    std::vector<nn::Model*> replicas, common::ThreadPool* pool)
     : cfg_(config), comm_(comm), replicas_(std::move(replicas)), pool_(pool) {
@@ -71,14 +81,14 @@ std::vector<std::size_t> DistKfac::compute_owners(
     }
     return owners;
   }
-  // Greedy LPT on the slot's eigh cost: both factors are eigendecomposed,
-  // so cost(s) = d_a^3 + d_g^3. A pure function of the rank list and the
-  // model shape, so eviction-triggered reassignment is deterministic.
+  // Greedy LPT on the slot's eigh cost (both factors are
+  // eigendecomposed). A pure function of the rank list and the model
+  // shape, so eviction-triggered reassignment is deterministic.
   std::vector<double> cost(slots, 0.0);
   for (std::size_t s = 0; s < slots; ++s) {
-    const auto da = static_cast<double>(states_[s]->factor_a().rows());
-    const auto dg = static_cast<double>(states_[s]->factor_g().rows());
-    cost[s] = da * da * da + dg * dg * dg;
+    cost[s] = factor_cost(states_[s]->factor_a().rows(),
+                          states_[s]->factor_g().rows())
+                  .eigh_cost;
   }
   const auto bin_of = lpt_assign(cost, ranks.size());
   for (std::size_t s = 0; s < slots; ++s) owners[s] = ranks[bin_of[s]];
@@ -99,10 +109,7 @@ void DistKfac::refresh_assignment() const {
 }
 
 std::size_t DistKfac::owner_of(std::size_t i) const {
-  refresh_assignment();
-  if (i < shard_owner_.size()) return shard_owner_[i];
-  // Out-of-range slots keep the legacy round-robin answer.
-  return comm_.participant_ranks()[i % comm_.participant_count()];
+  return shard_owners().at(i);
 }
 
 const std::vector<std::size_t>& DistKfac::shard_owners() const {
@@ -118,23 +125,16 @@ DistKfac::ShardStats DistKfac::shard_stats() const {
   st.factor_bytes.assign(world, 0);
   st.eigh_flops.assign(world, 0.0);
   for (std::size_t s = 0; s < layer_indices_.size(); ++s) {
-    const std::size_t da = states_[s]->factor_a().rows();
-    const std::size_t dg = states_[s]->factor_g().rows();
-    // Resident shard state: A + G + both eigenvector matrices + both
-    // eigenvalue vectors, f32.
-    const std::uint64_t bytes =
-        (2 * (da * da + dg * dg) + da + dg) * sizeof(float);
-    const double dad = static_cast<double>(da);
-    const double dgd = static_cast<double>(dg);
-    const double flops = 25.0 * (dad * dad * dad + dgd * dgd * dgd);
+    const FactorCost c = factor_cost(states_[s]->factor_a().rows(),
+                                     states_[s]->factor_g().rows());
     if (cfg_.layout == PrecondLayout::kSharded) {
-      st.factor_bytes[st.owners[s]] += bytes;
-      st.eigh_flops[st.owners[s]] += flops;
+      st.factor_bytes[st.owners[s]] += c.resident_bytes;
+      st.eigh_flops[st.owners[s]] += c.eigh_flops;
     } else {
       for (std::size_t r = 0; r < world; ++r) {
         if (!comm_.is_participating(r)) continue;
-        st.factor_bytes[r] += bytes;
-        st.eigh_flops[r] += flops;
+        st.factor_bytes[r] += c.resident_bytes;
+        st.eigh_flops[r] += c.eigh_flops;
       }
     }
   }
@@ -165,31 +165,30 @@ void DistKfac::average_factors(std::size_t begin, std::size_t end,
 
 void DistKfac::exchange_compressed_factor(std::size_t s, bool a,
                                           std::size_t root) {
-  std::vector<Tensor>& local = a ? cov_a_[s] : cov_g_[s];
+  const auto [na, ng] = packed_sizes(s);
+  const std::size_t begin = factor_off_[s] + (a ? 0 : na);
+  const std::size_t size = a ? na : ng;
   // The per-rank payloads arrive pre-compressed (the cov tasks compressed
   // them while earlier slots were exchanging); a retry re-sends the same
   // bytes.
   const auto& send = a ? factor_send_a_[s] : factor_send_g_[s];
-  if (exchange_.average(comm_, policy_, send, cfg_.chunk_bytes,
-                        *factor_compressor_, pool_, local[root].span())) {
+  if (exchange_.average(
+          comm_, policy_, send, cfg_.chunk_bytes, *factor_compressor_, pool_,
+          std::span<float>(factor_buf_[root]).subspan(begin, size))) {
     return;
   }
   record_fallback(comm_, policy_, "kfac.factor_fallback");
-  // The raw covariances are untouched by the failed attempt: their packed
-  // triangles take the uncompressed path.
+  // A failed average wrote nothing: the raw triangles take the
+  // uncompressed path.
+  average_factors(begin, begin + size, root);
+}
+
+void DistKfac::blend_slot(std::size_t s, std::size_t root) {
   const auto [na, ng] = packed_sizes(s);
-  const std::size_t begin = factor_off_[s] + (a ? 0 : na);
-  const std::size_t end = begin + (a ? na : ng);
-  for (std::size_t r = 0; r < comm_.world_size(); ++r) {
-    if (!comm_.is_participating(r)) continue;
-    factor_buf_[r].resize(factor_floats_);
-    tensor::pack_upper(local[r], std::span<float>(factor_buf_[r])
-                                     .subspan(begin, end - begin));
-  }
-  average_factors(begin, end, root);
-  tensor::unpack_upper(
-      std::span<const float>(factor_buf_[root]).subspan(begin, end - begin),
-      local[root].rows(), local[root]);
+  const std::span<const float> avg(factor_buf_[root].data() + factor_off_[s],
+                                   na + ng);
+  states_[s]->blend_packed_factors(avg.first(na), avg.subspan(na),
+                                   cfg_.stat_decay);
 }
 
 std::uint64_t DistKfac::group_stream(const GatherGroup& grp) const {
@@ -343,11 +342,9 @@ void DistKfac::step(std::size_t iteration, double lr,
   // stream id are pure functions of the step's inputs.
   // ------------------------------------------------------------------
   graph_.clear();
-  if (fcomp && cov_a_.size() < slots) {
-    cov_a_.resize(slots);
-    cov_g_.resize(slots);
-    factor_send_a_.resize(slots);
-    factor_send_g_.resize(slots);
+  if (fcomp && factor_send_a_.size() < slots) {
+    factor_send_a_.assign(slots, std::vector<compress::Bytes>(world));
+    factor_send_g_.assign(slots, std::vector<compress::Bytes>(world));
   }
   preconditioned_.resize(slots);
   skip_.assign(slots, 0);
@@ -376,8 +373,7 @@ void DistKfac::step(std::size_t iteration, double lr,
   factor_buf_.resize(world);
   grad_buf_.resize(world);
   for (std::size_t r = 0; r < world; ++r) {
-    // The compressed path sizes its factor buffers only on a fallback.
-    if (!fcomp) factor_buf_[r].resize(factor_floats_);
+    factor_buf_[r].resize(factor_floats_);
     grad_buf_[r].resize(grad_floats);
   }
 
@@ -445,21 +441,14 @@ void DistKfac::step(std::size_t iteration, double lr,
       },
       /*is_comm=*/true);
 
-  // Per-(slot, rank) covariance tasks. Uncompressed, each packs its two
-  // syrks into its slice of the rank's factor buffer; with a factor
-  // compressor, each keeps its full covariances and compresses them —
-  // fused, so the graph stays free of compute->compute edges and the
-  // main thread never blocks just to submit a dependent. Distinct (s, r)
-  // write disjoint memory.
+  // Per-(slot, rank) covariance tasks: each packs its two syrks into its
+  // slice of the rank's factor buffer and, with a factor compressor, also
+  // compresses the two triangles — fused, so the graph stays free of
+  // compute->compute edges and the main thread never blocks just to
+  // submit a dependent. Distinct (s, r) write disjoint memory.
   std::vector<std::vector<StepGraph::TaskId>> cov_ids(slots);
   for (std::size_t s = 0; s < slots; ++s) {
     const std::size_t li = layer_indices_[s];
-    if (fcomp) {
-      cov_a_[s].resize(world);
-      cov_g_[s].resize(world);
-      factor_send_a_[s].resize(world);
-      factor_send_g_[s].resize(world);
-    }
     for (std::size_t r = 0; r < world; ++r) {
       if (!comm_.is_participating(r)) continue;
       auto& layer = replicas_[r]->layer(li);
@@ -468,31 +457,23 @@ void DistKfac::step(std::size_t iteration, double lr,
       if (a == nullptr || g == nullptr || a->empty() || g->empty()) {
         throw std::logic_error("DistKfac: run forward/backward first");
       }
-      if (!fcomp) {
-        cov_ids[s].push_back(graph_.add_compute(
-            "cov" + std::to_string(s), static_cast<int>(s), [this, a, g, s, r] {
-              const auto batch = static_cast<float>(a->rows());
-              const auto [na, ng] = packed_sizes(s);
-              const auto out = std::span<float>(factor_buf_[r]).subspan(
-                  factor_off_[s], na + ng);
-              tensor::syrk_tn_packed(*a, 1.0F / batch, out.first(na));
-              tensor::syrk_tn_packed(*g, batch, out.subspan(na));
-            }));
-        continue;
-      }
       const std::uint64_t ta = tid_a[s * world + r];
       const std::uint64_t tg = tid_g[s * world + r];
       cov_ids[s].push_back(graph_.add_compute(
-          "cov_compress" + std::to_string(s), static_cast<int>(s),
-          [this, a, g, s, r, step_seed, ta, tg] {
+          (fcomp ? "cov_compress" : "cov") + std::to_string(s),
+          static_cast<int>(s), [this, a, g, s, r, fcomp, step_seed, ta, tg] {
             const auto batch = static_cast<float>(a->rows());
-            tensor::syrk_tn(*a, 1.0F / batch, 0.0F, cov_a_[s][r]);
-            tensor::syrk_tn(*g, batch, 0.0F, cov_g_[s][r]);
+            const auto [na, ng] = packed_sizes(s);
+            const auto out = std::span<float>(factor_buf_[r]).subspan(
+                factor_off_[s], na + ng);
+            tensor::syrk_tn_packed(*a, 1.0F / batch, out.first(na));
+            tensor::syrk_tn_packed(*g, batch, out.subspan(na));
+            if (!fcomp) return;
             tensor::Rng rng_a = task_rng(step_seed, ta);
-            factor_compressor_->compress_into(cov_a_[s][r].span(), rng_a,
+            factor_compressor_->compress_into(out.first(na), rng_a,
                                               factor_send_a_[s][r]);
             tensor::Rng rng_g = task_rng(step_seed, tg);
-            factor_compressor_->compress_into(cov_g_[s][r].span(), rng_g,
+            factor_compressor_->compress_into(out.subspan(na), rng_g,
                                               factor_send_g_[s][r]);
           }));
     }
@@ -500,7 +481,8 @@ void DistKfac::step(std::size_t iteration, double lr,
 
   // Factor exchange + blend into the shared running-average state (all
   // ranks hold the same state after the exchange; the simulator stores it
-  // once). Uncompressed: one task for every slot, the packed buffers'
+  // once). Either way the averaged triangles land in the root's factor
+  // buffer. Uncompressed: one task for every slot, the packed buffers'
   // collective(s) — under the sharded layout one reduce per owner, whose
   // buffer feeds its slots' blend: identical bits, but the comm is a
   // reduce and the memory/compute attribution is O(L/P). Compressed: one
@@ -523,19 +505,11 @@ void DistKfac::step(std::size_t iteration, double lr,
             average_factors(0, factor_floats_, lead);
           }
           for (std::size_t s = 0; s < slots; ++s) {
-            const auto [na, ng] = packed_sizes(s);
-            const auto avg =
-                std::span<const float>(factor_buf_[root_of(s, lead)])
-                    .subspan(factor_off_[s], na + ng);
-            states_[s]->blend_packed_factors(avg.first(na), avg.subspan(na),
-                                             cfg_.stat_decay);
+            blend_slot(s, root_of(s, lead));
           }
         },
         /*is_comm=*/true);
-    for (std::size_t s = 0; s < slots; ++s) {
-      fx_id[s] = fx;
-      for (const auto c : cov_ids[s]) graph_.depends(fx, c);
-    }
+    fx_id.assign(slots, fx);
   } else {
     for (std::size_t s = 0; s < slots; ++s) {
       const std::size_t root = root_of(s, lead);
@@ -551,12 +525,13 @@ void DistKfac::step(std::size_t iteration, double lr,
             }
             exchange_compressed_factor(s, /*a=*/true, root);
             exchange_compressed_factor(s, /*a=*/false, root);
-            states_[s]->blend_factors(cov_a_[s][root], cov_g_[s][root],
-                                      cfg_.stat_decay);
+            blend_slot(s, root);
           },
           /*is_comm=*/true);
-      for (const auto c : cov_ids[s]) graph_.depends(fx_id[s], c);
     }
+  }
+  for (std::size_t s = 0; s < slots; ++s) {
+    for (const auto c : cov_ids[s]) graph_.depends(fx_id[s], c);
   }
 
   std::vector<StepGraph::TaskId> guard_id(slots, 0);

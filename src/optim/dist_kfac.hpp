@@ -44,6 +44,16 @@ namespace compso::optim {
 std::vector<std::size_t> lpt_assign(std::span<const double> cost,
                                     std::size_t bins);
 
+/// One slot's factor accounting (d_a = in + 1, d_g = out): the weight the
+/// cost-balanced owners balance on, and what DistKfac::shard_stats and
+/// the PerfSimulator's memory curve charge the slot's owner.
+struct FactorCost {
+  double eigh_cost = 0.0;            ///< d_a^3 + d_g^3, the LPT weight.
+  double eigh_flops = 0.0;           ///< 25 * eigh_cost (explicit eigh).
+  std::uint64_t resident_bytes = 0;  ///< f32 A, G, eigenvectors, values.
+};
+FactorCost factor_cost(std::size_t da, std::size_t dg) noexcept;
+
 /// Where each layer's KFAC factor state lives (DESIGN.md §16).
 enum class PrecondLayout : std::uint8_t {
   /// KAISA: every rank holds and refreshes every layer's factors —
@@ -97,7 +107,8 @@ struct DistKfacConfig {
 /// matrices A and G before their collective. Because a compressed
 /// allreduce is not linear, the factor exchange becomes
 /// compress -> allgather -> decompress -> average (the CocktailSGD-style
-/// pattern), trading extra payload count for the compression ratio.
+/// pattern) on each factor's packed upper triangle, trading extra payload
+/// count for the compression ratio.
 
 class DistKfac {
  public:
@@ -147,15 +158,14 @@ class DistKfac {
   /// ownership re-partitions deterministically when the membership layer
   /// excludes a straggler for a step or evicts a crashed rank. The
   /// assignment is cached and refreshed lazily whenever the participation
-  /// mask changes.
+  /// mask changes. Throws std::out_of_range for i >= layer_count().
   std::size_t owner_of(std::size_t i) const;
   /// The full slot -> owner map (refreshed like owner_of).
   const std::vector<std::size_t>& shard_owners() const;
 
   /// Per-rank factor memory / eigh cost attribution for the current
   /// layout + assignment — the auditable O(L/P) claim (BENCH_scale.json).
-  /// Bytes count resident factor state (A, G, both eigenvector matrices,
-  /// both eigenvalue vectors); flops use the explicit-eigh 25*d^3 model.
+  /// Each slot charges its factor_cost() resident bytes and eigh flops.
   /// Under kKaisa every participant is charged every layer (replicated);
   /// under kSharded only the owner is charged.
   struct ShardStats {
@@ -213,19 +223,16 @@ class DistKfac {
   StepGraph graph_;
   StepGraph::Stats sched_stats_;
   // Per-step workspaces (persistent so steady-state steps reuse
-  // capacity). The uncompressed exchanges send one buffer per rank: every
-  // slot's packed A then G triangles, grouped by owner (ascending rank,
-  // then owned slots ascending), and every slot's combined gradient in
-  // slot order. The compressed factor path keeps the full covariances it
-  // compresses and their payloads, indexed [slot][rank]; gather-group
-  // buffers are indexed [group].
+  // capacity). Each rank has one factor buffer, the only factor layout:
+  // every slot's packed A then G triangles, grouped by owner (ascending
+  // rank, then owned slots ascending), and one gradient buffer: every
+  // slot's combined gradient in slot order. Factor payloads are indexed
+  // [slot][rank]; gather-group buffers are indexed [group].
   std::vector<std::vector<float>> factor_buf_;  ///< [rank].
   std::vector<std::size_t> factor_off_;         ///< [slot] A's offset.
   std::size_t factor_floats_ = 0;               ///< per-rank buffer size.
   std::vector<std::vector<float>> grad_buf_;    ///< [rank].
   std::vector<std::size_t> grad_off_;           ///< [slot].
-  std::vector<std::vector<Tensor>> cov_a_;
-  std::vector<std::vector<Tensor>> cov_g_;
   std::vector<std::vector<compress::Bytes>> factor_send_a_;
   std::vector<std::vector<compress::Bytes>> factor_send_g_;
   std::vector<Tensor> preconditioned_;          ///< [slot].
@@ -279,11 +286,15 @@ class DistKfac {
   void average_factors(std::size_t begin, std::size_t end, std::size_t root);
 
   /// Slot `s`'s §7 compressed exchange of one factor (`a` selects A or
-  /// G): the chunked exchange of the pre-compressed per-rank payloads,
-  /// falling back to the packed triangles of the raw covariances through
-  /// average_factors. Either way cov_{a,g}_[s][root] ends up holding the
-  /// rank average.
+  /// G): the chunked exchange of the per-rank payloads, each compressed
+  /// from the rank's packed triangle, falling back to average_factors on
+  /// the untouched triangles. Either way the factor's slice of
+  /// factor_buf_[root] ends up holding the rank average.
   void exchange_compressed_factor(std::size_t s, bool a, std::size_t root);
+
+  /// Blends slot `s`'s averaged triangles in factor_buf_[root] into its
+  /// running factors.
+  void blend_slot(std::size_t s, std::size_t root);
 
   /// Stateful-compressor stream key of a gather group: (owner rank, first
   /// owned slot).

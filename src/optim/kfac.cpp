@@ -10,23 +10,6 @@ namespace compso::optim {
 KfacLayerState::KfacLayerState(std::size_t in_aug, std::size_t out)
     : a_({in_aug, in_aug}), g_({out, out}) {}
 
-void KfacLayerState::update_factors(const Tensor& input_aug,
-                                    const Tensor& grad_out,
-                                    double stat_decay) {
-  if (input_aug.cols() != a_.rows() || grad_out.cols() != g_.rows()) {
-    throw std::invalid_argument("KfacLayerState: factor shape mismatch");
-  }
-  const auto batch = static_cast<double>(input_aug.rows());
-  const double blend = updates_ == 0 ? 0.0 : stat_decay;
-  // A <- decay * A + (1-decay) * a^T a / B
-  tensor::syrk_tn(input_aug, static_cast<float>((1.0 - blend) / batch),
-                  static_cast<float>(blend), a_);
-  // G <- decay * G + (1-decay) * B * g^T g (mean-loss grads carry 1/B each).
-  tensor::syrk_tn(grad_out, static_cast<float>((1.0 - blend) * batch),
-                  static_cast<float>(blend), g_);
-  ++updates_;
-}
-
 void KfacLayerState::blend_factors(const Tensor& cov_a, const Tensor& cov_g,
                                    double stat_decay) {
   if (cov_a.size() != a_.size() || cov_g.size() != g_.size()) {

@@ -23,21 +23,17 @@ class KfacLayerState {
  public:
   KfacLayerState(std::size_t in_aug, std::size_t out);
 
-  /// Accumulates the factors from the layer's captured activations /
-  /// gradients with decay `stat_decay` (running average, §4.3 reason 2).
-  void update_factors(const Tensor& input_aug, const Tensor& grad_out,
-                      double stat_decay);
-
   /// Blends externally computed (e.g. allreduce-averaged) covariance
-  /// estimates into the running averages. Used by the distributed path,
-  /// where the per-batch covariances are averaged across ranks first.
+  /// estimates into the running averages with decay `stat_decay`
+  /// (running average, §4.3 reason 2); the first blend replaces the
+  /// zero-initialized factors.
   void blend_factors(const Tensor& cov_a, const Tensor& cov_g,
                      double stat_decay);
   /// Same, from covariances packed as upper triangles (tensor::pack_upper
-  /// layout) — the uncompressed factor exchange's wire format. The same
-  /// bits as blend_factors on the unpacked matrices: the factors and the
-  /// covariances are exactly symmetric, so each mirrored element repeats
-  /// its upper twin's arithmetic.
+  /// layout) — DistKfac's one factor layout, which both of its factor
+  /// exchanges average. The same bits as blend_factors on the unpacked
+  /// matrices: the factors and the covariances are exactly symmetric, so
+  /// each mirrored element repeats its upper twin's arithmetic.
   void blend_packed_factors(std::span<const float> cov_a,
                             std::span<const float> cov_g, double stat_decay);
 

@@ -136,23 +136,19 @@ WarmupProfile profile_warmup(const compress::GradientCompressor& compressor,
   return profiler.finish();
 }
 
-double communication_speedup(std::size_t orig_bytes, std::size_t comp_bytes,
-                             const CommLookupTable& table,
-                             double comp_throughput,
-                             double decomp_throughput) noexcept {
-  if (orig_bytes == 0) return 1.0;
-  const double t_orig = table.allgather_time(orig_bytes);
-  const double t_comp_comm = table.allgather_time(comp_bytes);
-  const double t_compress =
-      comp_throughput > 0.0
-          ? static_cast<double>(orig_bytes) / comp_throughput
-          : 0.0;
-  const double t_decompress =
-      decomp_throughput > 0.0
-          ? static_cast<double>(comp_bytes) / decomp_throughput
-          : 0.0;
-  const double denom = t_comp_comm + t_compress + t_decompress;
-  return denom > 0.0 ? t_orig / denom : 1.0;
+Eq5Times eq5_times(std::size_t orig_bytes, std::size_t comp_bytes,
+                   const CommLookupTable& table, double comp_throughput,
+                   double decomp_throughput) noexcept {
+  Eq5Times t;
+  t.orig = table.allgather_time(orig_bytes);
+  t.wire = table.allgather_time(comp_bytes);
+  if (comp_throughput > 0.0) {
+    t.compress = static_cast<double>(orig_bytes) / comp_throughput;
+  }
+  if (decomp_throughput > 0.0) {
+    t.decompress = static_cast<double>(comp_bytes) / decomp_throughput;
+  }
+  return t;
 }
 
 double end_to_end_speedup(double comm_fraction, double comm_speedup) noexcept {
@@ -167,22 +163,14 @@ double chunked_pipeline_speedup(std::size_t orig_bytes,
                                 double comp_throughput,
                                 double decomp_throughput) noexcept {
   if (chunks <= 1 || comp_bytes == 0) return 1.0;
-  const double t_compress =
-      comp_throughput > 0.0
-          ? static_cast<double>(orig_bytes) / comp_throughput
-          : 0.0;
-  const double t_decompress =
-      decomp_throughput > 0.0
-          ? static_cast<double>(comp_bytes) / decomp_throughput
-          : 0.0;
-  const double t_wire = table.allgather_time(comp_bytes);
-  const double serial = t_compress + t_wire + t_decompress;
+  const Eq5Times t = eq5_times(orig_bytes, comp_bytes, table, comp_throughput,
+                               decomp_throughput);
   const auto n = static_cast<double>(chunks);
   const std::size_t chunk_bytes = (comp_bytes + chunks - 1) / chunks;
   const double pipeline = comm::chunk_pipeline_makespan(
-      chunks, t_compress / n, table.allgather_time(chunk_bytes),
-      t_decompress / n);
-  return pipeline > 0.0 ? serial / pipeline : 1.0;
+      chunks, t.compress / n, table.allgather_time(chunk_bytes),
+      t.decompress / n);
+  return pipeline > 0.0 ? t.compressed() / pipeline : 1.0;
 }
 
 AggregationDecision choose_aggregation_factor(
@@ -205,17 +193,15 @@ AggregationDecision choose_aggregation_factor(
       const auto comp_chunk = static_cast<std::size_t>(
           static_cast<double>(chunk) /
           std::max(profile.compression_ratio, 1.0));
-      t_orig += table.allgather_time(chunk);
       // Compressor throughput for this chunk size from the device model:
       // launch overhead amortizes with chunk size (§4.4's reason to
       // aggregate small layers).
-      const double comp_tput =
-          compressor.modeled_throughput(dev, chunk, comp_chunk);
-      const double decomp_tput =
-          compressor.modeled_throughput(dev, comp_chunk, chunk);
-      t_new += table.allgather_time(comp_chunk) +
-               static_cast<double>(chunk) / comp_tput +
-               static_cast<double>(comp_chunk) / decomp_tput;
+      const Eq5Times t = eq5_times(
+          chunk, comp_chunk, table,
+          compressor.modeled_throughput(dev, chunk, comp_chunk),
+          compressor.modeled_throughput(dev, comp_chunk, chunk));
+      t_orig += t.orig;
+      t_new += t.compressed();
     }
     const double s = t_new > 0.0 ? t_orig / t_new : 1.0;
     const double e2e = end_to_end_speedup(profile.comm_fraction, s);

@@ -128,13 +128,21 @@ WarmupProfile profile_warmup(const compress::GradientCompressor& compressor,
                              double comm_seconds, double total_seconds,
                              std::size_t iterations, tensor::Rng& rng);
 
-/// Eq. 5: communication speedup of compressing a group of layers with
-/// total original size `orig_bytes` to `comp_bytes`, given the lookup
-/// table and the measured compressor throughputs.
-double communication_speedup(std::size_t orig_bytes, std::size_t comp_bytes,
-                             const CommLookupTable& table,
-                             double comp_throughput,
-                             double decomp_throughput) noexcept;
+/// Eq. 5's terms for one group of layers of `orig_bytes` compressed to
+/// `comp_bytes` (a throughput of 0 charges no time): the one place the
+/// aggregation search and the chunked prediction price a group.
+struct Eq5Times {
+  double orig = 0.0;        ///< the uncompressed allgather.
+  double wire = 0.0;        ///< the compressed allgather.
+  double compress = 0.0;    ///< orig_bytes / comp_throughput.
+  double decompress = 0.0;  ///< comp_bytes / decomp_throughput.
+  /// Eq. 5's denominator: the compressed group's stages in series, so
+  /// the group's communication speedup is s = orig / compressed().
+  double compressed() const noexcept { return wire + compress + decompress; }
+};
+Eq5Times eq5_times(std::size_t orig_bytes, std::size_t comp_bytes,
+                   const CommLookupTable& table, double comp_throughput,
+                   double decomp_throughput) noexcept;
 
 /// End-to-end gain ((1 - r) + r / s)^-1 for comm fraction r and
 /// communication speedup s.

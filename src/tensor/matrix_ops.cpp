@@ -566,19 +566,6 @@ void pack_upper(const Tensor& c, std::span<float> packed) {
   }
 }
 
-void unpack_upper(std::span<const float> packed, std::size_t d, Tensor& c) {
-  if (packed.size() != packed_size(d)) {
-    throw std::invalid_argument("unpack_upper: packed size mismatch");
-  }
-  ensure_shape2(c, d, d);
-  const float* src = packed.data();
-  for (std::size_t i = 0; i < d; ++i) {
-    std::copy_n(src, d - i, c.data() + i * d + i);
-    src += d - i;
-  }
-  mirror_upper(c);
-}
-
 void mirror_upper(Tensor& c) {
   check2(c, "mirror_upper");
   const std::size_t d = c.rows();

@@ -73,10 +73,6 @@ constexpr std::size_t packed_size(std::size_t d) noexcept {
 /// floats), one contiguous row segment per row.
 void pack_upper(const Tensor& c, std::span<float> packed);
 
-/// Inverse of pack_upper: fills the upper triangle of the d x d matrix
-/// `c` (reshaped when needed) from `packed` and mirrors it.
-void unpack_upper(std::span<const float> packed, std::size_t d, Tensor& c);
-
 /// Copies the upper triangle of square `c` into its lower one.
 void mirror_upper(Tensor& c);
 

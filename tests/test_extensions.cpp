@@ -1,22 +1,28 @@
 // Tests for the §7 future-work extensions: the automatic bound tuner and
 // factor (A/G) compression in distributed KFAC.
 
+#include "src/codec/ckpt.hpp"
 #include "src/comm/communicator.hpp"
 #include "src/core/bound_tuner.hpp"
 #include "src/nn/dataset.hpp"
 #include "src/nn/model_zoo.hpp"
+#include "src/obs/tracer.hpp"
 #include "src/optim/dist_kfac.hpp"
 #include "src/tensor/synthetic.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 namespace cc = compso::core;
+namespace ckpt = compso::codec::ckpt;
 namespace cm = compso::comm;
 namespace cp = compso::compress;
 namespace ct = compso::tensor;
+namespace cw = compso::codec::wire;
 namespace nn = compso::nn;
+namespace obs = compso::obs;
 namespace opt = compso::optim;
 
 namespace {
@@ -144,6 +150,109 @@ TEST(FactorCompression, BytesTrackedAndReduced) {
   EXPECT_GT(kfac.last_factor_original_bytes(), 0U);
   EXPECT_LT(kfac.last_factor_compressed_bytes(),
             kfac.last_factor_original_bytes());
+}
+
+TEST(FactorCompression, PayloadsCarryPackedTriangles) {
+  // The identity compressor adds only its payload header, so the factor
+  // bytes on the wire are the packed triangles the uncompressed exchange
+  // sends: one payload per slot, factor and participant.
+  constexpr std::size_t kWorld = 4;
+  KfacFixture f(kWorld);
+  cm::Communicator comm(cm::Topology::with_gpus(kWorld),
+                        cm::NetworkModel::platform1());
+  opt::DistKfac kfac({.damping = 0.1}, comm, f.ptrs);
+  const auto identity = cp::make_identity();
+  kfac.set_factor_compressor(identity.get());
+  ct::Rng data_rng(1), sr_rng(2);
+  f.fwd_bwd(data_rng);
+  kfac.step(0, 0.01, nullptr, sr_rng);
+  std::uint64_t packed_floats = 0;
+  for (const std::size_t li : f.replicas[0].trainable_layers()) {
+    const auto* w = f.replicas[0].layer(li).weight();
+    packed_floats +=
+        ct::packed_size(w->cols() + 1) + ct::packed_size(w->rows());
+  }
+  EXPECT_EQ(kfac.last_factor_original_bytes(),
+            kWorld * packed_floats * sizeof(float));
+  const std::uint64_t payloads = kfac.layer_count() * 2 * kWorld;
+  EXPECT_EQ(kfac.last_factor_compressed_bytes(),
+            kfac.last_factor_original_bytes() + payloads * cw::kHeaderSize);
+}
+
+/// Every slot's A then G factor, as DistKfac::save_state writes them.
+std::vector<std::vector<float>> checkpointed_factors(
+    const opt::DistKfac& kfac) {
+  std::vector<std::uint8_t> body;
+  kfac.save_state(body);
+  cw::Reader in(body);
+  std::vector<std::vector<float>> factors;
+  const auto slots = in.u64();
+  for (std::uint64_t s = 0; s < slots; ++s) {
+    (void)ckpt::get_floats(in, "momentum");
+    factors.push_back(ckpt::get_floats(in, "factor a"));
+    factors.push_back(ckpt::get_floats(in, "factor g"));
+    if (in.u8() != 0) {  // eigenvectors and eigenvalues of A, then G
+      for (int k = 0; k < 4; ++k) (void)ckpt::get_floats(in, "eigen");
+    }
+    (void)in.u64();  // updates
+  }
+  return factors;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(a[i]) !=
+        std::bit_cast<std::uint32_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(FactorCompression, CorruptPayloadFallsBackToRawTriangles) {
+  // One corrupted factor payload with no retries left: that factor alone
+  // takes the raw fallback, which averages the untouched packed triangles
+  // exactly as the uncompressed exchange does — the same bits after step
+  // 0 — while every other factor arrives lossy-compressed.
+  constexpr std::size_t kWorld = 2;
+  const auto run = [](bool compress_factors, obs::Tracer* tracer) {
+    KfacFixture f(kWorld);
+    cm::Communicator comm(cm::Topology::with_gpus(kWorld),
+                          cm::NetworkModel::platform1());
+    // With a factor compressor the step's first byte collective is a
+    // factor exchange: rank 1's payload of it is damaged.
+    cm::FaultInjector injector(cm::FaultPlan{}.corrupt(0, 1), 7);
+    if (compress_factors) comm.set_fault_injector(&injector);
+    comm.set_obs({.tracer = tracer});
+    comm.begin_iteration(0);
+    opt::DistKfac kfac({.damping = 0.1}, comm, f.ptrs);
+    kfac.set_recovery({.enabled = true, .max_decode_retries = 0});
+    cp::CompsoParams p;
+    p.use_filter = false;
+    p.quant_bound = 1e-3;
+    const auto factor_comp = cp::make_compso(p);
+    if (compress_factors) kfac.set_factor_compressor(factor_comp.get());
+    ct::Rng data_rng(1), sr_rng(2);
+    f.fwd_bwd(data_rng);
+    kfac.step(0, 0.01, nullptr, sr_rng);
+    EXPECT_EQ(comm.recovery().corrupt_injected, compress_factors ? 1U : 0U);
+    return checkpointed_factors(kfac);
+  };
+  obs::Tracer tracer;
+  const auto compressed = run(true, &tracer);
+  const auto raw = run(false, nullptr);
+  std::size_t fallbacks = 0;
+  for (const auto& e : tracer.events()) {
+    if (e.name == "kfac.factor_fallback") ++fallbacks;
+  }
+  EXPECT_EQ(fallbacks, 1U);
+  ASSERT_EQ(compressed.size(), raw.size());
+  std::size_t identical = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    if (same_bits(compressed[i], raw[i])) ++identical;
+  }
+  EXPECT_EQ(identical, 1U);
 }
 
 TEST(FactorCompression, DisabledByDefault) {

@@ -155,11 +155,11 @@ TEST(BlockedSyrk, MatchesReferenceIncludingBetaAccumulation) {
   }
 }
 
-// The uncompressed factor exchange ships covariances as packed upper
-// triangles, which loses nothing only because syrk_tn's output is exactly
-// symmetric. Shapes straddle the MR / NR / KC tile edges of every ISA
-// variant and the small-op cutoff; pool sizes cover the serial and the
-// row-parallel paths. syrk_tn_packed must write the same bits.
+// DistKfac keeps and ships covariances as packed upper triangles, which
+// loses nothing only because syrk_tn's output is exactly symmetric.
+// Shapes straddle the MR / NR / KC tile edges of every ISA variant and
+// the small-op cutoff; pool sizes cover the serial and the row-parallel
+// paths. syrk_tn_packed must write the same bits.
 TEST(BlockedSyrk, FreshOutputIsExactlySymmetricAtAnyPoolSize) {
   std::uint64_t seed = 450;
   for (const std::size_t threads : {0UL, 2UL, 4UL}) {
@@ -186,9 +186,6 @@ TEST(BlockedSyrk, FreshOutputIsExactlySymmetricAtAnyPoolSize) {
         ct::pack_upper(c, packed);
         ct::syrk_tn_packed(a, 0.3F, direct);
         ASSERT_EQ(packed, direct) << what;
-        ct::Tensor unpacked;
-        ct::unpack_upper(packed, d, unpacked);
-        expect_bitwise(unpacked, c, what.c_str());
       }
     }
   }

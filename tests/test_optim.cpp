@@ -54,18 +54,30 @@ TEST(SmoothLr, MonotoneAfterWarmup) {
 
 // --- KFAC layer math ---
 
+/// One batch's factor update as DistKfac runs it: both covariances packed
+/// by syrk_tn_packed (A = a^T a / B, G = B * g^T g), then blended.
+void blend_batch(opt::KfacLayerState& st, const ct::Tensor& a,
+                 const ct::Tensor& g, double stat_decay) {
+  const auto batch = static_cast<float>(a.rows());
+  std::vector<float> cov_a(ct::packed_size(a.cols()));
+  std::vector<float> cov_g(ct::packed_size(g.cols()));
+  ct::syrk_tn_packed(a, 1.0F / batch, cov_a);
+  ct::syrk_tn_packed(g, batch, cov_g);
+  st.blend_packed_factors(cov_a, cov_g, stat_decay);
+}
+
 TEST(KfacState, FactorsAreRunningAverages) {
   opt::KfacLayerState st(3, 2);
   ct::Tensor a1({4, 3});
   a1.fill(1.0F);
   ct::Tensor g1({4, 2});
   g1.fill(0.5F);
-  st.update_factors(a1, g1, 0.9);
+  blend_batch(st, a1, g1, 0.9);
   const float a_first = st.factor_a().at(0, 0);  // 4*1/4 = 1
   EXPECT_NEAR(a_first, 1.0F, 1e-5);
   // Second update with zeros blends 0.9 * old.
   ct::Tensor a2({4, 3}), g2({4, 2});
-  st.update_factors(a2, g2, 0.9);
+  blend_batch(st, a2, g2, 0.9);
   EXPECT_NEAR(st.factor_a().at(0, 0), 0.9F, 1e-5);
 }
 
@@ -81,7 +93,7 @@ TEST(KfacState, PreconditionIdentityFactorsIsScaledGradient) {
   // g^T g * batch = I requires g columns orthonormal / sqrt(batch):
   g.at(0, 0) = 1.0F / std::sqrt(3.0F);
   g.at(1, 1) = 1.0F / std::sqrt(3.0F);
-  st.update_factors(a, g, 0.0);
+  blend_batch(st, a, g, 0.0);
   st.refresh_eigen();
   ct::Tensor grad({2, 3});
   for (std::size_t i = 0; i < grad.size(); ++i) {
@@ -110,7 +122,7 @@ TEST(KfacState, PreconditionReducesConditioning) {
   }
   ct::Tensor g({64, 3});
   rng.fill_normal(g.span(), 0.0F, 0.1F);
-  st.update_factors(a, g, 0.0);
+  blend_batch(st, a, g, 0.0);
   st.refresh_eigen();
   ct::Tensor grad({3, 4});
   rng.fill_normal(grad.span());
@@ -130,7 +142,7 @@ TEST(KfacState, RefreshBeforeStatsThrows) {
 TEST(KfacState, PreconditionBeforeEigenThrows) {
   opt::KfacLayerState st(3, 2);
   ct::Tensor a({2, 3}), g({2, 2});
-  st.update_factors(a, g, 0.9);
+  blend_batch(st, a, g, 0.9);
   ct::Tensor grad({2, 3});
   EXPECT_THROW((void)st.precondition(grad, 0.1), std::logic_error);
 }

@@ -140,6 +140,18 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CompressorRoundtrip,
 
 // --- KFAC degenerates to scaled SGD at huge damping ---
 
+/// One batch's factor update as DistKfac runs it: both covariances packed
+/// by syrk_tn_packed (A = a^T a / B, G = B * g^T g), then blended.
+void blend_batch(opt::KfacLayerState& st, const ct::Tensor& a,
+                 const ct::Tensor& g, double stat_decay) {
+  const auto batch = static_cast<float>(a.rows());
+  std::vector<float> cov_a(ct::packed_size(a.cols()));
+  std::vector<float> cov_g(ct::packed_size(g.cols()));
+  ct::syrk_tn_packed(a, 1.0F / batch, cov_a);
+  ct::syrk_tn_packed(g, batch, cov_g);
+  st.blend_packed_factors(cov_a, cov_g, stat_decay);
+}
+
 TEST(KfacProperty, HugeDampingGivesScaledGradient) {
   // As gamma -> inf, (F + gamma I)^-1 -> I/gamma, so the preconditioned
   // gradient approaches grad / gamma.
@@ -148,7 +160,7 @@ TEST(KfacProperty, HugeDampingGivesScaledGradient) {
   ct::Tensor a({16, 5}), g({16, 4});
   rng.fill_normal(a.span());
   rng.fill_normal(g.span(), 0.0F, 0.1F);
-  st.update_factors(a, g, 0.0);
+  blend_batch(st, a, g, 0.0);
   st.refresh_eigen();
   ct::Tensor grad({4, 5});
   rng.fill_normal(grad.span());
@@ -166,7 +178,7 @@ TEST(KfacProperty, PreconditionerIsLinearInGradient) {
   ct::Tensor a({8, 4}), g({8, 3});
   rng.fill_normal(a.span());
   rng.fill_normal(g.span(), 0.0F, 0.2F);
-  st.update_factors(a, g, 0.0);
+  blend_batch(st, a, g, 0.0);
   st.refresh_eigen();
   ct::Tensor g1({3, 4}), g2({3, 4});
   rng.fill_normal(g1.span());
