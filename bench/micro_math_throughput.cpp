@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{128, 256, 512};
   const std::vector<std::size_t> eigh_sizes =
       smoke ? std::vector<std::size_t>{96}
-            : std::vector<std::size_t>{96, 192, 256, 512, 1024};
+            : std::vector<std::size_t>{64, 96, 192, 256, 512, 1024};
   constexpr std::size_t kMaxJacobiSize = 256;
 
   const unsigned host_concurrency = std::thread::hardware_concurrency();

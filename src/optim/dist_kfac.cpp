@@ -577,7 +577,18 @@ void DistKfac::step(std::size_t iteration, double lr,
     // so it stays on the main thread; low priority keeps it behind every
     // slot's collectives (preconditioning stays in flight under comm).
     guard_id[s] = graph_.add_main(
-        "guard" + std::to_string(s), prio_guard(s), [this, s] {
+        "guard" + std::to_string(s), prio_guard(s), [this, s, refresh] {
+          // Numerical health of a refresh: each factor's QL iterations,
+          // and whether it hit the cap (its basis is used as it stands).
+          if (refresh) {
+            const obs::ObsHooks& hooks = comm_.obs();
+            for (const auto* eig :
+                 {&states_[s]->eigen_a(), &states_[s]->eigen_g()}) {
+              hooks.observe("kfac.eigh_iterations",
+                            static_cast<std::uint64_t>(eig->sweeps_used));
+              hooks.count("kfac.eigh_nonconverged", eig->converged ? 0 : 1);
+            }
+          }
           // A non-finite preconditioned gradient must not enter the
           // compressor (NaN through quantization is undefined). Zero the
           // slot so the gather framing stays intact, and skip its update.

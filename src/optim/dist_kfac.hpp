@@ -153,6 +153,10 @@ class DistKfac {
   }
 
   std::size_t layer_count() const noexcept { return layer_indices_.size(); }
+  /// Factors and eigendecompositions of trainable layer slot `i`.
+  const KfacLayerState& layer_state(std::size_t i) const {
+    return *states_.at(i);
+  }
   /// Owner rank of trainable layer slot `i` under the configured
   /// assignment policy, over this step's *participating* ranks — so
   /// ownership re-partitions deterministically when the membership layer

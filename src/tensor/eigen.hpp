@@ -4,11 +4,11 @@
 //
 // The production `eigh` is the standard dense symmetric path in double:
 // Householder reduction to tridiagonal form, then implicit-shift
-// (Wilkinson) QL on the tridiagonal. The eigenvector accumulator is stored
-// transposed, so the reflector accumulation and every QL rotation update
-// contiguous rows (DESIGN.md §11.4). The fused cyclic-Jacobi solver is
-// retained as `eigh_jacobi`, the one correctness oracle for the tests and
-// the benchmark.
+// (Wilkinson) QL on the tridiagonal. Its kernels keep every rounding of
+// the textbook loops, so the output bits do not depend on the host or on
+// which ISA clone runs (DESIGN.md §11.4). The fused cyclic-Jacobi solver
+// is retained as `eigh_jacobi`, the one correctness oracle for the tests
+// and the benchmark.
 
 #include "src/tensor/tensor.hpp"
 

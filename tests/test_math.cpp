@@ -3,8 +3,8 @@
 // determinism of the pool-parallel path at several thread counts, NaN/Inf
 // propagation through the kernels (no zero-skip), the Householder + QL
 // eigh against the Jacobi oracle on adversarial spectra, non-convergence
-// reporting, and the scratch-reuse helper. The parallel suites run under
-// TSan via ci.sh's build-tsan config.
+// reporting, eigh's exact output bits, and the scratch-reuse helper. The
+// parallel suites run under TSan via ci.sh's build-tsan config.
 
 #include "src/common/thread_pool.hpp"
 #include "src/optim/dist_kfac.hpp"
@@ -476,6 +476,79 @@ TEST(Eigh, DegenerateInputsConverge) {
   EXPECT_EQ(d.sweeps_used, 0);
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_FLOAT_EQ(d.eigenvalues[i], static_cast<float>(i));
+  }
+}
+
+// --- eigh's exact bits ---
+
+/// FNV-1a folded over everything eigh returns.
+std::uint64_t hash_eigh(std::uint64_t h, const ct::EigenDecomposition& e) {
+  const auto fold = [&h](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h = (h ^ ((word >> (8 * b)) & 0xFF)) * 0x100000001b3ULL;
+    }
+  };
+  for (float v : e.eigenvalues) fold(std::bit_cast<std::uint32_t>(v));
+  for (float v : e.eigenvectors.span()) fold(std::bit_cast<std::uint32_t>(v));
+  fold(static_cast<std::uint64_t>(e.sweeps_used));
+  fold(e.converged ? 1 : 0);
+  return h;
+}
+
+/// B^T B / r for a uniform B of r = n + 3 rows, summed in double: a
+/// product of two floats is exact in double, so no host or contraction
+/// rule can move the input's bits (the blocked syrk's can move).
+ct::Tensor covariance(std::size_t n, std::uint64_t seed) {
+  const std::size_t r = n + 3;
+  const ct::Tensor b = rand2(r, n, seed);
+  ct::Tensor m({n, n});
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double sum = 0.0;
+      for (std::size_t k = 0; k < r; ++k) {
+        sum += double{b.at(k, i)} * double{b.at(k, j)};
+      }
+      m.at(i, j) = static_cast<float>(sum / static_cast<double>(r));
+    }
+  }
+  return m;
+}
+
+/// Diagonal with repeated, zero and negative entries.
+ct::Tensor repeated_diagonal(std::size_t n) {
+  ct::Tensor m({n, n});
+  for (std::size_t i = 0; i < n; ++i) {
+    m.at(i, i) = static_cast<float>((i * 7) % 5) - 2.0F;
+  }
+  return m;
+}
+
+TEST(Eigh, BitsArePinned) {
+  // One hash per size over four inputs: random symmetric, covariance,
+  // diagonal and zero. The sizes cover every vector-width remainder of
+  // the kernels' row loops. The hashes are the textbook tred2/tql2 loops'
+  // output, so a kernel rewrite that reorders one rounding, or a build
+  // that fuses one multiply-add, fails here (DESIGN.md §11.4).
+  const std::pair<std::size_t, std::uint64_t> pins[] = {
+      {1, 0xaea8a779f87284a9ULL},   {2, 0x067e1cec8757acbaULL},
+      {3, 0xdc69d63658afc248ULL},   {4, 0xd1f3fbaaba8bbaf1ULL},
+      {5, 0x918810fa017e7459ULL},   {6, 0xb4de958d00b0c67fULL},
+      {7, 0xf1e9f2e1e44a6375ULL},   {8, 0xd6c49cc1a3d86e0eULL},
+      {9, 0x33990512b6ed8df2ULL},   {16, 0xb6296429b8d30e3bULL},
+      {17, 0x77f712ec33b49028ULL},  {31, 0x83da8d3bbd29f018ULL},
+      {32, 0xd4994a24d8dd9ef5ULL},  {33, 0xcb8c119b86dc6cf5ULL},
+      {64, 0xb7b691334ee14400ULL},  {65, 0x37aa903d80256823ULL},
+      {129, 0x96447122ebcd0cadULL}, {192, 0x381230ed5f31c5f0ULL},
+      {193, 0x3d9befbf4784cb88ULL},
+  };
+  for (const auto& [n, want] : pins) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const ct::Tensor& m :
+         {random_symmetric(n, 5000 + n), covariance(n, 6000 + n),
+          repeated_diagonal(n), ct::Tensor({n, n})}) {
+      h = hash_eigh(h, ct::eigh(m));
+    }
+    EXPECT_EQ(h, want) << "n=" << n << ": 0x" << std::hex << h;
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -192,6 +193,60 @@ TEST(ObsDeterminism, SaveResumeExportsByteIdentical) {
   EXPECT_EQ(tracer_a.trace_json(), tracer_c.trace_json());
   EXPECT_EQ(reg_a.to_json(), reg_c.to_json());
   EXPECT_EQ(obs::validate_trace(tracer_a.trace_json()), std::nullopt);
+}
+
+/// The metrics export without the pool's own counters, which only a run
+/// with engine threads has.
+std::string without_pool_counters(const obs::MetricsRegistry& registry) {
+  std::istringstream in(registry.to_json());
+  std::string out, line;
+  while (std::getline(in, line)) {
+    if (line.find("\"pool.") == std::string::npos) out += line + '\n';
+  }
+  return out;
+}
+
+// Numerical health of the eigh refresh: on every refresh step each
+// factor's QL iteration count lands in kfac.eigh_iterations and a factor
+// that hit the cap in kfac.eigh_nonconverged, recorded on the main thread,
+// so the snapshot stays byte-identical at any engine thread count.
+TEST(ObsDeterminism, EighHealthCoversEveryFactorOfEveryRefresh) {
+  std::string serial_metrics;
+  for (const std::size_t threads : {0UL, 2UL, 4UL}) {
+    SCOPED_TRACE(testing::Message() << "engine threads " << threads);
+    core::FaultTolerantTrainer trainer(obs_config(threads));
+    obs::MetricsRegistry registry;
+    const auto clock = cm::sim_time_clock(trainer.comm().clocks());
+    obs::Tracer tracer(&clock);
+    trainer.set_obs({.metrics = &registry, .tracer = &tracer});
+    const auto& kfac = *trainer.kfac();
+
+    std::uint64_t refreshes = 0, sweeps = 0, nonconverged = 0;
+    for (std::size_t t = 0; t < 12; ++t) {
+      trainer.step();
+      if (registry.counter("kfac.eigh_refreshes") == refreshes) continue;
+      ++refreshes;
+      for (std::size_t s = 0; s < kfac.layer_count(); ++s) {
+        for (const auto* eig : {&kfac.layer_state(s).eigen_a(),
+                                &kfac.layer_state(s).eigen_g()}) {
+          sweeps += static_cast<std::uint64_t>(eig->sweeps_used);
+          nonconverged += eig->converged ? 0 : 1;
+        }
+      }
+    }
+    ASSERT_EQ(refreshes, 3U);  // steps 0, 5 and 10.
+    const auto snap = registry.snapshot();
+    const auto& hist = snap.histograms.at("kfac.eigh_iterations");
+    EXPECT_EQ(hist.count, 2 * kfac.layer_count() * refreshes);
+    EXPECT_EQ(hist.sum, sweeps);
+    EXPECT_GT(sweeps, 0U);
+    EXPECT_EQ(snap.counters.at("kfac.eigh_nonconverged"), nonconverged);
+    if (threads == 0) {
+      serial_metrics = registry.to_json();
+    } else {
+      EXPECT_EQ(without_pool_counters(registry), serial_metrics);
+    }
+  }
 }
 
 }  // namespace
