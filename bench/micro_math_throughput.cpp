@@ -4,8 +4,10 @@
 // references, the Householder + QL eigh against the Jacobi oracle (and
 // alone at n = 512 and 1024), plus the pool-parallel GEMM path, verifies
 // blocked-vs-reference accuracy and blocked-vs-parallel bit-identity,
-// prints a table, and writes BENCH_math.json (the compute side of the
-// repo's perf trajectory, next to BENCH_compress.json). Usage:
+// times one rank's products, syrks, ReLU and softmax at the trainbench
+// workloads' own shapes (serial), prints tables, and writes
+// BENCH_math.json (the compute side of the repo's perf trajectory, next
+// to BENCH_compress.json). Usage:
 //
 //   micro_math_throughput [--smoke] [--threads=N] [output.json]
 //                                             (default BENCH_math.json)
@@ -22,6 +24,8 @@
 
 #include "bench/bench_util.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/nn/layer.hpp"
+#include "src/nn/model.hpp"
 #include "src/tensor/eigen.hpp"
 #include "src/tensor/matrix_ops.hpp"
 #include "src/tensor/rng.hpp"
@@ -33,7 +37,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -42,9 +48,11 @@ namespace ct = compso::tensor;
 
 namespace {
 
-// Sanitizer instrumentation flattens the blocked-vs-naive gap (both sides
-// pay per-access shadow checks, but the packed panels pay them twice); the
-// speedup gate only has teeth in an uninstrumented build.
+// Sanitizer instrumentation flattens the blocked-vs-naive gap: at -O2 the
+// register-tiled microkernel keeps its accumulators in memory, so every
+// shadow-checked access lands in its inner loop, while packing is a small
+// share of the product. The speedup gate only has teeth in an
+// uninstrumented build.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr double kMinGemm512Speedup = 1.0;
 #elif defined(__has_feature)
@@ -105,6 +113,103 @@ struct EighRow {
   double eigh_ms;
   double jacobi_ms;  ///< 0 on the rows too large to run the oracle.
 };
+
+/// One kernel call at a trainbench workload's shape. Products are
+/// C (m x n) over k; a syrk has n = m = d and k rows; ReLU and softmax
+/// cover an m x n tensor (k = 0).
+struct StepRow {
+  const char* group;
+  const char* op;
+  std::size_t m, n, k;
+  double us = 0.0;  ///< best-of-reps mean over `inner` calls.
+};
+
+/// One rank's serial step work on kfac_compso (32->192->192->32, batch
+/// 256, factors 33-193) and kfac_scaleout (64-wide layers, batch 32).
+std::vector<StepRow> step_rows() {
+  return {
+      {"kfac_compso.fwd_bwd", "gemm_nt", 256, 192, 32},
+      {"kfac_compso.fwd_bwd", "gemm_nt", 256, 192, 192},
+      {"kfac_compso.fwd_bwd", "gemm_nt", 256, 32, 192},
+      {"kfac_compso.fwd_bwd", "gemm_tn", 192, 32, 256},
+      {"kfac_compso.fwd_bwd", "gemm_tn", 192, 192, 256},
+      {"kfac_compso.fwd_bwd", "gemm_tn", 32, 192, 256},
+      {"kfac_compso.fwd_bwd", "gemm", 256, 32, 192},
+      {"kfac_compso.fwd_bwd", "gemm", 256, 192, 192},
+      {"kfac_compso.fwd_bwd", "gemm", 256, 192, 32},
+      {"kfac_compso.precond", "gemm_tn", 192, 193, 192},
+      {"kfac_compso.precond", "gemm", 192, 193, 193},
+      {"kfac_compso.precond", "gemm", 192, 193, 192},
+      {"kfac_compso.precond", "gemm_nt", 192, 193, 193},
+      {"kfac_compso.syrk", "syrk_tn_packed", 33, 33, 256},
+      {"kfac_compso.syrk", "syrk_tn_packed", 192, 192, 256},
+      {"kfac_compso.syrk", "syrk_tn_packed", 193, 193, 256},
+      {"kfac_compso.syrk", "syrk_tn_packed", 192, 192, 256},
+      {"kfac_compso.syrk", "syrk_tn_packed", 193, 193, 256},
+      {"kfac_compso.syrk", "syrk_tn_packed", 32, 32, 256},
+      {"kfac_scaleout.fwd_bwd", "gemm_nt", 32, 64, 64},
+      {"kfac_scaleout.fwd_bwd", "gemm_tn", 64, 64, 32},
+      {"kfac_scaleout.fwd_bwd", "gemm", 32, 64, 64},
+      {"kfac_compso.layers", "relu_forward", 256, 192, 0},
+      {"kfac_compso.layers", "softmax_cross_entropy", 256, 32, 0},
+  };
+}
+
+/// Times every step row: best of `reps` timings of `inner` calls each.
+void time_step_rows(std::vector<StepRow>& rows, int reps, int inner) {
+  std::uint64_t seed = 5000;
+  for (StepRow& r : rows) {
+    const std::string op = r.op;
+    const std::string name = std::string("bench.step.") + r.group + "." +
+                             op + "." + std::to_string(r.m) + "x" +
+                             std::to_string(r.n) + "x" + std::to_string(r.k);
+    std::function<void()> call;
+    ct::Tensor a, b, c;
+    std::vector<float> packed;
+    nn::Relu relu;
+    std::vector<int> labels;
+    if (op == "gemm") {
+      a = rand2(r.m, r.k, seed++);
+      b = rand2(r.k, r.n, seed++);
+      call = [&] { ct::gemm(a, b, c); };
+    } else if (op == "gemm_tn") {
+      a = rand2(r.k, r.m, seed++);
+      b = rand2(r.k, r.n, seed++);
+      call = [&] { ct::gemm_tn(a, b, c); };
+    } else if (op == "gemm_nt") {
+      a = rand2(r.m, r.k, seed++);
+      b = rand2(r.n, r.k, seed++);
+      call = [&] { ct::gemm_nt(a, b, c); };
+    } else if (op == "syrk_tn_packed") {
+      a = rand2(r.k, r.m, seed++);
+      packed.resize(ct::packed_size(r.m));
+      call = [&] { ct::syrk_tn_packed(a, 1.0F / 256.0F, packed); };
+    } else if (op == "relu_forward") {
+      a = rand2(r.m, r.n, seed++);  // half the signs negative.
+      call = [&] { c = relu.forward(a); };
+    } else {
+      a = rand2(r.m, r.n, seed++);
+      for (std::size_t i = 0; i < r.m; ++i) {
+        labels.push_back(static_cast<int>((i * 7) % r.n));
+      }
+      call = [&] { (void)nn::softmax_cross_entropy(a, labels, c); };
+    }
+    call();  // warm the scratch buffers.
+    r.us = 1e6 / inner * time_best(name, reps, [&] {
+             for (int i = 0; i < inner; ++i) call();
+           });
+  }
+}
+
+/// Sum of the step rows' times whose group starts with `prefix`.
+double step_total_us(const std::vector<StepRow>& rows,
+                     std::string_view prefix) {
+  double total = 0.0;
+  for (const StepRow& r : rows) {
+    if (std::string_view(r.group).starts_with(prefix)) total += r.us;
+  }
+  return total;
+}
 
 }  // namespace
 
@@ -258,6 +363,32 @@ int main(int argc, char** argv) {
     eigh_rows.push_back(row);
   }
 
+  // --- one rank's serial step work at the trainbench workloads' shapes ---
+  std::vector<StepRow> steps = step_rows();
+  const int step_inner = smoke ? 1 : 20;
+  time_step_rows(steps, reps, step_inner);
+  std::printf("\nstep shapes (one rank, serial; us per call)\n");
+  std::printf("%-22s %-22s %16s | %9s | %s\n", "group", "op", "m x n x k",
+              "us", "GF/s");
+  for (const StepRow& r : steps) {
+    const std::string shape = std::to_string(r.m) + "x" +
+                              std::to_string(r.n) + "x" + std::to_string(r.k);
+    const bool syrk = std::string_view(r.op) == "syrk_tn_packed";
+    const double flops = syrk ? static_cast<double>(r.k) * r.m * (r.m + 1)
+                              : 2.0 * static_cast<double>(r.m) * r.n * r.k;
+    std::printf("%-22s %-22s %16s | %9.1f |", r.group, r.op, shape.c_str(),
+                r.us);
+    if (flops > 0.0) std::printf(" %6.1f", flops / r.us / 1e3);
+    std::printf("\n");
+  }
+  const double compso_products_us =
+      step_total_us(steps, "kfac_compso.fwd_bwd") +
+      step_total_us(steps, "kfac_compso.precond");
+  const double compso_syrks_us = step_total_us(steps, "kfac_compso.syrk");
+  std::printf("  kfac_compso products (9 fwd/bwd + 4 precondition) %.1f us, "
+              "syrks %.1f us\n",
+              compso_products_us, compso_syrks_us);
+
   // --- JSON ---
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -303,6 +434,20 @@ int main(int argc, char** argv) {
     std::fprintf(f, "}%s\n", i + 1 < eigh_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"step_shapes\": {\"inner\": %d, \"rows\": [\n",
+               step_inner);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const StepRow& r = steps[i];
+    std::fprintf(f,
+                 "    {\"group\": \"%s\", \"op\": \"%s\", \"m\": %zu, "
+                 "\"n\": %zu, \"k\": %zu, \"us\": %.2f}%s\n",
+                 r.group, r.op, r.m, r.n, r.k, r.us,
+                 i + 1 < steps.size() ? "," : "");
+  }
+  std::fprintf(f,
+               "  ], \"kfac_compso_products_us\": %.2f, "
+               "\"kfac_compso_syrks_us\": %.2f},\n",
+               compso_products_us, compso_syrks_us);
   std::fprintf(f, "  \"gemm512_speedup\": %.3f, \"gemm512_speedup_gate\":"
                   " %.1f,\n",
                gemm512_speedup, kMinGemm512Speedup);

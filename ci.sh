@@ -95,8 +95,10 @@
 # BENCH_math.json / BENCH_train.json in each build directory.
 #
 # A no-label run also builds test_math with -DCOMPSO_NATIVE=ON and runs
-# the eigh bit pin from that build: -march=native turns on FMA, and the
-# pin fails if any multiply-add in eigen.cpp gets fused.
+# the eigh and gemm-engine bit pins (Eigh.BitsArePinned,
+# BlockedGemm.BitsArePinned) from that build: -march=native turns on
+# FMA, and the pins fail if any multiply-add in eigen.cpp or
+# matrix_ops.cpp gets fused.
 #
 # A last, build-only step compiles everything in Release with
 # -DCOMPSO_WERROR=ON: GCC warns on some code only at -O3 (a false
@@ -145,15 +147,17 @@ run_suite build-tsan -DCOMPSO_TSAN=ON \
   || failed+=("config 3/3: ThreadSanitizer")
 
 if [[ -z "$LABEL" ]]; then
-  # eigh's bits must not depend on the build host (DESIGN.md §11.4):
-  # -march=native enables FMA, so this catches a fused multiply-add that
-  # -ffp-contract=off on eigen.cpp no longer prevents.
-  echo "=== eigh pin: -DCOMPSO_NATIVE=ON ==="
+  # eigh's and the gemm engine's bits must not depend on the build host
+  # (DESIGN.md §11.1, §11.4): -march=native enables FMA, so this catches
+  # a fused multiply-add that -ffp-contract=off on eigen.cpp and
+  # matrix_ops.cpp no longer prevents.
+  echo "=== eigh and gemm pins: -DCOMPSO_NATIVE=ON ==="
   { cmake -S . -B build-native -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCOMPSO_NATIVE=ON >/dev/null \
       && cmake --build build-native -j "$JOBS" --target test_math \
-      && build-native/tests/test_math --gtest_filter='Eigh.BitsArePinned'; } \
-    || failed+=("eigh pin: -DCOMPSO_NATIVE=ON")
+      && build-native/tests/test_math \
+           --gtest_filter='Eigh.BitsArePinned:BlockedGemm.BitsArePinned'; } \
+    || failed+=("eigh and gemm pins: -DCOMPSO_NATIVE=ON")
 
   echo "=== build only: Release -Werror ==="
   { cmake -S . -B build-werror -DCMAKE_BUILD_TYPE=Release -DCOMPSO_WERROR=ON \

@@ -43,7 +43,7 @@ Tensor Linear::forward(const Tensor& x) {
   return y;
 }
 
-Tensor Linear::backward(const Tensor& grad_out) {
+Tensor Linear::backward(const Tensor& grad_out, bool input_grad) {
   if (grad_out.rank() != 2 || grad_out.cols() != out_ ||
       grad_out.rows() != input_.rows()) {
     throw std::invalid_argument("Linear::backward: bad gradient shape");
@@ -58,24 +58,26 @@ Tensor Linear::backward(const Tensor& grad_out) {
     }
   }
   Tensor grad_in;
-  tensor::gemm(grad_out, weight_, grad_in);
+  if (input_grad) tensor::gemm(grad_out, weight_, grad_in);
   return grad_in;
 }
 
 Tensor Relu::forward(const Tensor& x) {
   mask_ = x;
   Tensor y = x;
+  // Selects, not a branch: the sign of an activation is a coin flip.
   for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] < 0.0F) y[i] = 0.0F;
+    y[i] = x[i] < 0.0F ? 0.0F : x[i];
     mask_[i] = x[i] > 0.0F ? 1.0F : 0.0F;
   }
   return y;
 }
 
-Tensor Relu::backward(const Tensor& grad_out) {
+Tensor Relu::backward(const Tensor& grad_out, bool input_grad) {
   if (grad_out.size() != mask_.size()) {
     throw std::invalid_argument("Relu::backward: shape mismatch");
   }
+  if (!input_grad) return {};
   Tensor g = grad_out;
   for (std::size_t i = 0; i < g.size(); ++i) g[i] *= mask_[i];
   return g;
@@ -87,10 +89,11 @@ Tensor Tanh::forward(const Tensor& x) {
   return out_;
 }
 
-Tensor Tanh::backward(const Tensor& grad_out) {
+Tensor Tanh::backward(const Tensor& grad_out, bool input_grad) {
   if (grad_out.size() != out_.size()) {
     throw std::invalid_argument("Tanh::backward: shape mismatch");
   }
+  if (!input_grad) return {};
   Tensor g = grad_out;
   for (std::size_t i = 0; i < g.size(); ++i) g[i] *= 1.0F - out_[i] * out_[i];
   return g;

@@ -24,9 +24,11 @@ class Layer {
   /// Forward pass; `x` is (batch, in_features).
   virtual Tensor forward(const Tensor& x) = 0;
 
-  /// Backward pass; `grad_out` is (batch, out_features); returns
-  /// (batch, in_features) and stores parameter gradients internally.
-  virtual Tensor backward(const Tensor& grad_out) = 0;
+  /// Backward pass; `grad_out` is (batch, out_features); stores parameter
+  /// gradients internally and returns the (batch, in_features) input
+  /// gradient, or an empty tensor when `input_grad` is false (the first
+  /// layer's, which nothing reads).
+  virtual Tensor backward(const Tensor& grad_out, bool input_grad = true) = 0;
 
   /// True for layers with trainable parameters (KFAC targets these).
   virtual bool has_params() const noexcept { return false; }
@@ -51,7 +53,7 @@ class Linear final : public Layer {
 
   std::string_view name() const noexcept override { return name_; }
   Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
   bool has_params() const noexcept override { return true; }
   Tensor* weight() noexcept override { return &weight_; }
   Tensor* bias() noexcept override { return &bias_; }
@@ -77,12 +79,13 @@ class Linear final : public Layer {
   Tensor grad_out_;     // (batch, out) last backward grad
 };
 
-/// ReLU activation.
+/// ReLU activation: y = x < 0 ? 0 : x, so -0.0 and NaN pass through as
+/// they come; the backward mask is x > 0 (DESIGN.md §11.6).
 class Relu final : public Layer {
  public:
   std::string_view name() const noexcept override { return "relu"; }
   Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
 
  private:
   Tensor mask_;
@@ -93,7 +96,7 @@ class Tanh final : public Layer {
  public:
   std::string_view name() const noexcept override { return "tanh"; }
   Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
 
  private:
   Tensor out_;

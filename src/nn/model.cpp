@@ -14,7 +14,7 @@ Tensor Model::forward(const Tensor& x) {
 void Model::backward(const Tensor& grad_out) {
   Tensor g = grad_out;
   for (std::size_t i = layers_.size(); i-- > 0;) {
-    g = layers_[i]->backward(g);
+    g = layers_[i]->backward(g, /*input_grad=*/i > 0);
   }
 }
 
@@ -45,6 +45,7 @@ double softmax_cross_entropy(const Tensor& logits,
   const std::size_t batch = logits.rows();
   const std::size_t classes = logits.cols();
   grad = Tensor({batch, classes});
+  std::vector<double> e(classes);  // exp(logit - max) of one row.
   double total = 0.0;
   for (std::size_t r = 0; r < batch; ++r) {
     // Stable softmax.
@@ -54,7 +55,8 @@ double softmax_cross_entropy(const Tensor& logits,
     }
     double denom = 0.0;
     for (std::size_t c = 0; c < classes; ++c) {
-      denom += std::exp(static_cast<double>(logits.at(r, c) - maxv));
+      e[c] = std::exp(static_cast<double>(logits.at(r, c) - maxv));
+      denom += e[c];
     }
     const int y = labels[r];
     if (y < 0 || static_cast<std::size_t>(y) >= classes) {
@@ -65,8 +67,7 @@ double softmax_cross_entropy(const Tensor& logits,
         std::log(denom);
     total -= logp;
     for (std::size_t c = 0; c < classes; ++c) {
-      const double p =
-          std::exp(static_cast<double>(logits.at(r, c) - maxv)) / denom;
+      const double p = e[c] / denom;
       grad.at(r, c) = static_cast<float>(
           (p - (static_cast<std::size_t>(y) == c ? 1.0 : 0.0)) /
           static_cast<double>(batch));

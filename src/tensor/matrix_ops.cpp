@@ -2,9 +2,11 @@
 
 #include "src/common/thread_pool.hpp"
 
+#include <immintrin.h>
+
 #include <algorithm>
-#include <cmath>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <vector>
@@ -55,33 +57,120 @@ thread_local std::vector<float> t_bpack;
 thread_local std::vector<float> t_bpack_top;
 
 /// Operand layouts the packers understand. `trans == false` reads
-/// element (i, p) at src[i * ld + p]; `trans == true` reads src[p * ld + i]
-/// (i.e. the operand is stored transposed relative to its role).
+/// element (i, p) at src[i * ld + p], the operand stored along k;
+/// `trans == true` reads src[p * ld + i], the operand stored along the
+/// tile dimension i (transposed relative to its role).
 struct Panel {
   const float* data;
   std::size_t ld;
   bool trans;
-
-  float at(std::size_t i, std::size_t p) const {
-    return trans ? data[p * ld + i] : data[i * ld + p];
-  }
 };
 
+/// Packs tile indices [i0, i1) x ks [p0, p1) of an operand into W-wide
+/// micropanels: element (i0 + t*W + w, p0 + p) lands at t*W*kb + p*W + w,
+/// multiplied by `scale` when Scaled (A folds alpha in here; B is copied
+/// as is). Only the last micropanel can be short; its missing lanes are
+/// zero. A pure copy, so no packer layout can move a bit of the product.
+template <std::size_t W, bool Scaled>
+void pack_panel(const Panel& src, std::size_t i0, std::size_t i1,
+                std::size_t p0, std::size_t p1, float scale,
+                std::vector<float>& buf) {
+  const std::size_t kb = p1 - p0;
+  const std::size_t tiles = (i1 - i0 + W - 1) / W;
+  buf.resize(std::max(buf.size(), tiles * W * kb));
+  const auto value = [scale](float v) { return Scaled ? scale * v : v; };
+  const __m128 vscale = _mm_set1_ps(scale);
+  for (std::size_t t = 0; t < tiles; ++t) {
+    float* dst = buf.data() + t * W * kb;
+    const std::size_t ib = i0 + t * W;
+    const std::size_t w = std::min(W, i1 - ib);
+    if (src.trans) {
+      // Stored along the tile dimension: each k is a contiguous run, of
+      // the compile-time width W except at the edge.
+      const float* s = src.data + p0 * src.ld + ib;
+      if (w == W) {
+        for (std::size_t p = 0; p < kb; ++p, s += src.ld) {
+          for (std::size_t l = 0; l < W; ++l) dst[p * W + l] = value(s[l]);
+        }
+      } else {
+        for (std::size_t p = 0; p < kb; ++p, s += src.ld) {
+          for (std::size_t l = 0; l < w; ++l) dst[p * W + l] = value(s[l]);
+        }
+      }
+    } else {
+      // Stored along k: transpose four lanes by four ks per step.
+      const std::size_t kb4 = kb - kb % 4;
+      std::size_t l = 0;
+      for (; l + 4 <= w; l += 4) {
+        const float* s0 = src.data + (ib + l) * src.ld + p0;
+        const float* s1 = s0 + src.ld;
+        const float* s2 = s1 + src.ld;
+        const float* s3 = s2 + src.ld;
+        for (std::size_t p = 0; p < kb4; p += 4) {
+          __m128 r0 = _mm_loadu_ps(s0 + p), r1 = _mm_loadu_ps(s1 + p);
+          __m128 r2 = _mm_loadu_ps(s2 + p), r3 = _mm_loadu_ps(s3 + p);
+          _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+          if constexpr (Scaled) {
+            r0 = _mm_mul_ps(vscale, r0);
+            r1 = _mm_mul_ps(vscale, r1);
+            r2 = _mm_mul_ps(vscale, r2);
+            r3 = _mm_mul_ps(vscale, r3);
+          }
+          _mm_storeu_ps(dst + p * W + l, r0);
+          _mm_storeu_ps(dst + (p + 1) * W + l, r1);
+          _mm_storeu_ps(dst + (p + 2) * W + l, r2);
+          _mm_storeu_ps(dst + (p + 3) * W + l, r3);
+        }
+        for (std::size_t p = kb4; p < kb; ++p) {
+          dst[p * W + l] = value(s0[p]);
+          dst[p * W + l + 1] = value(s1[p]);
+          dst[p * W + l + 2] = value(s2[p]);
+          dst[p * W + l + 3] = value(s3[p]);
+        }
+      }
+      for (; l < w; ++l) {
+        const float* s = src.data + (ib + l) * src.ld + p0;
+        for (std::size_t p = 0; p < kb; ++p) dst[p * W + l] = value(s[p]);
+      }
+    }
+    for (std::size_t p = 0; w < W && p < kb; ++p) {
+      std::fill(dst + p * W + w, dst + (p + 1) * W, 0.0F);
+    }
+  }
+}
+
+using PackFn = void (*)(const Panel& src, std::size_t i0, std::size_t i1,
+                        std::size_t p0, std::size_t p1, float scale,
+                        std::vector<float>& buf);
 using MicroFn = void (*)(std::size_t kb, const float* ap, const float* bp,
                          float* c, std::size_t ldc);
 using MicroEdgeFn = void (*)(std::size_t kb, const float* ap, const float* bp,
                              float* c, std::size_t ldc, std::size_t mr,
                              std::size_t nr, std::size_t gi0, std::size_t gj0,
                              bool triangular);
+using NarrowFn = void (*)(std::size_t kb, const float* ap, std::size_t rows,
+                          const float* bp, float* c, std::size_t ldc,
+                          std::size_t nr, std::size_t gi0, std::size_t gj0,
+                          bool triangular);
 
 /// One ISA variant of the engine: register-tile shape, blocking
-/// parameters, and the two microkernels.
+/// parameters, the two microkernels and the packers for its tile.
 struct KernelDesc {
   std::size_t mr, nr;  ///< register tile.
   std::size_t mc, kc, nc;  ///< cache blocking (mc is a multiple of mr).
   MicroFn full;
   MicroEdgeFn edge;
+  /// A last column tile of at most kNarrowCols columns, over a whole row
+  /// block; null where the edge kernel covers it.
+  NarrowFn narrow;
+  PackFn pack_a;  ///< mr-wide, alpha folded in.
+  PackFn pack_b;  ///< nr-wide, copied as is.
 };
+
+/// Widest last column tile the narrow kernel takes: each column costs it
+/// a pass, and at 4 columns (192x196x193) it measured as slow as the
+/// 6x32 edge tiles it replaces.
+constexpr std::size_t kNarrowCols = 3;
 
 /// Generic tile body. With UseFma the multiply-add is a single fused
 /// rounding (std::fma compiles to one vfmadd when the enclosing function
@@ -194,17 +283,70 @@ void micro_generic_edge(std::size_t kb, const float* ap, const float* bp,
                                triangular);
 }
 
+/// AVX-512 narrow edge. A 6x32 tile costs its 32 columns' FMAs however
+/// few of them are real, and every A factor is in + 1 wide (33, 65, 193),
+/// so its syrk's and each precondition product's last column tile did 32
+/// columns of work for one. Here each column is one pass over the row
+/// block, eight 6-row micropanels side by side in the low lanes of eight
+/// zmm chains, so the k loop issues eight independent FMAs a step. Every
+/// C element still takes one fused multiply-add per k, in ascending k,
+/// from its stored value: the bits of the 6x32 path.
+[[gnu::target("avx512f,fma")]] void micro_avx512_narrow(
+    std::size_t kb, const float* ap, std::size_t rows, const float* bp,
+    float* c, std::size_t ldc, std::size_t nr, std::size_t gi0,
+    std::size_t gj0, bool triangular) {
+  constexpr std::size_t kMr = 6, kNr = 32, kChains = 8;
+  constexpr __mmask16 kRows = (1U << kMr) - 1;
+  const std::size_t tiles = (rows + kMr - 1) / kMr;
+  for (std::size_t j = 0; j < nr; ++j) {
+    for (std::size_t t0 = 0; t0 < tiles; t0 += kChains) {
+      const float* a[kChains];
+      __m512 acc[kChains];
+      for (std::size_t q = 0; q < kChains; ++q) {
+        // Chains past the last tile rerun it; their sums are dropped.
+        a[q] = ap + std::min(t0 + q, tiles - 1) * kMr * kb;
+        alignas(64) float init[16] = {};
+        for (std::size_t r = 0, i = (t0 + q) * kMr; r < kMr && i < rows;
+             ++r, ++i) {
+          init[r] = c[i * ldc + j];
+        }
+        acc[q] = _mm512_load_ps(init);
+      }
+      for (std::size_t p = 0; p < kb; ++p) {
+        const __m512 b = _mm512_set1_ps(bp[p * kNr + j]);
+        for (std::size_t q = 0; q < kChains; ++q) {
+          const __m512 av = _mm512_maskz_loadu_ps(kRows, a[q] + p * kMr);
+          acc[q] = _mm512_fmadd_ps(av, b, acc[q]);
+        }
+      }
+      for (std::size_t q = 0; q < kChains; ++q) {
+        alignas(64) float out[16];
+        _mm512_store_ps(out, acc[q]);
+        for (std::size_t r = 0, i = (t0 + q) * kMr; r < kMr && i < rows;
+             ++r, ++i) {
+          if (triangular && gj0 + j < gi0 + i) continue;
+          c[i * ldc + j] = out[r];
+        }
+      }
+    }
+  }
+}
+
 /// Picks the widest variant the host supports, once per process. KC is
 /// sized so one packed B micropanel (KC x NR floats) stays ~half-L1.
 const KernelDesc& pick_kernel() {
   static const KernelDesc desc = [] {
     if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma")) {
-      return KernelDesc{6, 32, 96, 128, 512, micro_avx512, micro_avx512_edge};
+      return KernelDesc{6, 32, 96, 128, 512, micro_avx512, micro_avx512_edge,
+                        micro_avx512_narrow, pack_panel<6, true>,
+                        pack_panel<32, false>};
     }
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-      return KernelDesc{4, 16, 96, 256, 256, micro_avx2, micro_avx2_edge};
+      return KernelDesc{4, 16, 96, 256, 256, micro_avx2, micro_avx2_edge,
+                        nullptr, pack_panel<4, true>, pack_panel<16, false>};
     }
-    return KernelDesc{6, 8, 96, 256, 256, micro_generic, micro_generic_edge};
+    return KernelDesc{6, 8, 96, 256, 256, micro_generic, micro_generic_edge,
+                      nullptr, pack_panel<6, true>, pack_panel<8, false>};
   }();
   return desc;
 }
@@ -214,49 +356,6 @@ const KernelDesc& pick_kernel() {
 constexpr std::size_t kSmallGemmFlops = 1UL << 15;
 /// Minimum per-call flop count before row blocks go to the pool.
 constexpr std::size_t kParallelFlops = 1UL << 21;
-
-/// Packs rows [i0, i1) x ks [p0, p1) of A into mr-row micropanels,
-/// scaling by alpha (exact identity for alpha == 1). Zero-pads to mr.
-void pack_a(const Panel& a, const KernelDesc& kd, std::size_t i0,
-            std::size_t i1, std::size_t p0, std::size_t p1, float alpha,
-            std::vector<float>& buf) {
-  const std::size_t mr = kd.mr;
-  const std::size_t kb = p1 - p0;
-  const std::size_t mtiles = (i1 - i0 + mr - 1) / mr;
-  buf.resize(std::max(buf.size(), mtiles * mr * kb));
-  for (std::size_t t = 0; t < mtiles; ++t) {
-    float* dst = buf.data() + t * mr * kb;
-    const std::size_t ibase = i0 + t * mr;
-    for (std::size_t p = 0; p < kb; ++p) {
-      for (std::size_t r = 0; r < mr; ++r) {
-        const std::size_t i = ibase + r;
-        dst[p * mr + r] = i < i1 ? alpha * a.at(i, p0 + p) : 0.0F;
-      }
-    }
-  }
-}
-
-/// Packs ks [p0, p1) x cols [j0, j1) of B into nr-column micropanels.
-void pack_b(const Panel& b, const KernelDesc& kd, std::size_t p0,
-            std::size_t p1, std::size_t j0, std::size_t j1,
-            std::vector<float>& buf) {
-  const std::size_t nr = kd.nr;
-  const std::size_t kb = p1 - p0;
-  const std::size_t ntiles = (j1 - j0 + nr - 1) / nr;
-  buf.resize(std::max(buf.size(), ntiles * nr * kb));
-  for (std::size_t t = 0; t < ntiles; ++t) {
-    float* dst = buf.data() + t * nr * kb;
-    const std::size_t jbase = j0 + t * nr;
-    for (std::size_t p = 0; p < kb; ++p) {
-      for (std::size_t c = 0; c < nr; ++c) {
-        const std::size_t j = jbase + c;
-        // b role: element (p, j) -> at(j, p) under the Panel convention
-        // (Panel::at takes (i, p) with i the non-k index).
-        dst[p * nr + c] = j < j1 ? b.at(j, p0 + p) : 0.0F;
-      }
-    }
-  }
-}
 
 struct BlockArgs {
   Panel a;
@@ -275,15 +374,18 @@ void run_row_block(const BlockArgs& ba, std::size_t i0, std::size_t i1) {
   // syrk: the whole row block lies strictly below the diagonal band.
   if (ba.triangular && ba.j1 <= i0) return;
   const KernelDesc& kd = *ba.kd;
-  pack_a(ba.a, kd, i0, i1, ba.p0, ba.p1, ba.alpha, t_apack);
+  kd.pack_a(ba.a, i0, i1, ba.p0, ba.p1, ba.alpha, t_apack);
   const std::size_t kb = ba.p1 - ba.p0;
   const std::size_t nb = ba.j1 - ba.j0;
   const std::size_t ntiles = (nb + kd.nr - 1) / kd.nr;
+  const std::size_t last_nr = nb - (ntiles - 1) * kd.nr;
+  const bool narrow = kd.narrow != nullptr && last_nr <= kNarrowCols;
+  const std::size_t wide_tiles = narrow ? ntiles - 1 : ntiles;
   for (std::size_t it = 0; it * kd.mr < i1 - i0; ++it) {
     const std::size_t gi = i0 + it * kd.mr;
     const std::size_t mr = std::min(kd.mr, i1 - gi);
     const float* ap = t_apack.data() + it * kd.mr * kb;
-    for (std::size_t jt = 0; jt < ntiles; ++jt) {
+    for (std::size_t jt = 0; jt < wide_tiles; ++jt) {
       const std::size_t gj = ba.j0 + jt * kd.nr;
       const std::size_t nr = std::min(kd.nr, ba.j1 - gj);
       if (ba.triangular && gj + nr <= gi) continue;  // fully below diagonal.
@@ -296,6 +398,12 @@ void run_row_block(const BlockArgs& ba, std::size_t i0, std::size_t i1) {
         kd.edge(kb, ap, bp, ctile, ba.ldc, mr, nr, gi, gj, ba.triangular);
       }
     }
+  }
+  if (narrow) {
+    const std::size_t gj = ba.j0 + wide_tiles * kd.nr;
+    kd.narrow(kb, t_apack.data(), i1 - i0, ba.bpack + wide_tiles * kd.nr * kb,
+              ba.c + i0 * ba.ldc + gj, ba.ldc, last_nr, i0, gj,
+              ba.triangular);
   }
 }
 
@@ -317,7 +425,7 @@ void gemm_driver(const Panel& a, const Panel& b, float* c, std::size_t m,
     for (std::size_t pc = 0; pc < k; pc += kd.kc) {
       const std::size_t p1 = std::min(pc + kd.kc, k);
       std::vector<float>& bpack = parallel ? t_bpack_top : t_bpack;
-      pack_b(b, kd, pc, p1, jc, j1, bpack);
+      kd.pack_b(b, jc, j1, pc, p1, 1.0F, bpack);
       BlockArgs ba{a, &kd, bpack.data(), c, n, pc, p1, jc, j1, alpha,
                    triangular};
       auto ranges = [&ba, &kd, m](std::size_t b0, std::size_t b1) {
@@ -573,41 +681,6 @@ void mirror_upper(Tensor& c) {
   for (std::size_t i = 0; i < d; ++i) {
     for (std::size_t j = i + 1; j < d; ++j) c.at(j, i) = c.at(i, j);
   }
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  Tensor c;
-  gemm(a, b, c);
-  return c;
-}
-
-Tensor transpose(const Tensor& a) {
-  check2(a, "transpose");
-  Tensor t({a.cols(), a.rows()});
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) t.at(j, i) = a.at(i, j);
-  }
-  return t;
-}
-
-void gemv(const Tensor& a, std::span<const float> x, std::span<float> y) {
-  check2(a, "gemv A");
-  const std::size_t m = a.rows(), n = a.cols();
-  if (x.size() != n || y.size() != m) {
-    throw std::invalid_argument("gemv: shape mismatch");
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* row = a.data() + i * n;
-    float acc = 0.0F;
-    for (std::size_t j = 0; j < n; ++j) acc += row[j] * x[j];
-    y[i] = acc;
-  }
-}
-
-void add_diagonal(Tensor& a, float value) {
-  check2(a, "add_diagonal");
-  const std::size_t n = std::min(a.rows(), a.cols());
-  for (std::size_t i = 0; i < n; ++i) a.at(i, i) += value;
 }
 
 }  // namespace compso::tensor

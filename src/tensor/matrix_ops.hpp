@@ -91,18 +91,6 @@ void gemm_tn_reference(const Tensor& a, const Tensor& b, Tensor& c);
 void gemm_nt_reference(const Tensor& a, const Tensor& b, Tensor& c);
 void syrk_tn_reference(const Tensor& a, float alpha, float beta, Tensor& c);
 
-/// Returns A * B (allocating).
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// Returns A^T (allocating).
-Tensor transpose(const Tensor& a);
-
-/// y = A x for A (m x n), x (n), y (m).
-void gemv(const Tensor& a, std::span<const float> x, std::span<float> y);
-
-/// Adds `value` to the diagonal of square matrix A (Tikhonov damping).
-void add_diagonal(Tensor& a, float value);
-
 /// Reshapes `t` to (rows x cols), reallocating only when the shape
 /// actually differs — scratch-reuse helper for per-step workspaces.
 void ensure_shape2(Tensor& t, std::size_t rows, std::size_t cols);

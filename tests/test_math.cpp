@@ -19,7 +19,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -236,6 +238,134 @@ TEST(ParallelMath, AllKernelsBitIdenticalUnderSharedPool) {
   }
 }
 
+// --- the engine's exact bits ---
+
+/// FNV-1a over the bits of `v`.
+std::uint64_t fold_bits(std::uint64_t h, std::span<const float> v) {
+  for (const float f : v) {
+    const std::uint32_t w = std::bit_cast<std::uint32_t>(f);
+    for (int b = 0; b < 4; ++b) {
+      h = (h ^ ((w >> (8 * b)) & 0xFF)) * 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+using Mnk = std::tuple<std::size_t, std::size_t, std::size_t>;
+
+/// Product shapes (m, n, k) of C (m x n) over k, by the edge they probe:
+/// every MR remainder and MC boundary of the three ISA variants (m), NR
+/// and NC (n), KC (k), both sides of kSmallGemmFlops (2^15), and the
+/// trainbench workloads' products.
+const std::vector<std::pair<const char*, std::vector<Mnk>>> kPinnedGemms = {
+    {"m", {{1, 65, 520},  {2, 65, 520},  {3, 65, 520},  {4, 65, 520},
+           {5, 65, 520},  {6, 65, 520},  {7, 65, 520},  {8, 65, 520},
+           {9, 65, 520},  {12, 65, 520}, {13, 65, 520}, {95, 65, 520},
+           {96, 65, 520}, {97, 65, 520}, {193, 65, 520}}},
+    {"n", {{13, 1, 150},   {13, 2, 150},   {13, 3, 150},   {13, 4, 150},
+           {13, 5, 150},   {13, 7, 150},   {13, 8, 150},   {13, 9, 150},
+           {13, 15, 150},  {13, 16, 150},  {13, 17, 150},  {13, 31, 150},
+           {13, 32, 150},  {13, 33, 150},  {13, 34, 150},  {13, 35, 150},
+           {13, 63, 150},  {13, 64, 150},  {13, 65, 150},  {13, 511, 150},
+           {13, 512, 150}, {13, 513, 150}}},
+    {"k", {{14, 40, 1},   {14, 40, 2},   {14, 40, 3},   {14, 40, 5},
+           {14, 40, 64},  {14, 40, 127}, {14, 40, 128}, {14, 40, 129},
+           {14, 40, 255}, {14, 40, 256}, {14, 40, 257}, {14, 40, 300}}},
+    {"cutoff", {{32, 32, 32}, {31, 32, 33}, {32, 32, 31}, {2, 128, 128},
+                {7, 31, 151}}},
+    {"workloads", {{256, 192, 192}, {256, 32, 192}, {256, 192, 32},
+                   {192, 33, 192}, {192, 193, 193}, {32, 193, 32},
+                   {32, 64, 64}, {64, 64, 32}}},
+};
+
+/// syrk shapes (rows, d): d's tile edges over kfac_compso's 256 rows, and
+/// KC's edges in the row count.
+const std::vector<std::pair<std::size_t, std::size_t>> kPinnedSyrks = {
+    {256, 1},   {256, 5},   {256, 6},   {256, 7},  {256, 31},
+    {256, 32},  {256, 33},  {256, 35},  {256, 64}, {256, 95},
+    {256, 96},  {256, 97},  {256, 192}, {256, 193}, {1, 70},
+    {127, 70},  {128, 70},  {129, 70},  {300, 70},
+};
+
+TEST(BlockedGemm, BitsArePinned) {
+  // One hash per kernel and shape group. The hashes are the output of the
+  // engine's first, per-element packers, so a packer or driver rewrite
+  // that moves one rounding, or a build that fuses one multiply-add in
+  // the reference loops, fails here (DESIGN.md §11.1). The AVX-512 and
+  // AVX2 variants both do one std::fma per k and share a set; the SSE2
+  // variant's mul+add has its own.
+  struct Pin {
+    const char* name;
+    std::uint64_t fma, sse2;
+  };
+  const Pin pins[] = {
+      {"gemm m", 0x1388a13238e44833ULL, 0x347888313ea57ca9ULL},
+      {"gemm_tn m", 0xaa7cfbad07cf3e22ULL, 0x3e5dab08d7aa3bd4ULL},
+      {"gemm_nt m", 0x8c1c789722512dcfULL, 0x166e97997a37c6e6ULL},
+      {"gemm n", 0xed508c3207f51f0bULL, 0x2f665026685ed0adULL},
+      {"gemm_tn n", 0x4807e13841218ec0ULL, 0x6a86f93530337ca1ULL},
+      {"gemm_nt n", 0x47b3cc2c68f922f6ULL, 0xeb593bb1b22ae45dULL},
+      {"gemm k", 0xe1fb3855d7a408f9ULL, 0xfd9c4814106e9daaULL},
+      {"gemm_tn k", 0x05930d2b48a3d150ULL, 0xc0b03dcdcd400a51ULL},
+      {"gemm_nt k", 0x4c39a1864718a9bbULL, 0x56d77293461bb8ccULL},
+      {"gemm cutoff", 0x0cfc070411b3568aULL, 0xfa79052b04c5c85bULL},
+      {"gemm_tn cutoff", 0x02ed40065fac7328ULL, 0x451e34e7d40e97f9ULL},
+      {"gemm_nt cutoff", 0x8024721d766603d1ULL, 0xe192f8000bc64fdbULL},
+      {"gemm workloads", 0x4e2ad72edcd18f66ULL, 0x43d3094a6049747eULL},
+      {"gemm_tn workloads", 0xaec9acc7397bb343ULL, 0x56daed4755a2cde0ULL},
+      {"gemm_nt workloads", 0x032c2d6f4b5d7957ULL, 0x6d36396f40c378e4ULL},
+      {"syrk_tn beta 0", 0x5a2e19f9b5f5f0ecULL, 0x7a72ddb9136d8310ULL},
+      {"syrk_tn beta 0.95", 0xd77b5a5fa55e2b0dULL, 0xfc287fbddbc55612ULL},
+      {"syrk_tn_packed", 0xfd4b5d7542161500ULL, 0x49bda97dc5292f70ULL},
+  };
+  const bool fma = __builtin_cpu_supports("fma") &&
+                   (__builtin_cpu_supports("avx512f") ||
+                    __builtin_cpu_supports("avx2"));
+  constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
+  std::vector<std::pair<std::string, std::uint64_t>> got;
+  std::uint64_t seed = 7000;
+  ct::Tensor c;
+  for (const auto& [group, shapes] : kPinnedGemms) {
+    std::uint64_t hg = kOffset, htn = kOffset, hnt = kOffset;
+    for (const auto& [m, n, k] : shapes) {
+      ct::gemm(rand2(m, k, seed), rand2(k, n, seed + 1), c);
+      hg = fold_bits(hg, c.span());
+      ct::gemm_tn(rand2(k, m, seed + 2), rand2(k, n, seed + 3), c);
+      htn = fold_bits(htn, c.span());
+      ct::gemm_nt(rand2(m, k, seed + 4), rand2(n, k, seed + 5), c);
+      hnt = fold_bits(hnt, c.span());
+      seed += 6;
+    }
+    got.emplace_back(std::string("gemm ") + group, hg);
+    got.emplace_back(std::string("gemm_tn ") + group, htn);
+    got.emplace_back(std::string("gemm_nt ") + group, hnt);
+  }
+  std::uint64_t hs0 = kOffset, hs1 = kOffset, hp = kOffset;
+  for (const auto& [rows, d] : kPinnedSyrks) {
+    const ct::Tensor a = rand2(rows, d, seed++);
+    ct::Tensor fresh;
+    ct::syrk_tn(a, 1.0F / static_cast<float>(rows), 0.0F, fresh);
+    hs0 = fold_bits(hs0, fresh.span());
+    ct::Tensor blend = rand2(d, d, seed++);
+    ct::syrk_tn(a, 0.37F, 0.95F, blend);
+    hs1 = fold_bits(hs1, blend.span());
+    std::vector<float> packed(ct::packed_size(d));
+    ct::syrk_tn_packed(a, 0.25F, packed);
+    hp = fold_bits(hp, packed);
+  }
+  got.emplace_back("syrk_tn beta 0", hs0);
+  got.emplace_back("syrk_tn beta 0.95", hs1);
+  got.emplace_back("syrk_tn_packed", hp);
+
+  ASSERT_EQ(got.size(), std::size(pins));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].first, pins[i].name);
+    EXPECT_EQ(got[i].second, fma ? pins[i].fma : pins[i].sse2)
+        << got[i].first << (fma ? " (fma)" : " (sse2)") << ": 0x"
+        << std::hex << got[i].second;
+  }
+}
+
 // --- non-finite propagation (the old zero-skip bug class) ---
 //
 // 0 * NaN must stay NaN: the optimizer's non-finite guards rely on
@@ -352,6 +482,11 @@ ct::Tensor clustered(std::size_t n, std::uint64_t seed) {
   return with_spectrum(values, seed);
 }
 
+/// Adds `value` to the diagonal of square `a`.
+void add_diagonal(ct::Tensor& a, float value) {
+  for (std::size_t i = 0; i < a.rows(); ++i) a.at(i, i) += value;
+}
+
 /// B^T B with B of ceil(n/4) x n (rank ceil(n/4)), plus `shift` * I.
 ct::Tensor rank_deficient(std::size_t n, float shift, std::uint64_t seed) {
   ct::Tensor b({(n + 3) / 4, n});
@@ -359,7 +494,7 @@ ct::Tensor rank_deficient(std::size_t n, float shift, std::uint64_t seed) {
   rng.fill_normal(b.span());
   ct::Tensor m;
   ct::syrk_tn(b, 1.0F, 0.0F, m);
-  ct::add_diagonal(m, shift);
+  add_diagonal(m, shift);
   return m;
 }
 

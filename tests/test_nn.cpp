@@ -1,5 +1,6 @@
 // Tests for the NN substrate: layer forward/backward correctness (finite
-// differences), losses, datasets, model zoo shapes.
+// differences), the layer kernels' exact bits, losses, datasets, model zoo
+// shapes.
 
 #include "src/nn/dataset.hpp"
 #include "src/nn/model.hpp"
@@ -8,8 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 namespace nn = compso::nn;
 namespace ct = compso::tensor;
@@ -108,6 +114,46 @@ TEST(Activations, ReluForwardBackward) {
   EXPECT_EQ(gin[1], 1.0F);
 }
 
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+/// FNV-1a over the bits of `v`.
+std::uint64_t fold_bits(std::uint64_t h, std::span<const float> v) {
+  for (const float f : v) {
+    const std::uint32_t w = bits(f);
+    for (int b = 0; b < 4; ++b) {
+      h = (h ^ ((w >> (8 * b)) & 0xFF)) * 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(Activations, ReluKeepsSignedZeroNanAndSubnormalBits) {
+  // The select y = x < 0 ? 0 : x gives what the branchy loop it replaced
+  // (`if (y < 0) y = 0`) gave: -0.0 and NaN pass through unchanged, a
+  // negative subnormal becomes +0. The mask is x > 0.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> xs = {-0.0F, 0.0F, nan,   -nan, inf,
+                                 -inf,  tiny, -tiny, 1.0F, -1.0F};
+  const std::vector<float> want_y = {-0.0F, 0.0F, nan,  -nan, inf,
+                                     0.0F,  tiny, 0.0F, 1.0F, 0.0F};
+  const std::vector<float> want_mask = {0.0F, 0.0F, 0.0F, 0.0F, 1.0F,
+                                        0.0F, 1.0F, 0.0F, 1.0F, 0.0F};
+  const std::size_t n = xs.size();
+  nn::Relu relu;
+  const ct::Tensor y = relu.forward(ct::Tensor({1, n}, xs));
+  const ct::Tensor mask = relu.backward(ct::Tensor::full({1, n}, 1.0F));
+  const ct::Tensor g = relu.backward(ct::Tensor::full({1, n}, -2.0F));
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(bits(y[i]), bits(want_y[i])) << "forward, x[" << i << "]";
+    EXPECT_EQ(bits(mask[i]), bits(want_mask[i])) << "mask, x[" << i << "]";
+    // -2 * 0 is -0.0: the backward product keeps its sign too.
+    EXPECT_EQ(bits(g[i]), bits(-2.0F * want_mask[i])) << "backward, x[" << i
+                                                      << "]";
+  }
+}
+
 TEST(Activations, TanhGradient) {
   nn::Tanh tanh_l;
   ct::Tensor x({1, 1}, {0.5F});
@@ -170,6 +216,26 @@ TEST(Loss, MseKnownValue) {
   EXPECT_NEAR(grad[1], 3.0, 1e-6);
 }
 
+TEST(Loss, SoftmaxCrossEntropyBitsArePinned) {
+  // Loss and gradient bits of a seeded 256 x 32 batch (kfac_compso's
+  // logits). Each exp is computed once and reused; the hash is that of the
+  // loop that computed it twice.
+  ct::Rng rng(2025);
+  ct::Tensor logits({256, 32});
+  rng.fill_normal(logits.span());
+  for (float& v : logits.span()) v *= 4.0F;
+  std::vector<int> labels(256);
+  for (int& y : labels) y = static_cast<int>(rng.uniform_index(32));
+  ct::Tensor grad;
+  const double loss = nn::softmax_cross_entropy(logits, labels, grad);
+  std::uint64_t h = fold_bits(0xcbf29ce484222325ULL, grad.span());
+  const auto loss_bits = std::bit_cast<std::uint64_t>(loss);
+  for (int b = 0; b < 8; ++b) {
+    h = (h ^ ((loss_bits >> (8 * b)) & 0xFF)) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(h, 0x490adada9e5e663dULL) << "0x" << std::hex << h;
+}
+
 TEST(Loss, AccuracyCountsArgmax) {
   ct::Tensor logits({2, 3}, {1.0F, 5.0F, 0.0F, 2.0F, 0.0F, 1.0F});
   EXPECT_NEAR(nn::accuracy(logits, {1, 0}), 1.0, 1e-9);
@@ -190,6 +256,51 @@ TEST(Model, ForwardBackwardThroughStack) {
   m.backward(grad);  // must not throw; gradients stored per layer
   for (std::size_t li : m.trainable_layers()) {
     EXPECT_GT(compso::tensor::l2_norm(m.layer(li).weight_grad()->span()), 0.0);
+  }
+}
+
+/// Folds every parameter gradient of `m` into one hash.
+std::uint64_t gradient_hash(nn::Model& m) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t li : m.trainable_layers()) {
+    h = fold_bits(h, m.layer(li).weight_grad()->span());
+    h = fold_bits(h, m.layer(li).bias_grad()->span());
+  }
+  return h;
+}
+
+TEST(Model, BackwardSkipsOnlyTheFirstLayersInputGradient) {
+  // Model::backward leaves out layer 0's input gradient, which nothing
+  // reads. Every parameter gradient keeps the bits of the full chain, at
+  // kfac_compso's shapes (blocked products) and below the blocked
+  // engine's cutoff, where the pinned hash does not depend on the ISA.
+  struct Case {
+    std::size_t features, hidden, classes, depth, batch;
+  };
+  for (const Case c : {Case{32, 192, 32, 2, 256}, Case{8, 16, 4, 2, 16}}) {
+    ct::Rng init_a(11), init_b(11), data(12);
+    nn::Model a = nn::make_mlp_classifier(c.features, c.hidden, c.classes,
+                                          c.depth, init_a);
+    nn::Model b = nn::make_mlp_classifier(c.features, c.hidden, c.classes,
+                                          c.depth, init_b);
+    ct::Tensor x({c.batch, c.features});
+    data.fill_normal(x.span());
+    std::vector<int> labels(c.batch);
+    for (std::size_t i = 0; i < c.batch; ++i) {
+      labels[i] = static_cast<int>((i * 7) % c.classes);
+    }
+    ct::Tensor grad;
+    nn::softmax_cross_entropy(a.forward(x), labels, grad);
+    a.backward(grad);
+    nn::softmax_cross_entropy(b.forward(x), labels, grad);
+    ct::Tensor g = grad;
+    for (std::size_t i = b.layer_count(); i-- > 0;) g = b.layer(i).backward(g);
+    EXPECT_EQ(g.rows(), c.batch);  // the full chain's first input gradient.
+    EXPECT_EQ(gradient_hash(a), gradient_hash(b)) << "hidden " << c.hidden;
+    if (c.hidden == 16) {
+      EXPECT_EQ(gradient_hash(a), 0xa782aea99532b7e5ULL)
+          << "0x" << std::hex << gradient_hash(a);
+    }
   }
 }
 
