@@ -33,8 +33,7 @@ int main() {
   cfg.kfac.aggregation = 4;  // the paper fixes the aggregation factor to 4
 
   // The two fixed policies take the schedule's two stages.
-  const optim::StepLr lr(cfg.base_lr, cfg.lr_decay, cfg.lr_milestones);
-  const core::AdaptiveSchedule sched(lr, cfg.total_iterations);
+  const auto sched = core::AdaptiveSchedule::step_lr(drop);
   const auto aggressive = compress::make_compso(sched.params_at(0));
   const auto conservative = compress::make_compso(sched.params_at(drop));
 

@@ -41,14 +41,11 @@ int main() {
   const auto qsgd = compress::make_qsgd(8);
   const auto cocktail = compress::make_cocktail(0.2, 8);
   // COMPSO: 4 stages refining the bound from 4e-3 to 2e-3 (paper setup) —
-  // realized with the SmoothLR branch of the adaptive schedule.
-  const optim::SmoothLr stage_lr(0.02, 8, kfac_iters);
-  core::AdaptiveScheduleParams sp;
-  sp.stages = 4;
-  sp.decay = 0.7937;  // 4e-3 -> ~2e-3 over stages 0..3 (0.7937^3 = 0.5)
-  const core::AdaptiveSchedule sched(stage_lr, kfac_iters, sp);
+  // realized with the SmoothLR mode of the adaptive schedule, decaying
+  // 4e-3 -> ~2e-3 over stages 0..3 (0.7937^3 = 0.5).
+  const auto sched = core::AdaptiveSchedule::smooth_lr(kfac_iters, 0.7937);
   std::vector<std::unique_ptr<compress::GradientCompressor>> stage_comp;
-  for (std::size_t s = 0; s < sp.stages; ++s) {
+  for (std::size_t s = 0; s < core::AdaptiveSchedule::kStages; ++s) {
     stage_comp.push_back(
         compress::make_compso(sched.params_at(s * sched.stage_length())));
   }

@@ -100,6 +100,13 @@
 # FMA, and the pins fail if any multiply-add in eigen.cpp or
 # matrix_ops.cpp gets fused.
 #
+# A no-label run also builds the end-to-end benchmark (trainbench/, its
+# own CMake package over the same src/ libraries) out of tree in
+# build-trainbench/ (Release), runs its unit tests, and runs each workload
+# for one second with --trace 0 and --trace 1. The step fails unless every
+# run exits 0 and its last line reports "correct": true — so a src/ change
+# that breaks trainbench's build or its correctness checks fails here.
+#
 # A last, build-only step compiles everything in Release with
 # -DCOMPSO_WERROR=ON: GCC warns on some code only at -O3 (a false
 # -Wrestrict on string concatenation, for one), which the RelWithDebInfo
@@ -158,6 +165,26 @@ if [[ -z "$LABEL" ]]; then
       && build-native/tests/test_math \
            --gtest_filter='Eigh.BitsArePinned:BlockedGemm.BitsArePinned'; } \
     || failed+=("eigh and gemm pins: -DCOMPSO_NATIVE=ON")
+
+  echo "=== trainbench: build and smoke-run each workload ==="
+  trainbench_smoke() {
+    cmake -S trainbench -B build-trainbench -DCMAKE_BUILD_TYPE=Release \
+      >/dev/null || return 1
+    cmake --build build-trainbench -j "$JOBS" \
+      --target trainbench trainbench_tests || return 1
+    build-trainbench/trainbench_tests || return 1
+    local workload trace last
+    for workload in kfac_compso kfac_scaleout; do
+      for trace in 0 1; do
+        last="$(build-trainbench/trainbench --workload "$workload" \
+                  --seed 1 --seconds 1 --trace "$trace" | tail -n 1)" \
+          || return 1
+        echo "$workload --trace $trace: $last"
+        [[ "$last" == '{"correct": true,'* ]] || return 1
+      done
+    done
+  }
+  trainbench_smoke || failed+=("trainbench: build and smoke-run")
 
   echo "=== build only: Release -Werror ==="
   { cmake -S . -B build-werror -DCMAKE_BUILD_TYPE=Release -DCOMPSO_WERROR=ON \

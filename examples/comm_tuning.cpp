@@ -31,8 +31,7 @@ int main() {
 
   // Your schedule: StepLR with the first drop at iteration 60; Algorithm 1
   // derives each iteration's error bounds from it.
-  const optim::StepLr lr(0.01, 0.1, {60});
-  const core::AdaptiveSchedule schedule(lr, 100);
+  const auto schedule = core::AdaptiveSchedule::step_lr(60);
 
   // Offline: the allgather lookup table of this system.
   const auto dev = gpusim::DeviceModel::a100();

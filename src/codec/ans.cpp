@@ -65,10 +65,10 @@ std::array<std::uint32_t, 256> normalize_freqs(
 
 void rans_encode_into(ByteView input, Bytes& out) {
   const std::size_t frame_begin = out.size();
-  detail::write_header(out, kMagic, input.size());
+  wire::begin_payload(out, kMagic, input.size());
   if (input.empty()) {
     out.push_back(kModeStored);
-    detail::seal_frame_at(out, frame_begin);
+    wire::seal_payload_at(out, frame_begin);
     return;
   }
   // Histogram in four independent lanes: per-byte increments on one array
@@ -170,7 +170,7 @@ void rans_encode_into(ByteView input, Bytes& out) {
   if (pn + 512 + 4 >= input.size()) {
     out.push_back(kModeStored);
     out.insert(out.end(), input.begin(), input.end());
-    detail::seal_frame_at(out, frame_begin);
+    wire::seal_payload_at(out, frame_begin);
     return;
   }
   out.push_back(kModeCoded);
@@ -180,12 +180,12 @@ void rans_encode_into(ByteView input, Bytes& out) {
     out.push_back(static_cast<std::uint8_t>(f & 0xFF));
     out.push_back(static_cast<std::uint8_t>((f >> 8) & 0xFF));
   }
-  detail::append_u32(out, state);
+  wire::put_u32(out, state);
   // Payload was produced back-to-front; store reversed so decode reads
   // forward with push-back semantics preserved.
   out.insert(out.end(), std::make_reverse_iterator(pp + pn),
              std::make_reverse_iterator(pp));
-  detail::seal_frame_at(out, frame_begin);
+  wire::seal_payload_at(out, frame_begin);
 }
 
 Bytes rans_encode(ByteView input) {
@@ -253,12 +253,12 @@ inline void dec_step(DecCtx& c, std::uint64_t i) {
 /// is primed for dec_step over `ctx.size` symbols (out is pre-resized).
 bool dec_init(ByteView input, Bytes& out, std::vector<DecSlot>& slots,
               DecCtx& ctx) {
-  const std::uint64_t size = detail::read_header(input, kMagic);
-  if (input.size() < detail::kHeaderSize + 1) {
+  const std::uint64_t size = wire::read_payload_header(input, kMagic).count;
+  if (input.size() < wire::kHeaderSize + 1) {
     throw PayloadError("rans: truncated stream");
   }
-  const std::uint8_t mode = input[detail::kHeaderSize];
-  ByteView body = input.subspan(detail::kHeaderSize + 1);
+  const std::uint8_t mode = input[wire::kHeaderSize];
+  ByteView body = input.subspan(wire::kHeaderSize + 1);
   if (mode == kModeStored) {
     if (body.size() < size) throw PayloadError("rans: truncated stored block");
     out.assign(body.begin(), body.begin() + static_cast<std::ptrdiff_t>(size));
@@ -308,7 +308,7 @@ bool dec_init(ByteView input, Bytes& out, std::vector<DecSlot>& slots,
   ctx.stream_size = body.size();
   ctx.safe_pos = body.size() >= 2 ? body.size() - 2 : 0;
   ctx.pos = 512 + 4;
-  ctx.state = detail::read_u32(body, 512);
+  ctx.state = wire::get_u32(body, 512);
   ctx.dst = out.data();
   ctx.size = size;
   return true;

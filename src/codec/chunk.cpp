@@ -9,38 +9,6 @@ namespace {
 
 constexpr std::size_t kCrcOffset = kChunkHeaderSize - 4;  // CRC is last.
 
-void put_u32_at(std::uint8_t* out, std::size_t at, std::uint32_t v) noexcept {
-  for (int i = 0; i < 4; ++i) {
-    out[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (8 * i));
-  }
-}
-
-void put_u64_at(std::uint8_t* out, std::size_t at, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    out[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (8 * i));
-  }
-}
-
-std::uint32_t get_u32(ByteView in, std::size_t at) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(in[at + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(ByteView in, std::size_t at) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[at + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
-}
-
 }  // namespace
 
 std::size_t chunk_count_for(std::size_t payload_bytes,
@@ -58,15 +26,15 @@ std::size_t wire_bytes_for(std::size_t payload_bytes,
 void write_chunk_frame(std::uint8_t* out, ByteView payload,
                        std::size_t index, std::size_t count,
                        std::size_t begin, std::size_t body) {
-  put_u32_at(out, 0, kChunkMagic);
+  wire::store_u32(out, kChunkMagic);
   out[4] = kChunkVersion;
-  put_u32_at(out, 5, static_cast<std::uint32_t>(index));
-  put_u32_at(out, 9, static_cast<std::uint32_t>(count));
-  put_u64_at(out, 13, payload.size());
-  put_u32_at(out, 21, static_cast<std::uint32_t>(body));
+  wire::store_u32(out + 5, static_cast<std::uint32_t>(index));
+  wire::store_u32(out + 9, static_cast<std::uint32_t>(count));
+  wire::store_u64(out + 13, payload.size());
+  wire::store_u32(out + 21, static_cast<std::uint32_t>(body));
   const ByteView body_view = payload.subspan(begin, body);
-  put_u32_at(out, kCrcOffset,
-             wire::crc32_parts(ByteView(out, kCrcOffset), body_view));
+  wire::store_u32(out + kCrcOffset,
+                  wire::crc32_parts(ByteView(out, kCrcOffset), body_view));
   if (body != 0) {
     std::memcpy(out + kChunkHeaderSize, body_view.data(), body);
   }
@@ -76,18 +44,18 @@ ChunkHeader read_chunk_header(ByteView frame) {
   if (frame.size() < kChunkHeaderSize) {
     throw PayloadError("chunk: frame shorter than a chunk header");
   }
-  if (get_u32(frame, 0) != kChunkMagic) {
+  if (wire::get_u32(frame, 0) != kChunkMagic) {
     throw PayloadError("chunk: bad chunk magic");
   }
   if (frame[4] != kChunkVersion) {
     throw PayloadError("chunk: unsupported chunk version");
   }
   ChunkHeader h;
-  h.index = get_u32(frame, 5);
-  h.count = get_u32(frame, 9);
-  h.total = get_u64(frame, 13);
-  h.body = get_u32(frame, 21);
-  h.crc = get_u32(frame, kCrcOffset);
+  h.index = wire::get_u32(frame, 5);
+  h.count = wire::get_u32(frame, 9);
+  h.total = wire::get_u64(frame, 13);
+  h.body = wire::get_u32(frame, 21);
+  h.crc = wire::get_u32(frame, kCrcOffset);
   if (h.count == 0 || h.count > kMaxChunkCount) {
     throw PayloadError("chunk: chunk count out of range");
   }

@@ -6,30 +6,8 @@
 
 namespace compso::codec::ckpt {
 
-void put_u8(Bytes& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
-  }
-}
-
-void put_f32(Bytes& out, float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, 4);
-  for (int b = 0; b < 4; ++b) {
-    out.push_back(static_cast<std::uint8_t>(bits >> (8 * b)));
-  }
-}
-
-void put_f64(Bytes& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  put_u64(out, bits);
-}
-
 void put_floats(Bytes& out, std::span<const float> values) {
-  put_u64(out, values.size());
+  wire::put_u64(out, values.size());
   const std::size_t at = out.size();
   out.resize(at + values.size() * sizeof(float));
   if (!values.empty()) {
@@ -42,9 +20,9 @@ void put_tensor(Bytes& out, const tensor::Tensor& t) {
 }
 
 void put_rng(Bytes& out, const tensor::RngState& state) {
-  for (std::uint64_t word : state.s) put_u64(out, word);
-  put_u64(out, state.cached_normal_bits);
-  put_u8(out, state.has_cached_normal ? 1 : 0);
+  for (std::uint64_t word : state.s) wire::put_u64(out, word);
+  wire::put_u64(out, state.cached_normal_bits);
+  wire::put_u8(out, state.has_cached_normal ? 1 : 0);
 }
 
 std::vector<float> get_floats(codec::wire::Reader& reader, const char* field) {

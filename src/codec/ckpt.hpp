@@ -34,12 +34,9 @@ using codec::wire::Bytes;
 /// "CKPT" little-endian.
 constexpr std::uint32_t kMagic = 0x54504B43U;
 
-// --- body serialization helpers (little-endian, matching wire::Reader) ---
+// --- body serialization helpers (little-endian, matching wire::Reader;
+// scalars go through wire::put_u8 / put_u64 / put_f64) ---
 
-void put_u8(Bytes& out, std::uint8_t v);
-void put_u64(Bytes& out, std::uint64_t v);
-void put_f32(Bytes& out, float v);
-void put_f64(Bytes& out, double v);
 /// [u64 count][f32 x count]
 void put_floats(Bytes& out, std::span<const float> values);
 void put_tensor(Bytes& out, const tensor::Tensor& t);

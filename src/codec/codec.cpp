@@ -50,47 +50,4 @@ std::unique_ptr<Codec> make_codec(std::string_view name) {
                               std::string(name));
 }
 
-namespace detail {
-
-void append_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void append_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t read_u32(ByteView in, std::size_t offset) {
-  if (offset > in.size() || in.size() - offset < 4) {
-    throw PayloadError("codec: truncated u32");
-  }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[offset + i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t read_u64(ByteView in, std::size_t offset) {
-  if (offset > in.size() || in.size() - offset < 8) {
-    throw PayloadError("codec: truncated u64");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[offset + i]) << (8 * i);
-  return v;
-}
-
-void write_header(Bytes& out, std::uint32_t magic, std::uint64_t size) {
-  wire::begin_payload(out, magic, size);
-}
-
-void seal_frame(Bytes& out) { wire::seal_payload(out); }
-
-void seal_frame_at(Bytes& out, std::size_t frame_begin) {
-  wire::seal_payload_at(out, frame_begin);
-}
-
-std::uint64_t read_header(ByteView in, std::uint32_t expected_magic) {
-  return wire::read_payload_header(in, expected_magic).count;
-}
-
-}  // namespace detail
 }  // namespace compso::codec

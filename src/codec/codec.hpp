@@ -35,7 +35,10 @@ struct CodecCostProfile {
 };
 
 /// A lossless byte codec. encode() output is self-delimiting (it embeds the
-/// original size), so decode() needs no side channel.
+/// original size), so decode() needs no side channel: every codec stream
+/// is a wire-format v1 payload (src/codec/wire.hpp) — encoders call
+/// wire::begin_payload first and wire::seal_payload last, and decoders
+/// validate magic, version and CRC with wire::read_payload_header.
 class Codec {
  public:
   virtual ~Codec() = default;
@@ -97,24 +100,5 @@ const char* to_string(CodecKind kind) noexcept;
 std::unique_ptr<Codec> make_codec(CodecKind kind);
 /// Lookup by name ("ANS", "Bitcomp", ...); throws on unknown name.
 std::unique_ptr<Codec> make_codec(std::string_view name);
-
-/// Frame helpers shared by all codecs. Every codec stream is a wire-format
-/// v1 payload (src/codec/wire.hpp): [magic | version | original_size |
-/// body CRC32], followed by the codec body. Encoders call write_header
-/// first and seal_frame last; read_header validates magic, version, and
-/// CRC and throws compso::PayloadError on any mismatch.
-namespace detail {
-constexpr std::size_t kHeaderSize = wire::kHeaderSize;
-void write_header(Bytes& out, std::uint32_t magic, std::uint64_t size);
-/// Patches the body CRC into the header; the last step of every encode.
-void seal_frame(Bytes& out);
-/// seal_frame for a frame appended at `frame_begin` inside a larger buffer.
-void seal_frame_at(Bytes& out, std::size_t frame_begin);
-std::uint64_t read_header(ByteView in, std::uint32_t expected_magic);
-void append_u32(Bytes& out, std::uint32_t v);
-void append_u64(Bytes& out, std::uint64_t v);
-std::uint32_t read_u32(ByteView in, std::size_t offset);
-std::uint64_t read_u64(ByteView in, std::size_t offset);
-}  // namespace detail
 
 }  // namespace compso::codec

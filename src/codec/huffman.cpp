@@ -98,10 +98,10 @@ std::uint64_t reverse_bits(std::uint64_t v, unsigned bits) {
 
 Bytes huffman_encode(ByteView input) {
   Bytes out;
-  detail::write_header(out, kMagic, input.size());
+  wire::begin_payload(out, kMagic, input.size());
   if (input.empty()) {
     out.push_back(kModeStored);
-    detail::seal_frame(out);
+    wire::seal_payload(out);
     return out;
   }
   std::array<std::uint64_t, 256> freq{};
@@ -120,23 +120,23 @@ Bytes huffman_encode(ByteView input) {
   if (payload.size() + 256 >= input.size()) {
     out.push_back(kModeStored);
     out.insert(out.end(), input.begin(), input.end());
-    detail::seal_frame(out);
+    wire::seal_payload(out);
     return out;
   }
   out.push_back(kModeCoded);
   out.insert(out.end(), lengths.begin(), lengths.end());
   out.insert(out.end(), payload.begin(), payload.end());
-  detail::seal_frame(out);
+  wire::seal_payload(out);
   return out;
 }
 
 Bytes huffman_decode(ByteView input) {
-  const std::uint64_t size = detail::read_header(input, kMagic);
-  if (input.size() < detail::kHeaderSize + 1) {
+  const std::uint64_t size = wire::read_payload_header(input, kMagic).count;
+  if (input.size() < wire::kHeaderSize + 1) {
     throw PayloadError("huffman: truncated stream");
   }
-  const std::uint8_t mode = input[detail::kHeaderSize];
-  ByteView body = input.subspan(detail::kHeaderSize + 1);
+  const std::uint8_t mode = input[wire::kHeaderSize];
+  ByteView body = input.subspan(wire::kHeaderSize + 1);
   if (mode == kModeStored) {
     if (body.size() < size) throw PayloadError("huffman: truncated stored block");
     return Bytes(body.begin(), body.begin() + static_cast<std::ptrdiff_t>(size));

@@ -21,12 +21,12 @@ namespace compso::codec {
 namespace {
 
 void append_sized(Bytes& out, const Bytes& blob) {
-  detail::append_u64(out, blob.size());
+  wire::put_u64(out, blob.size());
   out.insert(out.end(), blob.begin(), blob.end());
 }
 
 ByteView read_sized(ByteView in, std::size_t& pos) {
-  const std::uint64_t n = detail::read_u64(in, pos);
+  const std::uint64_t n = wire::get_u64(in, pos);
   pos += 8;
   if (n > in.size() - pos) throw PayloadError("codec: truncated blob");
   ByteView v = in.subspan(pos, n);
@@ -69,7 +69,7 @@ class LzCodec : public Codec {
 
   Bytes encode(ByteView input) const override {
     Bytes out;
-    detail::write_header(out, magic_, input.size());
+    wire::begin_payload(out, magic_, input.size());
     const auto tokens = lz77_parse(input, params_);
     const Lz77Streams s = lz77_serialize(input, tokens);
     const Bytes lit = entropy_encode(s.literals, entropy_);
@@ -77,23 +77,23 @@ class LzCodec : public Codec {
     if (lit.size() + tok.size() + 32 >= input.size()) {
       out.push_back(0);  // stored
       out.insert(out.end(), input.begin(), input.end());
-      detail::seal_frame(out);
+      wire::seal_payload(out);
       return out;
     }
     out.push_back(1);  // coded
     append_sized(out, lit);
     append_sized(out, tok);
-    detail::seal_frame(out);
+    wire::seal_payload(out);
     return out;
   }
 
   Bytes decode(ByteView input) const override {
-    const std::uint64_t size = detail::read_header(input, magic_);
-    if (input.size() < detail::kHeaderSize + 1) {
+    const std::uint64_t size = wire::read_payload_header(input, magic_).count;
+    if (input.size() < wire::kHeaderSize + 1) {
       throw PayloadError(name_ + ": truncated stream");
     }
-    const std::uint8_t mode = input[detail::kHeaderSize];
-    std::size_t pos = detail::kHeaderSize + 1;
+    const std::uint8_t mode = input[wire::kHeaderSize];
+    std::size_t pos = wire::kHeaderSize + 1;
     if (mode == 0) {
       ByteView body = input.subspan(pos);
       if (body.size() < size) {

@@ -25,7 +25,7 @@ class BitcompCodec final : public Codec {
 
   Bytes encode(ByteView input) const override {
     Bytes out;
-    detail::write_header(out, kBitcompMagic, input.size());
+    wire::begin_payload(out, kBitcompMagic, input.size());
     quant::BitWriter w;
     for (std::size_t off = 0; off < input.size(); off += kBitcompBlock) {
       const std::size_t n = std::min(kBitcompBlock, input.size() - off);
@@ -52,17 +52,18 @@ class BitcompCodec final : public Codec {
       out.push_back(1);
       out.insert(out.end(), payload.begin(), payload.end());
     }
-    detail::seal_frame(out);
+    wire::seal_payload(out);
     return out;
   }
 
   Bytes decode(ByteView input) const override {
-    const std::uint64_t size = detail::read_header(input, kBitcompMagic);
-    if (input.size() < detail::kHeaderSize + 1) {
+    const std::uint64_t size =
+        wire::read_payload_header(input, kBitcompMagic).count;
+    if (input.size() < wire::kHeaderSize + 1) {
       throw PayloadError("bitcomp: truncated stream");
     }
-    const std::uint8_t mode = input[detail::kHeaderSize];
-    ByteView body = input.subspan(detail::kHeaderSize + 1);
+    const std::uint8_t mode = input[wire::kHeaderSize];
+    ByteView body = input.subspan(wire::kHeaderSize + 1);
     if (mode == 0) {
       if (body.size() < size) {
         throw PayloadError("bitcomp: truncated stored block");
@@ -102,7 +103,7 @@ class CascadedCodec final : public Codec {
 
   Bytes encode(ByteView input) const override {
     Bytes out;
-    detail::write_header(out, kCascadedMagic, input.size());
+    wire::begin_payload(out, kCascadedMagic, input.size());
     // Stage 1: RLE.
     std::vector<std::uint8_t> values;
     std::vector<std::uint64_t> runs;
@@ -130,10 +131,10 @@ class CascadedCodec final : public Codec {
     const Bytes rpack = quant::pack_codes(run_codes, rbits);
 
     Bytes payload;
-    detail::append_u64(payload, values.size());
+    wire::put_u64(payload, values.size());
     payload.push_back(static_cast<std::uint8_t>(dbits));
     payload.push_back(static_cast<std::uint8_t>(rbits));
-    detail::append_u64(payload, dpack.size());
+    wire::put_u64(payload, dpack.size());
     payload.insert(payload.end(), dpack.begin(), dpack.end());
     payload.insert(payload.end(), rpack.begin(), rpack.end());
 
@@ -144,17 +145,18 @@ class CascadedCodec final : public Codec {
       out.push_back(1);
       out.insert(out.end(), payload.begin(), payload.end());
     }
-    detail::seal_frame(out);
+    wire::seal_payload(out);
     return out;
   }
 
   Bytes decode(ByteView input) const override {
-    const std::uint64_t size = detail::read_header(input, kCascadedMagic);
-    if (input.size() < detail::kHeaderSize + 1) {
+    const std::uint64_t size =
+        wire::read_payload_header(input, kCascadedMagic).count;
+    if (input.size() < wire::kHeaderSize + 1) {
       throw PayloadError("cascaded: truncated stream");
     }
-    const std::uint8_t mode = input[detail::kHeaderSize];
-    ByteView body = input.subspan(detail::kHeaderSize + 1);
+    const std::uint8_t mode = input[wire::kHeaderSize];
+    ByteView body = input.subspan(wire::kHeaderSize + 1);
     if (mode == 0) {
       if (body.size() < size) {
         throw PayloadError("cascaded: truncated stored block");
@@ -163,11 +165,11 @@ class CascadedCodec final : public Codec {
     }
     if (mode != 1) throw PayloadError("cascaded: unknown block mode");
     std::size_t pos = 0;
-    const std::uint64_t pairs = detail::read_u64(body, pos); pos += 8;
+    const std::uint64_t pairs = wire::get_u64(body, pos); pos += 8;
     if (pos + 2 > body.size()) throw PayloadError("cascaded: truncated");
     const unsigned dbits = body[pos++];
     const unsigned rbits = body[pos++];
-    const std::uint64_t dpack_size = detail::read_u64(body, pos); pos += 8;
+    const std::uint64_t dpack_size = wire::get_u64(body, pos); pos += 8;
     if (dpack_size > body.size() - pos) {
       throw PayloadError("cascaded: truncated delta stream");
     }

@@ -32,40 +32,6 @@ std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() noexcept {
   return t;
 }
 
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t get_u32(ByteView in, std::size_t offset) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(in[offset + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(ByteView in, std::size_t offset) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[offset + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
-
-namespace {
-
 std::uint32_t crc32_update(std::uint32_t crc, ByteView data) noexcept {
   static const std::array<std::array<std::uint32_t, 256>, 8> tables =
       make_crc_tables();
@@ -125,11 +91,7 @@ void seal_payload(Bytes& out) { seal_payload_at(out, 0); }
 
 void seal_payload_at(Bytes& out, std::size_t frame_begin) {
   const ByteView frame(out.data() + frame_begin, out.size() - frame_begin);
-  const std::uint32_t crc = frame_crc(frame);
-  for (int i = 0; i < 4; ++i) {
-    out[frame_begin + 13 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(crc >> (8 * i));
-  }
+  store_u32(out.data() + frame_begin + 13, frame_crc(frame));
 }
 
 PayloadHeader read_payload_header(ByteView payload,
@@ -153,6 +115,15 @@ PayloadHeader read_payload_header(ByteView payload,
     throw PayloadError("payload: checksum mismatch");
   }
   return h;
+}
+
+std::size_t read_element_count(ByteView payload, std::uint32_t magic,
+                               const char* who) {
+  const PayloadHeader h = read_payload_header(payload, magic);
+  if (h.count > kMaxElementCount) {
+    throw PayloadError(std::string(who) + ": element count out of range");
+  }
+  return static_cast<std::size_t>(h.count);
 }
 
 ByteView payload_body(ByteView payload) noexcept {

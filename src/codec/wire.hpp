@@ -19,6 +19,7 @@
 
 #include "src/common/payload_error.hpp"
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -36,6 +37,58 @@ constexpr std::size_t kHeaderSize = 4 + 1 + 8 + 4;
 /// training stack produces; rejecting them up front bounds every
 /// count-driven allocation even if a corrupted count survives the CRC.
 constexpr std::uint64_t kMaxElementCount = std::uint64_t{1} << 32;
+
+// --- Little-endian fields: the one set of byte helpers every frame,
+// payload and checkpoint body is written and read with. Floats travel by
+// bit pattern. Reader (below) is the bounded sequential inverse of put_*.
+
+inline void put_u8(Bytes& out, std::uint8_t v) { out.push_back(v); }
+inline void put_u32(Bytes& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+inline void put_u64(Bytes& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+inline void put_f32(Bytes& out, float v) {
+  put_u32(out, std::bit_cast<std::uint32_t>(v));
+}
+inline void put_f64(Bytes& out, double v) {
+  put_u64(out, std::bit_cast<std::uint64_t>(v));
+}
+
+/// Overwrites the 4 / 8 bytes starting at `at` (which must exist).
+inline void store_u32(std::uint8_t* at, std::uint32_t v) noexcept {
+  for (int i = 0; i < 4; ++i) at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+inline void store_u64(std::uint8_t* at, std::uint64_t v) noexcept {
+  for (int i = 0; i < 8; ++i) at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// The value stored at `offset`; PayloadError when `in` ends before it.
+inline std::uint32_t get_u32(ByteView in, std::size_t offset) {
+  if (offset > in.size() || in.size() - offset < 4) {
+    throw PayloadError("payload: truncated u32");
+  }
+  std::uint32_t v = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(in[offset + i]) << (8 * i);
+  }
+  return v;
+}
+inline std::uint64_t get_u64(ByteView in, std::size_t offset) {
+  if (offset > in.size() || in.size() - offset < 8) {
+    throw PayloadError("payload: truncated u64");
+  }
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(in[offset + i]) << (8 * i);
+  }
+  return v;
+}
 
 /// IEEE CRC-32 (reflected, poly 0xEDB88320) of `data`.
 std::uint32_t crc32(ByteView data) noexcept;
@@ -69,6 +122,12 @@ void seal_payload_at(Bytes& out, std::size_t frame_begin);
 /// Throws PayloadError on any mismatch.
 PayloadHeader read_payload_header(ByteView payload,
                                   std::uint32_t expected_magic);
+
+/// read_payload_header for a compressor payload whose count is an element
+/// count: also rejects a count above kMaxElementCount (`who` names the
+/// compressor in the error). Returns the count.
+std::size_t read_element_count(ByteView payload, std::uint32_t magic,
+                               const char* who);
 
 /// The body view (everything after the header) of a size-checked payload.
 ByteView payload_body(ByteView payload) noexcept;

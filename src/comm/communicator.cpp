@@ -245,8 +245,7 @@ void Communicator::begin_iteration(std::size_t t) {
     // before continuing without the absentees (one wait per step).
     recovery_.deadline_waits += d.waited_for;
     obs_.count("recovery.deadline_waits", d.waited_for);
-    clocks_.sync_advance_masked(membership_.config().straggler_deadline_s,
-                                participating_);
+    clocks_.sync_advance_masked(kStragglerDeadlineS, participating_);
   }
   for (std::size_t r : d.evicted) {
     if (active_count() > 1) {
@@ -345,6 +344,15 @@ void Communicator::canonical_sum(const std::vector<std::span<float>>& bufs,
     }
     std::copy_n(acc, len, dst.data() + off);
   }
+}
+
+void Communicator::mean_of_sum(std::span<const float> sum,
+                               std::span<float> out) const {
+  if (sum.size() != out.size()) {
+    throw std::invalid_argument("mean_of_sum: size mismatch");
+  }
+  const float inv = 1.0F / static_cast<float>(participant_count());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = sum[i] * inv;
 }
 
 void Communicator::allreduce_sum(std::vector<std::span<float>> bufs) {

@@ -172,9 +172,6 @@ class Communicator {
   }
   Membership& membership() noexcept { return membership_; }
   const Membership& membership() const noexcept { return membership_; }
-  void set_membership_config(const MembershipConfig& cfg) noexcept {
-    membership_.set_config(cfg);
-  }
   /// Recomputes this step's participation from the membership ledger
   /// (restore path: call after Membership::deserialize).
   void refresh_participation();
@@ -256,6 +253,23 @@ class Communicator {
   /// reconciles against the same counters as the replicated one.
   void reduce_sum(std::vector<std::span<float>> bufs, std::size_t root);
 
+  // --- the canonical sum and the one averaging rule (DESIGN.md §15) ---
+  /// The canonical reduction both summing collectives run, computed
+  /// locally (no bytes move, no time is charged): participating buffers
+  /// summed element-wise in ascending rank order with linear association
+  /// — the lead participant's values, then each later participant's —
+  /// written to `dst`. Works through a fixed stack tile, so `dst` may be
+  /// any participant's buffer and a call allocates nothing.
+  void canonical_sum(const std::vector<std::span<float>>& bufs,
+                     std::span<float> dst) const;
+  /// The optimizers' one averaging rule: out[i] = sum[i] * (1.0F /
+  /// participant_count()), where `sum` is a canonical participant sum
+  /// (what allreduce_sum, reduce_sum or canonical_sum leave). `out` may be
+  /// `sum` itself. Every average of a sum over this step's participants
+  /// — the compressed exchange, both raw fallbacks and the KFAC gradient
+  /// — goes through here, so at any participant count they round alike.
+  void mean_of_sum(std::span<const float> sum, std::span<float> out) const;
+
  private:
   /// Checks that `bufs` has one buffer per rank and that every
   /// participating buffer is as long as `bufs[ref]`, and returns that
@@ -263,13 +277,6 @@ class Communicator {
   std::size_t check_buffers(const char* op,
                             const std::vector<std::span<float>>& bufs,
                             std::size_t ref) const;
-  /// The canonical reduction both summing collectives share: participating
-  /// buffers summed element-wise in ascending rank order with linear
-  /// association, written to `dst`. Works through a fixed stack tile, so
-  /// `dst` may be any participant's buffer and a call allocates nothing.
-  void canonical_sum(const std::vector<std::span<float>>& bufs,
-                     std::span<float> dst) const;
-
   /// Records one finished collective into the attached obs hooks: a span
   /// of the modeled duration ending at the current tracer time, plus the
   /// calls/bytes counters and a duration histogram.

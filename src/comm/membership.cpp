@@ -6,15 +6,12 @@
 namespace compso::comm {
 namespace {
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+/// The ladder's thresholds (see membership.hpp).
+constexpr std::uint64_t kSuspectAfterMisses = 2;   ///< missed heartbeats.
+constexpr std::uint64_t kStraggleSuspectAfter = 3;  ///< deadline exclusions.
+constexpr std::uint64_t kProbeBackoffInitial = 1;  ///< first probe, iters.
+constexpr std::uint64_t kProbeBackoffFactor = 2;   ///< per failed probe.
+constexpr std::uint64_t kEvictAfterProbes = 2;     ///< failed probes.
 
 }  // namespace
 
@@ -153,7 +150,7 @@ MembershipDecisions Membership::tick(std::size_t t,
     // the deadline of the group's front. Death is visible here only as
     // absence — the *decision* ladder below runs on heartbeats alone.
     const bool arrived =
-        st.alive != 0 && clock_times[r] - ref <= cfg_.straggler_deadline_s;
+        st.alive != 0 && clock_times[r] - ref <= kStragglerDeadlineS;
 
     switch (st.phase) {
       case RankPhase::kHealthy: {
@@ -162,10 +159,10 @@ MembershipDecisions Membership::tick(std::size_t t,
         } else {
           ++st.misses;
           ++d.misses;
-          if (st.misses >= cfg_.suspect_after_misses) {
+          if (st.misses >= kSuspectAfterMisses) {
             st.phase = RankPhase::kSuspect;
             st.probes_failed = 0;
-            st.probe_interval = cfg_.probe_backoff_initial;
+            st.probe_interval = kProbeBackoffInitial;
             st.next_probe = t + st.probe_interval;
             d.suspected.push_back(r);
             break;  // newly suspect: excluded below, nobody waits.
@@ -189,10 +186,10 @@ MembershipDecisions Membership::tick(std::size_t t,
           d.excluded.push_back(r);
           if (st.alive != 0) {
             ++st.strikes;
-            if (st.strikes >= cfg_.straggle_suspect_after) {
+            if (st.strikes >= kStraggleSuspectAfter) {
               st.phase = RankPhase::kSuspect;
               st.probes_failed = 0;
-              st.probe_interval = cfg_.probe_backoff_initial;
+              st.probe_interval = kProbeBackoffInitial;
               st.next_probe = t + st.probe_interval;
               d.suspected.push_back(r);
             }
@@ -208,10 +205,10 @@ MembershipDecisions Membership::tick(std::size_t t,
         }
         if (t >= st.next_probe) {
           ++st.probes_failed;
-          if (st.probes_failed >= cfg_.evict_after_probes) {
+          if (st.probes_failed >= kEvictAfterProbes) {
             d.evicted.push_back(r);
           } else {
-            st.probe_interval *= cfg_.probe_backoff_factor;
+            st.probe_interval *= kProbeBackoffFactor;
             st.next_probe = t + st.probe_interval;
           }
         }
@@ -245,6 +242,8 @@ MembershipDecisions Membership::tick(std::size_t t,
 }
 
 void Membership::serialize(std::vector<std::uint8_t>& out) const {
+  using codec::wire::put_u64;
+  using codec::wire::put_u8;
   put_u64(out, rs_.size());
   for (const auto& st : rs_) {
     put_u8(out, static_cast<std::uint8_t>(st.phase));

@@ -13,22 +13,24 @@
 //    eviction are decided exclusively from missed heartbeats — never from
 //    the FaultPlan.
 //
-// Degradation ladder for a rank that does not arrive at the step barrier:
+// Degradation ladder for a rank that does not arrive at the step barrier
+// (kStragglerDeadlineS is below; the other thresholds are constants in
+// membership.cpp):
 //
-//   1. wait until deadline      participants wait `straggler_deadline_s`
+//   1. wait until deadline      participants wait kStragglerDeadlineS
 //                               (charged to their simulated clocks);
 //   2. continue-without         the step runs over the remaining
 //                               participants with renormalized averages;
-//   3. suspect                  after `suspect_after_misses` consecutive
+//   3. suspect                  after kSuspectAfterMisses consecutive
 //                               missed heartbeats (or
-//                               `straggle_suspect_after` consecutive
-//                               deadline exclusions) the rank is suspected
-//                               and nobody waits for it any more;
-//   4. evict                    after `evict_after_probes` failed probes,
+//                               kStraggleSuspectAfter consecutive deadline
+//                               exclusions) the rank is suspected and
+//                               nobody waits for it any more;
+//   4. evict                    after kEvictAfterProbes failed probes,
 //                               spaced with exponential backoff
-//                               (`probe_backoff_initial`,
-//                               `probe_backoff_factor`), the rank is
-//                               removed from the group.
+//                               (kProbeBackoffInitial iterations, times
+//                               kProbeBackoffFactor after each failure),
+//                               the rank is removed from the group.
 //
 // A suspected rank that heartbeats again (and is within the deadline) is
 // redeemed; an evicted rank that heartbeats again is readmitted. Both paths
@@ -39,7 +41,7 @@
 // the rejoin path — a stale replica can never silently re-enter the group.
 //
 // Everything here runs on the optimizer thread once per iteration and is a
-// pure function of (config, prior state, clocks, heartbeats), so the whole
+// pure function of (prior state, clocks, heartbeats), so the whole
 // ladder is bit-deterministic across engine thread counts and serializes
 // into the PR-2 checkpoint (save/resume mid-rejoin is exact).
 
@@ -61,21 +63,10 @@ enum class RankPhase : std::uint8_t {
 
 const char* to_string(RankPhase phase) noexcept;
 
-struct MembershipConfig {
-  /// Consecutive missed heartbeats before a healthy rank is suspected.
-  std::size_t suspect_after_misses = 2;
-  /// Iterations until the first liveness probe of a fresh suspect.
-  std::size_t probe_backoff_initial = 1;
-  /// Probe-interval multiplier after each failed probe (exponential).
-  std::size_t probe_backoff_factor = 2;
-  /// Failed probes before a suspect is evicted.
-  std::size_t evict_after_probes = 2;
-  /// How long participants wait at the step barrier for a late rank before
-  /// continuing without it. Also the lag bound for redemption.
-  double straggler_deadline_s = 8.0;
-  /// Consecutive deadline exclusions before a straggler is suspected.
-  std::size_t straggle_suspect_after = 3;
-};
+/// How long participants wait at the step barrier for a late rank before
+/// continuing without it (simulated seconds). Also the lag bound for
+/// redemption.
+inline constexpr double kStragglerDeadlineS = 8.0;
 
 /// What one membership tick decided; the Communicator applies the mask,
 /// clock waits, evictions, and readmissions, and mirrors the counters into
@@ -103,8 +94,6 @@ class Membership {
  public:
   explicit Membership(std::size_t world);
 
-  void set_config(const MembershipConfig& cfg) noexcept { cfg_ = cfg; }
-  const MembershipConfig& config() const noexcept { return cfg_; }
   std::size_t world_size() const noexcept { return rs_.size(); }
 
   // --- physical plane (fed from FaultPlan events; not read by detection) ---
@@ -155,7 +144,6 @@ class Membership {
     std::uint64_t rejoin_iter = 0;     ///< iteration spent in kRejoining.
   };
 
-  MembershipConfig cfg_;
   std::vector<RankState> rs_;
 };
 

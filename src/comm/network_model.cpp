@@ -4,18 +4,6 @@
 
 namespace compso::comm {
 
-double NetworkModel::p2p_time(const Topology& topo, std::size_t src,
-                              std::size_t dst, std::size_t bytes,
-                              std::size_t sharers) const noexcept {
-  if (src == dst) return 0.0;
-  if (topo.same_node(src, dst)) return intra_.transfer_time(bytes);
-  LinkParams shared = inter_;
-  if (sharers > 1) {
-    shared.bandwidth_Bps /= static_cast<double>(sharers);
-  }
-  return shared.transfer_time(bytes);
-}
-
 NetworkModel NetworkModel::platform1() {
   // NVLink3 (A100): ~300 GB/s effective per direction per pair; ~2 us sw
   // latency. Slingshot 10: 100 Gbps = 12.5 GB/s line rate per NIC; large

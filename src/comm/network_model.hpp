@@ -40,11 +40,6 @@ class NetworkModel {
   const LinkParams& intra_node() const noexcept { return intra_; }
   const LinkParams& inter_node() const noexcept { return inter_; }
 
-  /// Point-to-point time between two ranks under `topo`, with `sharers`
-  /// ranks of the same node concurrently using the NIC (>= 1).
-  double p2p_time(const Topology& topo, std::size_t src, std::size_t dst,
-                  std::size_t bytes, std::size_t sharers = 1) const noexcept;
-
   /// --- Paper Platform presets (§5, "Platforms") ---
   /// Platform 1: 16 nodes, 4xA100/node, Slingshot 10 (100 Gbps).
   static NetworkModel platform1();

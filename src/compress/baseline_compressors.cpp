@@ -36,28 +36,6 @@ constexpr std::uint32_t kCocktailMagic = 0x434B544CU;  // "CKTL"
 constexpr std::uint32_t kTopKMagic = 0x544F504BU;      // "TOPK"
 constexpr std::uint32_t kIdentityMagic = 0x49444E54U;  // "IDNT"
 
-void append_f64(Bytes& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  codec::detail::append_u64(out, bits);
-}
-
-void append_f32(Bytes& out, float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, 4);
-  codec::detail::append_u32(out, bits);
-}
-
-/// Reads the common header, bounds the element count, and returns it.
-std::size_t checked_count(ByteView payload, std::uint32_t magic,
-                          const char* who) {
-  const wire::PayloadHeader h = wire::read_payload_header(payload, magic);
-  if (h.count > wire::kMaxElementCount) {
-    throw PayloadError(std::string(who) + ": element count out of range");
-  }
-  return static_cast<std::size_t>(h.count);
-}
-
 double finite_f64(wire::Reader& r, const char* who) {
   const double v = r.f64();
   if (!std::isfinite(v)) {
@@ -81,14 +59,15 @@ class QsgdCompressor final : public GradientCompressor {
     const Bytes coded = codec::elias_gamma_encode_signed(block.codes);
     Bytes out;
     wire::begin_payload(out, kQsgdMagic, values.size());
-    append_f64(out, block.step);
+    wire::put_f64(out, block.step);
     out.insert(out.end(), coded.begin(), coded.end());
     wire::seal_payload(out);
     return out;
   }
 
   std::vector<float> decompress(ByteView payload) const override {
-    const std::size_t count = checked_count(payload, kQsgdMagic, "QSGD");
+    const std::size_t count =
+        wire::read_element_count(payload, kQsgdMagic, "QSGD");
     wire::Reader r(wire::payload_body(payload));
     const double step = finite_f64(r, "QSGD");
     // elias_gamma_decode bounds count against the stream's bit capacity
@@ -148,7 +127,7 @@ class SzCompressor final : public GradientCompressor {
         prev += static_cast<double>(q) * step;
       } else {
         codes[i] = 0;  // escape
-        append_f32(raw, values[i]);
+        wire::put_f32(raw, values[i]);
         prev = values[i];
         ++unpredictable;
       }
@@ -156,9 +135,9 @@ class SzCompressor final : public GradientCompressor {
     const Bytes coded = codec::huffman_encode(codes);
     Bytes out;
     wire::begin_payload(out, kSzMagic, values.size());
-    append_f64(out, step);
-    codec::detail::append_u64(out, unpredictable);
-    codec::detail::append_u64(out, coded.size());
+    wire::put_f64(out, step);
+    wire::put_u64(out, unpredictable);
+    wire::put_u64(out, coded.size());
     out.insert(out.end(), coded.begin(), coded.end());
     out.insert(out.end(), raw.begin(), raw.end());
     wire::seal_payload(out);
@@ -166,7 +145,7 @@ class SzCompressor final : public GradientCompressor {
   }
 
   std::vector<float> decompress(ByteView payload) const override {
-    const std::size_t count = checked_count(payload, kSzMagic, "SZ");
+    const std::size_t count = wire::read_element_count(payload, kSzMagic, "SZ");
     wire::Reader r(wire::payload_body(payload));
     const double step = finite_f64(r, "SZ");
     const std::uint64_t unpredictable = r.bounded_u64(count, "unpredictable");
@@ -249,10 +228,10 @@ class CocktailCompressor final : public GradientCompressor {
 
     Bytes out;
     wire::begin_payload(out, kCocktailMagic, values.size());
-    codec::detail::append_u64(out, seed);
-    append_f64(out, block.step);
+    wire::put_u64(out, seed);
+    wire::put_f64(out, block.step);
     out.push_back(static_cast<std::uint8_t>(block.bit_width));
-    codec::detail::append_u64(out, selected.size());
+    wire::put_u64(out, selected.size());
     out.insert(out.end(), packed.begin(), packed.end());
     wire::seal_payload(out);
     return out;
@@ -260,7 +239,7 @@ class CocktailCompressor final : public GradientCompressor {
 
   std::vector<float> decompress(ByteView payload) const override {
     const std::size_t count =
-        checked_count(payload, kCocktailMagic, "CocktailSGD");
+        wire::read_element_count(payload, kCocktailMagic, "CocktailSGD");
     wire::Reader r(wire::payload_body(payload));
     const std::uint64_t seed = r.u64();
     const double step = finite_f64(r, "CocktailSGD");
@@ -352,7 +331,7 @@ class TopKCompressor final : public GradientCompressor {
 
     Bytes out;
     wire::begin_payload(out, kTopKMagic, values.size());
-    codec::detail::append_u64(out, idx.size());
+    wire::put_u64(out, idx.size());
     // Delta-coded indices (gamma) + raw FP32 values.
     std::vector<std::uint64_t> deltas;
     deltas.reserve(idx.size());
@@ -362,15 +341,16 @@ class TopKCompressor final : public GradientCompressor {
       prev = i;
     }
     const Bytes dcoded = codec::elias_gamma_encode(deltas);
-    codec::detail::append_u64(out, dcoded.size());
+    wire::put_u64(out, dcoded.size());
     out.insert(out.end(), dcoded.begin(), dcoded.end());
-    for (std::size_t i : idx) append_f32(out, values[i]);
+    for (std::size_t i : idx) wire::put_f32(out, values[i]);
     wire::seal_payload(out);
     return out;
   }
 
   std::vector<float> decompress(ByteView payload) const override {
-    const std::size_t count = checked_count(payload, kTopKMagic, "TopK");
+    const std::size_t count =
+        wire::read_element_count(payload, kTopKMagic, "TopK");
     wire::Reader r(wire::payload_body(payload));
     const std::uint64_t k = r.bounded_u64(count, "k");
     // k is fully determined by count and the configured keep fraction, so
@@ -439,8 +419,8 @@ class IdentityCompressor final : public GradientCompressor {
   }
 
   std::vector<float> decompress(ByteView payload) const override {
-    const std::size_t count = checked_count(payload, kIdentityMagic,
-                                            "Identity");
+    const std::size_t count =
+        wire::read_element_count(payload, kIdentityMagic, "Identity");
     wire::Reader r(wire::payload_body(payload));
     ByteView raw = r.rest();
     if (raw.size() != wire::checked_mul(count, 4, "Identity stream")) {

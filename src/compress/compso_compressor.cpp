@@ -34,26 +34,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 namespace compso::compress {
 namespace {
 
+namespace wire = codec::wire;
+
 constexpr std::uint32_t kMagic = 0x43534F31U;  // "CSO1"
-
-void append_f64(Bytes& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  codec::detail::append_u64(out, bits);
-}
-
-void write_u64_at(Bytes& out, std::size_t pos, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out[pos + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (8 * i));
-  }
-}
 
 /// Shared decode of the fixed part of the body; both implementations
 /// validate identically.
@@ -64,14 +52,9 @@ struct DecodedHeader {
   bool filtered = false;
 };
 
-DecodedHeader decode_fixed_header(ByteView payload, codec::wire::Reader& r) {
-  namespace wire = codec::wire;
-  const wire::PayloadHeader header = wire::read_payload_header(payload, kMagic);
-  if (header.count > wire::kMaxElementCount) {
-    throw PayloadError("COMPSO: element count out of range");
-  }
+DecodedHeader decode_fixed_header(ByteView payload, wire::Reader& r) {
   DecodedHeader h;
-  h.count = static_cast<std::size_t>(header.count);
+  h.count = wire::read_element_count(payload, kMagic, "COMPSO");
   h.step = r.f64();
   if (!std::isfinite(h.step)) {
     throw PayloadError("COMPSO: non-finite quantization step");
@@ -122,30 +105,30 @@ class CompsoCompressor final : public GradientCompressor {
     // Exact upper bound on the payload: fixed fields plus one codec frame
     // per blob, each at most header + mode byte + raw input (the stored
     // fallback; coded frames are smaller by construction).
-    constexpr std::size_t kFrameOverhead = codec::detail::kHeaderSize + 1;
+    constexpr std::size_t kFrameOverhead = wire::kHeaderSize + 1;
     out.clear();
-    out.reserve(codec::wire::kHeaderSize + 10 +
+    out.reserve(wire::kHeaderSize + 10 +
                 (info.filtered
                      ? 16 + kFrameOverhead + scratch.bitmap.size()
                      : 0) +
                 kFrameOverhead + scratch.packed.size());
 
-    codec::wire::begin_payload(out, kMagic, n);
-    append_f64(out, info.step);
+    wire::begin_payload(out, kMagic, n);
+    wire::put_f64(out, info.step);
     out.push_back(static_cast<std::uint8_t>(info.bit_width));
     out.push_back(info.filtered ? 1 : 0);
     if (info.filtered) {
-      codec::detail::append_u64(out, info.survivors);
+      wire::put_u64(out, info.survivors);
       // The bitmap blob is emitted straight into the payload; its size is
       // only known afterwards, so patch the placeholder.
       const std::size_t size_pos = out.size();
-      codec::detail::append_u64(out, 0);
+      wire::put_u64(out, 0);
       const std::size_t blob_begin = out.size();
       codec_->encode_into(scratch.bitmap, out);
-      write_u64_at(out, size_pos, out.size() - blob_begin);
+      wire::store_u64(out.data() + size_pos, out.size() - blob_begin);
     }
     codec_->encode_into(scratch.packed, out);
-    codec::wire::seal_payload(out);
+    wire::seal_payload(out);
   }
 
   std::vector<float> decompress(ByteView payload) const override {
@@ -156,8 +139,7 @@ class CompsoCompressor final : public GradientCompressor {
 
   void decompress_into(ByteView payload,
                        std::vector<float>& out) const override {
-    namespace wire = codec::wire;
-    wire::Reader r(wire::payload_body(payload));
+      wire::Reader r(wire::payload_body(payload));
     const DecodedHeader h = decode_fixed_header(payload, r);
 
     // Decoded blobs land in thread-local scratch: steady-state decompress
@@ -270,26 +252,25 @@ class CompsoReferenceCompressor final : public GradientCompressor {
     const Bytes packed = quant::pack_codes(block.codes, block.bit_width);
 
     Bytes out;
-    codec::wire::begin_payload(out, kMagic, values.size());
-    append_f64(out, block.step);
+    wire::begin_payload(out, kMagic, values.size());
+    wire::put_f64(out, block.step);
     out.push_back(static_cast<std::uint8_t>(block.bit_width));
     out.push_back(filtered ? 1 : 0);
     if (filtered) {
       // Step 3 (bitmap branch): lossless-encode the filter bitmap.
       const Bytes bitmap_blob = codec_->encode(filt.bitmap);
-      codec::detail::append_u64(out, survivors.size());
-      codec::detail::append_u64(out, bitmap_blob.size());
+      wire::put_u64(out, survivors.size());
+      wire::put_u64(out, bitmap_blob.size());
       out.insert(out.end(), bitmap_blob.begin(), bitmap_blob.end());
     }
     const Bytes codes_blob = codec_->encode(packed);
     out.insert(out.end(), codes_blob.begin(), codes_blob.end());
-    codec::wire::seal_payload(out);
+    wire::seal_payload(out);
     return out;
   }
 
   std::vector<float> decompress(ByteView payload) const override {
-    namespace wire = codec::wire;
-    wire::Reader r(wire::payload_body(payload));
+      wire::Reader r(wire::payload_body(payload));
     const DecodedHeader h = decode_fixed_header(payload, r);
     const std::size_t count = h.count;
 

@@ -138,12 +138,12 @@ void ErrorFeedbackCompressor::serialize_state(Bytes& out) const {
   // Tagged body, not a nested wire frame: the enclosing CKPT frame's CRC
   // already covers these bytes; the magic + version make the blob
   // self-identifying under the per-section checkpoint fuzz.
-  ckpt::put_u64(out, kStateMagic);
-  ckpt::put_u8(out, kStateVersion);
-  ckpt::put_u64(out, streams_.size());
+  wire::put_u64(out, kStateMagic);
+  wire::put_u8(out, kStateVersion);
+  wire::put_u64(out, streams_.size());
   for (const auto& [id, st] : streams_) {  // std::map: sorted, deterministic.
-    ckpt::put_u64(out, id);
-    ckpt::put_u8(out, st.rollback_armed ? 1 : 0);
+    wire::put_u64(out, id);
+    wire::put_u8(out, st.rollback_armed ? 1 : 0);
     ckpt::put_floats(out, st.residual);
     ckpt::put_floats(out, st.snapshot);
   }

@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,13 +78,13 @@ constexpr std::uint64_t kMaxStreams = 1u << 20;
 
 void SketchSeedState::serialize(codec::Bytes& out) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  ckpt::put_u64(out, kSeedStateMagic);
-  ckpt::put_u8(out, kSeedStateVersion);
-  ckpt::put_u64(out, base_seed_);
-  ckpt::put_u64(out, counters_.size());
+  wire::put_u64(out, kSeedStateMagic);
+  wire::put_u8(out, kSeedStateVersion);
+  wire::put_u64(out, base_seed_);
+  wire::put_u64(out, counters_.size());
   for (const auto& [stream, counter] : counters_) {  // sorted → deterministic.
-    ckpt::put_u64(out, stream);
-    ckpt::put_u64(out, counter);
+    wire::put_u64(out, stream);
+    wire::put_u64(out, counter);
   }
 }
 
@@ -125,21 +124,6 @@ namespace {
 constexpr std::uint32_t kCountSketchMagic = 0x534B4348U;  // "SKCH"
 constexpr std::uint32_t kProjectionMagic = 0x534B504AU;   // "SKPJ"
 
-void append_f32(Bytes& out, float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, 4);
-  codec::detail::append_u32(out, bits);
-}
-
-std::size_t checked_count(ByteView payload, std::uint32_t magic,
-                          const char* who) {
-  const wire::PayloadHeader h = wire::read_payload_header(payload, magic);
-  if (h.count > wire::kMaxElementCount) {
-    throw PayloadError(std::string(who) + ": element count out of range");
-  }
-  return static_cast<std::size_t>(h.count);
-}
-
 // -------------------------------------------------------- count-sketch --
 class CountSketchCompressor final : public GradientCompressor,
                                     public StatefulCompressor {
@@ -170,9 +154,9 @@ class CountSketchCompressor final : public GradientCompressor,
     const std::size_t w = count_sketch_width(n, ratio_, rows_);
     out.clear();
     wire::begin_payload(out, kCountSketchMagic, n);
-    ckpt::put_u64(out, seed);
-    codec::detail::append_u32(out, rows_);
-    ckpt::put_u64(out, w);
+    wire::put_u64(out, seed);
+    wire::put_u32(out, rows_);
+    wire::put_u64(out, w);
     thread_local std::vector<float> sketch;
     sketch.assign(static_cast<std::size_t>(rows_) * w, 0.0f);
     for (unsigned r = 0; r < rows_; ++r) {
@@ -185,7 +169,7 @@ class CountSketchCompressor final : public GradientCompressor,
         row[bucket] += sign * values[i];
       }
     }
-    for (const float v : sketch) append_f32(out, v);
+    for (const float v : sketch) wire::put_f32(out, v);
     wire::seal_payload(out);
   }
 
@@ -198,7 +182,7 @@ class CountSketchCompressor final : public GradientCompressor,
   void decompress_into(ByteView payload,
                        std::vector<float>& out) const override {
     const std::size_t n =
-        checked_count(payload, kCountSketchMagic, "CountSketch");
+        wire::read_element_count(payload, kCountSketchMagic, "CountSketch");
     wire::Reader r(wire::payload_body(payload));
     const std::uint64_t seed = r.u64();
     const std::uint32_t rows = r.u32();
@@ -281,8 +265,8 @@ class RandomProjectionCompressor final : public GradientCompressor,
     const std::size_t n = values.size();
     out.clear();
     wire::begin_payload(out, kProjectionMagic, n);
-    ckpt::put_u64(out, seed);
-    ckpt::put_u64(out, kProjectionBlock);
+    wire::put_u64(out, seed);
+    wire::put_u64(out, kProjectionBlock);
     for (std::size_t begin = 0; begin < n; begin += kProjectionBlock) {
       const std::size_t len = std::min(kProjectionBlock, n - begin);
       const std::size_t m = projection_rows(len, ratio_);
@@ -294,7 +278,7 @@ class RandomProjectionCompressor final : public GradientCompressor,
           const float sign = (mix64(row_seed ^ i) >> 63) ? -1.0f : 1.0f;
           acc += sign * values[begin + i];
         }
-        append_f32(out, acc);
+        wire::put_f32(out, acc);
       }
     }
     wire::seal_payload(out);
@@ -308,7 +292,8 @@ class RandomProjectionCompressor final : public GradientCompressor,
 
   void decompress_into(ByteView payload,
                        std::vector<float>& out) const override {
-    const std::size_t n = checked_count(payload, kProjectionMagic, "RandProj");
+    const std::size_t n =
+        wire::read_element_count(payload, kProjectionMagic, "RandProj");
     wire::Reader r(wire::payload_body(payload));
     const std::uint64_t seed = r.u64();
     const std::uint64_t block = r.u64();

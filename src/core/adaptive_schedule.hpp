@@ -1,14 +1,14 @@
 #pragma once
 // Iteration-wise adaptive compression (paper §4.3, Algorithm 1).
 //
-// The error bounds follow the learning-rate schedule:
+// The error bounds follow the learning-rate schedule, whose mode the
+// caller names:
 //  - StepLR: aggressive (filter + SR, loose bounds) before the first LR
 //    drop, conservative (SR only, tight bounds) after it.
-//  - SmoothLR: training is split into z stages; stage 0 is aggressive,
-//    each subsequent stage decays both bounds by alpha.
+//  - SmoothLR: training is split into kStages stages; stage 0 is
+//    aggressive, each subsequent stage decays both bounds by alpha.
 
 #include "src/compress/compressor.hpp"
-#include "src/optim/lr_scheduler.hpp"
 
 #include <cstddef>
 
@@ -24,24 +24,24 @@ struct CompressionStage {
   bool aggressive() const noexcept { return use_filter; }
 };
 
-/// Tunables of the adaptive schedule (Algorithm 1's eb_f / eb_q / z / alpha).
-struct AdaptiveScheduleParams {
-  double loose_filter_bound = 4e-3;   ///< aggressive eb_f.
-  double loose_quant_bound = 4e-3;    ///< aggressive eb_q.
-  double tight_quant_bound = 2e-3;    ///< conservative eb_q (StepLR mode).
-  std::size_t stages = 4;             ///< z (SmoothLR mode).
-  double decay = 0.5;                 ///< alpha (SmoothLR mode).
-};
-
 class AdaptiveSchedule {
  public:
-  using Params = AdaptiveScheduleParams;
+  /// Algorithm 1's eb_f = eb_q in the aggressive stage.
+  static constexpr double kLooseBound = 4e-3;
+  /// Algorithm 1's conservative eb_q (StepLR mode).
+  static constexpr double kTightQuantBound = 2e-3;
+  /// Algorithm 1's z (SmoothLR mode).
+  static constexpr std::size_t kStages = 4;
 
-  /// `scheduler` decides StepLR vs SmoothLR behaviour; `total_iterations`
-  /// sizes the SmoothLR stages.
-  AdaptiveSchedule(const optim::LrScheduler& scheduler,
-                   std::size_t total_iterations,
-                   Params params = AdaptiveScheduleParams{});
+  /// StepLR mode: aggressive before `first_drop` (the iteration of the
+  /// first LR drop; SIZE_MAX when the LR never drops), conservative from
+  /// it on.
+  static AdaptiveSchedule step_lr(std::size_t first_drop) noexcept;
+  /// SmoothLR mode: `total_iterations` split into kStages stages, stage k
+  /// at decay^k times the loose bounds. Throws std::invalid_argument when
+  /// total_iterations is 0.
+  static AdaptiveSchedule smooth_lr(std::size_t total_iterations,
+                                    double decay);
 
   /// Strategy at iteration t.
   CompressionStage at(std::size_t t) const noexcept;
@@ -51,13 +51,16 @@ class AdaptiveSchedule {
       std::size_t t,
       codec::CodecKind encoder = codec::CodecKind::kAns) const noexcept;
 
+  /// Iterations per SmoothLR stage (0 in StepLR mode).
   std::size_t stage_length() const noexcept { return stage_length_; }
 
  private:
-  const optim::LrScheduler& scheduler_;
-  std::size_t total_;
-  Params p_;
-  std::size_t stage_length_;
+  AdaptiveSchedule() = default;
+
+  bool smooth_ = false;
+  std::size_t first_drop_ = 0;    ///< StepLR mode.
+  std::size_t stage_length_ = 0;  ///< SmoothLR mode.
+  double decay_ = 0.0;            ///< SmoothLR mode: alpha.
 };
 
 }  // namespace compso::core

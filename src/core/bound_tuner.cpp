@@ -4,6 +4,13 @@
 #include <stdexcept>
 
 namespace compso::core {
+namespace {
+
+/// Binary-search iterations: the bound is resolved to about
+/// kMaxTunedBound / kMinTunedBound / 2^kSearchSteps in log space.
+constexpr std::size_t kSearchSteps = 12;
+
+}  // namespace
 
 Distortion measure_distortion(std::span<const float> original,
                               std::span<const float> reconstructed) {
@@ -29,15 +36,13 @@ Distortion measure_distortion(std::span<const float> original,
 
 TunedBounds tune_bounds(std::span<const float> sample,
                         const BoundTunerConfig& config, tensor::Rng& rng) {
-  if (sample.empty() || config.min_bound <= 0.0 ||
-      config.max_bound <= config.min_bound) {
-    throw std::invalid_argument("tune_bounds: bad sample or search range");
+  if (sample.empty()) {
+    throw std::invalid_argument("tune_bounds: empty sample");
   }
   auto evaluate = [&](double bound, TunedBounds& out) {
     compress::CompsoParams p;
     p.filter_bound = bound;
     p.quant_bound = bound;
-    p.encoder = config.encoder;
     const auto compso = compress::make_compso(p);
     const auto payload = compso->compress(sample, rng);
     const auto restored = compso->decompress(payload);
@@ -53,16 +58,16 @@ TunedBounds tune_bounds(std::span<const float> sample,
   };
 
   // Log-space binary search: loosest bound that satisfies the budget.
-  double lo = std::log(config.min_bound);
-  double hi = std::log(config.max_bound);
+  double lo = std::log(kMinTunedBound);
+  double hi = std::log(kMaxTunedBound);
   TunedBounds best;
-  if (!evaluate(config.min_bound, best)) {
+  if (!evaluate(kMinTunedBound, best)) {
     // Even the tightest bound violates the budget: return it anyway with
     // the achieved numbers so the caller can decide.
     return best;
   }
   TunedBounds candidate = best;
-  for (std::size_t s = 0; s < config.steps; ++s) {
+  for (std::size_t s = 0; s < kSearchSteps; ++s) {
     const double mid = 0.5 * (lo + hi);
     if (evaluate(std::exp(mid), candidate)) {
       best = candidate;

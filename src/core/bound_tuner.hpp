@@ -16,19 +16,17 @@
 
 namespace compso::core {
 
+/// The distortion budget the tuner searches under.
 struct BoundTunerConfig {
   /// Maximum allowed relative L2 reconstruction error ||g - g'|| / ||g||.
   double max_relative_l2 = 0.05;
   /// Maximum allowed cosine distortion 1 - cos(g, g').
   double max_cosine_distortion = 0.005;
-  /// Search range for the (relative) bounds.
-  double min_bound = 1e-5;
-  double max_bound = 1e-1;
-  /// Binary-search iterations (bounds resolved to ~max/min / 2^steps).
-  std::size_t steps = 12;
-  /// Keep eb_f == eb_q (the paper couples them in the aggressive stage).
-  codec::CodecKind encoder = codec::CodecKind::kAns;
 };
+
+/// The search range of the coupled (relative) bound.
+inline constexpr double kMinTunedBound = 1e-5;
+inline constexpr double kMaxTunedBound = 1e-1;
 
 struct TunedBounds {
   double filter_bound = 0.0;
@@ -46,8 +44,12 @@ struct Distortion {
 Distortion measure_distortion(std::span<const float> original,
                               std::span<const float> reconstructed);
 
-/// Binary-searches the loosest coupled bound satisfying the budget on the
-/// given sample. Deterministic given the Rng.
+/// Binary-searches [kMinTunedBound, kMaxTunedBound] in log space for the
+/// loosest coupled bound (eb_f == eb_q, as the paper couples them in the
+/// aggressive stage) whose COMPSO round trip of the sample, ANS-encoded,
+/// satisfies the budget. When even kMinTunedBound violates it, returns
+/// that bound with its achieved numbers. Deterministic given the Rng;
+/// throws std::invalid_argument on an empty sample.
 TunedBounds tune_bounds(std::span<const float> sample,
                         const BoundTunerConfig& config, tensor::Rng& rng);
 

@@ -9,10 +9,14 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace compso::core {
 namespace {
+
+namespace wire = codec::wire;
 
 /// Seed offset for the sketch families' counter-derived payload seeds.
 constexpr std::uint64_t kSketchSeedSalt = 0x5EEDC0DEULL;
@@ -50,6 +54,20 @@ const TaskStreams& streams(const TrainerConfig& cfg) {
 }
 
 constexpr std::size_t kEvalSamples = 512;
+
+/// The trainer runs one replica per rank of a Topology::with_gpus(world)
+/// cluster, which fills whole 4-GPU nodes: a world it would round up (5-7,
+/// 9-11, ...) or 0 is rejected here, naming the constraint.
+FtTrainerConfig validated(FtTrainerConfig cfg) {
+  const std::size_t world = cfg.base.world;
+  if (comm::Topology::with_gpus(world).world_size() != world) {
+    throw std::invalid_argument(
+        "FaultTolerantTrainer: TrainerConfig::world must be 1-4 or a "
+        "multiple of 4 (whole 4-GPU nodes), got " +
+        std::to_string(world));
+  }
+  return cfg;
+}
 
 std::variant<nn::ClusterDataset, nn::SpanDataset> make_dataset(
     const TrainerConfig& cfg) {
@@ -132,13 +150,13 @@ nn::SpanMetrics FaultTolerantTrainer::evaluate_spans() {
 // ------------------------------------------------------------ the trainer
 
 FaultTolerantTrainer::FaultTolerantTrainer(FtTrainerConfig config)
-    : cfg_(std::move(config)),
+    : cfg_(validated(std::move(config))),
       dataset_(make_dataset(cfg_.base)),
       replicas_(build_replicas(cfg_.base)),
       comm_(comm::Topology::with_gpus(cfg_.base.world),
             comm::NetworkModel::platform1()),
-      lr_(cfg_.base_lr, cfg_.lr_decay, cfg_.lr_milestones),
-      schedule_(lr_, cfg_.total_iterations, cfg_.schedule),
+      lr_(cfg_.base_lr, cfg_.lr_milestones),
+      schedule_(AdaptiveSchedule::step_lr(lr_.first_drop())),
       pool_(cfg_.engine_threads > 0
                 ? std::make_unique<common::ThreadPool>(cfg_.engine_threads)
                 : nullptr),
@@ -146,7 +164,6 @@ FaultTolerantTrainer::FaultTolerantTrainer(FtTrainerConfig config)
       sr_rng_(cfg_.base.seed ^ (cfg_.optimizer == OptimizerKind::kKfac
                                     ? streams(cfg_.base).kfac_step
                                     : streams(cfg_.base).sgd_step)) {
-  comm_.set_membership_config(cfg_.membership);
   // Persistent family compressor (DESIGN.md §17): the only place error
   // feedback comes from — kCompso is plain COMPSO, as in the paper.
   switch (cfg_.family) {
@@ -179,8 +196,7 @@ FaultTolerantTrainer::FaultTolerantTrainer(FtTrainerConfig config)
                                               pool_.get());
     kfac_->set_recovery(cfg_.recovery);
   } else {
-    sgd_ = std::make_unique<optim::DistSgd>(cfg_.sgd, comm_, ptrs,
-                                            pool_.get());
+    sgd_ = std::make_unique<optim::DistSgd>(comm_, ptrs, pool_.get());
     sgd_->set_recovery(cfg_.recovery);
   }
   // One pool for everything (DESIGN.md §11): the math kernels fan
@@ -326,8 +342,8 @@ void FaultTolerantTrainer::resync_shared_state(std::size_t t) {
   // Survivor side: serialize the shared state into a sealed CKPT frame —
   // the same framing + CRC a checkpoint restore validates.
   ckpt::Bytes body;
-  ckpt::put_u64(body, t);
-  ckpt::put_u8(body, tightened_ ? 1 : 0);
+  wire::put_u64(body, t);
+  wire::put_u8(body, tightened_ ? 1 : 0);
   if (kfac_ != nullptr) {
     kfac_->save_state(body);
   } else {
@@ -341,7 +357,7 @@ void FaultTolerantTrainer::resync_shared_state(std::size_t t) {
   // goes through the full open/parse/validate path the real protocol
   // would, and that the accounting reflects the transfer.
   const auto view = ckpt::open_frame(frame);
-  codec::wire::Reader reader(view);
+  wire::Reader reader(view);
   if (reader.u64() != t) {
     throw PayloadError("resync: iteration cursor mismatch");
   }
@@ -396,22 +412,22 @@ ckpt::Bytes FaultTolerantTrainer::checkpoint(
   };
   // --- layout version + config echo (validated on restore) ---
   section("config");
-  ckpt::put_u8(body, kCheckpointLayout);
-  ckpt::put_u8(body, static_cast<std::uint8_t>(cfg_.optimizer));
-  ckpt::put_u64(body, cfg_.base.world);
-  ckpt::put_u64(body, cfg_.base.features);
-  ckpt::put_u64(body, cfg_.base.classes);
-  ckpt::put_u64(body, cfg_.base.hidden);
-  ckpt::put_u64(body, cfg_.base.depth);
+  wire::put_u8(body, kCheckpointLayout);
+  wire::put_u8(body, static_cast<std::uint8_t>(cfg_.optimizer));
+  wire::put_u64(body, cfg_.base.world);
+  wire::put_u64(body, cfg_.base.features);
+  wire::put_u64(body, cfg_.base.classes);
+  wire::put_u64(body, cfg_.base.hidden);
+  wire::put_u64(body, cfg_.base.depth);
   // --- schedule cursor + policy state ---
   section("cursor");
-  ckpt::put_u64(body, iteration_);
-  ckpt::put_u8(body, tightened_ ? 1 : 0);
+  wire::put_u64(body, iteration_);
+  wire::put_u8(body, tightened_ ? 1 : 0);
   // --- rank liveness ---
   section("mask");
   const auto& mask = comm_.active_mask();
-  ckpt::put_u64(body, mask.size());
-  for (auto m : mask) ckpt::put_u8(body, m);
+  wire::put_u64(body, mask.size());
+  for (auto m : mask) wire::put_u8(body, m);
   // --- membership ledger (phases, heartbeat/probe cursors) ---
   section("membership");
   comm_.membership().serialize(body);
@@ -426,13 +442,13 @@ ckpt::Bytes FaultTolerantTrainer::checkpoint(
         rc.checkpoint_restores, rc.heartbeat_misses, rc.suspicions,
         rc.deadline_waits, rc.deadline_exclusions, rc.readmissions,
         rc.resyncs}) {
-    ckpt::put_u64(body, c);
+    wire::put_u64(body, c);
   }
   // --- model parameters (replicas are identical; save the lead) ---
   section("params");
   auto& model = lead_replica();
   const auto trainable = model.trainable_layers();
-  ckpt::put_u64(body, trainable.size());
+  wire::put_u64(body, trainable.size());
   for (std::size_t li : trainable) {
     auto& layer = model.layer(li);
     ckpt::put_tensor(body, *layer.weight());
@@ -449,10 +465,10 @@ ckpt::Bytes FaultTolerantTrainer::checkpoint(
   // residual map / sketch seed counters that make a resumed run's
   // payloads bit-identical to an uninterrupted one ---
   section("compressor");
-  ckpt::put_u8(body, static_cast<std::uint8_t>(cfg_.family));
+  wire::put_u8(body, static_cast<std::uint8_t>(cfg_.family));
   auto* stateful =
       dynamic_cast<compress::StatefulCompressor*>(family_compressor_.get());
-  ckpt::put_u8(body, stateful != nullptr ? 1 : 0);
+  wire::put_u8(body, stateful != nullptr ? 1 : 0);
   if (stateful != nullptr) stateful->serialize_state(body);
   // --- RNG streams ---
   section("rng");
@@ -462,9 +478,9 @@ ckpt::Bytes FaultTolerantTrainer::checkpoint(
   // simulated timeline, and sim-clock-driven traces stay byte-identical) ---
   section("clocks");
   const auto& clocks = comm_.clocks();
-  ckpt::put_u64(body, clocks.world_size());
+  wire::put_u64(body, clocks.world_size());
   for (std::size_t r = 0; r < clocks.world_size(); ++r) {
-    ckpt::put_f64(body, clocks.at(r));
+    wire::put_f64(body, clocks.at(r));
   }
   if (sections != nullptr && !sections->empty()) {
     sections->back().end = body.size();
@@ -483,7 +499,7 @@ void FaultTolerantTrainer::save_checkpoint(const std::string& path) {
 
 void FaultTolerantTrainer::restore(ckpt::ByteView frame) {
   const auto body = ckpt::open_frame(frame);
-  codec::wire::Reader reader(body);
+  wire::Reader reader(body);
   if (reader.u8() != kCheckpointLayout) {
     throw PayloadError("checkpoint: unsupported body layout");
   }

@@ -85,15 +85,12 @@ struct FtTrainerConfig {
   TrainerConfig base{};  ///< task / cluster / model / seed.
   OptimizerKind optimizer = OptimizerKind::kKfac;
   optim::DistKfacConfig kfac{};
-  optim::DistSgdConfig sgd{};
   optim::RecoveryPolicy recovery{};  ///< default: disabled (fail fast).
-  /// Heartbeat / straggler-ladder knobs for the membership layer
-  /// (suspicion timeout, probe backoff, straggler deadline; DESIGN.md §14).
-  comm::MembershipConfig membership{};
-  /// StepLR owned by the trainer, so a resumed run rebuilds the identical
-  /// schedule from config alone.
+  /// StepLR owned by the trainer (the LR falls tenfold at each milestone),
+  /// so a resumed run rebuilds the identical schedule from config alone.
+  /// Its first milestone also starts the adaptive schedule's
+  /// conservative stage.
   double base_lr = 0.05;
-  double lr_decay = 0.1;
   std::vector<std::size_t> lr_milestones{};
   /// When true, each iteration uses a COMPSO compressor configured by the
   /// iteration-wise adaptive schedule (tightened after a non-finite event).
@@ -103,9 +100,8 @@ struct FtTrainerConfig {
   /// inner compressor is rebuilt from effective_params(t) each iteration
   /// while the residuals persist.
   CompressorFamily family = CompressorFamily::kCompso;
-  /// Sizes the adaptive schedule; also core::train()'s run length.
+  /// core::train()'s run length.
   std::size_t total_iterations = 100;
-  AdaptiveScheduleParams schedule{};
   /// Worker threads of the trainer's ThreadPool, which runs the ranks'
   /// forward/backward passes, the optimizer's StepGraph compute tasks and
   /// the math kernels' row blocks. 0 = no pool: everything runs inline on
@@ -117,6 +113,9 @@ struct FtTrainerConfig {
 
 class FaultTolerantTrainer {
  public:
+  /// Throws std::invalid_argument when `config.base.world` does not fill
+  /// whole 4-GPU nodes (it must be 1-4 or a multiple of 4), and whatever
+  /// the optimizer's constructor throws for its config.
   explicit FaultTolerantTrainer(FtTrainerConfig config);
   /// Detaches the shared math pool if this trainer attached it (the pool
   /// dies with the trainer; a stale global pointer would dangle).

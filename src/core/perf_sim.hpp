@@ -32,7 +32,6 @@ struct PerfConfig {
   /// `eigen_refresh_every` factor updates.
   std::size_t factor_update_every = 25;
   std::size_t eigen_refresh_every = 4;
-  double fwd_bwd_efficiency = 0.45;       ///< achieved fraction of peak.
   /// KAISA overlaps the per-layer gradient broadcasts with the remaining
   /// computation (its contribution 2): this fraction of the allgather time
   /// hides behind compute, bounded by the compute actually available.
@@ -43,7 +42,6 @@ struct PerfConfig {
   /// auto-selection off, so every modeled collective prices exactly as the
   /// legacy flat-ring / binomial formulas.
   comm::CollectiveConfig collectives;
-  std::uint64_t seed = 2025;
 };
 
 /// One KFAC training iteration, split the way Fig. 1 reports it.

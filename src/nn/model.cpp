@@ -103,21 +103,6 @@ double span_cross_entropy(const Tensor& logits, const std::vector<int>& start,
   return 0.5 * (ls + le);
 }
 
-double mse_loss(const Tensor& pred, const Tensor& target, Tensor& grad) {
-  if (pred.size() != target.size()) {
-    throw std::invalid_argument("mse_loss: shape mismatch");
-  }
-  grad = pred;
-  double total = 0.0;
-  const double n = static_cast<double>(pred.size());
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    const double d = static_cast<double>(pred[i]) - target[i];
-    total += d * d;
-    grad[i] = static_cast<float>(2.0 * d / n);
-  }
-  return total / n;
-}
-
 double accuracy(const Tensor& logits, const std::vector<int>& labels) {
   if (logits.rank() != 2 || logits.rows() != labels.size() || labels.empty()) {
     throw std::invalid_argument("accuracy: shape mismatch");

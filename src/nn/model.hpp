@@ -46,9 +46,6 @@ double softmax_cross_entropy(const Tensor& logits,
 double span_cross_entropy(const Tensor& logits, const std::vector<int>& start,
                           const std::vector<int>& end, Tensor& grad);
 
-/// Mean squared error; grad as above.
-double mse_loss(const Tensor& pred, const Tensor& target, Tensor& grad);
-
 /// Classification accuracy of logits vs labels.
 double accuracy(const Tensor& logits, const std::vector<int>& labels);
 

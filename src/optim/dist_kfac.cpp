@@ -13,6 +13,10 @@ namespace compso::optim {
 namespace {
 
 namespace ckpt = codec::ckpt;
+namespace wire = codec::wire;
+
+/// Momentum coefficient of the preconditioned update.
+constexpr double kMomentum = 0.9;
 
 /// A raw (uncompressed) gather payload: the values' bytes.
 void copy_raw(std::span<const float> values, compress::Bytes& out) {
@@ -58,6 +62,9 @@ DistKfac::DistKfac(DistKfacConfig config, comm::Communicator& comm,
     : cfg_(config), comm_(comm), replicas_(std::move(replicas)), pool_(pool) {
   if (replicas_.size() != comm_.world_size()) {
     throw std::invalid_argument("DistKfac: one replica per rank required");
+  }
+  if (cfg_.eigen_refresh_every == 0) {
+    throw std::invalid_argument("DistKfac: eigen_refresh_every must be >= 1");
   }
   layer_indices_ = replicas_[0]->trainable_layers();
   for (std::size_t li : layer_indices_) {
@@ -159,8 +166,7 @@ void DistKfac::average_factors(std::size_t begin, std::size_t end,
   } else {
     comm_.allreduce_sum(views);
   }
-  const float inv = 1.0F / static_cast<float>(comm_.participant_count());
-  for (float& v : views[root]) v *= inv;
+  comm_.mean_of_sum(views[root], views[root]);
 }
 
 void DistKfac::exchange_compressed_factor(std::size_t s, bool a,
@@ -177,7 +183,7 @@ void DistKfac::exchange_compressed_factor(std::size_t s, bool a,
           std::span<float>(factor_buf_[root]).subspan(begin, size))) {
     return;
   }
-  record_fallback(comm_, policy_, "kfac.factor_fallback");
+  record_fallback(comm_, "kfac.factor_fallback");
   // A failed average wrote nothing: the raw triangles take the
   // uncompressed path.
   average_factors(begin, begin + size, root);
@@ -205,11 +211,11 @@ bool DistKfac::gather_exchange(const compress::GradientCompressor* compressor) {
     const GatherGroup& grp = groups_[g];
     const auto& payload = group_payloads_[g];
     auto& buf = gather_send_[grp.rank];
-    ckpt::put_u64(buf, grp.count);
+    wire::put_u64(buf, grp.count);
     for (std::size_t j = 0; j < grp.count; ++j) {
-      ckpt::put_u64(buf, owned_[grp.rank][grp.first + j]);
+      wire::put_u64(buf, owned_[grp.rank][grp.first + j]);
     }
-    ckpt::put_u64(buf, payload.size());
+    wire::put_u64(buf, payload.size());
     buf.insert(buf.end(), payload.begin(), payload.end());
     comp_bytes_ += payload.size();
   }
@@ -310,7 +316,6 @@ void DistKfac::step(std::size_t iteration, double lr,
                     const compress::GradientCompressor* compressor,
                     tensor::Rng& rng) {
   const std::size_t world = comm_.world_size();
-  const std::size_t active = comm_.participant_count();
   const std::size_t lead = comm_.first_participant();
   const std::size_t slots = layer_indices_.size();
   factor_orig_bytes_ = 0;
@@ -535,7 +540,6 @@ void DistKfac::step(std::size_t iteration, double lr,
   }
 
   std::vector<StepGraph::TaskId> guard_id(slots, 0);
-  const float inv_active = 1.0F / static_cast<float>(active);
   for (std::size_t s = 0; s < slots; ++s) {
     // Preconditioning reads only this slot's state, so it overlaps other
     // slots' collectives — the §4.4 "eigh under comm" overlap. On a
@@ -547,15 +551,15 @@ void DistKfac::step(std::size_t iteration, double lr,
     const std::size_t root = root_of(s, lead);
     const auto ep = graph_.add_compute(
         "precond" + std::to_string(s), static_cast<int>(s),
-        [this, s, root, inv_active] {
+        [this, s, root] {
           // The slot's averaged gradient (the allreduce left the sum on
           // every participant), staged in its output tensor.
           Tensor& k = preconditioned_[s];
           tensor::ensure_shape2(k, momentum_[s].rows(), momentum_[s].cols());
-          const float* sum = grad_buf_[root].data() + grad_off_[s];
-          for (std::size_t i = 0; i < k.size(); ++i) {
-            k[i] = sum[i] * inv_active;
-          }
+          comm_.mean_of_sum(
+              std::span<const float>(grad_buf_[root]).subspan(grad_off_[s],
+                                                              k.size()),
+              k.span());
           k = states_[s]->precondition(k, cfg_.damping);
         });
     if (refresh) {
@@ -593,7 +597,7 @@ void DistKfac::step(std::size_t iteration, double lr,
           // compressor (NaN through quantization is undefined). Zero the
           // slot so the gather framing stays intact, and skip its update.
           if (!all_finite(preconditioned_[s].span())) {
-            if (policy_.enabled && policy_.skip_nonfinite_steps) {
+            if (policy_.enabled) {
               skip_[s] = 1;
               ++comm_.recovery().nonfinite_skips;
               comm_.obs().count("recovery.nonfinite_skips");
@@ -658,8 +662,7 @@ void DistKfac::step(std::size_t iteration, double lr,
         if (gather_exchange(gather_comp)) {
           gather_state_.failures = 0;
         } else {
-          record_fallback(comm_, policy_, "kfac.gather_fallback",
-                          &gather_state_);
+          record_fallback(comm_, "kfac.gather_fallback", &gather_state_);
           // The raw re-send delivers the full preconditioned gradients,
           // so stateful compressors roll their per-stream state back
           // (DESIGN.md §17).
@@ -748,7 +751,7 @@ void DistKfac::step(std::size_t iteration, double lr,
           // Non-finite guard: skip the layer (momentum untouched) rather
           // than poisoning every replica's weights.
           if (!all_finite(preconditioned_[s].span())) {
-            if (policy_.enabled && policy_.skip_nonfinite_steps) {
+            if (policy_.enabled) {
               ++comm_.recovery().nonfinite_skips;
               comm_.obs().count("recovery.nonfinite_skips");
               continue;
@@ -756,7 +759,7 @@ void DistKfac::step(std::size_t iteration, double lr,
             throw NonFiniteError(
                 "DistKfac: non-finite preconditioned gradient");
           }
-          momentum_[s].axpby(static_cast<float>(cfg_.momentum), 1.0F,
+          momentum_[s].axpby(static_cast<float>(kMomentum), 1.0F,
                              preconditioned_[s]);
           for (std::size_t r = 0; r < world; ++r) {
             if (!comm_.is_participating(r) && !comm_.is_rejoining(r)) {
@@ -774,32 +777,32 @@ void DistKfac::step(std::size_t iteration, double lr,
 }
 
 void DistKfac::save_state(std::vector<std::uint8_t>& out) const {
-  ckpt::put_u64(out, layer_indices_.size());
+  wire::put_u64(out, layer_indices_.size());
   for (std::size_t s = 0; s < layer_indices_.size(); ++s) {
     ckpt::put_tensor(out, momentum_[s]);
     const auto& st = *states_[s];
     ckpt::put_tensor(out, st.factor_a());
     ckpt::put_tensor(out, st.factor_g());
-    ckpt::put_u8(out, st.has_eigen() ? 1 : 0);
+    wire::put_u8(out, st.has_eigen() ? 1 : 0);
     if (st.has_eigen()) {
       ckpt::put_tensor(out, st.eigen_a().eigenvectors);
       ckpt::put_floats(out, st.eigen_a().eigenvalues);
       ckpt::put_tensor(out, st.eigen_g().eigenvectors);
       ckpt::put_floats(out, st.eigen_g().eigenvalues);
     }
-    ckpt::put_u64(out, st.updates());
+    wire::put_u64(out, st.updates());
   }
-  ckpt::put_u8(out, gather_state_.degraded);
-  ckpt::put_u64(out, gather_state_.failures);
+  wire::put_u8(out, gather_state_.degraded);
+  wire::put_u64(out, gather_state_.failures);
   // Shard section (DESIGN.md §16): layout + assignment policy and the
   // slot -> owner table the step ran under, so a restore can verify the
   // recomputed assignment (a pure function of membership + model shape)
   // agrees with the checkpointed one.
-  ckpt::put_u8(out, static_cast<std::uint8_t>(cfg_.layout));
-  ckpt::put_u8(out, static_cast<std::uint8_t>(cfg_.assignment));
+  wire::put_u8(out, static_cast<std::uint8_t>(cfg_.layout));
+  wire::put_u8(out, static_cast<std::uint8_t>(cfg_.assignment));
   const auto& owners = shard_owners();
-  ckpt::put_u64(out, owners.size());
-  for (std::size_t o : owners) ckpt::put_u64(out, o);
+  wire::put_u64(out, owners.size());
+  for (std::size_t o : owners) wire::put_u64(out, o);
 }
 
 void DistKfac::load_state(codec::wire::Reader& reader) {

@@ -79,9 +79,9 @@ enum class ShardAssignment : std::uint8_t {
 };
 
 struct DistKfacConfig {
-  double momentum = 0.9;
   double damping = 3e-2;          ///< gamma in Eq. 2.
   double stat_decay = 0.9;        ///< running-average factor decay.
+  /// Steps between eigen refreshes; at least 1.
   std::size_t eigen_refresh_every = 10;
   /// Layer-aggregation factor m (§4.4): each owner concatenates up to m of
   /// its layers' preconditioned gradients per compression call, amortizing
@@ -119,7 +119,9 @@ class DistKfac {
   /// workers while this thread drives the collectives (compute/
   /// communication overlap, §4.4); with none they run inline. Output is
   /// bit-identical either way: each compression task draws from its own
-  /// task_rng() stream, never from the step generator.
+  /// task_rng() stream, never from the step generator. Throws
+  /// std::invalid_argument unless there is one replica per rank and
+  /// `config.eigen_refresh_every` is at least 1.
   DistKfac(DistKfacConfig config, comm::Communicator& comm,
            std::vector<nn::Model*> replicas,
            common::ThreadPool* pool = nullptr);

@@ -9,6 +9,10 @@ namespace compso::optim {
 namespace {
 
 namespace ckpt = codec::ckpt;
+namespace wire = codec::wire;
+
+/// Momentum coefficient of the update.
+constexpr double kMomentum = 0.9;
 
 /// Flattens a layer's [W | b] gradient into a reusable vector.
 void flat_gradient_into(nn::Layer& layer, std::vector<float>& out) {
@@ -34,12 +38,9 @@ void apply_flat_update(nn::Layer& layer, std::span<const float> update,
 
 }  // namespace
 
-DistSgd::DistSgd(DistSgdConfig config, comm::Communicator& comm,
-                 std::vector<nn::Model*> replicas, common::ThreadPool* pool)
-    : cfg_(config),
-      comm_(comm),
-      replicas_(std::move(replicas)),
-      pool_(pool) {
+DistSgd::DistSgd(comm::Communicator& comm, std::vector<nn::Model*> replicas,
+                 common::ThreadPool* pool)
+    : comm_(comm), replicas_(std::move(replicas)), pool_(pool) {
   if (replicas_.size() != comm_.world_size()) {
     throw std::invalid_argument("DistSgd: one replica per rank required");
   }
@@ -168,13 +169,12 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
               comp_bytes_ += send_payloads_[s][r].size();
             }
             averaged_ok = exchange_.average(comm_, policy_, send_payloads_[s],
-                                            cfg_.chunk_bytes, *compressor,
+                                            /*chunk_bytes=*/0, *compressor,
                                             pool_, averaged);
             if (averaged_ok) {
               degrade_[s].failures = 0;
             } else {
-              record_fallback(comm_, policy_, "sgd.layer_fallback",
-                              &degrade_[s]);
+              record_fallback(comm_, "sgd.layer_fallback", &degrade_[s]);
               // The raw-gradient fallback below delivers the *full*
               // gradient; a stateful compressor rolls its per-stream
               // state back so the dropped payload's error is not
@@ -196,11 +196,8 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
             views.reserve(world);
             for (auto& g : step_grads_[s]) views.push_back(g);
             comm_.allreduce_sum(views);
-            const std::size_t lead = comm_.first_participant();
-            for (std::size_t i = 0; i < n; ++i) {
-              averaged[i] =
-                  step_grads_[s][lead][i] / static_cast<float>(active);
-            }
+            comm_.mean_of_sum(step_grads_[s][comm_.first_participant()],
+                              averaged);
             comp_bytes_ += active * n * sizeof(float);
           }
 
@@ -208,7 +205,7 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
           // (an upstream arithmetic fault); never let it reach the
           // weights silently.
           if (!all_finite(averaged)) {
-            if (policy_.enabled && policy_.skip_nonfinite_steps) {
+            if (policy_.enabled) {
               ++comm_.recovery().nonfinite_skips;
               hooks.count("recovery.nonfinite_skips");
               return;  // skip this layer's update; momentum untouched
@@ -220,7 +217,7 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
           auto& vel = velocity_[s];
           if (vel.size() != n) vel.assign(n, 0.0F);
           for (std::size_t i = 0; i < n; ++i) {
-            vel[i] = static_cast<float>(cfg_.momentum) * vel[i] + averaged[i];
+            vel[i] = static_cast<float>(kMomentum) * vel[i] + averaged[i];
           }
           for (std::size_t r = 0; r < world; ++r) {
             if (!comm_.is_participating(r) && !comm_.is_rejoining(r)) {
@@ -239,10 +236,10 @@ void DistSgd::step(double lr, const compress::GradientCompressor* compressor,
 }
 
 void DistSgd::save_state(std::vector<std::uint8_t>& out) const {
-  ckpt::put_u64(out, velocity_.size());
+  wire::put_u64(out, velocity_.size());
   for (const auto& v : velocity_) ckpt::put_floats(out, v);
-  for (const auto& d : degrade_) ckpt::put_u8(out, d.degraded);
-  for (const auto& d : degrade_) ckpt::put_u64(out, d.failures);
+  for (const auto& d : degrade_) wire::put_u8(out, d.degraded);
+  for (const auto& d : degrade_) wire::put_u64(out, d.failures);
 }
 
 void DistSgd::load_state(codec::wire::Reader& reader) {

@@ -1,8 +1,9 @@
 #pragma once
-// Distributed first-order baseline: data-parallel SGD with momentum, with
-// an optional gradient compressor in the CocktailSGD style — each rank
-// compresses its local gradient, payloads are all-gathered on the chunked
-// exchange (optim/exchange.hpp), every rank decompresses and averages.
+// Distributed first-order baseline: data-parallel SGD with momentum 0.9,
+// with an optional gradient compressor in the CocktailSGD style — each
+// rank compresses its local gradient, payloads are all-gathered on the
+// chunked exchange (optim/exchange.hpp, one chunk per rank), every rank
+// decompresses and averages.
 // Error feedback (the classic EF-SGD mechanism §6 mentions; COMPSO itself
 // does not use EF, but CocktailSGD does) is a property of the compressor:
 // pass a compress::make_error_feedback wrapper, whose per-(slot, rank)
@@ -29,16 +30,6 @@
 
 namespace compso::optim {
 
-struct DistSgdConfig {
-  double momentum = 0.9;
-  /// Chunk size of each layer's compressed exchange (DESIGN.md §15): the
-  /// payloads ship as chunk frames of this many body bytes, one round per
-  /// chunk, with the retry ladder operating per round; 0 = one chunk per
-  /// rank. Payload bytes and training trajectories are bit-identical at
-  /// any value.
-  std::size_t chunk_bytes = 0;
-};
-
 class DistSgd {
  public:
   /// With a `pool` (not owned) layer compressions and decodes run on
@@ -47,8 +38,7 @@ class DistSgd {
   /// inline. Output is bit-identical either way — every compression task
   /// draws from its own task_rng() stream, never from the shared step
   /// generator.
-  DistSgd(DistSgdConfig config, comm::Communicator& comm,
-          std::vector<nn::Model*> replicas,
+  DistSgd(comm::Communicator& comm, std::vector<nn::Model*> replicas,
           common::ThreadPool* pool = nullptr);
 
   /// One step after every rank ran forward/backward on its local batch.
@@ -80,7 +70,6 @@ class DistSgd {
   void load_state(codec::wire::Reader& reader);
 
  private:
-  DistSgdConfig cfg_;
   RecoveryPolicy policy_;
   comm::Communicator& comm_;
   std::vector<nn::Model*> replicas_;

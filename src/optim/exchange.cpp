@@ -4,6 +4,7 @@
 #include "src/common/thread_pool.hpp"
 
 #include <algorithm>
+#include <span>
 
 namespace compso::optim {
 
@@ -22,8 +23,7 @@ bool ChunkedExchange::run(comm::Communicator& comm,
     rounds = std::max(rounds, producers_[r].chunk_count());
   }
 
-  const std::size_t attempts =
-      policy.enabled ? policy.max_decode_retries + 1 : 1;
+  const std::size_t attempts = policy.enabled ? kMaxDecodeRetries + 1 : 1;
   std::vector<std::span<const std::uint8_t>> frames(world);
   std::vector<std::vector<std::uint8_t>> recv;
   for (std::size_t k = 0; k < rounds; ++k) {
@@ -66,8 +66,8 @@ bool ChunkedExchange::average(comm::Communicator& comm,
   const std::size_t n = out.size();
   decoded_.resize(world);
   // Per-rank decodes are independent, so they fan out over the pool.
-  // Accumulation stays on this thread in rank order, keeping the float
-  // sum deterministic.
+  // The sum and average stay on this thread, in the canonical order the
+  // raw paths' collectives use, so the float result is deterministic.
   const auto decode = [&](std::size_t begin, std::size_t end) {
     for (std::size_t r = begin; r < end; ++r) {
       if (!comm.is_participating(r)) continue;
@@ -87,13 +87,12 @@ bool ChunkedExchange::average(comm::Communicator& comm,
     if (!policy.enabled) throw;
     return false;
   }
-  const auto active = static_cast<float>(comm.participant_count());
-  std::fill(out.begin(), out.end(), 0.0F);
+  std::vector<std::span<float>> views(world);
   for (std::size_t r = 0; r < world; ++r) {
-    if (!comm.is_participating(r)) continue;
-    const auto& rec = decoded_[r];
-    for (std::size_t i = 0; i < n; ++i) out[i] += rec[i] / active;
+    if (comm.is_participating(r)) views[r] = decoded_[r];
   }
+  comm.canonical_sum(views, out);
+  comm.mean_of_sum(out, out);
   return true;
 }
 

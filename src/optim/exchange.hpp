@@ -8,7 +8,7 @@
 // ChunkedProducer (chunk_bytes == 0: one chunk per rank), ships the frames
 // round by round over Communicator::allgatherv_chunks, and reassembles
 // them on chunk::Cursor. A round whose frames fail validation is
-// re-gathered alone, up to RecoveryPolicy::max_decode_retries times; one-shot
+// re-gathered alone, up to kMaxDecodeRetries times (recovery.hpp); one-shot
 // transport faults therefore cost one retry and leave the delivered bytes
 // — and the training trajectory — bit-identical to a clean run. Chunking
 // frames finished bytes, so the reassembled buffers equal the sent ones at
@@ -47,8 +47,9 @@ class ChunkedExchange {
   /// run(), then the decode-and-average of a compressed allgather: every
   /// participating rank's payload is decompressed (fanned out over `pool`
   /// with parallel_for_static, or inline when it is null; any damage, or
-  /// a length other than out.size(), is a PayloadError) and
-  /// out[i] = Σ_r decoded_r[i] / participants, accumulated in rank order.
+  /// a length other than out.size(), is a PayloadError), and `out`
+  /// becomes their average: the canonical sum, then
+  /// Communicator::mean_of_sum — the rule the raw paths use too.
   /// Returns false, leaving `out` untouched, when the exchange or a
   /// decode failed under an enabled policy.
   bool average(comm::Communicator& comm, const RecoveryPolicy& policy,

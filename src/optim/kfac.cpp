@@ -123,12 +123,6 @@ void KfacLayerState::restore(Tensor a, Tensor g,
   updates_ = updates;
 }
 
-Tensor combined_gradient(nn::Layer& layer) {
-  Tensor c;
-  combined_gradient_into(layer, c);
-  return c;
-}
-
 void combined_gradient_into(nn::Layer& layer, Tensor& c) {
   const auto* wg = layer.weight_grad();
   if (wg == nullptr) {

@@ -78,9 +78,8 @@ class KfacLayerState {
   std::size_t updates_ = 0;
 };
 
-/// Builds the combined (out, in+1) gradient [dW | db] from a Linear layer.
-Tensor combined_gradient(nn::Layer& layer);
-/// Same, into a caller-owned tensor (reshaped in place when needed) so
+/// Builds the combined (out, in+1) gradient [dW | db] of a Linear layer
+/// into a caller-owned tensor (reshaped in place when needed), so
 /// steady-state steps reuse the buffer instead of allocating per call.
 void combined_gradient_into(nn::Layer& layer, Tensor& out);
 /// Same, row-major into `out` (exactly out * (in + 1) floats).

@@ -1,18 +1,15 @@
 #include "src/optim/lr_scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <numbers>
 #include <stdexcept>
 
 namespace compso::optim {
 
-StepLr::StepLr(double base_lr, double decay,
-               std::vector<std::size_t> milestones)
-    : base_(base_lr), decay_(decay), milestones_(std::move(milestones)) {
-  if (base_lr <= 0.0 || decay <= 0.0 || decay >= 1.0) {
-    throw std::invalid_argument("StepLr: need base_lr > 0, decay in (0,1)");
+StepLr::StepLr(double base_lr, std::vector<std::size_t> milestones)
+    : base_(base_lr), milestones_(std::move(milestones)) {
+  if (base_lr <= 0.0) {
+    throw std::invalid_argument("StepLr: need base_lr > 0");
   }
   std::sort(milestones_.begin(), milestones_.end());
 }
@@ -20,7 +17,7 @@ StepLr::StepLr(double base_lr, double decay,
 double StepLr::lr(std::size_t t) const noexcept {
   double v = base_;
   for (std::size_t m : milestones_) {
-    if (t >= m) v *= decay_;
+    if (t >= m) v *= kDecay;
   }
   return v;
 }
@@ -28,25 +25,6 @@ double StepLr::lr(std::size_t t) const noexcept {
 std::size_t StepLr::first_drop() const noexcept {
   return milestones_.empty() ? std::numeric_limits<std::size_t>::max()
                              : milestones_.front();
-}
-
-SmoothLr::SmoothLr(double base_lr, std::size_t warmup, std::size_t total,
-                   double min_lr)
-    : base_(base_lr), warmup_(warmup), total_(total), min_lr_(min_lr) {
-  if (base_lr <= 0.0 || total == 0 || warmup >= total) {
-    throw std::invalid_argument("SmoothLr: need base_lr > 0, warmup < total");
-  }
-}
-
-double SmoothLr::lr(std::size_t t) const noexcept {
-  if (t < warmup_) {
-    return base_ * static_cast<double>(t + 1) / static_cast<double>(warmup_);
-  }
-  const double progress =
-      static_cast<double>(std::min(t, total_) - warmup_) /
-      static_cast<double>(total_ - warmup_);
-  return min_lr_ + (base_ - min_lr_) * 0.5 *
-                       (1.0 + std::cos(std::numbers::pi * progress));
 }
 
 }  // namespace compso::optim

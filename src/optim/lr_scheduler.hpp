@@ -1,54 +1,28 @@
 #pragma once
-// Learning-rate schedulers (§4.3): COMPSO keys its iteration-wise adaptive
-// compression off the LR schedule — StepLR switches from aggressive to
-// conservative bounds at the first LR drop; SmoothLR decays the bounds by
-// a factor alpha per stage.
+// The trainer's learning-rate schedule (§4.3): StepLR. COMPSO keys its
+// iteration-wise adaptive compression off the schedule — the first LR
+// drop switches from aggressive to conservative bounds
+// (core::AdaptiveSchedule).
 
 #include <cstddef>
 #include <vector>
 
 namespace compso::optim {
 
-class LrScheduler {
+/// StepLR: the base LR, multiplied by kDecay at each milestone iteration.
+class StepLr {
  public:
-  virtual ~LrScheduler() = default;
+  static constexpr double kDecay = 0.1;
+
+  StepLr(double base_lr, std::vector<std::size_t> milestones);
   /// Learning rate at iteration t.
-  virtual double lr(std::size_t t) const noexcept = 0;
+  double lr(std::size_t t) const noexcept;
   /// First iteration at which the LR decreases (SIZE_MAX if never).
-  virtual std::size_t first_drop() const noexcept = 0;
-  virtual bool is_step_schedule() const noexcept = 0;
-};
-
-/// StepLR: multiply base LR by `decay` at each milestone iteration.
-class StepLr final : public LrScheduler {
- public:
-  StepLr(double base_lr, double decay, std::vector<std::size_t> milestones);
-  double lr(std::size_t t) const noexcept override;
-  std::size_t first_drop() const noexcept override;
-  bool is_step_schedule() const noexcept override { return true; }
+  std::size_t first_drop() const noexcept;
 
  private:
   double base_;
-  double decay_;
   std::vector<std::size_t> milestones_;
-};
-
-/// SmoothLR: linear warmup for `warmup` iterations, then cosine decay to
-/// `min_lr` at `total` iterations (the paper's cosine schedule for
-/// GPT-neo / BERT).
-class SmoothLr final : public LrScheduler {
- public:
-  SmoothLr(double base_lr, std::size_t warmup, std::size_t total,
-           double min_lr = 0.0);
-  double lr(std::size_t t) const noexcept override;
-  std::size_t first_drop() const noexcept override { return warmup_; }
-  bool is_step_schedule() const noexcept override { return false; }
-
- private:
-  double base_;
-  std::size_t warmup_;
-  std::size_t total_;
-  double min_lr_;
 };
 
 }  // namespace compso::optim

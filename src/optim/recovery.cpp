@@ -7,8 +7,8 @@
 
 namespace compso::optim {
 
-void record_fallback(comm::Communicator& comm, const RecoveryPolicy& policy,
-                     std::string_view event, DegradeState* state) {
+void record_fallback(comm::Communicator& comm, std::string_view event,
+                     DegradeState* state) {
   const obs::ObsHooks& hooks = comm.obs();
   ++comm.recovery().decode_failures;
   ++comm.recovery().fallback_steps;
@@ -16,7 +16,7 @@ void record_fallback(comm::Communicator& comm, const RecoveryPolicy& policy,
   hooks.count("recovery.fallback_steps");
   hooks.instant(obs::kMainTrack, std::string(event), "recovery");
   if (state == nullptr) return;
-  if (++state->failures >= policy.fallback_after && state->degraded == 0) {
+  if (++state->failures >= kFallbackAfter && state->degraded == 0) {
     state->degraded = 1;
     ++comm.recovery().degraded_layers;
     hooks.count("recovery.degraded_layers");

@@ -6,12 +6,12 @@
 // matrix):
 //
 //  - decode failure (PayloadError)  -> bounded retry: re-send the same
-//    chunk round through a fresh collective up to `max_decode_retries`
-//    times (optim/exchange.hpp).
+//    chunk round through a fresh collective up to kMaxDecodeRetries times
+//    (optim/exchange.hpp).
 //  - retries exhausted              -> fall back to the uncompressed
-//    allreduce path for that layer-step; after `fallback_after`
-//    consecutive failing steps the layer is degraded (permanently
-//    uncompressed) so a rotten link cannot stall training forever.
+//    allreduce path for that layer-step; after kFallbackAfter consecutive
+//    failing steps the layer is degraded (permanently uncompressed) so a
+//    rotten link cannot stall training forever.
 //  - NaN/Inf after decompression    -> skip that layer's update this step
 //    (params and momentum untouched) instead of poisoning the weights.
 //
@@ -32,15 +32,13 @@ namespace compso::optim {
 
 struct RecoveryPolicy {
   bool enabled = false;
-  /// Re-sends of a collective whose payload failed to decode.
-  std::size_t max_decode_retries = 2;
-  /// Consecutive failed steps on a layer before it is permanently degraded
-  /// to the uncompressed path.
-  std::size_t fallback_after = 3;
-  /// Skip a layer's update when its averaged gradient is non-finite
-  /// (instead of throwing NonFiniteError).
-  bool skip_nonfinite_steps = true;
 };
+
+/// Re-sends of a chunk round whose frames failed to decode.
+inline constexpr std::size_t kMaxDecodeRetries = 2;
+/// Consecutive failed steps on a layer before it is permanently degraded
+/// to the uncompressed path.
+inline constexpr std::uint32_t kFallbackAfter = 3;
 
 /// Consecutive-failure state of one degradable exchange path.
 struct DegradeState {
@@ -53,9 +51,9 @@ struct DegradeState {
 /// `decode_failures` and `fallback_steps` and emits the `event` instant.
 /// With a `state`, advances its consecutive-failure count and latches
 /// `degraded` — counting `degraded_layers` once — when the count reaches
-/// `policy.fallback_after`. The caller resets `state->failures` on success.
-void record_fallback(comm::Communicator& comm, const RecoveryPolicy& policy,
-                     std::string_view event, DegradeState* state = nullptr);
+/// kFallbackAfter. The caller resets `state->failures` on success.
+void record_fallback(comm::Communicator& comm, std::string_view event,
+                     DegradeState* state = nullptr);
 
 /// True when every value is finite (the non-finite guard).
 bool all_finite(std::span<const float> values) noexcept;

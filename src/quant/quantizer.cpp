@@ -43,22 +43,6 @@ void ErrorBoundedQuantizer::dequantize(const QuantizedBlock& block,
   }
 }
 
-std::size_t ErrorBoundedQuantizer::bins_for_bound(
-    double relative_error_bound) noexcept {
-  if (relative_error_bound <= 0.0) return 0;
-  // Codes span [-1/(2 eb), 1/(2 eb)] after dividing by step = 2 eb absmax:
-  // about 1/eb bins total (paper: eb = 1e-2 -> 100 bins).
-  return static_cast<std::size_t>(std::ceil(1.0 / relative_error_bound));
-}
-
-unsigned ErrorBoundedQuantizer::bits_for_bound(
-    double relative_error_bound) noexcept {
-  const std::size_t bins = bins_for_bound(relative_error_bound);
-  unsigned bits = 1;
-  while ((std::size_t{1} << bits) < bins + 1) ++bits;
-  return bits;
-}
-
 QuantizedBlock FixedBitQuantizer::quantize(std::span<const float> values,
                                            tensor::Rng& rng) const {
   if (bits_ < 2 || bits_ > 16) {

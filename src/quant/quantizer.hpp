@@ -47,11 +47,6 @@ class ErrorBoundedQuantizer {
   /// Dequantizes into `out` (size must equal codes.size()).
   static void dequantize(const QuantizedBlock& block, std::span<float> out);
 
-  /// Number of quantization bins implied by the bound (paper: 1e-2 -> ~100).
-  static std::size_t bins_for_bound(double relative_error_bound) noexcept;
-  /// Bit width implied by the bound (paper: 1e-2 -> 7 bits).
-  static unsigned bits_for_bound(double relative_error_bound) noexcept;
-
  private:
   double eb_;
   RoundingMode mode_;

@@ -1,7 +1,5 @@
 #include "src/tensor/synthetic.hpp"
 
-#include <cmath>
-
 namespace compso::tensor {
 
 std::vector<float> synthetic_gradient(std::size_t n, const GradientProfile& p,
@@ -15,22 +13,6 @@ std::vector<float> synthetic_gradient(std::size_t n, const GradientProfile& p,
       v = rng.laplace(p.body_scale);
     }
     if (rng.uniform() < p.outlier_fraction) v *= p.outlier_multiplier;
-  }
-  return out;
-}
-
-std::vector<float> synthetic_smooth(std::size_t n, Rng& rng) {
-  std::vector<float> out(n);
-  // Sum of a few random-phase sinusoids plus a slow random walk.
-  const float f1 = rng.uniform(0.001F, 0.01F);
-  const float f2 = rng.uniform(0.01F, 0.05F);
-  const float ph1 = rng.uniform(0.0F, 6.28F);
-  const float ph2 = rng.uniform(0.0F, 6.28F);
-  float walk = 0.0F;
-  for (std::size_t i = 0; i < n; ++i) {
-    walk += rng.normal(0.0F, 0.002F);
-    const auto x = static_cast<float>(i);
-    out[i] = std::sin(f1 * x + ph1) + 0.3F * std::sin(f2 * x + ph2) + walk;
   }
   return out;
 }

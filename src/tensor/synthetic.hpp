@@ -42,8 +42,4 @@ struct GradientProfile {
 std::vector<float> synthetic_gradient(std::size_t n, const GradientProfile& p,
                                       Rng& rng);
 
-/// Smoothly-varying "scientific data"-like buffer (used to sanity-check the
-/// SZ-style predictor, which was designed for such data).
-std::vector<float> synthetic_smooth(std::size_t n, Rng& rng);
-
 }  // namespace compso::tensor

@@ -32,12 +32,6 @@ Tensor Tensor::full(std::vector<std::size_t> shape, float value) {
   return t;
 }
 
-Tensor Tensor::eye(std::size_t n) {
-  Tensor t({n, n});
-  for (std::size_t i = 0; i < n; ++i) t.at(i, i) = 1.0F;
-  return t;
-}
-
 void Tensor::reshape(std::vector<std::size_t> shape) {
   if (shape_size(shape) != data_.size()) {
     throw std::invalid_argument("Tensor::reshape: size mismatch");
@@ -50,14 +44,6 @@ Tensor& Tensor::operator+=(const Tensor& other) {
     throw std::invalid_argument("Tensor::operator+=: size mismatch");
   }
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Tensor& Tensor::operator-=(const Tensor& other) {
-  if (other.size() != size()) {
-    throw std::invalid_argument("Tensor::operator-=: size mismatch");
-  }
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
   return *this;
 }
 

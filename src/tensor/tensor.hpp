@@ -32,8 +32,6 @@ class Tensor {
     return Tensor(std::move(shape));
   }
   static Tensor full(std::vector<std::size_t> shape, float value);
-  /// Identity matrix of size n x n.
-  static Tensor eye(std::size_t n);
 
   const std::vector<std::size_t>& shape() const noexcept { return shape_; }
   std::size_t rank() const noexcept { return shape_.size(); }
@@ -75,7 +73,6 @@ class Tensor {
 
   /// Element-wise in-place operations.
   Tensor& operator+=(const Tensor& other);
-  Tensor& operator-=(const Tensor& other);
   Tensor& operator*=(float s);
   /// this = alpha * this + beta * other  (same shapes).
   Tensor& axpby(float alpha, float beta, const Tensor& other);

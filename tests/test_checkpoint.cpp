@@ -16,6 +16,7 @@
 namespace cm = compso::comm;
 namespace core = compso::core;
 namespace ckpt = compso::core::ckpt;
+namespace cw = compso::codec::wire;
 
 namespace {
 
@@ -35,10 +36,7 @@ core::FtTrainerConfig small_config(core::OptimizerKind kind) {
   // resume that recomputed them instead of restoring verbatim would
   // diverge from the straight run.
   cfg.kfac.eigen_refresh_every = 10;
-  cfg.recovery = {.enabled = true,
-                  .max_decode_retries = 2,
-                  .fallback_after = 3,
-                  .skip_nonfinite_steps = true};
+  cfg.recovery = {.enabled = true};
   cfg.base_lr = 0.05;
   cfg.lr_milestones = {20};  // an LR drop inside the resumed half
   cfg.total_iterations = 30;
@@ -47,8 +45,8 @@ core::FtTrainerConfig small_config(core::OptimizerKind kind) {
 
 TEST(CheckpointWire, FrameRoundTripAndValidation) {
   ckpt::Bytes body;
-  ckpt::put_u64(body, 42);
-  ckpt::put_f32(body, 1.5F);
+  cw::put_u64(body, 42);
+  cw::put_f32(body, 1.5F);
   const auto frame = ckpt::seal_frame(body);
 
   const auto view = ckpt::open_frame(frame);

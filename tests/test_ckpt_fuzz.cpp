@@ -46,10 +46,7 @@ core::FtTrainerConfig fuzz_config() {
               .seed = 1717};
   cfg.optimizer = core::OptimizerKind::kKfac;
   cfg.kfac.eigen_refresh_every = 3;
-  cfg.recovery = {.enabled = true,
-                  .max_decode_retries = 2,
-                  .fallback_after = 3,
-                  .skip_nonfinite_steps = true};
+  cfg.recovery = {.enabled = true};
   cfg.base_lr = 0.05;
   cfg.total_iterations = 20;
   cfg.engine_threads = 0;

@@ -18,8 +18,7 @@ namespace {
 // --- adaptive schedule (Algorithm 1) ---
 
 TEST(AdaptiveSchedule, StepLrSwitchesAtFirstDrop) {
-  compso::optim::StepLr lr(0.1, 0.1, {25});
-  cc::AdaptiveSchedule sched(lr, 100);
+  const auto sched = cc::AdaptiveSchedule::step_lr(25);
   const auto early = sched.at(10);
   EXPECT_TRUE(early.use_filter);
   EXPECT_DOUBLE_EQ(early.filter_bound, 4e-3);
@@ -30,11 +29,7 @@ TEST(AdaptiveSchedule, StepLrSwitchesAtFirstDrop) {
 }
 
 TEST(AdaptiveSchedule, SmoothLrDecaysPerStage) {
-  compso::optim::SmoothLr lr(0.1, 10, 1000);
-  cc::AdaptiveScheduleParams p;
-  p.stages = 4;
-  p.decay = 0.5;
-  cc::AdaptiveSchedule sched(lr, 1000, p);
+  const auto sched = cc::AdaptiveSchedule::smooth_lr(1000, 0.5);
   EXPECT_EQ(sched.stage_length(), 250U);
   EXPECT_TRUE(sched.at(0).use_filter);       // stage 0 aggressive
   EXPECT_FALSE(sched.at(300).use_filter);    // later stages conservative
@@ -44,16 +39,14 @@ TEST(AdaptiveSchedule, SmoothLrDecaysPerStage) {
 }
 
 TEST(AdaptiveSchedule, BoundsDecreaseMonotonically) {
-  compso::optim::SmoothLr lr(0.1, 10, 800);
-  cc::AdaptiveSchedule sched(lr, 800);
+  const auto sched = cc::AdaptiveSchedule::smooth_lr(800, 0.5);
   for (std::size_t t = 1; t < 800; ++t) {
     EXPECT_LE(sched.at(t).quant_bound, sched.at(t - 1).quant_bound);
   }
 }
 
 TEST(AdaptiveSchedule, ParamsFlowIntoCompressor) {
-  compso::optim::StepLr lr(0.1, 0.1, {25});
-  cc::AdaptiveSchedule sched(lr, 100);
+  const auto sched = cc::AdaptiveSchedule::step_lr(25);
   const auto p0 = sched.params_at(0);
   EXPECT_TRUE(p0.use_filter);
   const auto p50 = sched.params_at(50);
@@ -62,8 +55,7 @@ TEST(AdaptiveSchedule, ParamsFlowIntoCompressor) {
 }
 
 TEST(AdaptiveSchedule, AggressiveCompressesMoreThanConservative) {
-  compso::optim::StepLr lr(0.1, 0.1, {25});
-  cc::AdaptiveSchedule sched(lr, 100);
+  const auto sched = cc::AdaptiveSchedule::step_lr(25);
   ct::Rng rng(7);
   const auto grad =
       ct::synthetic_gradient(1 << 16, ct::GradientProfile::kfac(), rng);
@@ -74,8 +66,8 @@ TEST(AdaptiveSchedule, AggressiveCompressesMoreThanConservative) {
 }
 
 TEST(AdaptiveSchedule, ZeroIterationsThrows) {
-  compso::optim::StepLr lr(0.1, 0.1, {25});
-  EXPECT_THROW(cc::AdaptiveSchedule(lr, 0), std::invalid_argument);
+  EXPECT_THROW((void)cc::AdaptiveSchedule::smooth_lr(0, 0.5),
+               std::invalid_argument);
 }
 
 // --- performance simulator ---
@@ -182,6 +174,29 @@ cc::FtTrainerConfig kfac_run(std::size_t iterations, double lr,
   return cfg;
 }
 
+TEST(TrainerIntegration, WorldMustFillWholeNodes) {
+  // Topology::with_gpus rounds 5-7 and 9-11 GPUs up to whole 4-GPU nodes;
+  // the trainer rejects such a world instead of building a larger
+  // Communicator than it has replicas for.
+  for (const std::size_t world : {0UL, 5UL, 6UL, 7UL, 9UL, 11UL}) {
+    auto cfg = kfac_run(1, 0.02, {});
+    cfg.base.world = world;
+    try {
+      cc::FaultTolerantTrainer trainer(cfg);
+      ADD_FAILURE() << "world " << world << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("whole 4-GPU nodes"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const std::size_t world : {1UL, 3UL, 4UL, 8UL}) {
+    auto cfg = kfac_run(1, 0.02, {});
+    cfg.base.world = world;
+    EXPECT_NO_THROW(cc::FaultTolerantTrainer trainer(cfg)) << world;
+  }
+}
+
 TEST(TrainerIntegration, KfacConvergesOnClusters) {
   const auto r = cc::train(kfac_run(60, 0.02, {60}));
   EXPECT_GT(r.final_accuracy, 0.9);
@@ -228,9 +243,7 @@ TEST(TrainerIntegration, ConfigScheduleMatchesTwoStageProvider) {
   auto cfg = kfac_run(40, 0.02, {25});
   cfg.kfac.aggregation = 4;
   cfg.compress = true;
-  const compso::optim::StepLr lr(cfg.base_lr, cfg.lr_decay,
-                                cfg.lr_milestones);
-  const cc::AdaptiveSchedule sched(lr, cfg.total_iterations);
+  const auto sched = cc::AdaptiveSchedule::step_lr(25);
   const auto own = cc::train(cfg);
   const auto aggressive = cp::make_compso(sched.params_at(0));
   const auto conservative = cp::make_compso(sched.params_at(25));

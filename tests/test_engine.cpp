@@ -105,7 +105,7 @@ std::vector<float> run_sgd(std::size_t engine_threads) {
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
   const auto pool = make_pool(engine_threads);
-  opt::DistSgd sgd({.momentum = 0.9}, comm, f.ptrs, pool.get());
+  opt::DistSgd sgd(comm, f.ptrs, pool.get());
   const auto compso = cc::make_error_feedback(cc::make_compso({}));
   ct::Rng data_rng(1), sr_rng(2);
   for (std::size_t t = 0; t < 5; ++t) {
@@ -226,10 +226,7 @@ core::FtTrainerConfig small_config(core::OptimizerKind kind,
               .seed = 31337};
   cfg.optimizer = kind;
   cfg.kfac.eigen_refresh_every = 5;
-  cfg.recovery = {.enabled = true,
-                  .max_decode_retries = 2,
-                  .fallback_after = 3,
-                  .skip_nonfinite_steps = true};
+  cfg.recovery = {.enabled = true};
   cfg.base_lr = 0.05;
   cfg.total_iterations = 20;
   cfg.engine_threads = engine_threads;

@@ -48,10 +48,7 @@ core::FtTrainerConfig family_config(core::CompressorFamily family,
               .seed = 2026};
   cfg.optimizer = kind;
   cfg.family = family;
-  cfg.recovery = {.enabled = true,
-                  .max_decode_retries = 2,
-                  .fallback_after = 3,
-                  .skip_nonfinite_steps = true};
+  cfg.recovery = {.enabled = true};
   cfg.total_iterations = 40;
   cfg.engine_threads = threads;
   return cfg;

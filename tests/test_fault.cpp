@@ -28,10 +28,7 @@ core::FtTrainerConfig small_config(core::OptimizerKind kind) {
               .seed = 4242};
   cfg.optimizer = kind;
   cfg.kfac.eigen_refresh_every = 5;
-  cfg.recovery = {.enabled = true,
-                  .max_decode_retries = 2,
-                  .fallback_after = 3,
-                  .skip_nonfinite_steps = true};
+  cfg.recovery = {.enabled = true};
   cfg.base_lr = 0.05;
   cfg.total_iterations = 40;
   return cfg;
@@ -225,16 +222,38 @@ TEST(Recovery, TransientFaultsAreBitExactAfterRetry) {
 }
 
 TEST(Recovery, RetriesExhaustedFallsBackAndDegrades) {
-  auto cfg = small_config(core::OptimizerKind::kSgd);
-  cfg.recovery.max_decode_retries = 0;  // a single failure exhausts retries
-  cfg.recovery.fallback_after = 1;      // ... and degrades immediately
-  core::FaultTolerantTrainer trainer(cfg);
-  trainer.set_fault_plan(cm::FaultPlan{}.corrupt(2, 1), 31);
-  trainer.run(6);
+  // The ladder at its constants: one-shot corruptions of rank 1's payload,
+  // one per attempt of the step's first layer exchange, exhaust the
+  // kMaxDecodeRetries re-sends, so that layer-step falls back; the same on
+  // kFallbackAfter consecutive steps degrades the layer.
+  namespace opt = compso::optim;
+  const std::size_t first = 2;
+  cm::FaultPlan plan;
+  for (std::size_t t = first; t < first + opt::kFallbackAfter; ++t) {
+    for (std::size_t k = 0; k <= opt::kMaxDecodeRetries; ++k) {
+      plan.corrupt(t, 1);
+    }
+  }
+  core::FaultTolerantTrainer trainer(small_config(core::OptimizerKind::kSgd));
+  trainer.set_fault_plan(plan, 31);
   const auto& rc = trainer.comm().recovery();
+  trainer.run(first + 1);
+  // Exhaustion, then fallback: every attempt of one step failed.
+  EXPECT_EQ(rc.decode_retries, opt::kMaxDecodeRetries);
   EXPECT_EQ(rc.decode_failures, 1U);
-  EXPECT_GE(rc.fallback_steps, 1U);
+  EXPECT_EQ(rc.fallback_steps, 1U);
+  EXPECT_EQ(rc.degraded_layers, 0U);
+  trainer.run(opt::kFallbackAfter - 2);
+  EXPECT_EQ(rc.degraded_layers, 0U);
+  // Degradation on the kFallbackAfter-th consecutive failing step.
+  trainer.run(1);
+  EXPECT_EQ(rc.corrupt_injected,
+            opt::kFallbackAfter * (opt::kMaxDecodeRetries + 1));
+  EXPECT_EQ(rc.decode_retries, opt::kFallbackAfter * opt::kMaxDecodeRetries);
+  EXPECT_EQ(rc.decode_failures, opt::kFallbackAfter);
+  EXPECT_EQ(rc.fallback_steps, opt::kFallbackAfter);
   EXPECT_EQ(rc.degraded_layers, 1U);
+  trainer.run(2);
   for (const float p : trainer.parameters()) {
     ASSERT_TRUE(std::isfinite(p));
   }

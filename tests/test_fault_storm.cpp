@@ -45,10 +45,7 @@ core::FtTrainerConfig storm_config(std::size_t engine_threads) {
               .seed = 909};
   cfg.optimizer = core::OptimizerKind::kKfac;
   cfg.kfac.eigen_refresh_every = 5;
-  cfg.recovery = {.enabled = true,
-                  .max_decode_retries = 2,
-                  .fallback_after = 3,
-                  .skip_nonfinite_steps = true};
+  cfg.recovery = {.enabled = true};
   cfg.base_lr = 0.05;
   cfg.total_iterations = kStormSteps;
   cfg.engine_threads = engine_threads;

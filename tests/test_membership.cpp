@@ -36,10 +36,7 @@ core::FtTrainerConfig small_config(std::size_t engine_threads = 0) {
               .seed = 321};
   cfg.optimizer = core::OptimizerKind::kKfac;
   cfg.kfac.eigen_refresh_every = 4;
-  cfg.recovery = {.enabled = true,
-                  .max_decode_retries = 2,
-                  .fallback_after = 3,
-                  .skip_nonfinite_steps = true};
+  cfg.recovery = {.enabled = true};
   cfg.base_lr = 0.05;
   cfg.total_iterations = 30;
   cfg.engine_threads = engine_threads;
@@ -71,7 +68,7 @@ TEST(MembershipUnit, SilenceWalksSuspicionAndExponentialProbeBackoff) {
   EXPECT_TRUE(d.suspected.empty());
   EXPECT_EQ(m.phase(1), cm::RankPhase::kHealthy);
 
-  // t=2: second consecutive miss hits suspect_after_misses — the rank is
+  // t=2: second consecutive miss hits kSuspectAfterMisses — the rank is
   // suspected and sits out without charging anyone a deadline wait.
   d = m.tick(2, clocks, active);
   ASSERT_EQ(d.suspected.size(), 1U);
@@ -80,8 +77,8 @@ TEST(MembershipUnit, SilenceWalksSuspicionAndExponentialProbeBackoff) {
   EXPECT_EQ(d.waited_for, 0U);
   EXPECT_EQ(m.phase(1), cm::RankPhase::kSuspect);
 
-  // t=3: first probe (probe_backoff_initial = 1 after suspicion) fails;
-  // no eviction yet (evict_after_probes = 2).
+  // t=3: first probe (kProbeBackoffInitial = 1 after suspicion) fails;
+  // no eviction yet (kEvictAfterProbes = 2).
   d = m.tick(3, clocks, active);
   EXPECT_TRUE(d.evicted.empty());
 
@@ -119,7 +116,7 @@ TEST(MembershipUnit, ConsecutiveDeadlineExclusionsSuspectAStraggler) {
   cm::Membership m(3);
   const std::vector<std::uint8_t> active(3, 1);
   // Rank 2 heartbeats fine but its clock is hopelessly behind the group's
-  // arrival window (far past straggler_deadline_s = 8).
+  // arrival window (far past kStragglerDeadlineS = 8).
   std::vector<double> clocks = {0.0, 0.0, 100.0};
 
   // Strikes 1 and 2: excluded (continue-without), participants wait the
@@ -132,7 +129,7 @@ TEST(MembershipUnit, ConsecutiveDeadlineExclusionsSuspectAStraggler) {
     EXPECT_EQ(m.phase(2), cm::RankPhase::kHealthy) << t;
   }
 
-  // Strike 3 hits straggle_suspect_after: the rank is suspected and nobody
+  // Strike 3 hits kStraggleSuspectAfter: the rank is suspected and nobody
   // waits for it any more.
   auto d = m.tick(3, clocks, active);
   ASSERT_EQ(d.suspected.size(), 1U);

@@ -207,15 +207,6 @@ TEST(Loss, SpanCrossEntropyAveragesTheTwoHeads) {
                std::invalid_argument);
 }
 
-TEST(Loss, MseKnownValue) {
-  ct::Tensor pred({2}, {1.0F, 3.0F});
-  ct::Tensor target({2}, {0.0F, 0.0F});
-  ct::Tensor grad;
-  EXPECT_NEAR(nn::mse_loss(pred, target, grad), 5.0, 1e-6);
-  EXPECT_NEAR(grad[0], 1.0, 1e-6);
-  EXPECT_NEAR(grad[1], 3.0, 1e-6);
-}
-
 TEST(Loss, SoftmaxCrossEntropyBitsArePinned) {
   // Loss and gradient bits of a seeded 256 x 32 batch (kfac_compso's
   // logits). Each exp is computed once and reused; the hash is that of the

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 
 namespace opt = compso::optim;
 namespace nn = compso::nn;
@@ -22,34 +24,16 @@ namespace cm = compso::comm;
 namespace {
 
 TEST(StepLr, DecaysAtMilestones) {
-  opt::StepLr lr(1.0, 0.1, {10, 20});
+  opt::StepLr lr(1.0, {20, 10});
   EXPECT_DOUBLE_EQ(lr.lr(0), 1.0);
   EXPECT_DOUBLE_EQ(lr.lr(9), 1.0);
   EXPECT_DOUBLE_EQ(lr.lr(10), 0.1);
   EXPECT_DOUBLE_EQ(lr.lr(25), 0.01);
   EXPECT_EQ(lr.first_drop(), 10U);
-  EXPECT_TRUE(lr.is_step_schedule());
 }
 
 TEST(StepLr, Validation) {
-  EXPECT_THROW(opt::StepLr(0.0, 0.1, {}), std::invalid_argument);
-  EXPECT_THROW(opt::StepLr(1.0, 1.5, {}), std::invalid_argument);
-}
-
-TEST(SmoothLr, WarmupThenCosine) {
-  opt::SmoothLr lr(1.0, 10, 100);
-  EXPECT_LT(lr.lr(0), 0.2);              // warmup ramps
-  EXPECT_NEAR(lr.lr(9), 1.0, 1e-9);      // end of warmup
-  EXPECT_NEAR(lr.lr(55), 0.5, 0.02);     // cosine midpoint
-  EXPECT_NEAR(lr.lr(100), 0.0, 1e-9);    // fully decayed
-  EXPECT_FALSE(lr.is_step_schedule());
-}
-
-TEST(SmoothLr, MonotoneAfterWarmup) {
-  opt::SmoothLr lr(0.1, 5, 200);
-  for (std::size_t t = 5; t < 199; ++t) {
-    EXPECT_GE(lr.lr(t), lr.lr(t + 1)) << "t=" << t;
-  }
+  EXPECT_THROW(opt::StepLr(0.0, {}), std::invalid_argument);
 }
 
 // --- KFAC layer math ---
@@ -156,7 +140,8 @@ TEST(KfacHelpers, CombinedGradientLayout) {
   ct::Tensor gout({4, 2});
   rng.fill_normal(gout.span());
   l.backward(gout);
-  const ct::Tensor c = opt::combined_gradient(l);
+  ct::Tensor c;
+  opt::combined_gradient_into(l, c);
   EXPECT_EQ(c.rows(), 2U);
   EXPECT_EQ(c.cols(), 4U);
   EXPECT_FLOAT_EQ(c.at(1, 3), (*l.bias_grad())[1]);
@@ -262,6 +247,21 @@ TEST(DistKfac, RequiresOneReplicaPerRank) {
   EXPECT_THROW(opt::DistKfac({}, comm, f.ptrs), std::invalid_argument);
 }
 
+TEST(DistKfac, ZeroRefreshPeriodThrows) {
+  // A refresh period of 0 would reach `iteration % 0` in step().
+  DistFixture f(2);
+  cm::Communicator comm(cm::Topology::with_gpus(2),
+                        cm::NetworkModel::platform1());
+  try {
+    opt::DistKfac kfac({.eigen_refresh_every = 0}, comm, f.ptrs);
+    ADD_FAILURE() << "eigen_refresh_every = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("eigen_refresh_every"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(DistKfac, StepBeforeBackwardThrows) {
   DistFixture f(2);
   cm::Communicator comm(cm::Topology::with_gpus(2),
@@ -277,7 +277,7 @@ TEST(DistSgd, MatchesSingleProcessSgdWithoutCompression) {
   DistFixture f(4);
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
-  opt::DistSgd sgd({.momentum = 0.9}, comm, f.ptrs);
+  opt::DistSgd sgd(comm, f.ptrs);
   ct::Rng data_rng(1), sr_rng(2);
   double first = 0.0, last = 0.0;
   for (std::size_t t = 0; t < 60; ++t) {
@@ -304,7 +304,7 @@ TEST(DistSgd, ErrorFeedbackRecoversTopKLoss) {
     DistFixture f(2);
     cm::Communicator comm(cm::Topology::with_gpus(2),
                           cm::NetworkModel::platform1());
-    opt::DistSgd sgd({.momentum = 0.9}, comm, f.ptrs);
+    opt::DistSgd sgd(comm, f.ptrs);
     const auto topk =
         ef ? compso::compress::make_error_feedback(
                  compso::compress::make_topk(0.1))
@@ -330,11 +330,49 @@ TEST(DistSgd, ErrorFeedbackRecoversTopKLoss) {
   EXPECT_LT(with_ef, without_ef * 1.5);
 }
 
+TEST(DistSgd, IdentityCompressorMatchesUncompressedAtWorldThree) {
+  // One averaging rule for the compressed exchange and the raw allreduce:
+  // a lossless compressor lands on the uncompressed run's bits even where
+  // 1/participants is inexact.
+  const auto run = [](const compso::compress::GradientCompressor* c) {
+    DistFixture f(3);
+    cm::Communicator comm(cm::Topology::with_gpus(3),
+                          cm::NetworkModel::platform1());
+    opt::DistSgd sgd(comm, f.ptrs);
+    ct::Rng data_rng(1), sr_rng(2);
+    for (std::size_t t = 0; t < 10; ++t) {
+      f.run_fwd_bwd(data_rng);
+      sgd.step(0.05, c, sr_rng);
+    }
+    std::vector<float> params;
+    for (std::size_t li : f.replicas[0].trainable_layers()) {
+      auto& l = f.replicas[0].layer(li);
+      params.insert(params.end(), l.weight()->span().begin(),
+                    l.weight()->span().end());
+      params.insert(params.end(), l.bias()->span().begin(),
+                    l.bias()->span().end());
+    }
+    return params;
+  };
+  const auto identity = compso::compress::make_identity();
+  const auto plain = run(nullptr);
+  const auto lossless = run(identity.get());
+  ASSERT_EQ(plain.size(), lossless.size());
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    differ += std::bit_cast<std::uint32_t>(plain[i]) !=
+                      std::bit_cast<std::uint32_t>(lossless[i])
+                  ? 1
+                  : 0;
+  }
+  EXPECT_EQ(differ, 0U) << "of " << plain.size() << " parameters";
+}
+
 TEST(DistSgd, CompressionBytesTracked) {
   DistFixture f(2);
   cm::Communicator comm(cm::Topology::with_gpus(2),
                         cm::NetworkModel::platform1());
-  opt::DistSgd sgd({}, comm, f.ptrs);
+  opt::DistSgd sgd(comm, f.ptrs);
   const auto qsgd = compso::compress::make_qsgd(8);
   ct::Rng data_rng(1), sr_rng(2);
   f.run_fwd_bwd(data_rng);

@@ -181,7 +181,7 @@ TEST(TransportFault, CorruptedAllgatherIsDetectedByDistSgd) {
     bytes[static_cast<std::size_t>(bit / 8)] ^=
         static_cast<std::uint8_t>(1U << (bit % 8));
   });
-  opt::DistSgd sgd({}, comm, ptrs);
+  opt::DistSgd sgd(comm, ptrs);
   const auto compso = cp::make_compso({});
   nn::ClusterDataset dataset(8, 3, 0.4F, 77);
   ct::Rng data_rng(1), sr_rng(2);
@@ -207,7 +207,7 @@ TEST(TransportFault, CleanAllgatherStillTrains) {
   for (auto& m : replicas) ptrs.push_back(&m);
   cm::Communicator comm(cm::Topology::with_gpus(2),
                         cm::NetworkModel::platform1());
-  opt::DistSgd sgd({}, comm, ptrs);
+  opt::DistSgd sgd(comm, ptrs);
   const auto compso = cp::make_compso({});
   nn::ClusterDataset dataset(8, 3, 0.4F, 77);
   ct::Rng data_rng(1), sr_rng(2);

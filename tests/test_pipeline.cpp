@@ -432,14 +432,12 @@ TEST(ChunkTrajectory, DistKfacChunkedMatchesUnchunkedAtAnyThreadCount) {
   }
 }
 
-std::vector<float> run_sgd(std::size_t engine_threads,
-                           std::size_t chunk_bytes) {
+std::vector<float> run_sgd(std::size_t engine_threads) {
   DistFixture f(4);
   cm::Communicator comm(cm::Topology::with_gpus(4),
                         cm::NetworkModel::platform1());
   const auto pool = make_pool(engine_threads);
-  opt::DistSgd sgd({.momentum = 0.9, .chunk_bytes = chunk_bytes}, comm,
-                   f.ptrs, pool.get());
+  opt::DistSgd sgd(comm, f.ptrs, pool.get());
   const auto ef_compso = cc::make_error_feedback(cc::make_compso({}));
   ct::Rng data_rng(1), sr_rng(2);
   for (std::size_t t = 0; t < 5; ++t) {
@@ -450,13 +448,11 @@ std::vector<float> run_sgd(std::size_t engine_threads,
 }
 
 TEST(ChunkTrajectory, DistSgdChunkedMatchesUnchunkedAtAnyThreadCount) {
-  const auto unchunked = run_sgd(0, 0);
-  expect_bitwise_equal(unchunked, run_sgd(0, 256), "chunked serial");
-  expect_bitwise_equal(unchunked, run_sgd(2, 256), "chunked 2-thread");
-  expect_bitwise_equal(unchunked, run_sgd(8, 256), "chunked 8-thread");
-  expect_bitwise_equal(unchunked, run_sgd(2, 512), "512-byte chunks");
-  expect_bitwise_equal(unchunked, run_sgd(8, 64), "tiny chunks 8-thread");
-  expect_bitwise_equal(unchunked, run_sgd(8, 0), "one chunk 8-thread");
+  // DistSgd ships each rank's payload as one chunk frame; its EF-COMPSO
+  // exchange lands on the same bits at any engine thread count.
+  const auto serial = run_sgd(0);
+  expect_bitwise_equal(serial, run_sgd(2), "2-thread");
+  expect_bitwise_equal(serial, run_sgd(8), "8-thread");
 }
 
 // --- retry ladder + checkpoint/resume under chunk-level faults ---
@@ -475,11 +471,7 @@ core::FtTrainerConfig chunked_ft_config(std::size_t engine_threads,
   cfg.optimizer = core::OptimizerKind::kKfac;
   cfg.kfac.eigen_refresh_every = 5;
   cfg.kfac.chunk_bytes = chunk_bytes;
-  cfg.sgd.chunk_bytes = chunk_bytes;
-  cfg.recovery = {.enabled = true,
-                  .max_decode_retries = 2,
-                  .fallback_after = 3,
-                  .skip_nonfinite_steps = true};
+  cfg.recovery = {.enabled = true};
   cfg.base_lr = 0.05;
   cfg.total_iterations = 20;
   cfg.engine_threads = engine_threads;

@@ -132,12 +132,6 @@ TEST(ErrorDistribution, RnErrorStaysWithinHalfStep) {
 
 // --- quantizer mechanics -------------------------------------------------
 
-TEST(Quantizer, BinsAndBitsMatchPaperExample) {
-  // Paper §4.3: eb = 1e-2 -> max ~100 bins -> 7-bit representation.
-  EXPECT_EQ(cq::ErrorBoundedQuantizer::bins_for_bound(1e-2), 100U);
-  EXPECT_EQ(cq::ErrorBoundedQuantizer::bits_for_bound(1e-2), 7U);
-}
-
 TEST(Quantizer, AllZeroBuffer) {
   ct::Rng rng(11);
   std::vector<float> data(100, 0.0F);

@@ -504,10 +504,7 @@ core::FtTrainerConfig sharded_ft_config(std::size_t engine_threads) {
   cfg.kfac.eigen_refresh_every = 5;
   cfg.kfac.layout = opt::PrecondLayout::kSharded;
   cfg.kfac.assignment = opt::ShardAssignment::kCostBalanced;
-  cfg.recovery = {.enabled = true,
-                  .max_decode_retries = 2,
-                  .fallback_after = 3,
-                  .skip_nonfinite_steps = true};
+  cfg.recovery = {.enabled = true};
   cfg.base_lr = 0.05;
   cfg.total_iterations = 20;
   cfg.engine_threads = engine_threads;

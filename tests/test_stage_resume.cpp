@@ -33,10 +33,7 @@ core::FtTrainerConfig staged_config() {
               .seed = 4242};
   cfg.optimizer = core::OptimizerKind::kKfac;
   cfg.kfac.eigen_refresh_every = 5;
-  cfg.recovery = {.enabled = true,
-                  .max_decode_retries = 2,
-                  .fallback_after = 3,
-                  .skip_nonfinite_steps = true};
+  cfg.recovery = {.enabled = true};
   cfg.base_lr = 0.05;
   cfg.lr_milestones = {20};
   cfg.total_iterations = 40;

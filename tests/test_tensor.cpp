@@ -37,13 +37,6 @@ TEST(Tensor, ZeroConstruction) {
   for (std::size_t i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 0.0F);
 }
 
-TEST(Tensor, EyeAndAt) {
-  const ct::Tensor i3 = ct::Tensor::eye(3);
-  EXPECT_EQ(i3.at(0, 0), 1.0F);
-  EXPECT_EQ(i3.at(0, 1), 0.0F);
-  EXPECT_EQ(i3.at(2, 2), 1.0F);
-}
-
 TEST(Tensor, ReshapePreservesData) {
   ct::Tensor t({2, 6});
   t.at(1, 2) = 5.0F;
@@ -57,12 +50,10 @@ TEST(Tensor, ElementwiseOps) {
   ct::Tensor b = ct::Tensor::full({4}, 3.0F);
   a += b;
   EXPECT_EQ(a[0], 5.0F);
-  a -= b;
-  EXPECT_EQ(a[0], 2.0F);
   a *= 2.0F;
-  EXPECT_EQ(a[0], 4.0F);
+  EXPECT_EQ(a[0], 10.0F);
   a.axpby(0.5F, 2.0F, b);
-  EXPECT_EQ(a[0], 8.0F);
+  EXPECT_EQ(a[0], 11.0F);
   ct::Tensor c({3});
   EXPECT_THROW(a += c, std::invalid_argument);
 }
@@ -280,18 +271,6 @@ TEST(Synthetic, GradientProfileShapes) {
   std::size_t tiny = 0;
   for (float v : kfac) tiny += std::fabs(v) < 1e-3F ? 1 : 0;
   EXPECT_GT(tiny, 40000U);
-}
-
-TEST(Synthetic, SmoothDataIsSmooth) {
-  ct::Rng rng(14);
-  const auto v = ct::synthetic_smooth(10000, rng);
-  double total_step = 0.0;
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    total_step += std::fabs(static_cast<double>(v[i]) - v[i - 1]);
-  }
-  const double range = ct::extrema(v).max - ct::extrema(v).min;
-  // Mean step is far below the range: neighboring values predict well.
-  EXPECT_LT(total_step / static_cast<double>(v.size()), range / 50.0);
 }
 
 }  // namespace

@@ -102,8 +102,7 @@ std::vector<std::size_t> mixed_layer_bytes(std::size_t layers) {
 
 void check_decision_against_brute_force(const cm::NetworkModel& net) {
   cm::Communicator comm(cm::Topology::with_gpus(16), net);
-  const compso::optim::StepLr lr(0.1, 0.1, {25});
-  const cc::AdaptiveSchedule sched(lr, 100);
+  const auto sched = cc::AdaptiveSchedule::step_lr(25);
   const perf::CommLookupTable table(comm);
   const auto dev = compso::gpusim::DeviceModel::a100();
 
