@@ -317,6 +317,8 @@ int main(int argc, char** argv) {
                 row.blocked_gflops / row.naive_gflops,
                 row.parallel_bit_identical ? "identical" : "MISMATCH");
   }
+  std::printf("  blocked vs naive at 512^3: %.2fx (gate %.1fx)\n",
+              gemm512_speedup, kMinGemm512Speedup);
 
   // --- syrk_tn: the KFAC covariance kernel ---
   const std::size_t syrk_n = smoke ? 192 : 256, syrk_d = 512;

@@ -307,8 +307,9 @@ int run_throughput_mode(bool smoke, std::size_t steps,
   const double speedup = parallel.steps_per_s / serial.steps_per_s;
 
   std::printf("  serial engine      : %7.3f steps/s\n", serial.steps_per_s);
-  std::printf("  %zu-thread shared pool: %7.3f steps/s  (%.2fx, gate %s)\n",
-              threads, parallel.steps_per_s, speedup,
+  std::printf("  %zu-thread shared pool: %7.3f steps/s  (%.2fx, gate %.2fx "
+              "%s)\n",
+              threads, parallel.steps_per_s, speedup, kMinParallelSpeedup,
               gate_enforced ? "enforced" : "skipped");
   std::printf("  parameters: %s\n",
               identical ? "bit-identical" : "MISMATCH");
@@ -470,9 +471,15 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "  \"config\": {\"world\": %zu, \"batch_per_rank\": %zu,"
                " \"features\": %zu, \"classes\": %zu, \"hidden\": %zu,"
-               " \"depth\": %zu, \"timed_steps\": %zu},\n",
+               " \"depth\": %zu, \"noise\": %.2f, \"seed\": %llu,"
+               " \"eigen_refresh_every\": %zu, \"aggregation\": %zu,"
+               " \"base_lr\": %.3f, \"timed_steps\": %zu},\n",
                cfg.base.world, cfg.base.batch_per_rank, cfg.base.features,
-               cfg.base.classes, cfg.base.hidden, cfg.base.depth, steps);
+               cfg.base.classes, cfg.base.hidden, cfg.base.depth,
+               static_cast<double>(cfg.base.noise),
+               static_cast<unsigned long long>(cfg.base.seed),
+               cfg.kfac.eigen_refresh_every, cfg.kfac.aggregation,
+               cfg.base_lr, steps);
   std::fprintf(f, "  \"host_concurrency\": %u,\n", host_concurrency);
   const int failures = with_obs_gate
                            ? run_obs_mode(smoke, steps, trace_path, f)

@@ -1,5 +1,7 @@
 #include "src/common/thread_pool.hpp"
 
+#include "src/common/float_mode.hpp"
+
 #include <algorithm>
 #include <chrono>
 #include <exception>
@@ -64,7 +66,14 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
   if (stop_.load(std::memory_order_acquire)) {
     throw std::runtime_error("ThreadPool: submit after shutdown");
   }
-  std::packaged_task<void()> task(std::move(fn));
+  // The task runs under its submitter's float mode (DESIGN.md §11.2), on
+  // whichever thread takes it: a worker, a caller in run_one(), or the
+  // shutdown drain. fn is an opaque call, so the mode brackets it exactly.
+  std::packaged_task<void()> task(
+      [fn = std::move(fn), mode = float_mode()] {
+        const FloatModeScope scope(mode);
+        fn();
+      });
   std::future<void> fut = task.get_future();
   Queue& q = *queues_[next_.fetch_add(1, std::memory_order_relaxed) %
                       queues_.size()];

@@ -40,7 +40,10 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return threads_.size(); }
 
-  /// Enqueues `fn`; the future rethrows any exception `fn` threw.
+  /// Enqueues `fn`; the future rethrows any exception `fn` threw. `fn`
+  /// runs under the MXCSR float mode of the thread that submitted it
+  /// (float_mode.hpp), whichever thread runs it, so pooled results equal
+  /// serial ones inside a flushed scope or outside any.
   std::future<void> submit(std::function<void()> fn);
 
   /// Deterministic static-partition loop (DESIGN.md §11): [0, n) is

@@ -1,6 +1,7 @@
 #include "src/core/ft_trainer.hpp"
 
 #include "src/comm/network_model.hpp"
+#include "src/common/float_mode.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/compress/error_feedback.hpp"
 #include "src/compress/payload_fuzz.hpp"
@@ -271,6 +272,16 @@ double FaultTolerantTrainer::step() {
 }
 
 double FaultTolerantTrainer::step(
+    const compress::GradientCompressor* compressor) {
+  // No step pays for gradual underflow: dead units' factor and momentum
+  // rows decay into the subnormal range otherwise, and every product
+  // touching them takes a microcode assist (DESIGN.md §11.7).
+  const common::FloatModeScope flushed(common::float_mode() |
+                                       common::kFlushSubnormals);
+  return flushed_step(compressor);
+}
+
+double FaultTolerantTrainer::flushed_step(
     const compress::GradientCompressor* compressor) {
   const std::size_t t = iteration_;
   obs_.count("trainer.steps");

@@ -205,8 +205,10 @@ std::string without_pool_counters(const obs::MetricsRegistry& registry) {
 
 // Numerical health of the eigh refresh: on every refresh step each
 // factor's QL iteration count lands in kfac.eigh_iterations and a factor
-// that hit the cap in kfac.eigh_nonconverged, recorded on the main thread,
-// so the snapshot stays byte-identical at any engine thread count.
+// that hit the cap in kfac.eigh_nonconverged, and the subnormal census
+// (kfac.subnormal_values) reads 0 because every thread of the step runs
+// flushed. All of it is recorded on the main thread, so the snapshot stays
+// byte-identical at any engine thread count.
 TEST(ObsDeterminism, EighHealthCoversEveryFactorOfEveryRefresh) {
   std::string serial_metrics;
   for (const std::size_t threads : {0UL, 2UL, 4UL}) {
@@ -238,6 +240,7 @@ TEST(ObsDeterminism, EighHealthCoversEveryFactorOfEveryRefresh) {
     EXPECT_EQ(hist.sum, sweeps);
     EXPECT_GT(sweeps, 0U);
     EXPECT_EQ(snap.counters.at("kfac.eigh_nonconverged"), nonconverged);
+    EXPECT_EQ(snap.counters.at("kfac.subnormal_values"), 0U);
     if (threads == 0) {
       serial_metrics = registry.to_json();
     } else {
