@@ -78,6 +78,13 @@ enum class ShardAssignment : std::uint8_t {
   kCostBalanced = 1,
 };
 
+/// Bound on the squared natural-gradient norm of a step, Σ v·g over its
+/// layers, with v the preconditioned and g the averaged gradient
+/// (DESIGN.md §11.8). A step above it has every v scaled by
+/// sqrt(kMaxNaturalGradSq / Σ v·g) before v enters the momentum; its
+/// KL term lr²·Σ v·g is then capped at lr²·kMaxNaturalGradSq.
+inline constexpr double kMaxNaturalGradSq = 1000.0;
+
 struct DistKfacConfig {
   double damping = 3e-2;          ///< gamma in Eq. 2.
   double stat_decay = 0.9;        ///< running-average factor decay.
@@ -311,6 +318,11 @@ class DistKfac {
   /// and decodes into preconditioned_. Returns false when the exchange or
   /// the decode failed under an enabled policy.
   bool gather_exchange(const compress::GradientCompressor* compressor);
+
+  /// The factor the update applies to every slot's v this step: 1, or
+  /// the one that brings Σ v·g down to kMaxNaturalGradSq (counted in
+  /// kfac.clipped_updates).
+  float update_scale(std::size_t lead) const;
 
   /// Decodes the exchanged per-rank streams into preconditioned_ (throws
   /// PayloadError on any framing or payload damage). Framing is parsed

@@ -4,6 +4,7 @@
 #include "src/core/adaptive_schedule.hpp"
 #include "src/core/perf_sim.hpp"
 #include "src/core/ft_trainer.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/tensor/synthetic.hpp"
 
 #include <gtest/gtest.h>
@@ -201,6 +202,35 @@ TEST(TrainerIntegration, KfacConvergesOnClusters) {
   const auto r = cc::train(kfac_run(60, 0.02, {60}));
   EXPECT_GT(r.final_accuracy, 0.9);
   EXPECT_LT(r.final_loss, r.loss_curve.front());
+}
+
+TEST(TrainerIntegration, NaturalGradientBoundKeepsOutlierStepsClean) {
+  // A small KFAC+COMPSO run at lr 0.01. Without the bound on a step's
+  // Σ v·g (optim::kMaxNaturalGradSq), seed 7 blows up: its loss goes
+  // non-finite at step 188 and 113 of its 300 steps take a non-finite
+  // skip. With it, five outlier steps are scaled down and every step is
+  // clean. Seed 1 never reaches the bound.
+  for (const std::uint64_t seed : {1U, 7U}) {
+    cc::FtTrainerConfig cfg;
+    cfg.base = {.world = 2,
+                .batch_per_rank = 16,
+                .features = 8,
+                .classes = 4,
+                .hidden = 16,
+                .depth = 3,
+                .noise = 0.7F,
+                .seed = seed};
+    cfg.base_lr = 0.01;
+    cfg.recovery.enabled = true;
+    cc::FaultTolerantTrainer trainer(cfg);
+    compso::obs::MetricsRegistry registry;
+    trainer.set_obs({.metrics = &registry});
+    trainer.run(300);
+    EXPECT_EQ(trainer.comm().recovery().nonfinite_skips, 0U) << seed;
+    EXPECT_EQ(registry.counter("kfac.clipped_updates") > 0, seed == 7)
+        << seed;
+    EXPECT_GT(trainer.evaluate(), 0.85) << seed;
+  }
 }
 
 TEST(TrainerIntegration, KfacWithCompsoMatchesNoCompression) {

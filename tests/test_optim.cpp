@@ -3,6 +3,7 @@
 
 #include "src/nn/dataset.hpp"
 #include "src/nn/model_zoo.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/optim/dist_kfac.hpp"
 #include "src/optim/dist_sgd.hpp"
 #include "src/optim/kfac.hpp"
@@ -12,9 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <string>
+#include <tuple>
+#include <vector>
 
 namespace opt = compso::optim;
 namespace nn = compso::nn;
@@ -269,6 +273,100 @@ TEST(DistKfac, StepBeforeBackwardThrows) {
   opt::DistKfac kfac({}, comm, f.ptrs);
   ct::Rng rng(3);
   EXPECT_THROW(kfac.step(0, 0.01, nullptr, rng), std::logic_error);
+}
+
+/// Every trainable layer's weights and bias of `m` in the combined layout
+/// (rows of [W | b]), layer after layer.
+std::vector<float> combined_params(nn::Model& m) {
+  std::vector<float> out;
+  for (std::size_t li : m.trainable_layers()) {
+    const ct::Tensor& w = *m.layer(li).weight();
+    const ct::Tensor& b = *m.layer(li).bias();
+    for (std::size_t i = 0; i < w.rows(); ++i) {
+      for (std::size_t j = 0; j < w.cols(); ++j) out.push_back(w.at(i, j));
+      out.push_back(b[i]);
+    }
+  }
+  return out;
+}
+
+/// Forward/backward on every replica with the loss gradient scaled by
+/// `k`; returns the rank-averaged gradient in combined_params' layout.
+std::vector<double> scaled_fwd_bwd(DistFixture& f, ct::Rng& data_rng,
+                                   float k) {
+  std::vector<double> mean;
+  for (auto& m : f.replicas) {
+    const auto batch = f.dataset.sample(8, data_rng);
+    const auto logits = m.forward(batch.x);
+    ct::Tensor grad;
+    nn::softmax_cross_entropy(logits, batch.labels, grad);
+    for (float& g : grad.span()) g *= k;
+    m.backward(grad);
+    std::vector<float> flat;
+    for (std::size_t li : m.trainable_layers()) {
+      ct::Tensor c;
+      opt::combined_gradient_into(m.layer(li), c);
+      flat.insert(flat.end(), c.span().begin(), c.span().end());
+    }
+    mean.resize(flat.size(), 0.0);
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      mean[i] += flat[i] / static_cast<double>(f.replicas.size());
+    }
+  }
+  return mean;
+}
+
+TEST(DistKfac, NaturalGradientBoundScalesAnOutlierStep) {
+  // Step 1 reuses step 0's eigenbasis, so its v is linear in its
+  // gradient: a loss gradient scaled by k scales v by k and Σ v·g by k².
+  // step1 returns what step 1 moved the weights beyond step 0's momentum
+  // share (-lr · scale · v), the step's averaged gradient, and the
+  // clipped-update count.
+  constexpr double kLr = 0.01;
+  const auto step1 = [](float k) {
+    DistFixture f(2);
+    cm::Communicator comm(cm::Topology::with_gpus(2),
+                          cm::NetworkModel::platform1());
+    compso::obs::MetricsRegistry registry;
+    comm.set_obs({.metrics = &registry});
+    opt::DistKfac kfac({.damping = 0.1}, comm, f.ptrs);
+    ct::Rng data_rng(1), rng(2);
+    const auto w0 = combined_params(f.replicas[0]);
+    scaled_fwd_bwd(f, data_rng, 1.0F);
+    kfac.step(0, kLr, nullptr, rng);
+    const auto w1 = combined_params(f.replicas[0]);
+    const auto g = scaled_fwd_bwd(f, data_rng, k);
+    kfac.step(1, kLr, nullptr, rng);
+    const auto w2 = combined_params(f.replicas[0]);
+    std::vector<double> moved(w0.size());
+    for (std::size_t i = 0; i < moved.size(); ++i) {
+      moved[i] = (static_cast<double>(w2[i]) - w1[i]) -
+                 0.9 * (static_cast<double>(w1[i]) - w0[i]);
+    }
+    return std::tuple{moved, g, registry.counter("kfac.clipped_updates")};
+  };
+
+  const auto [plain, g, plain_clips] = step1(1.0F);
+  double vg = 0.0;
+  for (std::size_t i = 0; i < plain.size(); ++i) vg -= plain[i] * g[i];
+  vg /= kLr;
+  ASSERT_GT(vg, 0.0);
+  ASSERT_LT(vg, opt::kMaxNaturalGradSq);
+  EXPECT_EQ(plain_clips, 0U);
+
+  // k² · Σ v·g is 10^4 times the bound, so the step is scaled by
+  // sqrt(bound / (k² · Σ v·g)), which brings scale² · k² · Σ v·g down to
+  // the bound. It moves the weights r = k · scale = sqrt(bound / Σ v·g)
+  // times as far as the plain step, in the same direction.
+  const double r = std::sqrt(opt::kMaxNaturalGradSq / vg);
+  const auto [outlier, gk, outlier_clips] =
+      step1(static_cast<float>(100.0 * r));
+  EXPECT_EQ(outlier_clips, 1U);
+  double peak = 0.0;
+  for (const double m : plain) peak = std::max(peak, std::abs(r * m));
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_NEAR(outlier[i], r * plain[i], 1e-3 * peak) << "weight " << i;
+  }
 }
 
 TEST(DistSgd, MatchesSingleProcessSgdWithoutCompression) {
