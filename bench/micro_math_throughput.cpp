@@ -1,6 +1,6 @@
 // Blocked math engine vs. naive reference throughput (DESIGN.md §11).
 //
-// Measures the packed-panel GEMM/syrk kernels against the retained naive
+// Measures the blocked GEMM/syrk engine against the retained naive
 // references, the Householder + QL eigh against the Jacobi oracle (and
 // alone at n = 512 and 1024), plus the pool-parallel GEMM path, verifies
 // blocked-vs-reference accuracy and blocked-vs-parallel bit-identity,
@@ -48,10 +48,9 @@ namespace ct = compso::tensor;
 
 namespace {
 
-// Sanitizer instrumentation flattens the blocked-vs-naive gap: at -O2 the
-// register-tiled microkernel keeps its accumulators in memory, so every
-// shadow-checked access lands in its inner loop, while packing is a small
-// share of the product. The speedup gate only has teeth in an
+// Sanitizer instrumentation changes the blocked-vs-naive ratio: every
+// scalar access is shadow-checked, in the naive loops and in the
+// engine's broadcasts alike. The speedup gate only has teeth in an
 // uninstrumented build.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr double kMinGemm512Speedup = 1.0;
@@ -125,7 +124,9 @@ struct StepRow {
 };
 
 /// One rank's serial step work on kfac_compso (32->192->192->32, batch
-/// 256, factors 33-193) and kfac_scaleout (64-wide layers, batch 32).
+/// 256, factors 33-193) and kfac_scaleout (64-wide layers, batch 32: its
+/// products, the syrks of its 33-, 65-, 32- and 64-wide factors and one
+/// 64-wide layer's four precondition products).
 std::vector<StepRow> step_rows() {
   return {
       {"kfac_compso.fwd_bwd", "gemm_nt", 256, 192, 32},
@@ -150,6 +151,14 @@ std::vector<StepRow> step_rows() {
       {"kfac_scaleout.fwd_bwd", "gemm_nt", 32, 64, 64},
       {"kfac_scaleout.fwd_bwd", "gemm_tn", 64, 64, 32},
       {"kfac_scaleout.fwd_bwd", "gemm", 32, 64, 64},
+      {"kfac_scaleout.syrk", "syrk_tn_packed", 65, 65, 32},
+      {"kfac_scaleout.syrk", "syrk_tn_packed", 64, 64, 32},
+      {"kfac_scaleout.syrk", "syrk_tn_packed", 33, 33, 32},
+      {"kfac_scaleout.syrk", "syrk_tn_packed", 32, 32, 32},
+      {"kfac_scaleout.precond", "gemm_tn", 64, 65, 64},
+      {"kfac_scaleout.precond", "gemm", 64, 65, 65},
+      {"kfac_scaleout.precond", "gemm", 64, 65, 64},
+      {"kfac_scaleout.precond", "gemm_nt", 64, 65, 65},
       {"kfac_compso.layers", "relu_forward", 256, 192, 0},
       {"kfac_compso.layers", "softmax_cross_entropy", 256, 32, 0},
   };

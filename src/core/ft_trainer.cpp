@@ -116,7 +116,7 @@ double FaultTolerantTrainer::forward_backward(nn::Model& model,
     loss = nn::softmax_cross_entropy(model.forward(clusters.x),
                                      clusters.labels, grad);
   }
-  model.backward(grad);
+  model.backward(std::move(grad));
   return loss;
 }
 

@@ -24,11 +24,12 @@ class Layer {
   /// Forward pass; `x` is (batch, in_features).
   virtual Tensor forward(const Tensor& x) = 0;
 
-  /// Backward pass; `grad_out` is (batch, out_features); stores parameter
-  /// gradients internally and returns the (batch, in_features) input
-  /// gradient, or an empty tensor when `input_grad` is false (the first
-  /// layer's, which nothing reads).
-  virtual Tensor backward(const Tensor& grad_out, bool input_grad = true) = 0;
+  /// Backward pass; `grad_out` is (batch, out_features), handed over so a
+  /// layer can keep it or reuse its storage; stores parameter gradients
+  /// internally and returns the (batch, in_features) input gradient, or
+  /// an empty tensor when `input_grad` is false (the first layer's, which
+  /// nothing reads).
+  virtual Tensor backward(Tensor grad_out, bool input_grad = true) = 0;
 
   /// True for layers with trainable parameters (KFAC targets these).
   virtual bool has_params() const noexcept { return false; }
@@ -53,7 +54,7 @@ class Linear final : public Layer {
 
   std::string_view name() const noexcept override { return name_; }
   Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
+  Tensor backward(Tensor grad_out, bool input_grad = true) override;
   bool has_params() const noexcept override { return true; }
   Tensor* weight() noexcept override { return &weight_; }
   Tensor* bias() noexcept override { return &bias_; }
@@ -74,8 +75,7 @@ class Linear final : public Layer {
   Tensor bias_;         // (out)
   Tensor weight_grad_;  // (out, in)
   Tensor bias_grad_;    // (out)
-  Tensor input_;        // (batch, in)  last forward input
-  Tensor input_aug_;    // (batch, in+1) with homogeneous 1s column (KFAC)
+  Tensor input_aug_;    // (batch, in+1) last forward input [x | 1] (KFAC)
   Tensor grad_out_;     // (batch, out) last backward grad
 };
 
@@ -85,7 +85,7 @@ class Relu final : public Layer {
  public:
   std::string_view name() const noexcept override { return "relu"; }
   Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
+  Tensor backward(Tensor grad_out, bool input_grad = true) override;
 
  private:
   Tensor mask_;
@@ -96,7 +96,7 @@ class Tanh final : public Layer {
  public:
   std::string_view name() const noexcept override { return "tanh"; }
   Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out, bool input_grad = true) override;
+  Tensor backward(Tensor grad_out, bool input_grad = true) override;
 
  private:
   Tensor out_;

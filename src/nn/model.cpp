@@ -2,19 +2,20 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace compso::nn {
 
 Tensor Model::forward(const Tensor& x) {
-  Tensor h = x;
-  for (auto& l : layers_) h = l->forward(h);
+  if (layers_.empty()) return x;
+  Tensor h = layers_.front()->forward(x);
+  for (std::size_t i = 1; i < layers_.size(); ++i) h = layers_[i]->forward(h);
   return h;
 }
 
-void Model::backward(const Tensor& grad_out) {
-  Tensor g = grad_out;
+void Model::backward(Tensor grad_out) {
   for (std::size_t i = layers_.size(); i-- > 0;) {
-    g = layers_[i]->backward(g, /*input_grad=*/i > 0);
+    grad_out = layers_[i]->backward(std::move(grad_out), /*input_grad=*/i > 0);
   }
 }
 

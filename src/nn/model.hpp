@@ -19,8 +19,9 @@ class Model {
   }
 
   Tensor forward(const Tensor& x);
-  /// Backward from the loss gradient w.r.t. the model output.
-  void backward(const Tensor& grad_out);
+  /// Backward from the loss gradient w.r.t. the model output; each
+  /// layer's input gradient is handed to the layer below by move.
+  void backward(Tensor grad_out);
 
   std::size_t layer_count() const noexcept { return layers_.size(); }
   Layer& layer(std::size_t i) noexcept { return *layers_[i]; }

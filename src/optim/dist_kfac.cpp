@@ -651,7 +651,7 @@ void DistKfac::step(std::size_t iteration, double lr,
           // slot so the gather framing stays intact, and skip its update.
           if (!all_finite(preconditioned_[s].span())) {
             if (policy_.enabled) {
-              skip_[s] = 1;
+              skip_[s] = kSkipGuarded;
               ++comm_.recovery().nonfinite_skips;
               comm_.obs().count("recovery.nonfinite_skips");
               preconditioned_[s].fill(0.0F);
@@ -800,12 +800,19 @@ void DistKfac::step(std::size_t iteration, double lr,
   // natural-gradient bound first.
   const auto update = graph_.add_main(
       "update", kPrioGather - 1, [this, lr, world, slots, lead] {
+        // One non-finite scan per gathered slot: the bound and the guard
+        // below both read its mark.
+        for (std::size_t s = 0; s < slots; ++s) {
+          if (skip_[s] == 0 && !all_finite(preconditioned_[s].span())) {
+            skip_[s] = kSkipGathered;
+          }
+        }
         const float scale = update_scale(lead);
         for (std::size_t s = 0; s < slots; ++s) {
-          if (skip_[s]) continue;  // non-finite slot, zeroed pre-gather.
+          if (skip_[s] == kSkipGuarded) continue;  // zeroed pre-gather.
           // Non-finite guard: skip the layer (momentum untouched) rather
           // than poisoning every replica's weights.
-          if (!all_finite(preconditioned_[s].span())) {
+          if (skip_[s] == kSkipGathered) {
             if (policy_.enabled) {
               ++comm_.recovery().nonfinite_skips;
               comm_.obs().count("recovery.nonfinite_skips");
@@ -837,9 +844,9 @@ float DistKfac::update_scale(std::size_t lead) const {
   // adds no communication. The slots the update skips do not count.
   double vg = 0.0;
   for (std::size_t s = 0; s < layer_indices_.size(); ++s) {
-    const auto v = preconditioned_[s].span();
-    if (skip_[s] || !all_finite(v)) continue;
-    vg += dot(v, grad_buf_[lead].data() + grad_off_[s]);
+    if (skip_[s] != 0) continue;
+    vg += dot(preconditioned_[s].span(),
+              grad_buf_[lead].data() + grad_off_[s]);
   }
   vg = std::abs(vg) / static_cast<double>(comm_.participant_count());
   const bool clipped = vg > kMaxNaturalGradSq;

@@ -249,7 +249,12 @@ class DistKfac {
   std::vector<std::vector<compress::Bytes>> factor_send_a_;
   std::vector<std::vector<compress::Bytes>> factor_send_g_;
   std::vector<Tensor> preconditioned_;          ///< [slot].
-  std::vector<std::uint8_t> skip_;              ///< [slot], non-finite.
+  /// [slot]: 0, or why the update skips the slot this step.
+  std::vector<std::uint8_t> skip_;
+  /// Non-finite before the gather: zeroed and counted by its guard.
+  static constexpr std::uint8_t kSkipGuarded = 1;
+  /// Non-finite after the gather: found and counted by the update.
+  static constexpr std::uint8_t kSkipGathered = 2;
   std::vector<std::vector<std::size_t>> owned_;  ///< [rank] -> slots.
   /// Cached slot -> owner assignment + the participation mask it was
   /// computed under (lazy refresh; see refresh_assignment).
@@ -321,7 +326,7 @@ class DistKfac {
 
   /// The factor the update applies to every slot's v this step: 1, or
   /// the one that brings Σ v·g down to kMaxNaturalGradSq (counted in
-  /// kfac.clipped_updates).
+  /// kfac.clipped_updates). Slots marked in skip_ do not count.
   float update_scale(std::size_t lead) const;
 
   /// Decodes the exchanged per-rank streams into preconditioned_ (throws

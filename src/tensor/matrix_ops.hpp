@@ -2,17 +2,17 @@
 // Dense matrix kernels used by the NN substrate and the KFAC optimizer.
 //
 // The production kernels (gemm / gemm_tn / gemm_nt / syrk_tn) are lowered
-// onto one cache-blocked, packed-panel microkernel (DESIGN.md §11): A and
-// B tiles are copied into contiguous panels, an MR x NR register tile
-// accumulates over the K panel, and the compiler vectorizes the NR lane
-// loop. Output row blocks can additionally run in parallel on a shared
+// onto one cache-blocked engine whose register tiles read their operands
+// in place (DESIGN.md §11.1): A by broadcast through a row/k-stride view,
+// B from rows ldb apart; only gemm_nt's B and syrk's alpha-scaled A are
+// copied. Output row blocks can additionally run in parallel on a shared
 // ThreadPool (set_math_pool) via the deterministic static partitioner —
 // every output element keeps its serial accumulation order (k ascending,
 // single accumulator), so results are bit-identical at any thread count.
 //
 // The original naive kernels are retained as *_reference oracles: the
 // property tests and the math micro-benchmark compare the blocked engine
-// against them (bitwise — same per-element operation sequence).
+// against them.
 
 #include "src/tensor/tensor.hpp"
 
@@ -48,14 +48,27 @@ class MathPoolGuard {
   common::ThreadPool* prev_;
 };
 
+/// A read-only row-major matrix operand: element (r, c) at
+/// data[r * ld + c], ld >= cols. A rank-2 Tensor converts implicitly
+/// (ld = cols); a narrower view reads a tensor's leading columns in place,
+/// as Linear's backward reads x out of its [x | 1] input.
+struct MatrixView {
+  MatrixView(const Tensor& t);  // NOLINT(google-explicit-constructor)
+  MatrixView(const float* data, std::size_t rows, std::size_t cols,
+             std::size_t ld);
+
+  const float* data;
+  std::size_t rows, cols, ld;
+};
+
 /// C = A * B.  A is (m x k), B is (k x n), C is (m x n).
-void gemm(const Tensor& a, const Tensor& b, Tensor& c);
+void gemm(MatrixView a, MatrixView b, Tensor& c);
 
 /// C = A^T * B.  A is (k x m), B is (k x n), C is (m x n).
-void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c);
+void gemm_tn(MatrixView a, MatrixView b, Tensor& c);
 
 /// C = A * B^T.  A is (m x k), B is (n x k), C is (m x n).
-void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c);
+void gemm_nt(MatrixView a, MatrixView b, Tensor& c);
 
 /// C = alpha * A^T A + beta * C, for A of shape (n x d): the covariance
 /// accumulation at the heart of KFAC factor computation (Eq. 1). Only the
@@ -77,18 +90,18 @@ void pack_upper(const Tensor& c, std::span<float> packed);
 void mirror_upper(Tensor& c);
 
 /// The upper triangle of syrk_tn(a, alpha, 0, c) on a fresh c, written
-/// straight into `packed` (see pack_upper) — the same bits. The d x d
-/// product lives in a per-thread scratch, so steady-state calls allocate
-/// nothing.
+/// into `packed` (see pack_upper) — the same bits. The d x d product is
+/// staged in a per-thread scratch that is written before it is read, so
+/// steady-state calls neither allocate nor zero-fill.
 void syrk_tn_packed(const Tensor& a, float alpha, std::span<float> packed);
 
 /// Naive single-thread reference kernels (the pre-blocking loops), kept
 /// as correctness oracles. NOTE: like the blocked kernels, these do NOT
 /// skip zero multiplicands — 0 * NaN must stay NaN so non-finite values
 /// propagate into the output and the optimizer guards can fire.
-void gemm_reference(const Tensor& a, const Tensor& b, Tensor& c);
-void gemm_tn_reference(const Tensor& a, const Tensor& b, Tensor& c);
-void gemm_nt_reference(const Tensor& a, const Tensor& b, Tensor& c);
+void gemm_reference(MatrixView a, MatrixView b, Tensor& c);
+void gemm_tn_reference(MatrixView a, MatrixView b, Tensor& c);
+void gemm_nt_reference(MatrixView a, MatrixView b, Tensor& c);
 void syrk_tn_reference(const Tensor& a, float alpha, float beta, Tensor& c);
 
 /// Reshapes `t` to (rows x cols), reallocating only when the shape

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -287,13 +288,60 @@ const std::vector<std::pair<std::size_t, std::size_t>> kPinnedSyrks = {
     {127, 70},  {128, 70},  {129, 70},  {300, 70},
 };
 
+/// Shapes (m, n, k) that put each operand form under every ISA variant's
+/// tile edges: row remainders 1 … MR−1 of the 8-, 6- and 4-row tiles
+/// (n = 130), column remainders 1 … NR−1 of the 32-, 16- and 8-column
+/// tiles and the 1–3-column tails of the in + 1 wide factors (m = 130),
+/// all at k = 260, which crosses every variant's KC (128, 256).
+std::vector<Mnk> edge_shapes() {
+  std::vector<Mnk> shapes;
+  for (const std::size_t m : {1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 15, 17, 23,
+                              31, 33, 39, 95, 97}) {
+    shapes.emplace_back(m, 130, 260);
+  }
+  for (std::size_t n = 1; n < 32; ++n) shapes.emplace_back(130, n, 260);
+  for (const std::size_t n : {33, 34, 35, 47, 63, 65, 66, 67, 97, 193}) {
+    shapes.emplace_back(130, n, 260);
+  }
+  return shapes;
+}
+
+/// A seeded (rows x cols) operand read in place with row stride ld — the
+/// layout of x inside Linear's [x | 1] input — in an allocation of
+/// exactly (rows - 1) * ld + cols floats: its last element is the
+/// allocation's last float. The ld - cols floats after every other row
+/// are NaN. `dense` holds the same values contiguously.
+struct Exact {
+  Exact(std::size_t rows, std::size_t cols, std::size_t stride,
+        std::uint64_t seed)
+      : dense(rand2(rows, cols, seed)),
+        data((rows - 1) * stride + cols,
+             std::numeric_limits<float>::quiet_NaN()),
+        ld(stride) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::copy_n(dense.data() + r * cols, cols, data.begin() + r * ld);
+    }
+  }
+  ct::MatrixView view() const {
+    return {data.data(), dense.rows(), dense.cols(), ld};
+  }
+  ct::Tensor dense;
+  std::vector<float> data;
+  std::size_t ld;
+};
+
 TEST(BlockedGemm, BitsArePinned) {
   // One hash per kernel and shape group. The hashes are the output of the
-  // engine's first, per-element packers, so a packer or driver rewrite
-  // that moves one rounding, or a build that fuses one multiply-add in
-  // the reference loops, fails here (DESIGN.md §11.1). The AVX-512 and
-  // AVX2 variants both do one std::fma per k and share a set; the SSE2
-  // variant's mul+add has its own.
+  // engine's first, per-element packers (the "edges", "strided" and d
+  // 1-193 groups: of the packed-panel engine at 960c942, fed the strided
+  // operands' `dense` copies), so a rewrite that moves one
+  // rounding, or a build that fuses one multiply-add in the reference
+  // loops, fails here (DESIGN.md §11.1). The groups cover every operand
+  // form the engine reads: A in place along k (gemm, gemm_nt), A in
+  // place transposed (gemm_tn), A and B strided, syrk's scaled A, B in
+  // place, and gemm_nt's transposed B. The AVX-512 and AVX2 variants both
+  // do one fused multiply-add per k and share a set; the SSE2 variant's
+  // mul+add has its own.
   struct Pin {
     const char* name;
     std::uint64_t fma, sse2;
@@ -317,6 +365,15 @@ TEST(BlockedGemm, BitsArePinned) {
       {"syrk_tn beta 0", 0x5a2e19f9b5f5f0ecULL, 0x7a72ddb9136d8310ULL},
       {"syrk_tn beta 0.95", 0xd77b5a5fa55e2b0dULL, 0xfc287fbddbc55612ULL},
       {"syrk_tn_packed", 0xfd4b5d7542161500ULL, 0x49bda97dc5292f70ULL},
+      {"gemm edges", 0x3e6f69828418632aULL, 0x669a6ad6ac188fdeULL},
+      {"gemm_tn edges", 0x963af4dd79881906ULL, 0x52f15a32955b6e08ULL},
+      {"gemm_nt edges", 0x9bb2b15569e085b2ULL, 0xe581c368a2012a96ULL},
+      {"gemm strided", 0x1a0f3380ee5a61d9ULL, 0x8c0120f7d9a5f341ULL},
+      {"gemm_tn strided", 0xc8464cc1a63cac9fULL, 0xcae3264476d647baULL},
+      {"gemm_nt strided", 0x63a17da40986aa9fULL, 0x0a25e1f0253a1325ULL},
+      {"syrk_tn_packed d 1-193", 0x315cb248e8b79eaaULL, 0x1ef8a5908af698b7ULL},
+      {"syrk_tn beta 0.95 d 1-193", 0x5de227b878049e3fULL,
+       0x4f54ddd52d904f99ULL},
   };
   const bool fma = __builtin_cpu_supports("fma") &&
                    (__builtin_cpu_supports("avx512f") ||
@@ -357,12 +414,100 @@ TEST(BlockedGemm, BitsArePinned) {
   got.emplace_back("syrk_tn beta 0.95", hs1);
   got.emplace_back("syrk_tn_packed", hp);
 
+  std::uint64_t eg = kOffset, etn = kOffset, ent = kOffset;
+  std::uint64_t sg = kOffset, stn = kOffset, snt = kOffset;
+  for (const auto& [m, n, k] : edge_shapes()) {
+    ct::gemm(rand2(m, k, seed), rand2(k, n, seed + 1), c);
+    eg = fold_bits(eg, c.span());
+    ct::gemm_tn(rand2(k, m, seed + 2), rand2(k, n, seed + 3), c);
+    etn = fold_bits(etn, c.span());
+    ct::gemm_nt(rand2(m, k, seed + 4), rand2(n, k, seed + 5), c);
+    ent = fold_bits(ent, c.span());
+    ct::gemm(Exact(m, k, k + 3, seed + 6).view(),
+             Exact(k, n, n + 1, seed + 7).view(), c);
+    sg = fold_bits(sg, c.span());
+    ct::gemm_tn(Exact(k, m, m + 1, seed + 8).view(),
+                Exact(k, n, n + 1, seed + 9).view(), c);
+    stn = fold_bits(stn, c.span());
+    ct::gemm_nt(Exact(m, k, k + 1, seed + 10).view(),
+                Exact(n, k, k + 2, seed + 11).view(), c);
+    snt = fold_bits(snt, c.span());
+    seed += 12;
+  }
+  got.emplace_back("gemm edges", eg);
+  got.emplace_back("gemm_tn edges", etn);
+  got.emplace_back("gemm_nt edges", ent);
+  got.emplace_back("gemm strided", sg);
+  got.emplace_back("gemm_tn strided", stn);
+  got.emplace_back("gemm_nt strided", snt);
+  std::uint64_t hd = kOffset, hb = kOffset;
+  for (std::size_t d = 1; d <= 193; ++d) {
+    const ct::Tensor a = rand2(260, d, seed++);
+    std::vector<float> packed(ct::packed_size(d));
+    ct::syrk_tn_packed(a, 1.0F / 260.0F, packed);
+    hd = fold_bits(hd, packed);
+    ct::Tensor blend = rand2(d, d, seed++);
+    ct::syrk_tn(a, 0.37F, 0.95F, blend);
+    hb = fold_bits(hb, blend.span());
+  }
+  got.emplace_back("syrk_tn_packed d 1-193", hd);
+  got.emplace_back("syrk_tn beta 0.95 d 1-193", hb);
+
   ASSERT_EQ(got.size(), std::size(pins));
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i].first, pins[i].name);
     EXPECT_EQ(got[i].second, fma ? pins[i].fma : pins[i].sse2)
         << got[i].first << (fma ? " (fma)" : " (sse2)") << ": 0x"
         << std::hex << got[i].second;
+  }
+}
+
+// The tiles read A, B and C in place, so a tile load not masked to the
+// real columns, or a broadcast from a row past the tile's remainder, reads
+// past an operand. Here every operand ends at the end of its allocation:
+// under ASan+UBSan (./ci.sh) any read past the last row or column fails
+// the run. In any build a read of a NaN gap between rows shows in the
+// product, which must equal the one on contiguous tensors bit for bit.
+TEST(BlockedGemm, OperandsEndingAtTheirAllocationsAreNotReadPast) {
+  std::uint64_t seed = 9000;
+  for (const std::size_t m : {1, 7, 9, 33}) {
+    for (const std::size_t n : {1, 3, 15, 17, 31, 33, 65}) {
+      for (const std::size_t k : {129, 260}) {
+        for (const std::size_t gap : {0, 1}) {
+          const std::string what = std::to_string(m) + "x" +
+                                   std::to_string(n) + "x" +
+                                   std::to_string(k) + " gap " +
+                                   std::to_string(gap);
+          ct::Tensor got, want;
+          const Exact a(m, k, k + gap, seed), b(k, n, n + gap, seed + 1);
+          ct::gemm(a.view(), b.view(), got);
+          ct::gemm(a.dense, b.dense, want);
+          expect_bitwise(got, want, ("gemm " + what).c_str());
+          const Exact at(k, m, m + gap, seed + 2);
+          ct::gemm_tn(at.view(), b.view(), got);
+          ct::gemm_tn(at.dense, b.dense, want);
+          expect_bitwise(got, want, ("gemm_tn " + what).c_str());
+          const Exact bt(n, k, k + gap, seed + 3);
+          ct::gemm_nt(a.view(), bt.view(), got);
+          ct::gemm_nt(a.dense, bt.dense, want);
+          expect_bitwise(got, want, ("gemm_nt " + what).c_str());
+          seed += 4;
+        }
+      }
+    }
+  }
+  // syrk's operand is a whole tensor, whose storage ends with its last row.
+  for (const std::size_t d : {1, 7, 9, 31, 33, 65, 193}) {
+    for (const std::size_t rows : {129, 260}) {
+      const auto a = rand2(rows, d, seed++);
+      std::vector<float> packed(ct::packed_size(d));
+      ct::syrk_tn_packed(a, 0.5F, packed);
+      ct::Tensor c;
+      ct::syrk_tn(a, 0.5F, 0.0F, c);
+      std::vector<float> want(ct::packed_size(d));
+      ct::pack_upper(c, want);
+      ASSERT_EQ(packed, want) << "syrk d=" << d << " rows=" << rows;
+    }
   }
 }
 
